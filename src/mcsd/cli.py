@@ -104,7 +104,8 @@ def _dispatch(args) -> int:
         summary = bench.run_rgd_sweep(cfg, args.steps)
         for alpha, err in summary["final_subspace_error"].items():
             print(f"alpha={alpha}: final subspace error {err:.6e}")
-        print(f"winner: alpha={summary['winner']:g}")
+        winner = summary["winner"]
+        print("winner: none" if winner is None else f"winner: alpha={winner:g}")
         if summary["aborted"]:
             return EXIT_NUMERIC_ERROR
         return EXIT_OK

@@ -2,7 +2,8 @@
 
 lmo(norm, s) returns argmin ⟨s, d⟩ over ‖d‖ ≤ 1; the attained value is
 −‖s‖_* where ‖·‖_* is the dual norm. Frobenius is self-dual with oracle
-−s/‖s‖_F; the dual of spectral is nuclear, with oracle −msign(s).
+−s/‖s‖_F; the dual of spectral is nuclear, with oracle −msign(s), or
+−U_r·V_rᵀ over the nonzero singular values when s is rank-deficient.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import ZeroGradient
-from .linalg import EXACT, PolarMode, as_matrix, svd
+from .errors import RankDeficiencyError, ZeroGradient
+from .linalg import EXACT, RANK_TOL_FACTOR, PolarMode, as_matrix, svd
 
 
 class NormKind(enum.Enum):
@@ -35,7 +36,9 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
 
     Raises ZeroGradient when ‖s‖_F is below zero_tolerance: every unit-ball
     element is then optimal and callers decide what that means (optimizers
-    treat it as converged / hold position).
+    treat it as converged / hold position). A rank-deficient s has no
+    unique polar factor; the spectral oracle then returns −U_r·V_rᵀ, which
+    takes sign(0) = 0 on the null singular values.
     """
     s = as_matrix(s, "lmo input")
     fro = float(np.sqrt(np.sum(s * s)))
@@ -43,7 +46,12 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
         raise ZeroGradient
     if norm is NormKind.FROBENIUS:
         return -s / fro
-    return -polar_mode.apply(s)
+    try:
+        return -polar_mode.apply(s)
+    except RankDeficiencyError:
+        f = svd(s)
+        r = int(np.count_nonzero(f.s > RANK_TOL_FACTOR * f.s[0]))
+        return -(f.u[:, :r] @ f.vt[:r])
 
 
 def dual_norm(norm: NormKind, s) -> float:
@@ -51,7 +59,7 @@ def dual_norm(norm: NormKind, s) -> float:
     s = as_matrix(s, "dual-norm input")
     if norm is NormKind.FROBENIUS:
         return float(np.sqrt(np.sum(s * s)))
-    return float(np.sum(svd(s).s))
+    return float(np.sum(np.linalg.svd(s, compute_uv=False)))
 
 
 def norm_equiv_constant(norm: NormKind, n: int, p: int) -> float:

@@ -238,6 +238,13 @@ class TestCli:
         code = main(["rgd-sweep", str(tiny_config(tmp_path, steps=5, repeats=1)), "--steps", "0.01", "0.001"])
         assert code == EXIT_OK
 
+    def test_rgd_sweep_all_aborted(self, tmp_path, capsys):
+        from mcsd.cli import EXIT_NUMERIC_ERROR
+
+        cfg_path = tiny_config(tmp_path, steps=3, repeats=1, polar_mode="iterative:1")
+        assert main(["rgd-sweep", str(cfg_path), "--steps", "0.01", "0.001"]) == EXIT_NUMERIC_ERROR
+        assert "winner: none" in capsys.readouterr().out
+
     def test_orth_violation_breach_exit(self, tmp_path):
         cfg_path = tiny_config(tmp_path, steps=3, repeats=1, polar_mode="iterative:1")
         assert main(["orth-violation", str(cfg_path)]) == EXIT_CHECK_FAILURE

@@ -19,6 +19,8 @@ from mcsd import (
 )
 from tests.conftest import haar
 
+QUINTIC = PolarScheme(coefficients=((3.4445, -4.7750, 2.0315),) * 5 + ((1.5, -0.5),))
+
 
 def naive_matmul(a, b):
     """Triple-loop oracle."""
@@ -30,6 +32,35 @@ def naive_matmul(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def direct_polar_iteration(y, scheme=PolarScheme(), iters=8):
+    """Reference: the scheme's update applied to full n×p iterates."""
+    n, p = y.shape
+    transposed = n < p
+    if transposed:
+        y = y.T
+    x = y / (scheme.prenorm * np.sqrt(np.sum(y * y)))
+    for k in range(iters):
+        cs = scheme.step_coefficients(k)
+        gram = x.T @ x
+        if len(cs) == 2:
+            a, b = cs
+            x = a * x + x @ (b * gram)
+        else:
+            a, b, c = cs
+            x = a * x + x @ (b * gram + c * (gram @ gram))
+    return x.T if transposed else x
+
+
+def with_spectrum(n, sigma, seed):
+    """n×len(sigma) matrix with singular values sigma and Haar factors."""
+    p = len(sigma)
+    return haar(n, p, seed=seed).x @ np.diag(sigma) @ haar(p, p, seed=seed + 1).x
+
+
+def orth_error(m):
+    return np.linalg.norm(m.T @ m - np.eye(m.shape[1]))
 
 
 class TestMatmul:
@@ -154,6 +185,34 @@ class TestMsignExact:
         with pytest.raises(RankDeficiencyError):
             msign_exact(y)
 
+    @pytest.mark.parametrize(
+        "shape, kappa, svd_calls", [((200, 5), 99.0, 0), ((200, 5), 101.0, 1), ((50, 3), 2.0, 1)]
+    )
+    def test_route_selection_orthonormal(self, shape, kappa, svd_calls, monkeypatch):
+        # a tall input takes the Gram route at κ < 100 unless it is too small
+        # for the route to pay (50x3); κ > 100 takes the SVD
+        import mcsd.linalg as linalg
+
+        n, p = shape
+        y = with_spectrum(n, np.geomspace(kappa, 1.0, p), seed=11)
+        calls = []
+        real_svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda y: calls.append(y) or real_svd(y))
+        m = msign_exact(y)
+        assert len(calls) == svd_calls
+        assert orth_error(m) <= 1e-10
+        f = np.linalg.svd(y, full_matrices=False)
+        assert np.linalg.norm(m - f[0] @ f[2]) <= 1e-10
+
+    @pytest.mark.parametrize("route", [msign_exact, msign_iterative])
+    def test_eigensolver_failure_is_numeric_error(self, route, rng, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError, match="Gram"):
+            route(rng.standard_normal((200, 5)))
+
 
 class TestMsignIterative:
     def test_stiefel_fixed_point(self):
@@ -189,13 +248,42 @@ class TestMsignIterative:
 
     def test_custom_coefficient_schedule(self, rng):
         # a quintic schedule, stabilized by a trailing cubic refinement
-        scheme = PolarScheme(coefficients=((3.4445, -4.7750, 2.0315),) * 5 + ((1.5, -0.5),))
         y = rng.standard_normal((40, 4))
-        assert np.linalg.norm(msign_iterative(y, scheme=scheme, iters=12) - msign_exact(y)) < 1e-6
+        assert np.linalg.norm(msign_iterative(y, scheme=QUINTIC, iters=12) - msign_exact(y)) < 1e-6
 
     def test_zero_input_rejected(self):
         with pytest.raises(RankDeficiencyError):
             msign_iterative(np.zeros((3, 2)))
+
+
+class TestSpectralEvaluation:
+    """msign_iterative evaluates the scheme on the Gram spectrum; it must
+    agree with the direct iteration on n×p iterates."""
+
+    @pytest.mark.parametrize("shape", [(200, 5), (1000, 50), (5, 5)])
+    @pytest.mark.parametrize("kappa", [1.5, 1e2, 1e4, 1e8, np.inf])
+    @pytest.mark.parametrize("scheme, iters, tol", [(PolarScheme(), 8, 1e-12), (QUINTIC, 12, 1e-8)])
+    def test_matches_direct_iteration(self, shape, kappa, scheme, iters, tol):
+        n, p = shape
+        # kappa = inf: the trailing singular value is exactly zero (rank p - 1)
+        sigma = np.geomspace(1.0, 1.0 / min(kappa, 1e8), p)
+        if kappa == np.inf:
+            sigma[-1] = 0.0
+        y = with_spectrum(n, sigma, seed=p)
+        err = np.linalg.norm(msign_iterative(y, scheme, iters) - direct_polar_iteration(y, scheme, iters))
+        assert err <= tol
+
+    def test_wide_matches_direct_iteration(self, rng):
+        y = rng.standard_normal((3, 50))
+        assert np.linalg.norm(msign_iterative(y) - direct_polar_iteration(y)) <= 1e-12
+
+    def test_divergence_names_the_direct_iteration(self, rng):
+        bad = PolarScheme(coefficients=((40.0, -50.0),))
+        y = rng.standard_normal((6, 3))
+        limit = 10.0 * np.sqrt(3)
+        first = next(k for k in range(1, 13) if np.linalg.norm(direct_polar_iteration(y, bad, k)) > limit)
+        with pytest.raises(NumericError, match=f"at iteration {first}$"):
+            msign_iterative(y, scheme=bad, iters=12)
 
 
 class TestPolarMode:
@@ -225,3 +313,22 @@ def test_property_polar_factor_orthonormal(seed):
 def test_property_msign_scale_invariant(seed, scale):
     y = np.random.default_rng(seed).standard_normal((6, 2))
     assert np.linalg.norm(msign_exact(scale * y) - msign_exact(y)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(-200, 200),
+    st.sampled_from([(5, 5), (6, 1), (1, 6), (3, 7), (7, 5), (12, 3), (100, 5), (5, 100)]),
+    st.sampled_from([msign_exact, msign_iterative]),
+)
+def test_property_msign_scale_safe(seed, exponent, shape, route):
+    # singular values in [1, 10]: the comparison isolates the input scale
+    # from the conditioning, which amplifies rounding by up to κ
+    n, p = shape
+    k = min(n, p)
+    rng = np.random.default_rng(seed)
+    y = with_spectrum(max(n, p), rng.uniform(1.0, 10.0, k), seed=seed % 1000)
+    if n < p:
+        y = y.T
+    assert np.linalg.norm(route(10.0**exponent * y) - route(y)) <= 1e-12

@@ -82,6 +82,17 @@ class TestLmo:
             d = lmo(norm, np.array([[-4.0]]))
             assert np.allclose(d, [[1.0]])
 
+    def test_spectral_rank_deficient(self, rng):
+        # sign(0) = 0: the oracle is -u·vᵀ on the single nonzero singular pair
+        u = rng.standard_normal(6)
+        v = rng.standard_normal(3)
+        s = 2.5 * np.outer(u, v)
+        expected = -np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        d = lmo(NormKind.SPECTRAL, s)
+        assert np.linalg.norm(d - expected) < 1e-12
+        assert abs(frob_inner(s, d) + dual_norm(NormKind.SPECTRAL, s)) < 1e-10
+        assert np.linalg.norm(lmo(NormKind.SPECTRAL, s, PolarMode.iterative(8)) - expected) < 1e-6
+
 
 class TestDualNorm:
     def test_zero(self):

@@ -8,6 +8,7 @@ from mcsd import (
     FeasibilityError,
     NumericError,
     PolarMode,
+    RankDeficiencyError,
     StiefelManifold,
     StiefelPoint,
     feasibility_violation,
@@ -77,6 +78,11 @@ class TestProject:
         p_exact = project(m, y)
         p_iter = project(m, y, PolarMode.iterative(8))
         assert np.linalg.norm(p_exact.x - p_iter.x) < 1e-6
+
+    def test_rank_deficient_input_rejected(self, rng):
+        y = np.outer(rng.standard_normal(6), rng.standard_normal(3))
+        with pytest.raises(RankDeficiencyError):
+            project(StiefelManifold(6, 3), y)
 
     def test_double_projection_idempotent(self, rng):
         m = StiefelManifold(9, 4)

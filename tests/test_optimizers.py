@@ -152,6 +152,19 @@ class TestMcsdStep:
             mcsd_step(run, inst)
         assert np.abs(runs[0].x.x - runs[1].x.x).max() < 1e-12
 
+    def test_square_spectral_exact_runs(self):
+        # skew gradients of odd order are singular: every step needs the
+        # rank-revealing spectral LMO
+        from mcsd import make_brockett
+
+        inst = make_brockett(5, 5, 20, data_seed=1)
+        x0 = haar(5, 5, seed=0)
+        run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.05), x=x0)
+        recs = run_trace(run, inst, 50)
+        assert len(recs) == 51 and run.t == 50
+        assert max(r.orth_violation for r in recs) <= 1e-10
+        assert recs[-1].objective < recs[0].objective
+
     def test_method_type_enforced(self):
         run = OptimizerRun(method=Rgd(), schedule=constant_schedule(0.1), x=haar(5, 2, seed=3))
         with pytest.raises(ConfigurationError):
