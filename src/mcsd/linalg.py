@@ -14,6 +14,7 @@ evaluated on the spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,12 +45,31 @@ GRAM_MIN_WORK = 2000
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float64 array with finite entries."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
+    m = as_2d(a, name)
     if not np.all(np.isfinite(m)):
         raise ConfigurationError(f"{name} contains non-finite entries")
     return m
+
+
+def as_2d(a, name: str = "matrix") -> np.ndarray:
+    """`a` as a non-empty 2-D float64 array, without the finiteness scan.
+
+    For callers whose first reduction over the array (a norm or max|a|)
+    propagates NaN and inf and so doubles as the finiteness check.
+    """
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
+    return m
+
+
+def max_abs(a: np.ndarray, name: str = "matrix") -> float:
+    """max|a_ij|; raises ConfigurationError if an entry is NaN or ±inf."""
+    hi = float(a.max())
+    lo = float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise ConfigurationError(f"{name} contains non-finite entries")
+    return max(hi, -lo)
 
 
 def matmul(a, b) -> np.ndarray:
@@ -68,6 +88,11 @@ def sym(a) -> np.ndarray:
     a = as_matrix(a, "sym input")
     if a.shape[0] != a.shape[1]:
         raise ConfigurationError(f"sym requires a square matrix, got {a.shape}")
+    return sym_unchecked(a)
+
+
+def sym_unchecked(a: np.ndarray) -> np.ndarray:
+    """(a + aᵀ)/2 of a square array the caller built itself."""
     return 0.5 * (a + a.T)
 
 
@@ -124,10 +149,11 @@ def _gram_polar(y: np.ndarray, h) -> np.ndarray | None:
 
     x is y divided by max|y|, so that xᵀx neither overflows nor underflows,
     and transposed when y is wide, so that xᵀx is the smaller Gram matrix.
-    h maps the ascending eigenvalues w to the multipliers for x; it returns
-    None to decline the input, and then so does this function.
+    That reduction is also the input's finiteness check. h maps the
+    ascending eigenvalues w to the multipliers for x; it returns None to
+    decline the input, and then so does this function.
     """
-    scale = max(float(y.max()), -float(y.min()))
+    scale = max_abs(y, "polar input")
     if scale == 0.0:
         raise RankDeficiencyError("zero matrix has no polar factor")
     transposed = y.shape[0] < y.shape[1]
@@ -160,10 +186,10 @@ def msign_exact(y) -> np.ndarray:
     value falls below RANK_TOL_FACTOR times the largest: the nearest
     orthonormal-column matrix is then not unique.
     """
-    y = np.asarray(y, dtype=np.float64)
-    short = min(y.shape, default=0)
-    if y.ndim == 2 and max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
-        out = _gram_polar(as_matrix(y, "polar input"), _inverse_sqrt)
+    y = as_2d(y, "polar input")
+    short = min(y.shape)
+    if max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
+        out = _gram_polar(y, _inverse_sqrt)
         if out is not None:
             return out
     f = svd(y)
@@ -203,6 +229,8 @@ class PolarScheme:
                 raise ConfigurationError(
                     f"coefficient tuples must have 2 or 3 entries, got {cs}"
                 )
+        # tuples, so that schemes given as lists still hash (see _step_coefficients)
+        object.__setattr__(self, "coefficients", tuple(tuple(cs) for cs in self.coefficients))
         if self.prenorm <= 1.0:
             raise ConfigurationError("prenorm must exceed 1 so the scaled input is strictly inside the unit ball")
 
@@ -211,6 +239,12 @@ class PolarScheme:
 
 
 NEWTON_SCHULZ = PolarScheme()
+
+
+@functools.lru_cache(maxsize=64)
+def _step_coefficients(scheme: PolarScheme, iters: int) -> tuple[tuple[float, float, float], ...]:
+    """(a, b, c) of each of the first `iters` steps, with c = 0 for cubic steps."""
+    return tuple((*scheme.step_coefficients(k), 0.0)[:3] for k in range(iters))
 
 
 def _polynomial_multipliers(w: np.ndarray, scheme: PolarScheme, iters: int, limit: float) -> np.ndarray:
@@ -227,8 +261,7 @@ def _polynomial_multipliers(w: np.ndarray, scheme: PolarScheme, iters: int, limi
     us = (w * (mult0 * mult0)).tolist()
     mults = [mult0] * len(us)
     limit_sq = limit * limit
-    for k in range(iters):
-        a, b, c = (*scheme.step_coefficients(k), 0.0)[:3]
+    for k, (a, b, c) in enumerate(_step_coefficients(scheme, iters)):
         total = 0.0
         for i, u in enumerate(us):
             f = a + u * (b + c * u)
@@ -255,7 +288,7 @@ def msign_iterative(y, scheme: PolarScheme | None = None, iters: int = 8) -> np.
         raise ConfigurationError(f"iters must be >= 1, got {iters}")
     if scheme is None:
         scheme = NEWTON_SCHULZ
-    y = as_matrix(y, "polar input")
+    y = as_2d(y, "polar input")
     limit = DIVERGENCE_FACTOR * math.sqrt(min(y.shape))
     return _gram_polar(y, lambda w: _polynomial_multipliers(w, scheme, iters, limit))
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import RankDeficiencyError, ZeroGradient
-from .linalg import EXACT, RANK_TOL_FACTOR, PolarMode, as_matrix, svd
+from .linalg import EXACT, RANK_TOL_FACTOR, PolarMode, as_2d, as_matrix, max_abs, svd
 
 
 class NormKind(enum.Enum):
@@ -31,6 +31,30 @@ def zero_tolerance(n: int, p: int) -> float:
     return 1e-14 * math.sqrt(n * p)
 
 
+# Sums of squares in this range lose no precision to underflow and have
+# headroom below overflow; outside it frobenius_norm rescales.
+_SQ_MIN = 1e-290
+_SQ_MAX = 1e300
+
+
+def frobenius_norm(s: np.ndarray, name: str = "matrix") -> float:
+    """‖s‖_F, safe from overflow and underflow; raises ConfigurationError on
+    a non-finite entry.
+
+    Σ s_ij² is taken directly when it lands in the normal range, and
+    otherwise recomputed with s divided by max|s|, which also tells a
+    non-finite entry (NaN or inf propagates into the sum) from an overflow.
+    """
+    sq = float(np.sum(s * s))
+    if _SQ_MIN <= sq <= _SQ_MAX:
+        return math.sqrt(sq)
+    scale = max_abs(s, name)
+    if scale == 0.0:
+        return 0.0
+    t = s / scale
+    return scale * math.sqrt(float(np.sum(t * t)))
+
+
 def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     """Minimizer of ⟨s, d⟩ over the unit ball of `norm`.
 
@@ -40,8 +64,8 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     unique polar factor; the spectral oracle then returns −U_r·V_rᵀ, which
     takes sign(0) = 0 on the null singular values.
     """
-    s = as_matrix(s, "lmo input")
-    fro = float(np.sqrt(np.sum(s * s)))
+    s = as_2d(s, "lmo input")
+    fro = frobenius_norm(s, "lmo input")
     if fro <= zero_tolerance(*s.shape):
         raise ZeroGradient
     if norm is NormKind.FROBENIUS:
@@ -56,9 +80,9 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
 
 def dual_norm(norm: NormKind, s) -> float:
     """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm."""
-    s = as_matrix(s, "dual-norm input")
     if norm is NormKind.FROBENIUS:
-        return float(np.sqrt(np.sum(s * s)))
+        return frobenius_norm(as_2d(s, "dual-norm input"), "dual-norm input")
+    s = as_matrix(s, "dual-norm input")
     return float(np.sum(np.linalg.svd(s, compute_uv=False)))
 
 

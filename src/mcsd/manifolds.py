@@ -7,12 +7,13 @@ full-column-rank ambient matrix onto St(n, p) is its polar factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError
-from .linalg import EXACT, PolarMode, as_matrix, sym
+from .linalg import EXACT, PolarMode, as_2d, as_matrix, sym_unchecked
 
 
 @dataclass(frozen=True)
@@ -34,18 +35,20 @@ class StiefelPoint:
     """An n×p matrix certified to satisfy ‖xᵀx − I‖_F ≤ feas_tol.
 
     The stored array is a read-only copy, so points can be shared freely.
+    The feasibility norm is also the finiteness check: a non-finite entry
+    makes it non-finite, and the constructor then raises ConfigurationError.
     """
 
     __slots__ = ("x", "manifold")
 
     def __init__(self, x, manifold: StiefelManifold):
-        x = as_matrix(x, "Stiefel point")
+        x = as_2d(x, "Stiefel point")
         if x.shape != (manifold.n, manifold.p):
             raise ConfigurationError(
                 f"point shape {x.shape} does not match St({manifold.n}, {manifold.p})"
             )
         violation = feasibility_violation(x)
-        if violation > manifold.feas_tol:
+        if not violation <= manifold.feas_tol:
             raise FeasibilityError(
                 f"matrix violates the orthonormality constraint: "
                 f"|x'x - I|_F = {violation:.3e} > {manifold.feas_tol:.1e}"
@@ -64,19 +67,28 @@ class StiefelPoint:
 
 
 def feasibility_violation(x) -> float:
-    """‖xᵀx − I_p‖_F, the orthonormality-constraint violation."""
-    x = as_matrix(x, "matrix")
+    """‖xᵀx − I_p‖_F, the orthonormality-constraint violation.
+
+    A non-finite entry of x makes a diagonal entry of xᵀx non-finite, so
+    x is scanned for one only when the result is not finite (it may also be
+    an overflow); a non-finite entry raises ConfigurationError.
+    """
+    x = as_2d(x, "matrix")
     g = x.T @ x
-    return float(np.linalg.norm(g - np.eye(x.shape[1])))
+    violation = float(np.linalg.norm(g - np.eye(x.shape[1])))
+    if not math.isfinite(violation):
+        as_matrix(x, "matrix")
+    return violation
 
 
 def project(m: StiefelManifold, y, mode: PolarMode = EXACT) -> StiefelPoint:
     """Euclidean projection of a full-column-rank matrix onto St(n, p).
 
     The projection is the polar factor of y, computed exactly or iteratively
-    per `mode`. Rank-deficient input raises RankDeficiencyError.
+    per `mode`, whose max|y| reduction (or SVD input check) also rejects
+    non-finite input. Rank-deficient input raises RankDeficiencyError.
     """
-    y = as_matrix(y, "projection input")
+    y = as_2d(y, "projection input")
     if y.shape != (m.n, m.p):
         raise ConfigurationError(f"input shape {y.shape} does not match St({m.n}, {m.p})")
     return StiefelPoint(mode.apply(y), m)
@@ -90,7 +102,12 @@ def tangent_project(x: StiefelPoint, g) -> np.ndarray:
     g = as_matrix(g, "tangent-projection input")
     if g.shape != x.x.shape:
         raise ConfigurationError(f"gradient shape {g.shape} does not match point shape {x.x.shape}")
-    return g - x.x @ sym(x.x.T @ g)
+    return tangent_component(x.x, g)
+
+
+def tangent_component(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g − x·sym(xᵀg) for arrays the caller has already checked."""
+    return g - x @ sym_unchecked(x.T @ g)
 
 
 def riemannian_grad(x: StiefelPoint, euclid_grad) -> np.ndarray:
