@@ -96,6 +96,7 @@ class RunResult:
     records: list[TraceRecord]
     aborted: bool = False
     abort_message: str = ""
+    fallback_count: int = 0
 
     @property
     def initial_subspace_error(self) -> float:
@@ -303,8 +304,10 @@ def _run_task(cfg: BenchConfig, inst: BrockettInstance, index: int, repeat: int,
             label=spec.label, repeat=repeat, init_hash=got,
             records=getattr(exc, "records", []),
             aborted=True, abort_message=f"method {spec.label!r}: {exc}",
+            fallback_count=run.fallback_count,
         )
-    return RunResult(label=spec.label, repeat=repeat, init_hash=got, records=records)
+    return RunResult(label=spec.label, repeat=repeat, init_hash=got, records=records,
+                     fallback_count=run.fallback_count)
 
 
 def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
@@ -352,6 +355,7 @@ def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
             "median_step_wall_s": statistics.median(walls) if walls else None,
             "aborted": [r.aborted for r in runs],
             "abort_messages": [r.abort_message for r in runs if r.aborted],
+            "fallback_count": [r.fallback_count for r in runs],
         }
     return stats
 

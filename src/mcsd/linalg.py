@@ -158,16 +158,25 @@ def _gram_polar(y: np.ndarray, h) -> np.ndarray | None:
         raise RankDeficiencyError("zero matrix has no polar factor")
     transposed = y.shape[0] < y.shape[1]
     x = (y.T if transposed else y) / scale
+    f = _gram_factor(x.T @ x, h)
+    if f is None:
+        return None
+    out = x @ f
+    return out.T if transposed else out
+
+
+def _gram_factor(gram: np.ndarray, h) -> np.ndarray | None:
+    """V·diag(h(w))·Vᵀ for the eigendecomposition V·diag(w)·Vᵀ of `gram`,
+    or None when h declines."""
     try:
-        w, v = np.linalg.eigh(x.T @ x)
+        w, v = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
-        p = x.shape[1]
+        p = gram.shape[0]
         raise NumericError(f"eigendecomposition of the {p}x{p} Gram matrix failed: {exc}") from exc
     mult = h(w)
     if mult is None:
         return None
-    out = x @ ((v * mult) @ v.T)
-    return out.T if transposed else out
+    return (v * mult) @ v.T
 
 
 def _inverse_sqrt(w: np.ndarray) -> np.ndarray | None:
@@ -273,6 +282,12 @@ def _polynomial_multipliers(w: np.ndarray, scheme: PolarScheme, iters: int, limi
     return np.array(mults)
 
 
+def _polynomial_map(scheme: PolarScheme, iters: int, short_side: int):
+    """h for the iterative route on a matrix whose shorter side is `short_side`."""
+    limit = DIVERGENCE_FACTOR * math.sqrt(short_side)
+    return lambda w: _polynomial_multipliers(w, scheme, iters, limit)
+
+
 def msign_iterative(y, scheme: PolarScheme | None = None, iters: int = 8) -> np.ndarray:
     """Approximate polar factor: `iters` steps of an odd-polynomial iteration.
 
@@ -289,8 +304,7 @@ def msign_iterative(y, scheme: PolarScheme | None = None, iters: int = 8) -> np.
     if scheme is None:
         scheme = NEWTON_SCHULZ
     y = as_2d(y, "polar input")
-    limit = DIVERGENCE_FACTOR * math.sqrt(min(y.shape))
-    return _gram_polar(y, lambda w: _polynomial_multipliers(w, scheme, iters, limit))
+    return _gram_polar(y, _polynomial_map(scheme, iters, min(y.shape)))
 
 
 @dataclass(frozen=True)
@@ -322,6 +336,19 @@ class PolarMode:
         if self.iters is None:
             return msign_exact(y)
         return msign_iterative(y, self.scheme, self.iters)
+
+    def gram_factor(self, gram: np.ndarray) -> np.ndarray | None:
+        """The p×p factor H with apply(y) ≈ y·H, from gram = yᵀy alone (y tall).
+
+        Exact: H = gram^(-1/2), or None when κ(y) ≥ 100, where the caller
+        has to form y and call apply. Iterative: the scheme's k-step
+        polynomial in gram, with the same divergence check as msign_iterative.
+        The caller scales y so that gram neither overflows nor underflows.
+        """
+        if self.iters is None:
+            return _gram_factor(gram, _inverse_sqrt)
+        scheme = NEWTON_SCHULZ if self.scheme is None else self.scheme
+        return _gram_factor(gram, _polynomial_map(scheme, self.iters, gram.shape[0]))
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"

@@ -45,14 +45,15 @@ def frobenius_norm(s: np.ndarray, name: str = "matrix") -> float:
     otherwise recomputed with s divided by max|s|, which also tells a
     non-finite entry (NaN or inf propagates into the sum) from an overflow.
     """
-    sq = float(np.sum(s * s))
+    with np.errstate(over="ignore"):
+        sq = float((s * s).sum())
     if _SQ_MIN <= sq <= _SQ_MAX:
         return math.sqrt(sq)
     scale = max_abs(s, name)
     if scale == 0.0:
         return 0.0
     t = s / scale
-    return scale * math.sqrt(float(np.sum(t * t)))
+    return scale * math.sqrt(float((t * t).sum()))
 
 
 def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:

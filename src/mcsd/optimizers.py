@@ -28,9 +28,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, FeasibilityError, NumericError, ZeroGradient
-from .linalg import EXACT, PolarMode, as_2d, frob_inner, spectral_norm, sym_unchecked
-from .lmo import NormKind, dual_norm, frobenius_norm, lmo, zero_tolerance
+from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError, ZeroGradient
+from .linalg import EXACT, PolarMode, as_2d, frob_inner, max_abs, msign_exact, sym_unchecked
+from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, feasibility_violation, project, riemannian_grad, tangent_component
 from .objectives import NoiseConfig
 from .trace import TraceRecord
@@ -342,33 +342,64 @@ def manifold_muon_direction(
     """Approximately minimize ⟨g_m, d⟩ over {‖d‖₂ ≤ 1} ∩ T_x.
 
     Dual subgradient ascent on the symmetric multiplier Λ:
-    d ← −msign(g_m + xΛ), Λ ← Λ − lr·sym(xᵀd). The final d is then
-    hard-projected (tangent projection followed by a spectral-norm clip) so
-    the returned direction is always feasible. It must beat the always
-    feasible direction −g_m/‖g_m‖₂ up to quality_tol·‖g_m‖_F; otherwise
-    that fallback is returned and flagged.
+    d ← −msign(Y) with Y = g_m + xΛ, Λ ← Λ − lr·sym(xᵀd). The final d is
+    then hard-projected (tangent projection followed by a spectral-norm
+    clip) so the returned direction is always feasible. It must beat the
+    always feasible direction −g_m/‖g_m‖₂ up to quality_tol·‖g_m‖_F;
+    otherwise that fallback is returned and flagged.
+
+    The ascent runs on p×p matrices. With A = xᵀg_m and B = xᵀx,
+    YᵀY = g_mᵀg_m + AᵀΛ + ΛA + ΛBΛ, and msign(Y) = Y·H for the p×p factor H
+    that polar_mode computes from YᵀY alone, so xᵀd = −(A + BΛ)·H. Only
+    the final d is formed as an n×p matrix. g_m is first divided by max|g_m|
+    (Λ in proportion), which keeps the Gram matrices in range. Where the
+    exact route declines (κ(Y) ≥ 100), Y is formed and msign_exact takes
+    over for that iteration.
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
     g_m = as_2d(g_m, "Riemannian gradient")
-    g_fro = frobenius_norm(g_m, "Riemannian gradient")
-    lam = np.zeros((x.manifold.p, x.manifold.p))
-    d = None
+    xm = x.x
+    if g_m.shape != xm.shape:
+        raise ConfigurationError(f"gradient shape {g_m.shape} does not match point shape {xm.shape}")
+    scale = max_abs(g_m, "Riemannian gradient")
+    if scale == 0.0:
+        raise RankDeficiencyError("zero matrix has no polar factor")
+    g = g_m / scale
+    gram_g = g.T @ g
+    a = xm.T @ g
+    b = xm.T @ xm
+    lr = inner_lr / scale
+    lam = np.zeros_like(b)
     for _ in range(inner_iters):
-        d = -polar_mode.apply(g_m + x.x @ lam)
-        lam = lam - inner_lr * sym_unchecked(x.x.T @ d)
+        lam_a = lam @ a
+        h = polar_mode.gram_factor(gram_g + lam_a.T + lam_a + lam @ b @ lam)
+        if h is None:
+            d = -msign_exact(g + xm @ lam)
+            xtd = xm.T @ d
+        else:
+            xtd = -(a + b @ lam) @ h
+        lam_d, lam = lam, lam - lr * sym_unchecked(xtd)
 
-    raw_tangency = float(np.linalg.norm(sym_unchecked(x.x.T @ d)))
-    d = tangent_component(x.x, d)
-    d = d / max(1.0, spectral_norm(d))
+    tangency = sym_unchecked(xtd)
+    raw_tangency = float(np.linalg.norm(tangency))
+    # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
+    d = d - xm @ tangency if h is None else -(g @ h) - xm @ (lam_d @ h + tangency)
+    d = d / max(1.0, _spectral_norm_of_gram(d.T @ d))
 
-    g_spec = spectral_norm(g_m)
+    g_fro = scale * math.sqrt(float(np.trace(gram_g)))
+    g_spec = scale * _spectral_norm_of_gram(gram_g)
     target = -(g_fro**2) / g_spec
-    value = frob_inner(g_m, d)
+    value = scale * frob_inner(g, d)
     if value <= target + quality_tol * g_fro:
         return MuonDirectionResult(d, inner_iters, False, raw_tangency, value - target)
     fallback = -g_m / g_spec
     return MuonDirectionResult(fallback, inner_iters, True, raw_tangency, 0.0)
+
+
+def _spectral_norm_of_gram(gram: np.ndarray) -> float:
+    """‖y‖₂ from gram = yᵀy: the root of its largest eigenvalue."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def manifold_muon_step(run: OptimizerRun, objective) -> StepInfo:

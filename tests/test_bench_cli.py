@@ -134,6 +134,21 @@ class TestPcaBench:
         assert all(r.inner_iters == 10 for r in mm_rows[:-1])
         assert mm_rows[-1].inner_iters == 0
 
+    def test_fallback_count_per_run(self, tmp_path):
+        # an absurd inner step size makes every Manifold Muon step fall back
+        import json
+        from dataclasses import replace
+
+        cfg = load_config(tiny_config(tmp_path, steps=4))
+        broken = replace(cfg.methods[2], method=ManifoldMuon(inner_iters=3, inner_lr=1e9))
+        cfg = replace(cfg, methods=(*cfg.methods[:2], broken))
+        with pytest.warns(RuntimeWarning, match="fallback"):
+            summary = run_pca_bench(cfg)
+        counts = {label: st["fallback_count"] for label, st in summary["methods"].items()}
+        assert counts == {"rgd": [0, 0], "spel": [0, 0], "mm": [4, 4]}
+        written = json.loads((cfg.output_dir / "summary.json").read_text())
+        assert written["methods"]["mm"]["fallback_count"] == [4, 4]
+
     def test_shared_initial_point_across_methods(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path))
         run_pca_bench(cfg)

@@ -86,7 +86,9 @@ def test_default_trace_matches_golden():
     with tempfile.TemporaryDirectory() as tmp:
         run_default_bench(Path(tmp))
         sha, finals = trace_digest(Path(tmp))
+        summary = json.loads((Path(tmp) / "summary.json").read_text())
     assert sorted(finals) == sorted(golden["final_rows"])
+    assert all(count == 0 for st in summary["methods"].values() for count in st["fallback_count"])
     if environment_stamp() == golden["stamp"]:
         assert sha == golden["sha256"]
         return

@@ -14,6 +14,7 @@ from mcsd import (
     lmo,
     norm_equiv_constant,
     spectral_norm,
+    zero_tolerance,
 )
 from tests.conftest import haar
 
@@ -143,3 +144,30 @@ def test_property_lmo_scale_invariant_and_unit(seed, scale, norm):
 def test_property_duality_identity(seed, norm):
     s = np.random.default_rng(seed).standard_normal((5, 2))
     assert abs(frob_inner(s, lmo(norm, s)) + dual_norm(norm, s)) <= 1e-8 * dual_norm(norm, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(-150, 200),
+    st.sampled_from([(1, 1), (4, 3), (3, 7), (200, 5)]),
+)
+def test_property_frobenius_scale_safe(seed, exponent, shape):
+    # Σ s_ij² over- or underflows outside ~1e±150; the norm must not
+    base = np.random.default_rng(seed).standard_normal(shape)
+    s = 10.0**exponent * base
+    fro = 10.0**exponent * np.linalg.norm(base)
+    assert abs(dual_norm(NormKind.FROBENIUS, s) - fro) <= 1e-12 * fro
+    if fro <= zero_tolerance(*shape):
+        with pytest.raises(ZeroGradient):
+            lmo(NormKind.FROBENIUS, s)
+        return
+    d = lmo(NormKind.FROBENIUS, s)
+    assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
+    assert np.linalg.norm(d + base / np.linalg.norm(base)) <= 1e-12
+
+
+def test_frobenius_lmo_at_overflowing_scale():
+    s = 1e160 * np.ones((2, 2))
+    assert np.allclose(lmo(NormKind.FROBENIUS, s), -0.5)
+    assert abs(dual_norm(NormKind.FROBENIUS, s) - 2e160) <= 1e-12 * 2e160

@@ -16,6 +16,8 @@ from mcsd import (
     riemannian_grad,
     spectral_norm,
     subspace_error,
+    sym,
+    tangent_project,
 )
 from mcsd.optimizers import (
     STEP_RADIUS,
@@ -325,6 +327,92 @@ class TestManifoldMuonDirection:
         res = manifold_muon_direction(x, g, inner_iters=3, inner_lr=1e9)
         assert res.fallback
         assert np.allclose(res.direction, -g / spectral_norm(g))
+
+
+def reference_muon_direction(x, g_m, inner_iters, inner_lr, quality_tol=1e-3, polar_mode=PolarMode.exact()):
+    """The inner solve on n×p iterates: d ← −msign(g_m + xΛ), Λ ← Λ − lr·sym(xᵀd)."""
+    lam = np.zeros((x.manifold.p, x.manifold.p))
+    for _ in range(inner_iters):
+        d = -polar_mode.apply(g_m + x.x @ lam)
+        lam = lam - inner_lr * sym(x.x.T @ d)
+    d = tangent_project(x, d)
+    d = d / max(1.0, spectral_norm(d))
+    g_fro = np.linalg.norm(g_m)
+    g_spec = spectral_norm(g_m)
+    if frob_inner(g_m, d) <= -(g_fro**2) / g_spec + quality_tol * g_fro:
+        return d, False
+    return -g_m / g_spec, True
+
+
+def tangent_gradient(x, rng, sigma=None):
+    """A tangent vector at x; with `sigma`, one with exactly those singular
+    values and xᵀg = 0."""
+    n, p = x.x.shape
+    if sigma is None:
+        return tangent_project(x, rng.standard_normal((n, p)))
+    complement = np.linalg.qr(np.hstack([x.x, rng.standard_normal((n, p))]))[0][:, p:]
+    return complement @ np.diag(sigma) @ msign_exact(rng.standard_normal((p, p)))
+
+
+class TestManifoldMuonGramEquivalence:
+    """manifold_muon_direction runs the ascent on p×p Gram matrices; it must
+    agree with the n×p loop."""
+
+    MODES = [PolarMode.exact(), PolarMode.iterative(8)]
+
+    @pytest.mark.parametrize("shape", [(200, 5), (1000, 50), (50, 3), (4, 4), (12, 1)])
+    @pytest.mark.parametrize("mode", MODES, ids=["exact", "iterative"])
+    @pytest.mark.parametrize("inner_lr", [0.1, 1e9])
+    def test_matches_reference_loop(self, shape, mode, inner_lr):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        x = haar(*shape, seed=shape[1])
+        g = tangent_gradient(x, rng)
+        res = manifold_muon_direction(x, g, 10, inner_lr, polar_mode=mode)
+        ref, ref_fallback = reference_muon_direction(x, g, 10, inner_lr, polar_mode=mode)
+        assert res.fallback == ref_fallback
+        assert np.linalg.norm(res.direction - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_exact_route_declines_ill_conditioned(self, monkeypatch):
+        # κ(g) = 1e3: the first iterations form Y and call msign_exact
+        import mcsd.optimizers as optimizers
+
+        calls = []
+        monkeypatch.setattr(optimizers, "msign_exact", lambda y: calls.append(y) or msign_exact(y))
+        x = haar(200, 5, seed=7)
+        g = tangent_gradient(x, np.random.default_rng(8), sigma=np.geomspace(1e3, 1.0, 5))
+        res = manifold_muon_direction(x, g, 10, 0.1)
+        ref, ref_fallback = reference_muon_direction(x, g, 10, 0.1)
+        assert calls
+        assert res.fallback == ref_fallback
+        assert np.linalg.norm(res.direction - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    @pytest.mark.parametrize("mode", MODES, ids=["exact", "iterative"])
+    def test_extreme_gradient_scales(self, scale, mode):
+        x = haar(200, 5, seed=9)
+        g = scale * tangent_gradient(x, np.random.default_rng(10))
+        res = manifold_muon_direction(x, g, 10, 0.1, polar_mode=mode)
+        ref, ref_fallback = reference_muon_direction(x, g, 10, 0.1, polar_mode=mode)
+        assert res.fallback == ref_fallback
+        assert np.linalg.norm(res.direction - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_divergent_scheme_names_the_iteration(self):
+        from mcsd import NumericError, PolarScheme
+
+        bad = PolarMode.iterative(12, PolarScheme(coefficients=((40.0, -50.0),)))
+        x = haar(50, 3, seed=11)
+        g = tangent_gradient(x, np.random.default_rng(12))
+        with pytest.raises(NumericError, match="diverged at iteration") as p_by_p:
+            manifold_muon_direction(x, g, 10, 0.1, polar_mode=bad)
+        with pytest.raises(NumericError, match="diverged at iteration") as reference:
+            reference_muon_direction(x, g, 10, 0.1, polar_mode=bad)
+        assert str(p_by_p.value) == str(reference.value)
+
+    def test_zero_gradient_is_rank_deficient(self):
+        from mcsd import RankDeficiencyError
+
+        with pytest.raises(RankDeficiencyError):
+            manifold_muon_direction(haar(20, 3, seed=13), np.zeros((20, 3)), 10, 0.1)
 
 
 class TestManifoldMuonStep:
