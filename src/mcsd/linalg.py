@@ -238,10 +238,10 @@ class PolarScheme:
                 raise ConfigurationError(
                     f"coefficient tuples must have 2 or 3 entries, got {cs}"
                 )
-        # tuples, so that schemes given as lists still hash (see _step_coefficients)
-        object.__setattr__(self, "coefficients", tuple(tuple(cs) for cs in self.coefficients))
         if self.prenorm <= 1.0:
             raise ConfigurationError("prenorm must exceed 1 so the scaled input is strictly inside the unit ball")
+        # tuples, so that schemes given as lists still hash (see _step_coefficients)
+        object.__setattr__(self, "coefficients", tuple(tuple(cs) for cs in self.coefficients))
 
     def step_coefficients(self, k: int) -> tuple[float, ...]:
         return self.coefficients[min(k, len(self.coefficients) - 1)]

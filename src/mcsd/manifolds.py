@@ -76,8 +76,8 @@ def feasibility_violation(x) -> float:
     x = as_2d(x, "matrix")
     g = x.T @ x
     violation = float(np.linalg.norm(g - np.eye(x.shape[1])))
-    if not math.isfinite(violation):
-        as_matrix(x, "matrix")
+    if not math.isfinite(violation) and not np.isfinite(x).all():
+        raise ConfigurationError("matrix contains non-finite entries")
     return violation
 
 

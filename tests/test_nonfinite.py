@@ -10,7 +10,6 @@ from mcsd import (
     NormKind,
     NumericError,
     PolarMode,
-    StiefelManifold,
     StiefelPoint,
     dual_norm,
     feasibility_violation,

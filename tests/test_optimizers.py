@@ -8,7 +8,10 @@ from mcsd import (
     FeasibilityError,
     NoiseConfig,
     NormKind,
+    NumericError,
     PolarMode,
+    PolarScheme,
+    RankDeficiencyError,
     StiefelManifold,
     frob_inner,
     msign_exact,
@@ -397,8 +400,6 @@ class TestManifoldMuonGramEquivalence:
         assert np.linalg.norm(res.direction - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_divergent_scheme_names_the_iteration(self):
-        from mcsd import NumericError, PolarScheme
-
         bad = PolarMode.iterative(12, PolarScheme(coefficients=((40.0, -50.0),)))
         x = haar(50, 3, seed=11)
         g = tangent_gradient(x, np.random.default_rng(12))
@@ -409,8 +410,6 @@ class TestManifoldMuonGramEquivalence:
         assert str(p_by_p.value) == str(reference.value)
 
     def test_zero_gradient_is_rank_deficient(self):
-        from mcsd import RankDeficiencyError
-
         with pytest.raises(RankDeficiencyError):
             manifold_muon_direction(haar(20, 3, seed=13), np.zeros((20, 3)), 10, 0.1)
 
