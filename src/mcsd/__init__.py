@@ -17,15 +17,12 @@ from .errors import (
 from .linalg import (
     EXACT,
     NEWTON_SCHULZ,
-    MatrixNorms,
     PolarMode,
     PolarScheme,
     SvdFactors,
     frob_inner,
-    matmul,
     msign_exact,
     msign_iterative,
-    norms,
     spectral_norm,
     svd,
     sym,
@@ -69,15 +66,10 @@ from .optimizers import (
     deterministic_bound_schedule,
     make_schedule,
     manifold_muon_direction,
-    manifold_muon_step,
-    mcsd_step,
-    method_norm,
     periodic_decay_schedule,
-    rgd_step,
     run_trace,
     step,
     stochastic_bound_schedule,
-    stochastic_mcsd_step,
 )
 from .trace import CSV_COLUMNS, TraceRecord, read_trace_csv, write_trace_csv
 from .verify import (

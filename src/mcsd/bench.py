@@ -7,6 +7,11 @@ stream, and wall time is accounted around the step loop only, so per-method
 timings are comparable. Repeats and methods can execute on parallel worker
 processes (MCSD_WORKERS); results and CSV contents are independent of the
 worker count, except that elapsed-time columns reflect real execution.
+
+The three commands (pca-bench, rgd-sweep, orth-violation) share one
+pipeline: execute the runs, write one CSV per run, gather per-method
+statistics, and let the command's reducer build its summary and name the
+field it charts.
 """
 
 from __future__ import annotations
@@ -331,11 +336,6 @@ def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
     return inst, results
 
 
-def _write_traces(cfg: BenchConfig, results: list[RunResult], prefix: str = "") -> None:
-    for res in results:
-        write_trace_csv(cfg.output_dir / f"{prefix}{res.label}_{res.repeat}.csv", res.records)
-
-
 def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
     by_label: dict[str, list[RunResult]] = {}
     for res in results:
@@ -360,56 +360,43 @@ def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
     return stats
 
 
-def run_pca_bench(cfg: BenchConfig) -> dict:
-    """Full comparison: per-run CSVs, a log-scale subspace-error chart, and a
-    summary keyed by method with per-repeat and aggregate figures."""
-    inst, results = execute_runs(cfg)
+@dataclass(frozen=True)
+class _Chart:
+    """A log-scale chart of one TraceRecord field against the iteration."""
+
+    file: str
+    title: str
+    y_label: str
+    field: str
+
+
+def _bench(cfg: BenchConfig, reduce, prefix: str = "") -> dict:
+    """Execute every run, write one CSV per run, and let `reduce(results,
+    stats)` return the summary and the chart of repeat 0; writes both."""
+    _, results = execute_runs(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_traces(cfg, results)
-
-    stats = _method_stats(cfg, results)
-    initial = [r.initial_subspace_error for r in results if r.repeat == 0]
-    summary = {
-        "instance": {"n": cfg.n, "p": cfg.p, "d": cfg.d, "data_seed": cfg.data_seed},
-        "steps": cfg.steps,
-        "repeats": cfg.repeats,
-        "polar_mode": cfg.polar_mode.describe(),
-        "init_seed": cfg.init_seed,
-        "init_hashes": [next(r.init_hash for r in results if r.repeat == repeat) for repeat in range(cfg.repeats)],
-        "initial_subspace_error": initial[0] if initial else None,
-        "methods": stats,
-        "aborted": any(r.aborted for r in results),
-    }
-
+    for res in results:
+        write_trace_csv(cfg.output_dir / f"{prefix}{res.label}_{res.repeat}.csv", res.records)
+    summary, chart = reduce(results, _method_stats(cfg, results))
     series = [
-        Series(
-            label=res.label,
-            xs=[rec.iter for rec in res.records],
-            ys=[rec.subspace_error for rec in res.records],
-        )
+        Series(label=res.label, xs=[r.iter for r in res.records], ys=[getattr(r, chart.field) for r in res.records])
         for res in results
         if res.repeat == 0 and res.records
     ]
     if series:
         write_chart(
-            cfg.output_dir / "subspace_error.svg",
-            series,
-            title=f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}",
-            x_label="iteration",
-            y_label="subspace error",
-            log_y=True,
+            cfg.output_dir / chart.file, series,
+            title=chart.title, x_label="iteration", y_label=chart.y_label, log_y=True,
         )
-
     _write_summary(cfg.output_dir, summary)
     return summary
 
 
 def _write_summary(output_dir: Path, summary: dict) -> None:
-    output_dir.mkdir(parents=True, exist_ok=True)
     (output_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=str) + "\n")
-    lines = [f"instance: {summary['instance']}", f"polar_mode: {summary.get('polar_mode', 'exact')}"]
-    for label, st in summary.get("methods", {}).items():
-        if st.get("mean_final_subspace_error") is None:
+    lines = [f"instance: {summary['instance']}", f"polar_mode: {summary['polar_mode']}"]
+    for label, st in summary["methods"].items():
+        if st["mean_final_subspace_error"] is None:
             lines.append(f"{label:>12}: ABORTED ({'; '.join(st['abort_messages'])})")
         else:
             lines.append(
@@ -423,6 +410,33 @@ def _write_summary(output_dir: Path, summary: dict) -> None:
     (output_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
+def _instance(cfg: BenchConfig) -> dict:
+    return {"n": cfg.n, "p": cfg.p, "d": cfg.d, "data_seed": cfg.data_seed}
+
+
+def run_pca_bench(cfg: BenchConfig) -> dict:
+    """Full comparison: per-run CSVs, a log-scale subspace-error chart, and a
+    summary keyed by method with per-repeat and aggregate figures."""
+
+    def reduce(results, stats):
+        initial = [r.initial_subspace_error for r in results if r.repeat == 0]
+        summary = {
+            "instance": _instance(cfg),
+            "steps": cfg.steps,
+            "repeats": cfg.repeats,
+            "polar_mode": cfg.polar_mode.describe(),
+            "init_seed": cfg.init_seed,
+            "init_hashes": [next(r.init_hash for r in results if r.repeat == k) for k in range(cfg.repeats)],
+            "initial_subspace_error": initial[0] if initial else None,
+            "methods": stats,
+            "aborted": any(r.aborted for r in results),
+        }
+        title = f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}"
+        return summary, _Chart("subspace_error.svg", title, "subspace error", "subspace_error")
+
+    return _bench(cfg, reduce)
+
+
 def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
     """Constant-step sweep of RGD from a shared initial point.
 
@@ -434,46 +448,28 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
     sweep_methods = tuple(
         MethodSpec(f"rgd_{alpha:g}", Rgd(), constant_schedule(alpha)) for alpha in step_sizes
     )
-    sweep_cfg = replace(cfg, methods=sweep_methods, repeats=1)
-    inst, results = execute_runs(sweep_cfg)
-    sweep_cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_traces(sweep_cfg, results)
 
-    stats = _method_stats(sweep_cfg, results)
-    finals = {
-        alpha: stats[f"rgd_{alpha:g}"]["final_subspace_error"][0]
-        for alpha in step_sizes
-        if stats[f"rgd_{alpha:g}"]["final_subspace_error"]
-    }
-    winner = min(finals, key=finals.get) if finals else None
-    summary = {
-        "instance": {"n": cfg.n, "p": cfg.p, "d": cfg.d, "data_seed": cfg.data_seed},
-        "steps": cfg.steps,
-        "polar_mode": cfg.polar_mode.describe(),
-        "step_sizes": list(step_sizes),
-        "final_subspace_error": {f"{a:g}": v for a, v in finals.items()},
-        "winner": winner,
-        "note": "the stock comparison pins the RGD constant step at 1e-3",
-        "methods": stats,
-        "aborted": any(r.aborted for r in results),
-    }
+    def reduce(results, stats):
+        finals = {
+            alpha: stats[f"rgd_{alpha:g}"]["final_subspace_error"][0]
+            for alpha in step_sizes
+            if stats[f"rgd_{alpha:g}"]["final_subspace_error"]
+        }
+        summary = {
+            "instance": _instance(cfg),
+            "steps": cfg.steps,
+            "polar_mode": cfg.polar_mode.describe(),
+            "step_sizes": list(step_sizes),
+            "final_subspace_error": {f"{a:g}": v for a, v in finals.items()},
+            "winner": min(finals, key=finals.get) if finals else None,
+            "note": "the stock comparison pins the RGD constant step at 1e-3",
+            "methods": stats,
+            "aborted": any(r.aborted for r in results),
+        }
+        title = f"RGD constant-step sweep, St({cfg.n},{cfg.p})"
+        return summary, _Chart("rgd_sweep.svg", title, "subspace error", "subspace_error")
 
-    series = [
-        Series(label=res.label, xs=[r.iter for r in res.records], ys=[r.subspace_error for r in res.records])
-        for res in results
-        if res.records
-    ]
-    if series:
-        write_chart(
-            sweep_cfg.output_dir / "rgd_sweep.svg",
-            series,
-            title=f"RGD constant-step sweep, St({cfg.n},{cfg.p})",
-            x_label="iteration",
-            y_label="subspace error",
-            log_y=True,
-        )
-    _write_summary(sweep_cfg.output_dir, summary)
-    return summary
+    return _bench(replace(cfg, methods=sweep_methods, repeats=1), reduce)
 
 
 def run_orth_violation(cfg: BenchConfig) -> dict:
@@ -483,49 +479,33 @@ def run_orth_violation(cfg: BenchConfig) -> dict:
     feasibility guard); the summary names the offending method and
     iteration.
     """
-    inst, results = execute_runs(cfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_traces(cfg, results, prefix="orth_")
 
-    breaches = []
-    max_violation = 0.0
-    for res in results:
-        for rec in res.records:
-            if rec.orth_violation > max_violation:
-                max_violation = rec.orth_violation
-            if rec.orth_violation > ORTH_VIOLATION_LIMIT:
-                breaches.append(
-                    f"method {res.label!r} repeat {res.repeat} iteration {rec.iter}: "
-                    f"violation {rec.orth_violation:.3e}"
-                )
-        if res.aborted:
-            breaches.append(res.abort_message)
+    def reduce(results, stats):
+        breaches = []
+        max_violation = 0.0
+        for res in results:
+            for rec in res.records:
+                if rec.orth_violation > max_violation:
+                    max_violation = rec.orth_violation
+                if rec.orth_violation > ORTH_VIOLATION_LIMIT:
+                    breaches.append(
+                        f"method {res.label!r} repeat {res.repeat} iteration {rec.iter}: "
+                        f"violation {rec.orth_violation:.3e}"
+                    )
+            if res.aborted:
+                breaches.append(res.abort_message)
+        summary = {
+            "instance": _instance(cfg),
+            "polar_mode": cfg.polar_mode.describe(),
+            "max_violation": max_violation,
+            "limit": ORTH_VIOLATION_LIMIT,
+            "breaches": breaches,
+            "methods": stats,
+        }
+        title = f"Orthogonality violation, polar mode {cfg.polar_mode.describe()}"
+        return summary, _Chart("orth_violation.svg", title, "violation", "orth_violation")
 
-    series = [
-        Series(label=res.label, xs=[r.iter for r in res.records], ys=[r.orth_violation for r in res.records])
-        for res in results
-        if res.repeat == 0 and res.records
-    ]
-    if series:
-        write_chart(
-            cfg.output_dir / "orth_violation.svg",
-            series,
-            title=f"Orthogonality violation, polar mode {cfg.polar_mode.describe()}",
-            x_label="iteration",
-            y_label="violation",
-            log_y=True,
-        )
-
-    summary = {
-        "instance": {"n": cfg.n, "p": cfg.p, "d": cfg.d, "data_seed": cfg.data_seed},
-        "polar_mode": cfg.polar_mode.describe(),
-        "max_violation": max_violation,
-        "limit": ORTH_VIOLATION_LIMIT,
-        "breaches": breaches,
-        "methods": _method_stats(cfg, results),
-    }
-    _write_summary(cfg.output_dir, summary)
-    return summary
+    return _bench(cfg, reduce, prefix="orth_")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense float64 matrix kernels: products, SVD, norms, and the polar factor.
+"""Dense float64 matrix kernels: SVD, the spectral norm and the polar factor.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -72,17 +72,6 @@ def max_abs(a: np.ndarray, name: str = "matrix") -> float:
     return max(hi, -lo)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Dense product a @ b with a dimension check."""
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ConfigurationError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def sym(a) -> np.ndarray:
     """Symmetric part (a + aᵀ)/2 of a square matrix; exactly symmetric."""
     a = as_matrix(a, "sym input")
@@ -120,23 +109,6 @@ def svd(y) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD of {y.shape[0]}x{y.shape[1]} matrix failed: {exc}") from exc
     return SvdFactors(u, s, vt)
-
-
-class MatrixNorms(NamedTuple):
-    frobenius: float
-    spectral: float
-    nuclear: float
-
-
-def norms(a) -> MatrixNorms:
-    """Frobenius, spectral (largest singular value), and nuclear norms."""
-    a = as_matrix(a, "norms input")
-    s = svd(a).s
-    return MatrixNorms(
-        frobenius=float(np.sqrt(np.sum(a * a))),
-        spectral=float(s[0]),
-        nuclear=float(np.sum(s)),
-    )
 
 
 def spectral_norm(a) -> float:

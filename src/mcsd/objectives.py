@@ -218,23 +218,31 @@ def save_instance(inst: BrockettInstance, path) -> None:
         n=inst.n, p=inst.p, d=inst.d, data_seed=inst.data_seed,
         samples=inst.samples, c=inst.c, dmat=inst.dmat,
         w_star=inst.w_star.x, eigenvalues=inst.eigenvalues,
-        warnings=np.array(inst.warnings, dtype=object),
+        warnings=np.array(inst.warnings, dtype=str),
     )
 
 
 def load_instance(path, expect_key: tuple[int, int, int, int] | None = None) -> BrockettInstance:
-    """Load a saved instance, optionally verifying its (n, p, d, data_seed) key."""
+    """Load a saved instance, optionally verifying its (n, p, d, data_seed) key.
+
+    Pickled content is refused: a file holding object arrays raises
+    ConfigurationError instead of running code on load.
+    """
     path = Path(path)
-    with np.load(path, allow_pickle=True) as z:
-        key = (int(z["n"]), int(z["p"]), int(z["d"]), int(z["data_seed"]))
-        if expect_key is not None and key != tuple(expect_key):
-            raise ConfigurationError(f"instance file {path} has key {key}, expected {tuple(expect_key)}")
-        n, p, d, data_seed = key
-        manifold = StiefelManifold(n, p)
-        return BrockettInstance(
-            n=n, p=p, d=d, data_seed=data_seed,
-            samples=z["samples"], c=z["c"], dmat=z["dmat"],
-            w_star=StiefelPoint(z["w_star"], manifold),
-            eigenvalues=z["eigenvalues"],
-            warnings=tuple(str(w) for w in z["warnings"]),
-        )
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            z = {name: npz[name] for name in npz.files}
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot load instance file {path}: {exc}") from exc
+    key = (int(z["n"]), int(z["p"]), int(z["d"]), int(z["data_seed"]))
+    if expect_key is not None and key != tuple(expect_key):
+        raise ConfigurationError(f"instance file {path} has key {key}, expected {tuple(expect_key)}")
+    n, p, d, data_seed = key
+    manifold = StiefelManifold(n, p)
+    return BrockettInstance(
+        n=n, p=p, d=d, data_seed=data_seed,
+        samples=z["samples"], c=z["c"], dmat=z["dmat"],
+        w_star=StiefelPoint(z["w_star"], manifold),
+        eigenvalues=z["eigenvalues"],
+        warnings=tuple(str(w) for w in z["warnings"]),
+    )

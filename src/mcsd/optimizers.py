@@ -1,12 +1,14 @@
 """Optimizers over a common stepping interface.
 
-Four methods share the projected-update template x ← P_M(x + α·direction):
+Four methods share the projected-update template x ← P_M(x + α·direction).
+Each method supplies only `direction(run, objective)`; the single `step`
+takes the scheduled α, asks the method for its direction and projects.
 
 * MCSD picks the direction with a norm-ball LMO applied to the Riemannian
   gradient; the spectral-norm case on the Stiefel manifold is SPEL,
   msign(x − α·msign(∇_M f)).
-* RGD is MCSD with the Frobenius norm (the normalized-gradient step); it
-  shares the MCSD code path rather than duplicating it.
+* RGD is MCSD with the Frobenius norm (the normalized-gradient step): a
+  subclass of Mcsd whose norm is fixed.
 * Stochastic MCSD adds heavy-ball momentum over sampled gradients and
   applies the LMO to the tangent-projected momentum.
 * Manifold Muon solves the tangent-constrained spectral LMO with a dual
@@ -23,15 +25,15 @@ from __future__ import annotations
 import math
 import time
 import warnings as _warnings
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError, ZeroGradient
 from .linalg import EXACT, PolarMode, as_2d, frob_inner, max_abs, msign_exact, sym_unchecked
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
-from .manifolds import StiefelPoint, feasibility_violation, project, riemannian_grad, tangent_component
+from .manifolds import StiefelPoint, feasibility_violation, project, tangent_component
 from .objectives import NoiseConfig
 from .trace import TraceRecord
 
@@ -61,7 +63,6 @@ class StepSchedule:
     period: int = 0
     horizon: int = 0
     beta: float | None = None
-    cap: float | None = None
 
     def alpha(self, t: int) -> float:
         if self.kind == "periodic_decay":
@@ -105,7 +106,7 @@ def deterministic_bound_schedule(
             f"horizon T={horizon} below the minimum {t_min:.6g} required for the step to stay within {radius}"
         )
     alpha = math.sqrt(2.0 * gap / (horizon * lipschitz * norm_equiv**2))
-    return StepSchedule(kind="deterministic_bound", base=alpha, horizon=horizon, cap=radius)
+    return StepSchedule(kind="deterministic_bound", base=alpha, horizon=horizon)
 
 
 def stochastic_bound_schedule(
@@ -120,9 +121,7 @@ def stochastic_bound_schedule(
         )
     root_t = math.sqrt(horizon)
     alpha = math.sqrt(2.0 * gap / (lipschitz * norm_equiv**2 * horizon * (8.0 * root_t - 7.0)))
-    return StepSchedule(
-        kind="stochastic_bound", base=alpha, horizon=horizon, beta=1.0 - 1.0 / root_t, cap=radius
-    )
+    return StepSchedule(kind="stochastic_bound", base=alpha, horizon=horizon, beta=1.0 - 1.0 / root_t)
 
 
 _SCHEDULE_FACTORIES: dict[str, Callable[..., StepSchedule]] = {
@@ -148,7 +147,12 @@ def _require_positive(**named) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Method configurations
+# Methods: each supplies the direction of one step
+
+
+# A method's choice for one step: the direction (None holds position), the
+# inner-iteration count and the fallback flag that StepInfo reports.
+Direction = tuple[np.ndarray | None, int, bool]
 
 
 @dataclass(frozen=True)
@@ -157,10 +161,21 @@ class Mcsd:
 
     norm: NormKind = NormKind.SPECTRAL
 
+    def direction(self, run: OptimizerRun, objective) -> Direction:
+        """LMO(∇_M f(x)); a zero gradient holds and marks the run converged."""
+        try:
+            return lmo(self.norm, _riemannian_grad(run, objective), run.polar_mode), 0, False
+        except ZeroGradient:
+            run.converged = True
+            return None, 0, False
+
 
 @dataclass(frozen=True)
-class Rgd:
-    """Riemannian gradient descent: the Frobenius-norm MCSD step."""
+class Rgd(Mcsd):
+    """Riemannian gradient descent: the Frobenius-norm MCSD step,
+    x ← P_M(x − α·∇_M f/‖∇_M f‖_F)."""
+
+    norm: NormKind = field(default=NormKind.FROBENIUS, init=False)
 
 
 @dataclass(frozen=True)
@@ -175,11 +190,27 @@ class StochasticMcsd:
         if not (0.0 <= self.beta < 1.0):
             raise ConfigurationError(f"momentum beta must lie in [0, 1), got {self.beta}")
 
+    def direction(self, run: OptimizerRun, objective) -> Direction:
+        """Sample a gradient, update the momentum (m₀ = g₀) and take the LMO
+        of its tangent projection; a zero projection holds."""
+        if run.rng is None:
+            raise ConfigurationError("stochastic runs need an RNG stream")
+        g = _checked_gradient(run, objective.stochastic_grad(run.x.x, run.rng, self.noise))
+        if run.momentum is None:
+            run.momentum = g.copy()
+        else:
+            run.momentum = self.beta * run.momentum + (1.0 - self.beta) * g
+        try:
+            return lmo(self.norm, tangent_component(run.x.x, run.momentum), run.polar_mode), 0, False
+        except ZeroGradient:
+            return None, 0, False
+
 
 @dataclass(frozen=True)
 class ManifoldMuon:
     """Tangent-constrained spectral LMO with a dual-ascent inner solver."""
 
+    norm: ClassVar[NormKind] = NormKind.SPECTRAL
     inner_iters: int = 10
     inner_lr: float = 0.1
     quality_tol: float = 1e-3
@@ -190,21 +221,30 @@ class ManifoldMuon:
         if self.inner_lr <= 0 or self.quality_tol <= 0:
             raise ConfigurationError("inner_lr and quality_tol must be positive")
 
+    def direction(self, run: OptimizerRun, objective) -> Direction:
+        """d from the tangent-constrained inner solver; a zero gradient holds
+        and marks the run converged."""
+        g = _riemannian_grad(run, objective)
+        if float(np.linalg.norm(g)) <= zero_tolerance(*g.shape):
+            run.converged = True
+            return None, self.inner_iters, False
+        result = manifold_muon_direction(run.x, g, self.inner_iters, self.inner_lr, self.quality_tol, run.polar_mode)
+        if result.fallback:
+            run.fallback_count += 1
+            _warnings.warn(
+                f"inner solver missed the direction-quality contract at iteration {run.t}; "
+                "using the normalized-gradient fallback",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return result.direction, self.inner_iters, result.fallback
+
 
 Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
 
 
-def method_norm(method: Method) -> NormKind:
-    """Norm whose dual is reported for a method's Riemannian gradient."""
-    if isinstance(method, (Mcsd, StochasticMcsd)):
-        return method.norm
-    if isinstance(method, Rgd):
-        return NormKind.FROBENIUS
-    return NormKind.SPECTRAL
-
-
 # ---------------------------------------------------------------------------
-# Run state and steps
+# Run state and the step
 
 
 @dataclass
@@ -242,30 +282,17 @@ class StepInfo:
 
 
 def step(run: OptimizerRun, objective) -> StepInfo:
-    """Advance the run by one iteration, dispatching on its method."""
-    if isinstance(run.method, Mcsd):
-        return mcsd_step(run, objective)
-    if isinstance(run.method, Rgd):
-        return rgd_step(run, objective)
-    if isinstance(run.method, StochasticMcsd):
-        return stochastic_mcsd_step(run, objective)
-    if isinstance(run.method, ManifoldMuon):
-        return manifold_muon_step(run, objective)
-    raise ConfigurationError(f"unknown method {run.method!r}")
-
-
-def mcsd_step(run: OptimizerRun, objective) -> StepInfo:
-    """x ← P_M(x + α·LMO(∇_M f(x))); a zero gradient holds position."""
-    if not isinstance(run.method, Mcsd):
-        raise ConfigurationError("mcsd_step requires an Mcsd method")
-    return _descent_step(run, objective, run.method.norm)
-
-
-def rgd_step(run: OptimizerRun, objective) -> StepInfo:
-    """x ← P_M(x − α·∇_M f/‖∇_M f‖_F); the Frobenius-norm MCSD step."""
-    if not isinstance(run.method, Rgd):
-        raise ConfigurationError("rgd_step requires an Rgd method")
-    return _descent_step(run, objective, NormKind.FROBENIUS)
+    """x ← P_M(x + α·d) with d from the run's method, or hold where it gives
+    none; the new StiefelPoint certifies its feasibility."""
+    alpha = run.schedule.alpha(run.t)
+    d, inner_iters, fallback = run.method.direction(run, objective)
+    if d is not None:
+        try:
+            run.x = project(run.manifold, run.x.x + alpha * d, run.polar_mode)
+        except FeasibilityError as exc:
+            raise FeasibilityError(f"iteration {run.t}: {exc}") from exc
+    run.t += 1
+    return StepInfo(alpha=alpha, inner_iters=inner_iters, held=d is None, fallback=fallback)
 
 
 def _checked_gradient(run: OptimizerRun, g) -> np.ndarray:
@@ -281,43 +308,6 @@ def _checked_gradient(run: OptimizerRun, g) -> np.ndarray:
 
 def _riemannian_grad(run: OptimizerRun, objective) -> np.ndarray:
     return tangent_component(run.x.x, _checked_gradient(run, objective.euclid_grad(run.x.x)))
-
-
-def _descent_step(run: OptimizerRun, objective, norm: NormKind) -> StepInfo:
-    alpha = run.schedule.alpha(run.t)
-    g = _riemannian_grad(run, objective)
-    try:
-        d = lmo(norm, g, run.polar_mode)
-    except ZeroGradient:
-        run.converged = True
-        run.t += 1
-        return StepInfo(alpha=alpha, held=True)
-    _move(run, alpha, d)
-    return StepInfo(alpha=alpha)
-
-
-def stochastic_mcsd_step(run: OptimizerRun, objective) -> StepInfo:
-    """Sample a gradient, update momentum (m₀ = g₀), step along the LMO of
-    the tangent-projected momentum."""
-    method = run.method
-    if not isinstance(method, StochasticMcsd):
-        raise ConfigurationError("stochastic_mcsd_step requires a StochasticMcsd method")
-    if run.rng is None:
-        raise ConfigurationError("stochastic runs need an RNG stream")
-    alpha = run.schedule.alpha(run.t)
-    g = _checked_gradient(run, objective.stochastic_grad(run.x.x, run.rng, method.noise))
-    if run.momentum is None:
-        run.momentum = g.copy()
-    else:
-        run.momentum = method.beta * run.momentum + (1.0 - method.beta) * g
-    projected = tangent_component(run.x.x, run.momentum)
-    try:
-        d = lmo(method.norm, projected, run.polar_mode)
-    except ZeroGradient:
-        run.t += 1
-        return StepInfo(alpha=alpha, held=True)
-    _move(run, alpha, d)
-    return StepInfo(alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -402,41 +392,6 @@ def _spectral_norm_of_gram(gram: np.ndarray) -> float:
     return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def manifold_muon_step(run: OptimizerRun, objective) -> StepInfo:
-    """x ← P_M(x + α·d) with d from the tangent-constrained inner solver."""
-    method = run.method
-    if not isinstance(method, ManifoldMuon):
-        raise ConfigurationError("manifold_muon_step requires a ManifoldMuon method")
-    alpha = run.schedule.alpha(run.t)
-    g = _riemannian_grad(run, objective)
-    if float(np.linalg.norm(g)) <= zero_tolerance(*g.shape):
-        run.converged = True
-        run.t += 1
-        return StepInfo(alpha=alpha, inner_iters=method.inner_iters, held=True)
-    result = manifold_muon_direction(
-        run.x, g, method.inner_iters, method.inner_lr, method.quality_tol, run.polar_mode
-    )
-    if result.fallback:
-        run.fallback_count += 1
-        _warnings.warn(
-            f"inner solver missed the direction-quality contract at iteration {run.t}; "
-            "using the normalized-gradient fallback",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    _move(run, alpha, result.direction)
-    return StepInfo(alpha=alpha, inner_iters=method.inner_iters, fallback=result.fallback)
-
-
-def _move(run: OptimizerRun, alpha: float, direction: np.ndarray) -> None:
-    """Projected update; the new StiefelPoint certifies its feasibility."""
-    try:
-        run.x = project(run.manifold, run.x.x + alpha * direction, run.polar_mode)
-    except FeasibilityError as exc:
-        raise FeasibilityError(f"iteration {run.t}: {exc}") from exc
-    run.t += 1
-
-
 # ---------------------------------------------------------------------------
 # Trace driver
 
@@ -458,7 +413,7 @@ def run_trace(
     accumulated so far in its `records` attribute, so callers can flush a
     partial trace.
     """
-    norm = method_norm(run.method)
+    norm = run.method.norm
     records: list[TraceRecord] = []
     elapsed = 0.0
     for t in range(steps):
@@ -479,10 +434,13 @@ def run_trace(
 
 def _metric_record(run, objective, norm, subspace_fn, t, elapsed) -> TraceRecord:
     x = run.x.x
-    g = riemannian_grad(run.x, _checked_gradient(run, objective.euclid_grad(x)))
+    g = _riemannian_grad(run, objective)
+    value = objective.value(x)
+    if not math.isfinite(value):
+        raise NumericError(f"iteration {run.t}: the objective value is not finite")
     return TraceRecord(
         iter=t,
-        objective=objective.value(x),
+        objective=value,
         subspace_error=subspace_fn(x) if subspace_fn is not None else float("nan"),
         orth_violation=feasibility_violation(x),
         grad_dual_norm=dual_norm(norm, g),

@@ -9,29 +9,14 @@ from mcsd import (
     PolarMode,
     PolarScheme,
     RankDeficiencyError,
-    frob_inner,
-    matmul,
     msign_exact,
     msign_iterative,
-    norms,
     svd,
     sym,
 )
 from tests.conftest import haar
 
 QUINTIC = PolarScheme(coefficients=((3.4445, -4.7750, 2.0315),) * 5 + ((1.5, -0.5),))
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def direct_polar_iteration(y, scheme=PolarScheme(), iters=8):
@@ -61,29 +46,6 @@ def with_spectrum(n, sigma, seed):
 
 def orth_error(m):
     return np.linalg.norm(m.T @ m - np.eye(m.shape[1]))
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        a = rng.standard_normal((3, 3))
-        assert np.array_equal(matmul(np.eye(3), a), a)
-
-    def test_annihilator(self, rng):
-        a = rng.standard_normal((3, 4))
-        assert np.array_equal(matmul(a, np.zeros((4, 2))), np.zeros((3, 2)))
-
-    def test_against_triple_loop(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ConfigurationError):
-            matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
 
 
 class TestSvd:
@@ -133,29 +95,6 @@ class TestSym:
     def test_requires_square(self):
         with pytest.raises(ConfigurationError):
             sym(np.ones((2, 3)))
-
-
-class TestNorms:
-    def test_orthonormal_columns(self):
-        x = haar(6, 3, seed=4).x
-        f, s, nuc = norms(x)
-        assert abs(f - np.sqrt(3)) < 1e-12
-        assert abs(s - 1.0) < 1e-10
-        assert abs(nuc - 3.0) < 1e-10
-
-    def test_zero(self):
-        assert norms(np.zeros((3, 2))) == (0.0, 0.0, 0.0)
-
-    def test_singular_value_inequalities(self, rng):
-        f, s, nuc = norms(rng.standard_normal((4, 3)))
-        assert nuc >= s - 1e-12
-        assert f**2 <= s * nuc + 1e-9
-
-    def test_inner_product_duality_bound(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((4, 3))
-            assert abs(frob_inner(a, b)) <= norms(a).spectral * norms(b).nuclear + 1e-9
 
 
 class TestMsignExact:

@@ -1,5 +1,6 @@
 """Non-finite values: what each public entry point raises on outside input,
-and how a run reports a gradient that turns non-finite mid-way."""
+and how a run reports a gradient or an objective value that turns
+non-finite mid-way."""
 
 import numpy as np
 import pytest
@@ -104,8 +105,8 @@ METHODS = {
 }
 
 
-def poisoned_run(method_name, polar_mode):
-    objective = PoisonedObjective(make_brockett(20, 3, 60, data_seed=2))
+def poisoned_run(method_name, polar_mode, poisoned=PoisonedObjective):
+    objective = poisoned(make_brockett(20, 3, 60, data_seed=2))
     run = OptimizerRun(
         method=METHODS[method_name], schedule=constant_schedule(0.05), x=haar(20, 3, seed=3),
         rng=np.random.default_rng(4), polar_mode=polar_mode,
@@ -131,3 +132,21 @@ def test_nonfinite_gradient_in_run_trace_names_the_iteration(method_name):
     run, objective = poisoned_run(method_name, ITERATIVE)
     with pytest.raises(NumericError, match="iteration 3"):
         run_trace(run, objective, 10)
+
+
+class PoisonedValue(PoisonedObjective):
+    """Finite gradients, but an objective value that is NaN while run.t == 3."""
+
+    def _poison(self, g):
+        return g
+
+    def value(self, x):
+        return float("nan") if self.run.t == 3 else self.inst.value(x)
+
+
+@pytest.mark.parametrize("method_name", sorted(METHODS))
+def test_nonfinite_value_in_run_trace_names_the_iteration(method_name):
+    run, objective = poisoned_run(method_name, ITERATIVE, PoisonedValue)
+    with pytest.raises(NumericError, match="iteration 3"):
+        run_trace(run, objective, 10)
+    assert run.t == 3

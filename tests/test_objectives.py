@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,20 @@ class TestSaveLoad:
         save_instance(tiny, path)
         with pytest.raises(ConfigurationError):
             load_instance(path, expect_key=(10, 2, 30, 99))
+
+    @pytest.mark.parametrize("warnings", [(), ("small spectral gap", "second warning")])
+    def test_warnings_round_trip(self, tiny, tmp_path, warnings):
+        path = tmp_path / "inst.npz"
+        save_instance(replace(tiny, warnings=warnings), path)
+        assert load_instance(path).warnings == warnings
+
+    def test_object_array_refused(self, tiny, tmp_path):
+        # an object array is unpickled on access; loading must not get that far
+        path = tmp_path / "crafted.npz"
+        save_instance(tiny, path)
+        with np.load(path) as z:
+            arrays = {name: z[name] for name in z.files}
+        arrays["warnings"] = np.array(["x", None], dtype=object)
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigurationError, match="cannot load"):
+            load_instance(path)

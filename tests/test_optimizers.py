@@ -15,6 +15,7 @@ from mcsd import (
     StiefelManifold,
     frob_inner,
     msign_exact,
+    project,
     random_point,
     riemannian_grad,
     spectral_norm,
@@ -33,15 +34,10 @@ from mcsd.optimizers import (
     deterministic_bound_schedule,
     make_schedule,
     manifold_muon_direction,
-    manifold_muon_step,
-    mcsd_step,
-    method_norm,
     periodic_decay_schedule,
-    rgd_step,
     run_trace,
     step,
     stochastic_bound_schedule,
-    stochastic_mcsd_step,
 )
 from tests.conftest import haar
 
@@ -129,7 +125,7 @@ class TestMcsdStep:
     def test_zero_gradient_holds(self):
         x0 = haar(6, 2, seed=0)
         run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.1), x=x0)
-        info = mcsd_step(run, ZeroObjective())
+        info = step(run, ZeroObjective())
         assert info.held and run.converged
         assert np.array_equal(run.x.x, x0.x)
         assert run.t == 1
@@ -139,7 +135,7 @@ class TestMcsdStep:
         x0 = haar(50, 3, seed=1)
         alpha = 0.05
         run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(alpha), x=x0)
-        mcsd_step(run, small_instance)
+        step(run, small_instance)
         g = riemannian_grad(x0, small_instance.euclid_grad(x0.x))
         expected = msign_exact(x0.x - alpha * msign_exact(g))
         assert np.array_equal(run.x.x, expected)
@@ -154,7 +150,7 @@ class TestMcsdStep:
             for norm in (NormKind.SPECTRAL, NormKind.FROBENIUS)
         ]
         for run in runs:
-            mcsd_step(run, inst)
+            step(run, inst)
         assert np.abs(runs[0].x.x - runs[1].x.x).max() < 1e-12
 
     def test_square_spectral_exact_runs(self):
@@ -170,26 +166,28 @@ class TestMcsdStep:
         assert max(r.orth_violation for r in recs) <= 1e-10
         assert recs[-1].objective < recs[0].objective
 
-    def test_method_type_enforced(self):
-        run = OptimizerRun(method=Rgd(), schedule=constant_schedule(0.1), x=haar(5, 2, seed=3))
-        with pytest.raises(ConfigurationError):
-            mcsd_step(run, ZeroObjective())
-
 
 class TestRgdStep:
     def test_trajectory_identical_to_frobenius_mcsd(self, small_instance):
-        x0 = haar(50, 3, seed=4)
-        sched = constant_schedule(0.02)
-        r_rgd = OptimizerRun(method=Rgd(), schedule=sched, x=x0)
-        r_fro = OptimizerRun(method=Mcsd(NormKind.FROBENIUS), schedule=sched, x=x0)
+        # against the normalized-gradient formula P_M(x − α·g/‖g‖_F), written
+        # out independently of the LMO
+        x = haar(50, 3, seed=4)
+        alpha = 0.02
+        run = OptimizerRun(method=Rgd(), schedule=constant_schedule(alpha), x=x)
         for _ in range(100):
-            rgd_step(r_rgd, small_instance)
-            mcsd_step(r_fro, small_instance)
-            assert np.abs(r_rgd.x.x - r_fro.x.x).max() <= 1e-12
+            g = riemannian_grad(x, small_instance.euclid_grad(x.x))
+            x = project(x.manifold, x.x - alpha * g / np.linalg.norm(g))
+            step(run, small_instance)
+            assert np.abs(run.x.x - x.x).max() <= 1e-12
+
+    def test_norm_fixed_to_frobenius(self):
+        assert isinstance(Rgd(), Mcsd) and Rgd().norm is NormKind.FROBENIUS
+        with pytest.raises(TypeError):
+            Rgd(NormKind.SPECTRAL)
 
     def test_zero_gradient_holds(self):
         run = OptimizerRun(method=Rgd(), schedule=constant_schedule(0.1), x=haar(6, 2, seed=5))
-        info = rgd_step(run, ZeroObjective())
+        info = step(run, ZeroObjective())
         assert info.held and run.converged
 
     def test_small_constant_step_decreases_subspace_error(self, pca_instance):
@@ -211,8 +209,8 @@ class TestStochasticMcsdStep:
         )
         r_det = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=sched, x=x0)
         for _ in range(50):
-            stochastic_mcsd_step(r_sto, small_instance)
-            mcsd_step(r_det, small_instance)
+            step(r_sto, small_instance)
+            step(r_det, small_instance)
             assert np.abs(r_sto.x.x - r_det.x.x).max() <= 1e-12
 
     def test_beta_zero_momentum_equals_gradient(self, small_instance):
@@ -222,7 +220,7 @@ class TestStochasticMcsdStep:
             schedule=constant_schedule(0.01), x=haar(50, 3, seed=7), rng=np.random.default_rng(1),
         )
         for _ in range(10):
-            stochastic_mcsd_step(run, inst)
+            step(run, inst)
             assert np.array_equal(run.momentum, inst.drawn[-1])
 
     def test_momentum_matches_unrolled_sum(self, small_instance):
@@ -234,7 +232,7 @@ class TestStochasticMcsdStep:
             schedule=constant_schedule(0.01), x=haar(50, 3, seed=8), rng=np.random.default_rng(2),
         )
         for t in range(21):
-            stochastic_mcsd_step(run, inst)
+            step(run, inst)
             g = inst.drawn
             expected = (beta**t) * g[0]
             for i in range(1, t + 1):
@@ -247,7 +245,7 @@ class TestStochasticMcsdStep:
             schedule=constant_schedule(0.01), x=haar(50, 3, seed=9), rng=np.random.default_rng(3),
         )
         assert run.momentum is None
-        stochastic_mcsd_step(run, small_instance)
+        step(run, small_instance)
         assert run.momentum is not None
 
     def test_requires_rng(self, small_instance):
@@ -256,7 +254,7 @@ class TestStochasticMcsdStep:
             schedule=constant_schedule(0.01), x=haar(50, 3, seed=10),
         )
         with pytest.raises(ConfigurationError):
-            stochastic_mcsd_step(run, small_instance)
+            step(run, small_instance)
 
     def test_beta_validated(self):
         with pytest.raises(ConfigurationError):
@@ -272,7 +270,7 @@ class TestStochasticMcsdStep:
             method=StochasticMcsd(NormKind.SPECTRAL, beta=0.5, noise=NoiseConfig.additive_gaussian(0.0)),
             schedule=constant_schedule(0.1), x=x0, rng=np.random.default_rng(0),
         )
-        info = stochastic_mcsd_step(run, ZeroStochastic())
+        info = step(run, ZeroStochastic())
         assert info.held
         assert np.array_equal(run.x.x, x0.x)
         assert run.momentum is not None and run.t == 1
@@ -417,7 +415,7 @@ class TestManifoldMuonGramEquivalence:
 class TestManifoldMuonStep:
     def test_zero_gradient_holds(self):
         run = OptimizerRun(method=ManifoldMuon(), schedule=constant_schedule(0.1), x=haar(6, 2, seed=13))
-        info = manifold_muon_step(run, ZeroObjective())
+        info = step(run, ZeroObjective())
         assert info.held and run.converged
 
     def test_value_non_increasing_first_20_steps(self, pca_instance):
@@ -434,7 +432,7 @@ class TestManifoldMuonStep:
         run = OptimizerRun(
             method=ManifoldMuon(inner_iters=7), schedule=constant_schedule(0.05), x=haar(50, 3, seed=14)
         )
-        info = manifold_muon_step(run, small_instance)
+        info = step(run, small_instance)
         assert info.inner_iters == 7
 
     def test_hyperparameters_validated(self):
@@ -452,9 +450,9 @@ class TestDispatchAndState:
             assert run.t == 1 and info.alpha == 0.01
 
     def test_method_norms(self):
-        assert method_norm(Rgd()) is NormKind.FROBENIUS
-        assert method_norm(ManifoldMuon()) is NormKind.SPECTRAL
-        assert method_norm(Mcsd(NormKind.FROBENIUS)) is NormKind.FROBENIUS
+        assert Rgd().norm is NormKind.FROBENIUS
+        assert ManifoldMuon().norm is NormKind.SPECTRAL
+        assert Mcsd(NormKind.FROBENIUS).norm is NormKind.FROBENIUS
 
     def test_feasibility_guard_aborts_underresolved_projection(self, small_instance):
         # one polar iteration cannot reach the manifold tolerance
@@ -465,7 +463,7 @@ class TestDispatchAndState:
             polar_mode=PolarMode.iterative(1),
         )
         with pytest.raises(FeasibilityError, match="iteration 0"):
-            mcsd_step(run, small_instance)
+            step(run, small_instance)
 
 
 class TestRunTrace:
