@@ -44,9 +44,7 @@ from .objectives import (
     SmoothnessConstants,
     brockett_grad,
     brockett_value,
-    load_instance,
     make_brockett,
-    save_instance,
     smoothness_constants,
     stochastic_grad,
     subspace_error,
@@ -64,7 +62,6 @@ from .optimizers import (
     StochasticMcsd,
     constant_schedule,
     deterministic_bound_schedule,
-    make_schedule,
     manifold_muon_direction,
     periodic_decay_schedule,
     run_trace,

@@ -4,9 +4,9 @@ A benchmark compares several methods on one weighted-PCA instance. Every
 method within a repeat starts from the same Haar-random initial point
 (asserted by hashing the initial matrix), each run owns an independent RNG
 stream, and wall time is accounted around the step loop only, so per-method
-timings are comparable. Repeats and methods can execute on parallel worker
-processes (MCSD_WORKERS); results and CSV contents are independent of the
-worker count, except that elapsed-time columns reflect real execution.
+timings are comparable. The (method, repeat) grid runs in this process,
+one run after another. A run that fails numerically is recorded as aborted
+with the trace it reached, and the other runs go on.
 
 The three commands (pca-bench, rgd-sweep, orth-violation) share one
 pipeline: execute the runs, write one CSV per run, gather per-method
@@ -16,7 +16,6 @@ field it charts.
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import hashlib
 import json
@@ -27,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, FeasibilityError
+from .errors import ConfigurationError, NumericError
 from .linalg import PolarMode
 from .lmo import NormKind, norm_equiv_constant
 from .manifolds import StiefelManifold, StiefelPoint, random_point
@@ -59,7 +58,6 @@ from .verify import (
 )
 
 ENV_OUTPUT_DIR = "MCSD_OUTPUT_DIR"
-ENV_WORKERS = "MCSD_WORKERS"
 
 ORTH_VIOLATION_LIMIT = 1e-6
 
@@ -259,15 +257,6 @@ def _parse_method(label: str, section) -> MethodSpec:
     return MethodSpec(label, method, schedule)
 
 
-def worker_count() -> int:
-    raw = os.environ.get(ENV_WORKERS, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{ENV_WORKERS} must be an integer, got {raw!r}") from None
-    return max(1, count)
-
-
 # ---------------------------------------------------------------------------
 # Run execution
 
@@ -304,10 +293,10 @@ def _run_task(cfg: BenchConfig, inst: BrockettInstance, index: int, repeat: int,
     )
     try:
         records = run_trace(run, inst, cfg.steps, subspace_fn=lambda w: subspace_error(inst, w))
-    except FeasibilityError as exc:
+    except NumericError as exc:
         return RunResult(
             label=spec.label, repeat=repeat, init_hash=got,
-            records=getattr(exc, "records", []),
+            records=exc.records,
             aborted=True, abort_message=f"method {spec.label!r}: {exc}",
             fallback_count=run.fallback_count,
         )
@@ -322,17 +311,11 @@ def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
     points = initial_points(cfg, manifold)
     hashes = [matrix_hash(x0.x) for x0 in points]
 
-    tasks = [
-        (cfg, inst, index, repeat, points[repeat], hashes[repeat])
+    results = [
+        _run_task(cfg, inst, index, repeat, points[repeat], hashes[repeat])
         for index in range(len(cfg.methods))
         for repeat in range(cfg.repeats)
     ]
-    workers = worker_count()
-    if workers == 1:
-        results = [_run_task(*t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, *zip(*tasks)))
     return inst, results
 
 
@@ -419,7 +402,7 @@ def run_pca_bench(cfg: BenchConfig) -> dict:
     summary keyed by method with per-repeat and aggregate figures."""
 
     def reduce(results, stats):
-        initial = [r.initial_subspace_error for r in results if r.repeat == 0]
+        initial = [r.initial_subspace_error for r in results if r.repeat == 0 and r.records]
         summary = {
             "instance": _instance(cfg),
             "steps": cfg.steps,

@@ -260,7 +260,7 @@ def _polynomial_map(scheme: PolarScheme, iters: int, short_side: int):
     return lambda w: _polynomial_multipliers(w, scheme, iters, limit)
 
 
-def msign_iterative(y, scheme: PolarScheme | None = None, iters: int = 8) -> np.ndarray:
+def msign_iterative(y, scheme: PolarScheme = NEWTON_SCHULZ, iters: int = 8) -> np.ndarray:
     """Approximate polar factor: `iters` steps of an odd-polynomial iteration.
 
     The k-step polynomial is evaluated on the spectrum of the Gram matrix
@@ -273,8 +273,6 @@ def msign_iterative(y, scheme: PolarScheme | None = None, iters: int = 8) -> np.
     """
     if iters < 1:
         raise ConfigurationError(f"iters must be >= 1, got {iters}")
-    if scheme is None:
-        scheme = NEWTON_SCHULZ
     y = as_2d(y, "polar input")
     return _gram_polar(y, _polynomial_map(scheme, iters, min(y.shape)))
 
@@ -284,25 +282,23 @@ class PolarMode:
     """Selects how polar factors are computed: exact or iterative.
 
     `iters is None` means the exact route (msign_exact); otherwise `iters`
-    iterations of `scheme` (cubic Newton-Schulz when scheme is None).
+    (at least 1) iterations of `scheme`.
     """
 
     iters: int | None = None
-    scheme: PolarScheme | None = None
+    scheme: PolarScheme = NEWTON_SCHULZ
+
+    def __post_init__(self):
+        if self.iters is not None and self.iters < 1:
+            raise ConfigurationError(f"iters must be >= 1, got {self.iters}")
 
     @classmethod
     def exact(cls) -> "PolarMode":
         return cls()
 
     @classmethod
-    def iterative(cls, iters: int = 8, scheme: PolarScheme | None = None) -> "PolarMode":
-        if iters < 1:
-            raise ConfigurationError(f"iters must be >= 1, got {iters}")
+    def iterative(cls, iters: int = 8, scheme: PolarScheme = NEWTON_SCHULZ) -> "PolarMode":
         return cls(iters=iters, scheme=scheme)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.iters is None
 
     def apply(self, y) -> np.ndarray:
         if self.iters is None:
@@ -319,8 +315,7 @@ class PolarMode:
         """
         if self.iters is None:
             return _gram_factor(gram, _inverse_sqrt)
-        scheme = NEWTON_SCHULZ if self.scheme is None else self.scheme
-        return _gram_factor(gram, _polynomial_map(scheme, self.iters, gram.shape[0]))
+        return _gram_factor(gram, _polynomial_map(self.scheme, self.iters, gram.shape[0]))
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"

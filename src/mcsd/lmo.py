@@ -21,10 +21,6 @@ class NormKind(enum.Enum):
     FROBENIUS = "frobenius"
     SPECTRAL = "spectral"
 
-    @property
-    def dual_name(self) -> str:
-        return "frobenius" if self is NormKind.FROBENIUS else "nuclear"
-
 
 def zero_tolerance(n: int, p: int) -> float:
     """Frobenius-norm threshold below which the LMO input counts as zero."""

@@ -15,24 +15,24 @@ import numpy as np
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError
 from .linalg import EXACT, PolarMode, as_2d, as_matrix, sym_unchecked
 
+# Every StiefelPoint satisfies ‖xᵀx − I‖_F ≤ FEAS_TOL.
+FEAS_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class StiefelManifold:
-    """Descriptor of St(n, p) with the feasibility tolerance its points obey."""
+    """Descriptor of St(n, p)."""
 
     n: int
     p: int
-    feas_tol: float = 1e-8
 
     def __post_init__(self):
         if self.p < 1 or self.n < self.p:
             raise ConfigurationError(f"St(n, p) needs 1 <= p <= n, got n={self.n}, p={self.p}")
-        if self.feas_tol <= 0:
-            raise ConfigurationError("feas_tol must be positive")
 
 
 class StiefelPoint:
-    """An n×p matrix certified to satisfy ‖xᵀx − I‖_F ≤ feas_tol.
+    """An n×p matrix certified to satisfy ‖xᵀx − I‖_F ≤ FEAS_TOL.
 
     The stored array is a read-only copy, so points can be shared freely.
     The feasibility norm is also the finiteness check: a non-finite entry
@@ -48,18 +48,15 @@ class StiefelPoint:
                 f"point shape {x.shape} does not match St({manifold.n}, {manifold.p})"
             )
         violation = feasibility_violation(x)
-        if not violation <= manifold.feas_tol:
+        if not violation <= FEAS_TOL:
             raise FeasibilityError(
                 f"matrix violates the orthonormality constraint: "
-                f"|x'x - I|_F = {violation:.3e} > {manifold.feas_tol:.1e}"
+                f"|x'x - I|_F = {violation:.3e} > {FEAS_TOL:.1e}"
             )
         x = x.copy()
         x.flags.writeable = False
         self.x = x
         self.manifold = manifold
-
-    def feasibility(self) -> float:
-        return feasibility_violation(self.x)
 
     def __repr__(self):
         m = self.manifold

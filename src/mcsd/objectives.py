@@ -10,7 +10,6 @@ decreasing eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -51,12 +50,6 @@ class NoiseConfig:
             raise ConfigurationError("batch_size must be at least 1")
         return cls(kind="minibatch", batch_size=batch_size)
 
-    def gradient_noise_std(self, n: int, p: int) -> float:
-        """σ with E‖g − ∇f‖_F² ≤ σ² for the Gaussian model."""
-        if self.kind != "gaussian":
-            raise ConfigurationError("analytic noise bound is only available for the Gaussian model")
-        return self.sigma_entry * np.sqrt(n * p)
-
 
 @dataclass(frozen=True)
 class SmoothnessConstants:
@@ -78,7 +71,7 @@ class BrockettInstance:
     """Weighted-PCA problem data with its known optimum.
 
     Fields are immutable after construction; evaluation methods are pure, so
-    instances can be shared across concurrent runs.
+    one instance serves every run of a benchmark.
     """
 
     n: int
@@ -104,9 +97,6 @@ class BrockettInstance:
     def optimum_value(self) -> float:
         """f at the known minimizer, −½ Σ dᵢ λᵢ."""
         return -0.5 * float(np.dot(self.dmat, self.eigenvalues[: self.p]))
-
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.n, self.p, self.d, self.data_seed)
 
 
 def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
@@ -209,40 +199,3 @@ def stochastic_grad(inst: BrockettInstance, w, rng: np.random.Generator, noise_c
         xb = inst.samples[:, idx]
         return -(inst.d / batch) * (xb @ (xb.T @ w)) * inst.dmat[None, :]
     raise ConfigurationError(f"unknown noise kind {noise_cfg.kind!r}")
-
-
-def save_instance(inst: BrockettInstance, path) -> None:
-    """Persist an instance so runs can reload it without regenerating data."""
-    np.savez(
-        path,
-        n=inst.n, p=inst.p, d=inst.d, data_seed=inst.data_seed,
-        samples=inst.samples, c=inst.c, dmat=inst.dmat,
-        w_star=inst.w_star.x, eigenvalues=inst.eigenvalues,
-        warnings=np.array(inst.warnings, dtype=str),
-    )
-
-
-def load_instance(path, expect_key: tuple[int, int, int, int] | None = None) -> BrockettInstance:
-    """Load a saved instance, optionally verifying its (n, p, d, data_seed) key.
-
-    Pickled content is refused: a file holding object arrays raises
-    ConfigurationError instead of running code on load.
-    """
-    path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            z = {name: npz[name] for name in npz.files}
-    except ValueError as exc:
-        raise ConfigurationError(f"cannot load instance file {path}: {exc}") from exc
-    key = (int(z["n"]), int(z["p"]), int(z["d"]), int(z["data_seed"]))
-    if expect_key is not None and key != tuple(expect_key):
-        raise ConfigurationError(f"instance file {path} has key {key}, expected {tuple(expect_key)}")
-    n, p, d, data_seed = key
-    manifold = StiefelManifold(n, p)
-    return BrockettInstance(
-        n=n, p=p, d=d, data_seed=data_seed,
-        samples=z["samples"], c=z["c"], dmat=z["dmat"],
-        w_star=StiefelPoint(z["w_star"], manifold),
-        eigenvalues=z["eigenvalues"],
-        warnings=tuple(str(w) for w in z["warnings"]),
-    )

@@ -124,22 +124,6 @@ def stochastic_bound_schedule(
     return StepSchedule(kind="stochastic_bound", base=alpha, horizon=horizon, beta=1.0 - 1.0 / root_t)
 
 
-_SCHEDULE_FACTORIES: dict[str, Callable[..., StepSchedule]] = {
-    "constant": constant_schedule,
-    "periodic_decay": periodic_decay_schedule,
-    "deterministic_bound": deterministic_bound_schedule,
-    "stochastic_bound": stochastic_bound_schedule,
-}
-
-
-def make_schedule(kind: str, **params) -> StepSchedule:
-    try:
-        factory = _SCHEDULE_FACTORIES[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown schedule kind {kind!r}") from None
-    return factory(**params)
-
-
 def _require_positive(**named) -> None:
     for name, value in named.items():
         if value <= 0:
@@ -251,9 +235,8 @@ Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
 class OptimizerRun:
     """Single-owner state of one optimization trajectory.
 
-    A (seed, config) pair yields a bitwise-identical trajectory when stepped
-    sequentially; distinct runs own distinct RNG streams and may execute on
-    distinct workers.
+    A (seed, config) pair yields a bitwise-identical trajectory; distinct
+    runs own distinct RNG streams.
     """
 
     method: Method
@@ -409,26 +392,27 @@ def run_trace(
     elapsed_s accumulates wall time of the optimizer steps only, so per-step
     costs of different methods compare cleanly.
 
-    On a feasibility abort the raised FeasibilityError carries the records
-    accumulated so far in its `records` attribute, so callers can flush a
-    partial trace.
+    A NumericError from a step or a metric record (a feasibility abort, a
+    non-finite value or gradient, a diverged polar iteration) carries the
+    records accumulated so far in its `records` attribute, so callers can
+    flush a partial trace.
     """
     norm = run.method.norm
     records: list[TraceRecord] = []
     elapsed = 0.0
-    for t in range(steps):
-        rec = _metric_record(run, objective, norm, subspace_fn, t, elapsed)
-        rec.step_size = run.schedule.alpha(run.t)
-        records.append(rec)
-        tic = time.perf_counter()
-        try:
+    try:
+        for t in range(steps):
+            rec = _metric_record(run, objective, norm, subspace_fn, t, elapsed)
+            rec.step_size = run.schedule.alpha(run.t)
+            records.append(rec)
+            tic = time.perf_counter()
             info = step(run, objective)
-        except FeasibilityError as exc:
-            exc.records = records
-            raise
-        elapsed += time.perf_counter() - tic
-        rec.inner_iters = info.inner_iters
-    records.append(_metric_record(run, objective, norm, subspace_fn, steps, elapsed))
+            elapsed += time.perf_counter() - tic
+            rec.inner_iters = info.inner_iters
+        records.append(_metric_record(run, objective, norm, subspace_fn, steps, elapsed))
+    except NumericError as exc:
+        exc.records = records
+        raise
     return records
 
 

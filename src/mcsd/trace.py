@@ -3,28 +3,17 @@
 Row t describes the iterate x_t: objective, subspace error, orthogonality
 violation, and the dual norm of the Riemannian gradient there, plus the
 step size and inner-iteration count of the step taken *from* x_t (zero on
-the final row, where no step follows). Floats are written with 17
-significant digits so traces round-trip bit-faithfully.
+the final row, where no step follows). The columns are TraceRecord's fields
+in order: ints are written as ints and floats with 17 significant digits,
+so traces round-trip bit-faithfully.
 """
 
-from __future__ import annotations
-
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigurationError
-
-CSV_COLUMNS = (
-    "iter",
-    "objective",
-    "subspace_error",
-    "orth_violation",
-    "grad_dual_norm",
-    "step_size",
-    "inner_iters",
-    "elapsed_s",
-)
 
 
 @dataclass
@@ -39,8 +28,12 @@ class TraceRecord:
     elapsed_s: float
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+# int or float, which also parse the CSV text; this module evaluates its
+# annotations (no `from __future__ import annotations`), so these are classes
+_TYPES = tuple(f.type for f in fields(TraceRecord))
+_FORMATS = tuple("d" if t is int else ".17g" for t in _TYPES)
+_values = attrgetter(*CSV_COLUMNS)
 
 
 def write_trace_csv(path, records: list[TraceRecord]) -> None:
@@ -50,18 +43,7 @@ def write_trace_csv(path, records: list[TraceRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.iter,
-                    _fmt(r.objective),
-                    _fmt(r.subspace_error),
-                    _fmt(r.orth_violation),
-                    _fmt(r.grad_dual_norm),
-                    _fmt(r.step_size),
-                    r.inner_iters,
-                    _fmt(r.elapsed_s),
-                ]
-            )
+            writer.writerow([format(v, spec) for v, spec in zip(_values(r), _FORMATS)])
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
@@ -73,18 +55,4 @@ def read_trace_csv(path) -> list[TraceRecord]:
             raise ConfigurationError(
                 f"trace file {path} has columns {header}, expected {CSV_COLUMNS}"
             )
-        records = []
-        for row in reader:
-            records.append(
-                TraceRecord(
-                    iter=int(row[0]),
-                    objective=float(row[1]),
-                    subspace_error=float(row[2]),
-                    orth_violation=float(row[3]),
-                    grad_dual_norm=float(row[4]),
-                    step_size=float(row[5]),
-                    inner_iters=int(row[6]),
-                    elapsed_s=float(row[7]),
-                )
-            )
-    return records
+        return [TraceRecord(*(parse(v) for parse, v in zip(_TYPES, row))) for row in reader]

@@ -1,6 +1,11 @@
+import itertools
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from mcsd import ConfigurationError, NormKind, PolarMode, read_trace_csv
+from mcsd import BrockettInstance, ConfigurationError, NormKind, PolarMode, read_trace_csv
 from mcsd.bench import (
     default_pca_config,
     load_config,
@@ -9,7 +14,7 @@ from mcsd.bench import (
     run_rgd_sweep,
     run_verify,
 )
-from mcsd.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_OK, main
+from mcsd.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_NUMERIC_ERROR, EXIT_OK, main
 from mcsd.optimizers import ManifoldMuon, Mcsd, Rgd, StochasticMcsd
 
 TINY_INI = """
@@ -113,6 +118,73 @@ class TestConfigParsing:
         assert [m.label for m in cfg.methods] == ["rgd", "spel", "mm"]
 
 
+class TestShippedConfig:
+    def test_default_ini_matches_built_in_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MCSD_OUTPUT_DIR", raising=False)
+        path = Path(__file__).resolve().parents[1] / "configs" / "pca_default.ini"
+        assert replace(load_config(path), output_dir=tmp_path) == default_pca_config(tmp_path)
+
+
+class TestNumericAbort:
+    """A NumericError in one run marks that run aborted; the others finish and
+    every output is written."""
+
+    @pytest.fixture
+    def nan_at(self, monkeypatch):
+        """Make the objective value NaN at one call; each run of 5 steps
+        makes 6 value calls, one per iterate."""
+
+        def install(call):
+            calls = itertools.count()
+            original = BrockettInstance.value
+
+            def value(inst, x):
+                return float("nan") if next(calls) == call else original(inst, x)
+
+            monkeypatch.setattr(BrockettInstance, "value", value)
+
+        return install
+
+    @pytest.mark.parametrize(
+        "argv, code, prefix, aborted_run",
+        [
+            (["pca-bench"], EXIT_NUMERIC_ERROR, "", ("rgd", 1)),
+            (["rgd-sweep", "--steps", "0.01", "0.001"], EXIT_NUMERIC_ERROR, "", ("rgd_0.001", 0)),
+            (["orth-violation"], EXIT_CHECK_FAILURE, "orth_", ("rgd", 1)),
+        ],
+    )
+    def test_one_failing_run(self, tmp_path, capsys, nan_at, argv, code, prefix, aborted_run):
+        nan_at(9)  # x_3 of the second run
+        out = tmp_path / "out"
+        assert main([argv[0], str(tiny_config(tmp_path)), *argv[1:]]) == code
+        summary = json.loads((out / "summary.json").read_text())
+        runs = {
+            (label, k): aborted
+            for label, st in summary["methods"].items()
+            for k, aborted in enumerate(st["aborted"])
+        }
+        assert [run for run, aborted in runs.items() if aborted] == [aborted_run]
+        for label, k in runs:
+            rows = read_trace_csv(out / f"{prefix}{label}_{k}.csv")
+            assert len(rows) == (3 if (label, k) == aborted_run else 6)
+        assert (out / "summary.txt").is_file() and list(out.glob("*.svg"))
+        message = "iteration 3: the objective value is not finite"
+        assert message in summary["methods"][aborted_run[0]]["abort_messages"][0]
+        if argv[0] == "orth-violation":
+            assert any(message in breach for breach in summary["breaches"])
+        if argv[0] != "rgd-sweep":  # rgd-sweep reports aborts through its exit code only
+            assert message in capsys.readouterr().err
+
+    def test_abort_at_the_initial_point(self, tmp_path, nan_at):
+        nan_at(0)  # x_0 of the first run: its trace is empty
+        assert main(["pca-bench", str(tiny_config(tmp_path))]) == EXIT_NUMERIC_ERROR
+        out = tmp_path / "out"
+        assert read_trace_csv(out / "rgd_0.csv") == []
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["methods"]["rgd"]["aborted"] == [True, False]
+        assert summary["initial_subspace_error"] is not None
+
+
 class TestPcaBench:
     def test_outputs_and_summary(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path))
@@ -177,19 +249,6 @@ class TestPcaBench:
         rows = read_trace_csv(cfg.output_dir / "spel_0.csv")
         assert len(rows) == 1 and rows[0].iter == 0
         assert not summary["aborted"]
-
-    def test_parallel_workers_match_sequential(self, tmp_path, monkeypatch):
-        cfg_seq = load_config(tiny_config(tmp_path, name="seq.ini"))
-        from dataclasses import replace
-
-        cfg_par = replace(cfg_seq, output_dir=tmp_path / "out_par")
-        run_pca_bench(cfg_seq)
-        monkeypatch.setenv("MCSD_WORKERS", "2")
-        run_pca_bench(cfg_par)
-        for label in ("rgd", "spel", "mm"):
-            fa = cfg_seq.output_dir / f"{label}_0.csv"
-            fb = cfg_par.output_dir / f"{label}_0.csv"
-            assert strip_elapsed(fa) == strip_elapsed(fb)
 
 
 class TestRgdSweep:

@@ -29,14 +29,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pca_default.json"
 
-# One BLAS thread and no worker pool, set in the child before numpy loads:
-# with the default thread count the BLAS reduction order, and so the hash,
-# depends on the core count.
+# One BLAS thread, set in the child before numpy loads: with the default
+# thread count the BLAS reduction order, and so the hash, depends on the
+# core count.
 PINNED_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
     "OMP_NUM_THREADS": "1",
     "MKL_NUM_THREADS": "1",
-    "MCSD_WORKERS": "1",
 }
 
 FINAL_ROW_RTOL = 1e-6

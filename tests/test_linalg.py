@@ -238,6 +238,14 @@ class TestPolarMode:
         assert PolarMode.exact().describe() == "exact"
         assert PolarMode.iterative(8).describe() == "iterative:8"
 
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_iters_validated_on_construction(self, iters):
+        # PolarMode(iters=0) would run Manifold Muon's inner loop with H = c·I
+        with pytest.raises(ConfigurationError):
+            PolarMode(iters=iters)
+        with pytest.raises(ConfigurationError):
+            PolarMode.iterative(iters)
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))

@@ -107,10 +107,6 @@ class TestDualNorm:
         s = rng.standard_normal((4, 4))
         assert abs(dual_norm(NormKind.FROBENIUS, s) - np.linalg.norm(s)) < 1e-12
 
-    def test_dual_names(self):
-        assert NormKind.FROBENIUS.dual_name == "frobenius"
-        assert NormKind.SPECTRAL.dual_name == "nuclear"
-
 
 class TestNormEquivConstant:
     def test_frobenius(self):

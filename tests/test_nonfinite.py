@@ -150,3 +150,12 @@ def test_nonfinite_value_in_run_trace_names_the_iteration(method_name):
     with pytest.raises(NumericError, match="iteration 3"):
         run_trace(run, objective, 10)
     assert run.t == 3
+
+
+@pytest.mark.parametrize("poison", [PoisonedObjective, PoisonedValue], ids=["gradient", "value"])
+def test_run_trace_numeric_abort_carries_the_partial_trace(poison):
+    # the metric record of x_3 raises: x_0 … x_2 are on the error
+    run, objective = poisoned_run("spel", ITERATIVE, poison)
+    with pytest.raises(NumericError) as raised:
+        run_trace(run, objective, 10)
+    assert [r.iter for r in raised.value.records] == [0, 1, 2]

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,9 @@ from mcsd import (
     StiefelManifold,
     brockett_grad,
     brockett_value,
-    load_instance,
     make_brockett,
     msign_exact,
     random_point,
-    save_instance,
     smoothness_constants,
     stochastic_grad,
     subspace_error,
@@ -219,10 +215,6 @@ class TestStochasticGrad:
         with pytest.raises(ConfigurationError):
             NoiseConfig.minibatch(0)
 
-    def test_noise_std(self):
-        cfg = NoiseConfig.additive_gaussian(0.1)
-        assert abs(cfg.gradient_noise_std(50, 3) - 0.1 * np.sqrt(150)) < 1e-12
-
 
 class TestGlobalOptimumWitness:
     def test_reference_beats_random_sample(self, tiny):
@@ -232,37 +224,3 @@ class TestGlobalOptimumWitness:
         for _ in range(10_000):
             w = random_point(m, rng)
             assert best <= tiny.value(w.x) + 1e-9
-
-
-class TestSaveLoad:
-    def test_round_trip(self, tiny, tmp_path):
-        path = tmp_path / "inst.npz"
-        save_instance(tiny, path)
-        loaded = load_instance(path, expect_key=(10, 2, 30, 5))
-        assert np.array_equal(loaded.c, tiny.c)
-        assert np.array_equal(loaded.samples, tiny.samples)
-        assert np.array_equal(loaded.w_star.x, tiny.w_star.x)
-        assert loaded.key() == tiny.key()
-
-    def test_key_mismatch(self, tiny, tmp_path):
-        path = tmp_path / "inst.npz"
-        save_instance(tiny, path)
-        with pytest.raises(ConfigurationError):
-            load_instance(path, expect_key=(10, 2, 30, 99))
-
-    @pytest.mark.parametrize("warnings", [(), ("small spectral gap", "second warning")])
-    def test_warnings_round_trip(self, tiny, tmp_path, warnings):
-        path = tmp_path / "inst.npz"
-        save_instance(replace(tiny, warnings=warnings), path)
-        assert load_instance(path).warnings == warnings
-
-    def test_object_array_refused(self, tiny, tmp_path):
-        # an object array is unpickled on access; loading must not get that far
-        path = tmp_path / "crafted.npz"
-        save_instance(tiny, path)
-        with np.load(path) as z:
-            arrays = {name: z[name] for name in z.files}
-        arrays["warnings"] = np.array(["x", None], dtype=object)
-        np.savez(path, **arrays)
-        with pytest.raises(ConfigurationError, match="cannot load"):
-            load_instance(path)

@@ -32,7 +32,6 @@ from mcsd.optimizers import (
     StochasticMcsd,
     constant_schedule,
     deterministic_bound_schedule,
-    make_schedule,
     manifold_muon_direction,
     periodic_decay_schedule,
     run_trace,
@@ -108,11 +107,6 @@ class TestSchedules:
             assert 0.0 < s.alpha(0) <= STEP_RADIUS + 1e-15
         s = stochastic_bound_schedule(gap=1.0, lipschitz=1.0, norm_equiv=1.0, horizon=100)
         assert 0.0 < s.alpha(0) <= STEP_RADIUS + 1e-15
-
-    def test_make_schedule_dispatch(self):
-        assert make_schedule("constant", alpha=0.1).alpha(5) == 0.1
-        with pytest.raises(ConfigurationError):
-            make_schedule("nope")
 
     def test_positive_params_required(self):
         with pytest.raises(ConfigurationError):
