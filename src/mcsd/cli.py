@@ -87,17 +87,20 @@ def _print_method_summary(summary) -> None:
             )
 
 
+def _report_aborts(summary) -> bool:
+    """Print one `ABORT …` line to stderr per aborted run; true if any."""
+    for st in summary["methods"].values():
+        for msg in st["abort_messages"]:
+            print(f"ABORT {msg}", file=sys.stderr)
+    return summary["aborted"]
+
+
 def _dispatch(args) -> int:
     if args.command == "pca-bench":
         cfg = _load_config(args)
         summary = bench.run_pca_bench(cfg)
         _print_method_summary(summary)
-        if summary["aborted"]:
-            for label, st in summary["methods"].items():
-                for msg in st["abort_messages"]:
-                    print(f"ABORT {msg}", file=sys.stderr)
-            return EXIT_NUMERIC_ERROR
-        return EXIT_OK
+        return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
 
     if args.command == "rgd-sweep":
         cfg = _load_config(args)
@@ -106,9 +109,7 @@ def _dispatch(args) -> int:
             print(f"alpha={alpha}: final subspace error {err:.6e}")
         winner = summary["winner"]
         print("winner: none" if winner is None else f"winner: alpha={winner:g}")
-        if summary["aborted"]:
-            return EXIT_NUMERIC_ERROR
-        return EXIT_OK
+        return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
 
     if args.command == "orth-violation":
         cfg = _load_config(args)

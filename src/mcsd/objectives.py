@@ -9,13 +9,14 @@ decreasing eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import as_matrix, frob_inner, sym
+from .linalg import as_2d, as_matrix, frob_inner, sym
 from .manifolds import StiefelManifold, StiefelPoint
 
 EIGENGAP_WARN_FACTOR = 1e-8
@@ -23,11 +24,17 @@ EIGENGAP_WARN_FACTOR = 1e-8
 
 @runtime_checkable
 class Objective(Protocol):
-    """Minimal objective surface the optimizers consume."""
+    """Minimal objective surface the optimizers consume.
+
+    evaluate(x) returns (value(x), euclid_grad(x)) from one evaluation; the
+    optimizers call it once per iterate and read value and gradient from it.
+    """
 
     def value(self, x: np.ndarray) -> float: ...
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray: ...
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,12 @@ class BrockettInstance:
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray:
         return brockett_grad(self, x)
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(f(x), ∇f(x)) from one product C·x: with g = −CxD, f = ½⟨g, x⟩,
+        the same float as value(x)."""
+        g = self.euclid_grad(x)
+        return 0.5 * frob_inner(g, x), g
 
     def stochastic_grad(self, x, rng, noise_cfg: NoiseConfig) -> np.ndarray:
         return stochastic_grad(self, x, rng, noise_cfg)
@@ -170,10 +183,21 @@ def smoothness_constants(inst: BrockettInstance) -> SmoothnessConstants:
 
 
 def subspace_error(inst: BrockettInstance, w) -> float:
-    """‖wwᵀ − w*w*ᵀ‖_F, a rotation-invariant column-space distance."""
-    w = as_matrix(w, "subspace input")
+    """‖wwᵀ − w*w*ᵀ‖_F, a rotation-invariant column-space distance.
+
+    For w with orthonormal columns this is √2·‖w − w*(w*ᵀw)‖_F, which costs
+    O(np²) instead of the n×n product. A non-finite entry of w makes the
+    norm non-finite, so w is scanned for one only then, and raises
+    ConfigurationError.
+    """
+    w = as_2d(w, "subspace input")
     ws = inst.w_star.x
-    return float(np.linalg.norm(w @ w.T - ws @ ws.T))
+    if w.shape != ws.shape:
+        raise ConfigurationError(f"subspace input shape {w.shape} does not match the optimum's {ws.shape}")
+    err = math.sqrt(2.0) * float(np.linalg.norm(w - ws @ (ws.T @ w)))
+    if not math.isfinite(err) and not np.isfinite(w).all():
+        raise ConfigurationError("subspace input contains non-finite entries")
+    return err
 
 
 def stochastic_grad(inst: BrockettInstance, w, rng: np.random.Generator, noise_cfg: NoiseConfig) -> np.ndarray:

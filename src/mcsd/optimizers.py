@@ -3,6 +3,9 @@
 Four methods share the projected-update template x ← P_M(x + α·direction).
 Each method supplies only `direction(run, objective)`; the single `step`
 takes the scheduled α, asks the method for its direction and projects.
+The objective is evaluated once per iterate: the value and the Riemannian
+gradient at x are cached on the run, where the next direction and the
+trace's metric record both read them.
 
 * MCSD picks the direction with a norm-ball LMO applied to the Riemannian
   gradient; the spectral-norm case on the Stiefel manifold is SPEL,
@@ -143,12 +146,15 @@ Direction = tuple[np.ndarray | None, int, bool]
 class Mcsd:
     """Deterministic LMO steepest descent under the chosen norm."""
 
+    # The direction consumes the true gradient, so `step` evaluates each new
+    # iterate ahead, inside the step.
+    uses_true_gradient: ClassVar[bool] = True
     norm: NormKind = NormKind.SPECTRAL
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """LMO(∇_M f(x)); a zero gradient holds and marks the run converged."""
         try:
-            return lmo(self.norm, _riemannian_grad(run, objective), run.polar_mode), 0, False
+            return lmo(self.norm, _true_grad(run, objective), run.polar_mode), 0, False
         except ZeroGradient:
             run.converged = True
             return None, 0, False
@@ -166,6 +172,7 @@ class Rgd(Mcsd):
 class StochasticMcsd:
     """Stochastic MCSD with heavy-ball momentum."""
 
+    uses_true_gradient: ClassVar[bool] = False
     norm: NormKind
     beta: float
     noise: NoiseConfig
@@ -195,6 +202,7 @@ class ManifoldMuon:
     """Tangent-constrained spectral LMO with a dual-ascent inner solver."""
 
     norm: ClassVar[NormKind] = NormKind.SPECTRAL
+    uses_true_gradient: ClassVar[bool] = True
     inner_iters: int = 10
     inner_lr: float = 0.1
     quality_tol: float = 1e-3
@@ -208,7 +216,7 @@ class ManifoldMuon:
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """d from the tangent-constrained inner solver; a zero gradient holds
         and marks the run converged."""
-        g = _riemannian_grad(run, objective)
+        g = _true_grad(run, objective)
         if float(np.linalg.norm(g)) <= zero_tolerance(*g.shape):
             run.converged = True
             return None, self.inner_iters, False
@@ -231,12 +239,28 @@ Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
 # Run state and the step
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """The value and the Riemannian gradient of one objective at one point.
+
+    grad is None where the Euclidean gradient has a non-finite entry; the
+    first use of the gradient raises NumericError for it (see _true_grad).
+    """
+
+    point: StiefelPoint
+    objective: object
+    value: float
+    grad: np.ndarray | None
+
+
 @dataclass
 class OptimizerRun:
     """Single-owner state of one optimization trajectory.
 
     A (seed, config) pair yields a bitwise-identical trajectory; distinct
-    runs own distinct RNG streams.
+    runs own distinct RNG streams. `evaluation` caches the objective at x,
+    keyed by the identity of the StiefelPoint, so assigning a new x
+    invalidates it.
     """
 
     method: Method
@@ -248,6 +272,7 @@ class OptimizerRun:
     t: int = 0
     converged: bool = False
     fallback_count: int = 0
+    evaluation: Evaluation | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def manifold(self):
@@ -266,7 +291,13 @@ class StepInfo:
 
 def step(run: OptimizerRun, objective) -> StepInfo:
     """x ← P_M(x + α·d) with d from the run's method, or hold where it gives
-    none; the new StiefelPoint certifies its feasibility."""
+    none; the new StiefelPoint certifies its feasibility.
+
+    For a method whose direction uses the true gradient, the step then
+    evaluates the objective at the new x, so each step holds exactly one
+    evaluation. A non-finite gradient found there raises at its first use:
+    the next step, or the trace's record of the new iterate.
+    """
     alpha = run.schedule.alpha(run.t)
     d, inner_iters, fallback = run.method.direction(run, objective)
     if d is not None:
@@ -275,22 +306,50 @@ def step(run: OptimizerRun, objective) -> StepInfo:
         except FeasibilityError as exc:
             raise FeasibilityError(f"iteration {run.t}: {exc}") from exc
     run.t += 1
+    if d is not None and run.method.uses_true_gradient:
+        _evaluation(run, objective)
     return StepInfo(alpha=alpha, inner_iters=inner_iters, held=d is None, fallback=fallback)
 
 
-def _checked_gradient(run: OptimizerRun, g) -> np.ndarray:
-    """The objective's gradient at run.x, checked once for this step: a
-    non-finite entry raises NumericError naming the iteration."""
+_NONFINITE_GRADIENT = "the objective's gradient has non-finite entries"
+
+
+def _as_gradient(g, x: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.float64)
-    if g.shape != run.x.x.shape:
-        raise ConfigurationError(f"gradient shape {g.shape} does not match point shape {run.x.x.shape}")
-    if not np.isfinite(g).all():
-        raise NumericError(f"iteration {run.t}: the objective's gradient has non-finite entries")
+    if g.shape != x.shape:
+        raise ConfigurationError(f"gradient shape {g.shape} does not match point shape {x.shape}")
     return g
 
 
-def _riemannian_grad(run: OptimizerRun, objective) -> np.ndarray:
-    return tangent_component(run.x.x, _checked_gradient(run, objective.euclid_grad(run.x.x)))
+def _checked_gradient(run: OptimizerRun, g) -> np.ndarray:
+    """A sampled gradient at run.x, checked once for this step: a non-finite
+    entry raises NumericError naming the iteration."""
+    g = _as_gradient(g, run.x.x)
+    if not np.isfinite(g).all():
+        raise NumericError(f"iteration {run.t}: {_NONFINITE_GRADIENT}")
+    return g
+
+
+def _evaluation(run: OptimizerRun, objective) -> Evaluation:
+    """The objective at run.x: the cached evaluation if it is of this point
+    and objective, else a new one (one `evaluate` call), which is cached."""
+    ev = run.evaluation
+    if ev is None or ev.point is not run.x or ev.objective is not objective:
+        x = run.x.x
+        value, g = objective.evaluate(x)
+        g = _as_gradient(g, x)
+        grad = tangent_component(x, g) if np.isfinite(g).all() else None
+        ev = run.evaluation = Evaluation(run.x, objective, float(value), grad)
+    return ev
+
+
+def _true_grad(run: OptimizerRun, objective) -> np.ndarray:
+    """∇_M f(run.x) from the run's evaluation; a non-finite Euclidean
+    gradient raises NumericError naming the iteration."""
+    grad = _evaluation(run, objective).grad
+    if grad is None:
+        raise NumericError(f"iteration {run.t}: {_NONFINITE_GRADIENT}")
+    return grad
 
 
 @dataclass(frozen=True)
@@ -387,10 +446,13 @@ def run_trace(
 ) -> list[TraceRecord]:
     """Step `steps` times, recording metrics at every iterate x_0 … x_T.
 
-    Metric evaluation (objective value, subspace error, feasibility, dual
-    norm of the true Riemannian gradient) happens outside the timed region;
-    elapsed_s accumulates wall time of the optimizer steps only, so per-step
-    costs of different methods compare cleanly.
+    elapsed_s accumulates the wall time of the optimizer steps only, so
+    per-step costs of different methods compare cleanly. A step whose method
+    uses the true gradient evaluates the objective at the new iterate inside
+    that time; the record of the iterate (objective value, subspace error,
+    feasibility, dual norm of the true Riemannian gradient) reads that
+    evaluation and computes the rest outside it. The records of x_0, and of
+    every iterate of a stochastic method, evaluate the objective themselves.
 
     A NumericError from a step or a metric record (a feasibility abort, a
     non-finite value or gradient, a diverged polar iteration) carries the
@@ -418,8 +480,8 @@ def run_trace(
 
 def _metric_record(run, objective, norm, subspace_fn, t, elapsed) -> TraceRecord:
     x = run.x.x
-    g = _riemannian_grad(run, objective)
-    value = objective.value(x)
+    g = _true_grad(run, objective)
+    value = run.evaluation.value
     if not math.isfinite(value):
         raise NumericError(f"iteration {run.t}: the objective value is not finite")
     return TraceRecord(

@@ -55,4 +55,12 @@ def read_trace_csv(path) -> list[TraceRecord]:
             raise ConfigurationError(
                 f"trace file {path} has columns {header}, expected {CSV_COLUMNS}"
             )
-        return [TraceRecord(*(parse(v) for parse, v in zip(_TYPES, row))) for row in reader]
+        records = []
+        for row in reader:
+            try:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
+                records.append(TraceRecord(*(parse(v) for parse, v in zip(_TYPES, row))))
+            except ValueError as exc:
+                raise ConfigurationError(f"trace file {path} line {reader.line_num}: {exc}") from exc
+        return records

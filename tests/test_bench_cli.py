@@ -131,17 +131,18 @@ class TestNumericAbort:
 
     @pytest.fixture
     def nan_at(self, monkeypatch):
-        """Make the objective value NaN at one call; each run of 5 steps
-        makes 6 value calls, one per iterate."""
+        """Make the objective value NaN at one evaluate call; each run of 5
+        steps makes 6 evaluate calls, one per iterate."""
 
         def install(call):
             calls = itertools.count()
-            original = BrockettInstance.value
+            original = BrockettInstance.evaluate
 
-            def value(inst, x):
-                return float("nan") if next(calls) == call else original(inst, x)
+            def evaluate(inst, x):
+                value, g = original(inst, x)
+                return (float("nan") if next(calls) == call else value), g
 
-            monkeypatch.setattr(BrockettInstance, "value", value)
+            monkeypatch.setattr(BrockettInstance, "evaluate", evaluate)
 
         return install
 
@@ -170,10 +171,13 @@ class TestNumericAbort:
         assert (out / "summary.txt").is_file() and list(out.glob("*.svg"))
         message = "iteration 3: the objective value is not finite"
         assert message in summary["methods"][aborted_run[0]]["abort_messages"][0]
+        err = capsys.readouterr().err.splitlines()
         if argv[0] == "orth-violation":
             assert any(message in breach for breach in summary["breaches"])
-        if argv[0] != "rgd-sweep":  # rgd-sweep reports aborts through its exit code only
-            assert message in capsys.readouterr().err
+            assert any(line.startswith("BREACH ") and message in line for line in err)
+        else:
+            label = aborted_run[0]
+            assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {label!r}: {message}"]
 
     def test_abort_at_the_initial_point(self, tmp_path, nan_at):
         nan_at(0)  # x_0 of the first run: its trace is empty

@@ -92,6 +92,9 @@ class PoisonedObjective:
     def euclid_grad(self, x):
         return self._poison(self.inst.euclid_grad(x))
 
+    def evaluate(self, x):
+        return self.value(x), self.euclid_grad(x)
+
     def stochastic_grad(self, x, rng, noise):
         return self._poison(self.inst.stochastic_grad(x, rng, noise))
 

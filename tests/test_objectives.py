@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,13 @@ class TestValueAndGrad:
             g = tiny.euclid_grad(w)
             assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
 
+    def test_evaluate_is_value_and_grad_bit_for_bit(self, pca_instance):
+        for seed in range(5):
+            w = haar(200, 5, seed=110 + seed).x
+            value, g = pca_instance.evaluate(w)
+            assert value == pca_instance.value(w)
+            assert np.array_equal(g, pca_instance.euclid_grad(w))
+
 
 class TestSmoothnessConstants:
     def test_scaling_homogeneity(self, tiny):
@@ -173,6 +183,33 @@ class TestSubspaceError:
 
     def test_nonzero_away_from_optimum(self, tiny):
         assert subspace_error(tiny, haar(10, 2, seed=15).x) > 0.1
+
+    def test_nonfinite_input_is_a_configuration_error(self, tiny):
+        w = haar(10, 2, seed=15).x.copy()
+        w[-1, -1] = np.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            subspace_error(tiny, w)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("err", [1.0, 1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("shape", [(200, 5), (1000, 50)], ids=["200x5", "1000x50"])
+    def test_matches_an_extended_precision_reference(self, shape, err):
+        # subspace_error reads only the reference point of the instance
+        ws = haar(*shape, seed=30).x
+        inst = SimpleNamespace(w_star=SimpleNamespace(x=ws))
+        # every principal angle to range(ws) is θ, so the distance is √(2p)·sin θ
+        rng = np.random.default_rng(31)
+        v = rng.standard_normal(shape)
+        v = msign_exact(v - ws @ (ws.T @ v))
+        theta = math.asin(err / math.sqrt(2 * shape[1]))
+        w = (math.cos(theta) * ws + math.sin(theta) * v) @ msign_exact(rng.standard_normal((shape[1],) * 2))
+        wl, sl = w.astype(np.longdouble), ws.astype(np.longdouble)
+        reference = float(np.sqrt(np.sum((wl @ wl.T - sl @ sl.T) ** 2)))
+        assert reference == pytest.approx(err, rel=1e-6)
+        # Rounding leaves an absolute error near 2e-17 (the n×n float64 form:
+        # near 4e-18), so agreement is 1e-12 relative for errors down to 1e-4
+        # and within 1e-16 below that.
+        assert abs(subspace_error(inst, w) - reference) <= 1e-12 * reference + 1e-16
 
 
 class TestStochasticGrad:

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mcsd import (
+    BrockettInstance,
     ConfigurationError,
     FeasibilityError,
     NoiseConfig,
@@ -13,6 +15,7 @@ from mcsd import (
     PolarScheme,
     RankDeficiencyError,
     StiefelManifold,
+    StiefelPoint,
     frob_inner,
     msign_exact,
     project,
@@ -23,6 +26,7 @@ from mcsd import (
     sym,
     tangent_project,
 )
+from mcsd import optimizers
 from mcsd.optimizers import (
     STEP_RADIUS,
     ManifoldMuon,
@@ -50,6 +54,9 @@ class ZeroObjective:
     def euclid_grad(self, x):
         return np.zeros_like(x)
 
+    def evaluate(self, x):
+        return self.value(x), self.euclid_grad(x)
+
 
 class RecordingObjective:
     """Wraps an instance and logs every stochastic gradient drawn."""
@@ -63,6 +70,9 @@ class RecordingObjective:
 
     def euclid_grad(self, x):
         return self.inst.euclid_grad(x)
+
+    def evaluate(self, x):
+        return self.value(x), self.euclid_grad(x)
 
     def stochastic_grad(self, x, rng, noise):
         g = self.inst.stochastic_grad(x, rng, noise)
@@ -517,3 +527,66 @@ class TestRunTrace:
         )
         recs = run_trace(run, small_instance, 100)
         assert max(r.orth_violation for r in recs) <= 1e-6
+
+
+@pytest.fixture
+def grad_calls(monkeypatch):
+    """Spy on BrockettInstance.euclid_grad: one (inside_step, x) per call,
+    where inside_step tells whether `optimizers.step` made the call."""
+    calls = []
+    inside = [False]
+    original_grad, original_step = BrockettInstance.euclid_grad, optimizers.step
+
+    def euclid_grad(inst, x):
+        calls.append((inside[0], x))
+        return original_grad(inst, x)
+
+    def step(run, objective):
+        inside[0] = True
+        try:
+            return original_step(run, objective)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(BrockettInstance, "euclid_grad", euclid_grad)
+    monkeypatch.setattr(optimizers, "step", step)
+    return calls
+
+
+class TestEvaluationCount:
+    """One objective evaluation per iterate, shared by the step and the
+    trace's metric record."""
+
+    STEPS = 6
+
+    @pytest.mark.parametrize("method", [Rgd(), Mcsd(NormKind.SPECTRAL), ManifoldMuon()], ids=["rgd", "spel", "mm"])
+    def test_deterministic_run_evaluates_each_iterate_once_in_its_step(self, grad_calls, small_instance, method):
+        run = OptimizerRun(method=method, schedule=constant_schedule(0.05), x=haar(50, 3, seed=23))
+        run_trace(run, small_instance, self.STEPS, subspace_fn=lambda w: subspace_error(small_instance, w))
+        # x_0 in its metric record, x_1 … x_T inside the step that reaches them
+        assert [inside for inside, _ in grad_calls] == [False] + [True] * self.STEPS
+
+    def test_stochastic_run_evaluates_the_true_gradient_outside_the_step(self, grad_calls, small_instance):
+        method = StochasticMcsd(NormKind.SPECTRAL, 0.9, NoiseConfig.additive_gaussian(0.1))
+        run = OptimizerRun(method=method, schedule=constant_schedule(0.05), x=haar(50, 3, seed=24),
+                           rng=np.random.default_rng(25))
+        run_trace(run, small_instance, self.STEPS)
+        assert [inside for inside, _ in grad_calls] == [False] * (self.STEPS + 1)
+
+    def test_assigning_a_new_point_invalidates_the_cache(self, grad_calls, small_instance):
+        run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.05), x=haar(50, 3, seed=26))
+        optimizers.step(run, small_instance)  # evaluates x_0, then x_1
+        assert len(grad_calls) == 2
+        x1 = run.x = StiefelPoint(run.x.x, run.manifold)  # the same matrix in a new point
+        optimizers.step(run, small_instance)  # evaluates x1, then x_2
+        assert len(grad_calls) == 4 and grad_calls[2][1] is x1.x
+        optimizers.step(run, replace(small_instance))  # another objective at the same point
+        assert len(grad_calls) == 6
+
+    @pytest.mark.parametrize("method", [Rgd(), Mcsd(NormKind.SPECTRAL), ManifoldMuon()], ids=["rgd", "spel", "mm"])
+    def test_held_step_reuses_the_cache(self, grad_calls, small_instance, method):
+        flat = replace(small_instance, c=np.zeros_like(small_instance.c))  # zero gradient everywhere
+        run = OptimizerRun(method=method, schedule=constant_schedule(0.05), x=haar(50, 3, seed=27))
+        recs = run_trace(run, flat, self.STEPS)
+        assert run.converged and len(recs) == self.STEPS + 1
+        assert [inside for inside, _ in grad_calls] == [False]

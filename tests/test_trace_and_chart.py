@@ -49,6 +49,19 @@ class TestTraceCsv:
         with pytest.raises(ConfigurationError):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, problem",
+        [("3,-101.0,0.125,4e-15,12.5,0.1,0", "7 fields, expected 8"), ("3,-101.0,0.125,4e-15,x,0.1,0,0.003", "'x'")],
+        ids=["short_row", "non_numeric_cell"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, make_records(3))
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ConfigurationError, match="line 5") as raised:
+            read_trace_csv(path)
+        assert str(path) in str(raised.value) and problem in str(raised.value)
+
     def test_seventeen_digit_precision(self, tmp_path):
         records = make_records(1)
         records[0].objective = -1.0 / 3.0
