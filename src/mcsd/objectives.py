@@ -24,15 +24,12 @@ EIGENGAP_WARN_FACTOR = 1e-8
 
 @runtime_checkable
 class Objective(Protocol):
-    """Minimal objective surface the optimizers consume.
+    """The objective surface the optimizers consume.
 
-    evaluate(x) returns (value(x), euclid_grad(x)) from one evaluation; the
-    optimizers call it once per iterate and read value and gradient from it.
+    evaluate(x) returns (f(x), ∇f(x)) from one evaluation; the optimizers
+    call it once per iterate. Stochastic MCSD also draws gradients through
+    stochastic_grad(x, rng, noise_cfg).
     """
-
-    def value(self, x: np.ndarray) -> float: ...
-
-    def euclid_grad(self, x: np.ndarray) -> np.ndarray: ...
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]: ...
 
@@ -99,10 +96,10 @@ class BrockettInstance:
         return brockett_grad(self, x)
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(f(x), ∇f(x)) from one product C·x: with g = −CxD, f = ½⟨g, x⟩,
-        the same float as value(x)."""
+        """(f(x), ∇f(x)) from one product C·x, the value read off the gradient
+        as value(x) does."""
         g = self.euclid_grad(x)
-        return 0.5 * frob_inner(g, x), g
+        return _value_from_grad(g, x), g
 
     def stochastic_grad(self, x, rng, noise_cfg: NoiseConfig) -> np.ndarray:
         return stochastic_grad(self, x, rng, noise_cfg)
@@ -154,8 +151,12 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
 def brockett_value(inst: BrockettInstance, w) -> float:
     """−½ tr(wᵀ C w D)."""
     w = as_matrix(w, "objective input")
-    cw = inst.c @ w
-    return -0.5 * frob_inner(cw * inst.dmat[None, :], w)
+    return _value_from_grad(brockett_grad(inst, w), w)
+
+
+def _value_from_grad(g: np.ndarray, w: np.ndarray) -> float:
+    """f(w) = ½⟨∇f(w), w⟩ for the quadratic f(w) = −½ tr(wᵀ C w D)."""
+    return 0.5 * frob_inner(g, w)
 
 
 def brockett_grad(inst: BrockettInstance, w) -> np.ndarray:
@@ -183,18 +184,21 @@ def smoothness_constants(inst: BrockettInstance) -> SmoothnessConstants:
 
 
 def subspace_error(inst: BrockettInstance, w) -> float:
-    """‖wwᵀ − w*w*ᵀ‖_F, a rotation-invariant column-space distance.
+    """‖wwᵀ − w*w*ᵀ‖_F = √(2‖w − w*(w*ᵀw)‖²_F + ‖wᵀw − I‖²_F), in O(np²).
 
-    For w with orthonormal columns this is √2·‖w − w*(w*ᵀw)‖_F, which costs
-    O(np²) instead of the n×n product. A non-finite entry of w makes the
-    norm non-finite, so w is scanned for one only then, and raises
-    ConfigurationError.
+    A rotation-invariant column-space distance. The identity holds for any
+    n×p w (w* has orthonormal columns); the second term vanishes when w has
+    them too. A non-finite entry of w makes the norms non-finite, so w is
+    scanned for one only then, and raises ConfigurationError.
     """
     w = as_2d(w, "subspace input")
     ws = inst.w_star.x
     if w.shape != ws.shape:
         raise ConfigurationError(f"subspace input shape {w.shape} does not match the optimum's {ws.shape}")
-    err = math.sqrt(2.0) * float(np.linalg.norm(w - ws @ (ws.T @ w)))
+    off_range = float(np.linalg.norm(w - ws @ (ws.T @ w)))
+    gram = w.T @ w
+    gram[np.diag_indices_from(gram)] -= 1.0
+    err = math.hypot(math.sqrt(2.0) * off_range, float(np.linalg.norm(gram)))
     if not math.isfinite(err) and not np.isfinite(w).all():
         raise ConfigurationError("subspace input contains non-finite entries")
     return err

@@ -20,6 +20,26 @@ from mcsd import (
 from tests.conftest import haar
 
 
+def extended_subspace_error(w, ws):
+    """‖wwᵀ − ws wsᵀ‖_F from the n×n matrices in np.longdouble."""
+    wl, sl = w.astype(np.longdouble), ws.astype(np.longdouble)
+    return float(np.sqrt(np.sum((wl @ wl.T - sl @ sl.T) ** 2)))
+
+
+def point_at_angle(ws, err, rng):
+    """A point with orthonormal columns whose every principal angle θ to
+    range(ws) has √(2p)·sin θ = err, so its subspace error is err."""
+    v = rng.standard_normal(ws.shape)
+    v = msign_exact(v - ws @ (ws.T @ v))
+    theta = math.asin(err / math.sqrt(2 * ws.shape[1]))
+    return (math.cos(theta) * ws + math.sin(theta) * v) @ msign_exact(rng.standard_normal((ws.shape[1],) * 2))
+
+
+NO_LONGDOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64 here"
+)
+
+
 def central_diff_grad(value_fn, w, h=1e-5):
     """Entrywise central-difference oracle for the Euclidean gradient."""
     g = np.zeros_like(w)
@@ -190,25 +210,36 @@ class TestSubspaceError:
         with pytest.raises(ConfigurationError, match="non-finite"):
             subspace_error(tiny, w)
 
-    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than float64 here")
+    @NO_LONGDOUBLE
     @pytest.mark.parametrize("err", [1.0, 1e-3, 1e-6, 1e-9])
     @pytest.mark.parametrize("shape", [(200, 5), (1000, 50)], ids=["200x5", "1000x50"])
     def test_matches_an_extended_precision_reference(self, shape, err):
         # subspace_error reads only the reference point of the instance
         ws = haar(*shape, seed=30).x
         inst = SimpleNamespace(w_star=SimpleNamespace(x=ws))
-        # every principal angle to range(ws) is θ, so the distance is √(2p)·sin θ
-        rng = np.random.default_rng(31)
-        v = rng.standard_normal(shape)
-        v = msign_exact(v - ws @ (ws.T @ v))
-        theta = math.asin(err / math.sqrt(2 * shape[1]))
-        w = (math.cos(theta) * ws + math.sin(theta) * v) @ msign_exact(rng.standard_normal((shape[1],) * 2))
-        wl, sl = w.astype(np.longdouble), ws.astype(np.longdouble)
-        reference = float(np.sqrt(np.sum((wl @ wl.T - sl @ sl.T) ** 2)))
+        w = point_at_angle(ws, err, np.random.default_rng(31))
+        reference = extended_subspace_error(w, ws)
         assert reference == pytest.approx(err, rel=1e-6)
         # Rounding leaves an absolute error near 2e-17 (the n×n float64 form:
         # near 4e-18), so agreement is 1e-12 relative for errors down to 1e-4
         # and within 1e-16 below that.
+        assert abs(subspace_error(inst, w) - reference) <= 1e-12 * reference + 1e-16
+
+    @NO_LONGDOUBLE
+    def test_counts_columns_orthonormal_only_to_1e9(self):
+        # Iterates are orthonormal only to the feasibility tolerance. Right-
+        # multiplying by I + E keeps the range but makes ‖wᵀw − I‖₂ ≈ 1e-9,
+        # which the n×n distance counts.
+        ws = haar(200, 5, seed=30).x
+        inst = SimpleNamespace(w_star=SimpleNamespace(x=ws))
+        rng = np.random.default_rng(33)
+        e = rng.standard_normal((5, 5))
+        w = point_at_angle(ws, 1e-6, rng) @ (np.eye(5) + 0.5e-9 * (e + e.T) / np.linalg.norm(e + e.T, 2))
+        assert 5e-10 < np.linalg.norm(w.T @ w - np.eye(5), 2) < 2e-9
+        reference = extended_subspace_error(w, ws)
+        # the range term alone misses the drift by far more than the tolerance
+        range_term = math.sqrt(2.0) * float(np.linalg.norm(w - ws @ (ws.T @ w)))
+        assert abs(range_term - reference) > 1e-9 * reference
         assert abs(subspace_error(inst, w) - reference) <= 1e-12 * reference + 1e-16
 
 

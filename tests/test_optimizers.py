@@ -48,14 +48,8 @@ from tests.conftest import haar
 class ZeroObjective:
     """Constant objective: zero gradient everywhere."""
 
-    def value(self, x):
-        return 1.5
-
-    def euclid_grad(self, x):
-        return np.zeros_like(x)
-
     def evaluate(self, x):
-        return self.value(x), self.euclid_grad(x)
+        return 1.5, np.zeros_like(x)
 
 
 class RecordingObjective:
@@ -65,14 +59,8 @@ class RecordingObjective:
         self.inst = inst
         self.drawn = []
 
-    def value(self, x):
-        return self.inst.value(x)
-
-    def euclid_grad(self, x):
-        return self.inst.euclid_grad(x)
-
     def evaluate(self, x):
-        return self.value(x), self.euclid_grad(x)
+        return self.inst.evaluate(x)
 
     def stochastic_grad(self, x, rng, noise):
         g = self.inst.stochastic_grad(x, rng, noise)
