@@ -16,9 +16,7 @@ from .errors import (
 )
 from .linalg import (
     EXACT,
-    NEWTON_SCHULZ,
     PolarMode,
-    PolarScheme,
     SvdFactors,
     frob_inner,
     msign_exact,

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .linalg import PolarMode
+from .linalg import EXACT, PolarMode
 from .lmo import NormKind, norm_equiv_constant
 from .manifolds import StiefelManifold, StiefelPoint, random_point
 from .objectives import BrockettInstance, NoiseConfig, make_brockett, smoothness_constants, subspace_error
@@ -127,7 +127,7 @@ def default_pca_config(output_dir, n: int = 200) -> BenchConfig:
         ),
         steps=300,
         init_seed=11,
-        polar_mode=PolarMode.iterative(8),
+        polar_mode=PolarMode(iters=8),
         output_dir=Path(output_dir),
         repeats=3,
     )
@@ -192,12 +192,11 @@ def _sanitize_label(label: str) -> str:
 def _parse_polar_mode(text: str) -> PolarMode:
     text = text.strip().lower()
     if text == "exact":
-        return PolarMode.exact()
-    if text.startswith("iterative"):
-        parts = text.split(":")
-        iters = int(parts[1]) if len(parts) > 1 else 8
-        return PolarMode.iterative(iters)
-    raise ConfigurationError(f"unknown polar_mode {text!r} (use 'exact' or 'iterative:<k>')")
+        return EXACT
+    head, colon, iters = text.partition(":")
+    if head == "iterative":
+        return PolarMode(iters=int(iters) if colon else 8)
+    raise ConfigurationError(f"unknown polar_mode {text!r} (use 'exact', 'iterative' or 'iterative:<k>')")
 
 
 def _parse_norm(text: str) -> NormKind:
@@ -210,12 +209,15 @@ def _parse_norm(text: str) -> NormKind:
 def _parse_schedule(text: str) -> StepSchedule:
     head, _, tail = text.strip().partition(":")
     args = [a for a in tail.split(",") if a]
+    fields = {"constant": 1, "periodic_decay": 3}.get(head)
+    if fields is not None and len(args) != fields:
+        raise ConfigurationError(f"invalid schedule {text!r}: {head} takes {fields} field(s), got {len(args)}")
     try:
         if head == "constant":
             return constant_schedule(float(args[0]))
         if head == "periodic_decay":
             return periodic_decay_schedule(float(args[0]), float(args[1]), int(args[2]))
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"invalid schedule {text!r}: {exc}") from exc
     raise ConfigurationError(
         f"unknown schedule {text!r} (config files accept 'constant:a' or 'periodic_decay:a0,factor,period')"

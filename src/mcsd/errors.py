@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numeric routine failed: non-convergence, divergence, overflow."""
+    """A numeric routine failed: non-convergence, overflow."""
 
 
 class RankDeficiencyError(NumericError):

@@ -7,14 +7,12 @@ wide), the small Gram matrix G = YᵀY = V·diag(w)·Vᵀ is diagonalised once,
 and the result is Y·V·diag(h(w))·Vᵀ for a scalar map h of the eigenvalues.
 The exact route takes h(w) = w^(-1/2) when the long side is at least twice
 the short one, the matrix is not tiny and κ(Y) < 100, and the SVD
-otherwise. The iterative route takes for h the k-step odd polynomial of a
-configurable coefficient schedule (cubic Newton-Schulz by default),
-evaluated on the spectrum.
+otherwise. The iterative route takes for h the k-step cubic Newton-Schulz
+polynomial, evaluated on the spectrum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,9 +25,9 @@ from .errors import ConfigurationError, NumericError, RankDeficiencyError
 # zero: the polar factor is then not uniquely defined.
 RANK_TOL_FACTOR = 1e-10
 
-# Iterates whose Frobenius norm exceeds this multiple of sqrt(min(n, p))
-# cannot converge to a partial isometry; the iteration has diverged.
-DIVERGENCE_FACTOR = 10.0
+# The iterative route divides its input by PRENORM·‖y‖_F, so that every
+# singular value starts strictly below 1, where Newton-Schulz contracts.
+PRENORM = 1.01
 
 # The exact route uses the Gram eigendecomposition only when w_min exceeds
 # this fraction of w_max (κ < 100): its orthogonality error grows as
@@ -183,98 +181,40 @@ def msign_exact(y) -> np.ndarray:
     return f.u @ f.vt
 
 
-@dataclass(frozen=True)
-class PolarScheme:
-    """Coefficient schedule for the iterative polar factor.
+def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
+    """Multipliers m with x·V·diag(m)·Vᵀ = X_k, the k-th Newton-Schulz iterate.
 
-    Each entry (a, b) or (a, b, c) defines one update
-    X ← a·X + b·X(XᵀX) [+ c·X(XᵀX)²]. When the iteration count exceeds the
-    schedule length, the last entry repeats. The input is pre-scaled by
-    1/(prenorm · ‖y‖_F) so its spectral norm starts below 1, which the cubic
-    default needs in order to contract. Alternative schedules (e.g. tuned
-    quintic coefficients) can be supplied without code changes.
-
-    The updates act on each singular value σ alone, σ ← σ·f(σ²) with
-    f(u) = a + b·u [+ c·u²], so k steps are evaluated on the eigenvalues of
-    the Gram matrix rather than on n×p iterates.
-    """
-
-    coefficients: tuple[tuple[float, ...], ...] = ((1.5, -0.5),)
-    prenorm: float = 1.01
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ConfigurationError("PolarScheme needs at least one coefficient tuple")
-        for cs in self.coefficients:
-            if len(cs) not in (2, 3):
-                raise ConfigurationError(
-                    f"coefficient tuples must have 2 or 3 entries, got {cs}"
-                )
-        if self.prenorm <= 1.0:
-            raise ConfigurationError("prenorm must exceed 1 so the scaled input is strictly inside the unit ball")
-        # tuples, so that schemes given as lists still hash (see _step_coefficients)
-        object.__setattr__(self, "coefficients", tuple(tuple(cs) for cs in self.coefficients))
-
-    def step_coefficients(self, k: int) -> tuple[float, ...]:
-        return self.coefficients[min(k, len(self.coefficients) - 1)]
-
-
-NEWTON_SCHULZ = PolarScheme()
-
-
-@functools.lru_cache(maxsize=64)
-def _step_coefficients(scheme: PolarScheme, iters: int) -> tuple[tuple[float, float, float], ...]:
-    """(a, b, c) of each of the first `iters` steps, with c = 0 for cubic steps."""
-    return tuple((*scheme.step_coefficients(k), 0.0)[:3] for k in range(iters))
-
-
-def _polynomial_multipliers(w: np.ndarray, scheme: PolarScheme, iters: int, limit: float) -> np.ndarray:
-    """Multipliers m with x·V·diag(m)·Vᵀ = X_k, the k-th scheme iterate.
-
-    With u = σ² of the current iterate, each step is f = a + b·u (+ c·u²),
-    m ← m·f, u ← u·f². Σu = ‖X_k‖_F², which is checked against `limit`
-    after every step. The recurrence runs on Python floats: p is small at
-    the shapes the optimizers use, where numpy's per-call cost dominates.
-    Eigenvalues below zero are rounding and are clipped, so that u ≥ 0.
+    X_0 = x/(PRENORM·‖x‖_F) and X ← 1.5·X − 0.5·X(XᵀX) act on each singular
+    value alone: with u = σ², each step is f = 1.5 − 0.5·u, m ← m·f,
+    u ← u·f². The prescale starts every u in [0, 1), where u ↦ u·f² is
+    increasing and fixes 1, so the iterates never leave the unit ball. The
+    recurrence runs on Python floats: p is small at the shapes the
+    optimizers use, where numpy's per-call cost dominates. Eigenvalues below
+    zero are rounding and are clipped, so that u ≥ 0.
     """
     w = np.maximum(w, 0.0)
-    mult0 = 1.0 / (scheme.prenorm * math.sqrt(float(np.sum(w))))
+    mult0 = 1.0 / (PRENORM * math.sqrt(float(np.sum(w))))
     us = (w * (mult0 * mult0)).tolist()
     mults = [mult0] * len(us)
-    limit_sq = limit * limit
-    for k, (a, b, c) in enumerate(_step_coefficients(scheme, iters)):
-        total = 0.0
+    for _ in range(iters):
         for i, u in enumerate(us):
-            f = a + u * (b + c * u)
+            f = 1.5 - 0.5 * u
             mults[i] *= f
-            us[i] = u = u * f * f
-            total += u
-        if total > limit_sq:
-            raise NumericError(f"polar iteration diverged at iteration {k + 1}")
+            us[i] = u * f * f
     return np.array(mults)
 
 
-def _polynomial_map(scheme: PolarScheme, iters: int, short_side: int):
-    """h for the iterative route on a matrix whose shorter side is `short_side`."""
-    limit = DIVERGENCE_FACTOR * math.sqrt(short_side)
-    return lambda w: _polynomial_multipliers(w, scheme, iters, limit)
-
-
-def msign_iterative(y, scheme: PolarScheme = NEWTON_SCHULZ, iters: int = 8) -> np.ndarray:
-    """Approximate polar factor: `iters` steps of an odd-polynomial iteration.
+def msign_iterative(y, iters: int = 8) -> np.ndarray:
+    """Approximate polar factor: `iters` steps of cubic Newton-Schulz.
 
     The k-step polynomial is evaluated on the spectrum of the Gram matrix
-    (see PolarScheme), which in exact arithmetic is the direct iteration on
-    n×p iterates. With the default cubic Newton-Schulz schedule and 8
-    iterations this matches msign_exact to ~1e-6 Frobenius on
-    well-conditioned inputs. Raises NumericError (naming the iteration) if
-    the iterate norm blows up, which can happen under aggressive custom
-    coefficient schedules.
+    (see _newton_schulz_multipliers), which in exact arithmetic is the
+    direct iteration on n×p iterates. With 8 iterations this matches
+    msign_exact to ~1e-6 Frobenius on well-conditioned inputs.
     """
     if iters < 1:
         raise ConfigurationError(f"iters must be >= 1, got {iters}")
-    y = as_2d(y, "polar input")
-    return _gram_polar(y, _polynomial_map(scheme, iters, min(y.shape)))
+    return _gram_polar(as_2d(y, "polar input"), lambda w: _newton_schulz_multipliers(w, iters))
 
 
 @dataclass(frozen=True)
@@ -282,43 +222,34 @@ class PolarMode:
     """Selects how polar factors are computed: exact or iterative.
 
     `iters is None` means the exact route (msign_exact); otherwise `iters`
-    (at least 1) iterations of `scheme`.
+    (at least 1) Newton-Schulz iterations (msign_iterative).
     """
 
     iters: int | None = None
-    scheme: PolarScheme = NEWTON_SCHULZ
 
     def __post_init__(self):
         if self.iters is not None and self.iters < 1:
             raise ConfigurationError(f"iters must be >= 1, got {self.iters}")
 
-    @classmethod
-    def exact(cls) -> "PolarMode":
-        return cls()
-
-    @classmethod
-    def iterative(cls, iters: int = 8, scheme: PolarScheme = NEWTON_SCHULZ) -> "PolarMode":
-        return cls(iters=iters, scheme=scheme)
-
     def apply(self, y) -> np.ndarray:
         if self.iters is None:
             return msign_exact(y)
-        return msign_iterative(y, self.scheme, self.iters)
+        return msign_iterative(y, self.iters)
 
     def gram_factor(self, gram: np.ndarray) -> np.ndarray | None:
         """The p×p factor H with apply(y) ≈ y·H, from gram = yᵀy alone (y tall).
 
         Exact: H = gram^(-1/2), or None when κ(y) ≥ 100, where the caller
-        has to form y and call apply. Iterative: the scheme's k-step
-        polynomial in gram, with the same divergence check as msign_iterative.
+        has to form y and call apply. Iterative: the k-step Newton-Schulz
+        polynomial in gram, as in msign_iterative.
         The caller scales y so that gram neither overflows nor underflows.
         """
         if self.iters is None:
             return _gram_factor(gram, _inverse_sqrt)
-        return _gram_factor(gram, _polynomial_map(self.scheme, self.iters, gram.shape[0]))
+        return _gram_factor(gram, lambda w: _newton_schulz_multipliers(w, self.iters))
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"
 
 
-EXACT = PolarMode.exact()
+EXACT = PolarMode()

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import RankDeficiencyError, ZeroGradient
+from .errors import NumericError, RankDeficiencyError, ZeroGradient
 from .linalg import EXACT, RANK_TOL_FACTOR, PolarMode, as_2d, as_matrix, max_abs, svd
 
 
@@ -79,8 +79,17 @@ def dual_norm(norm: NormKind, s) -> float:
     """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm."""
     if norm is NormKind.FROBENIUS:
         return frobenius_norm(as_2d(s, "dual-norm input"), "dual-norm input")
-    s = as_matrix(s, "dual-norm input")
-    return float(np.sum(np.linalg.svd(s, compute_uv=False)))
+    s = as_2d(s, "dual-norm input")
+    # The SVD is the finiteness check: NaN makes it raise, ±inf makes the
+    # sum non-finite, and only then is the input scanned.
+    try:
+        total = float(np.sum(np.linalg.svd(s, compute_uv=False)))
+    except np.linalg.LinAlgError as exc:
+        as_matrix(s, "dual-norm input")
+        raise NumericError(f"SVD of the {s.shape[0]}x{s.shape[1]} dual-norm input failed: {exc}") from exc
+    if not math.isfinite(total):
+        as_matrix(s, "dual-norm input")
+    return total
 
 
 def norm_equiv_constant(norm: NormKind, n: int, p: int) -> float:

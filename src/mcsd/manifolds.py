@@ -34,12 +34,13 @@ class StiefelManifold:
 class StiefelPoint:
     """An n×p matrix certified to satisfy ‖xᵀx − I‖_F ≤ FEAS_TOL.
 
-    The stored array is a read-only copy, so points can be shared freely.
+    The stored array is a read-only copy, so points can be shared freely;
+    `violation` keeps the certified ‖xᵀx − I‖_F.
     The feasibility norm is also the finiteness check: a non-finite entry
     makes it non-finite, and the constructor then raises ConfigurationError.
     """
 
-    __slots__ = ("x", "manifold")
+    __slots__ = ("x", "manifold", "violation")
 
     def __init__(self, x, manifold: StiefelManifold):
         x = as_2d(x, "Stiefel point")
@@ -57,6 +58,7 @@ class StiefelPoint:
         x.flags.writeable = False
         self.x = x
         self.manifold = manifold
+        self.violation = violation
 
     def __repr__(self):
         m = self.manifold

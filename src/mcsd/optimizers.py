@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError, ZeroGradient
 from .linalg import EXACT, PolarMode, as_2d, frob_inner, max_abs, msign_exact, sym_unchecked
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
-from .manifolds import StiefelPoint, feasibility_violation, project, tangent_component
+from .manifolds import StiefelPoint, project, tangent_component
 from .objectives import NoiseConfig
 from .trace import TraceRecord
 
@@ -455,7 +455,7 @@ def run_trace(
     every iterate of a stochastic method, evaluate the objective themselves.
 
     A NumericError from a step or a metric record (a feasibility abort, a
-    non-finite value or gradient, a diverged polar iteration) carries the
+    non-finite value or gradient) carries the
     records accumulated so far in its `records` attribute, so callers can
     flush a partial trace.
     """
@@ -488,7 +488,7 @@ def _metric_record(run, objective, norm, subspace_fn, t, elapsed) -> TraceRecord
         iter=t,
         objective=value,
         subspace_error=subspace_fn(x) if subspace_fn is not None else float("nan"),
-        orth_violation=feasibility_violation(x),
+        orth_violation=run.x.violation,
         grad_dual_norm=dual_norm(norm, g),
         step_size=0.0,
         inner_iters=0,

@@ -67,7 +67,7 @@ class TestConfigParsing:
         cfg = load_config(tiny_config(tmp_path))
         assert (cfg.n, cfg.p, cfg.d, cfg.data_seed) == (20, 2, 50, 3)
         assert cfg.steps == 5 and cfg.repeats == 2
-        assert cfg.polar_mode == PolarMode.iterative(8)
+        assert cfg.polar_mode == PolarMode(iters=8)
         labels = [m.label for m in cfg.methods]
         assert labels == ["rgd", "spel", "mm"]
         assert isinstance(cfg.methods[0].method, Rgd)
@@ -105,6 +105,25 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigurationError):
             load_config(path)
+
+    @pytest.mark.parametrize("text, iters", [("exact", None), ("iterative", 8), ("iterative:3", 3)])
+    def test_polar_mode_spellings(self, tmp_path, text, iters):
+        assert load_config(tiny_config(tmp_path, polar_mode=text)).polar_mode == PolarMode(iters=iters)
+
+    @pytest.mark.parametrize(
+        "polar_mode, schedule",
+        [
+            ("iterativefoo", "constant:0.001"),
+            ("iterative:8:3", "constant:0.001"),
+            ("iterative:8", "constant:0.1,5"),
+            ("iterative:8", "periodic_decay:0.1,0.5,30,7"),
+        ],
+    )
+    def test_extra_fields_rejected(self, tmp_path, capsys, polar_mode, schedule):
+        path = tiny_config(tmp_path, polar_mode=polar_mode)
+        path.write_text(path.read_text().replace("schedule = constant:0.001", f"schedule = {schedule}"))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MCSD_OUTPUT_DIR", str(tmp_path / "elsewhere"))

@@ -37,12 +37,6 @@ def spans():
     return module
 
 
-@pytest.fixture(autouse=True)
-def one_worker(monkeypatch):
-    # the spies only see calls made in this process
-    monkeypatch.delenv("MCSD_WORKERS", raising=False)
-
-
 def spy(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)

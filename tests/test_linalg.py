@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsd import (
+    EXACT,
     ConfigurationError,
     NumericError,
     PolarMode,
-    PolarScheme,
     RankDeficiencyError,
     msign_exact,
     msign_iterative,
@@ -16,25 +16,16 @@ from mcsd import (
 )
 from tests.conftest import haar
 
-QUINTIC = PolarScheme(coefficients=((3.4445, -4.7750, 2.0315),) * 5 + ((1.5, -0.5),))
-
-
-def direct_polar_iteration(y, scheme=PolarScheme(), iters=8):
-    """Reference: the scheme's update applied to full n×p iterates."""
+def direct_polar_iteration(y, iters=8):
+    """Reference: cubic Newton-Schulz X ← 1.5·X − 0.5·X(XᵀX) applied to full
+    n×p iterates, from X_0 = y/(1.01·‖y‖_F)."""
     n, p = y.shape
     transposed = n < p
     if transposed:
         y = y.T
-    x = y / (scheme.prenorm * np.sqrt(np.sum(y * y)))
-    for k in range(iters):
-        cs = scheme.step_coefficients(k)
-        gram = x.T @ x
-        if len(cs) == 2:
-            a, b = cs
-            x = a * x + x @ (b * gram)
-        else:
-            a, b, c = cs
-            x = a * x + x @ (b * gram + c * (gram @ gram))
+    x = y / (1.01 * np.sqrt(np.sum(y * y)))
+    for _ in range(iters):
+        x = 1.5 * x + x @ (-0.5 * (x.T @ x))
     return x.T if transposed else x
 
 
@@ -180,71 +171,49 @@ class TestMsignIterative:
         m = msign_iterative(y, iters=8)
         assert np.linalg.norm(m @ m.T - np.eye(3)) < 1e-8
 
-    def test_divergent_scheme_names_iteration(self, rng):
-        bad = PolarScheme(coefficients=((40.0, -50.0),))
-        with pytest.raises(NumericError, match="iteration"):
-            msign_iterative(rng.standard_normal((6, 3)), scheme=bad, iters=12)
-
-    def test_custom_coefficient_schedule(self, rng):
-        # a quintic schedule, stabilized by a trailing cubic refinement
-        y = rng.standard_normal((40, 4))
-        assert np.linalg.norm(msign_iterative(y, scheme=QUINTIC, iters=12) - msign_exact(y)) < 1e-6
-
     def test_zero_input_rejected(self):
         with pytest.raises(RankDeficiencyError):
             msign_iterative(np.zeros((3, 2)))
 
 
 class TestSpectralEvaluation:
-    """msign_iterative evaluates the scheme on the Gram spectrum; it must
+    """msign_iterative evaluates Newton-Schulz on the Gram spectrum; it must
     agree with the direct iteration on n×p iterates."""
 
     @pytest.mark.parametrize("shape", [(200, 5), (1000, 50), (5, 5)])
     @pytest.mark.parametrize("kappa", [1.5, 1e2, 1e4, 1e8, np.inf])
-    @pytest.mark.parametrize("scheme, iters, tol", [(PolarScheme(), 8, 1e-12), (QUINTIC, 12, 1e-8)])
-    def test_matches_direct_iteration(self, shape, kappa, scheme, iters, tol):
+    def test_matches_direct_iteration(self, shape, kappa):
         n, p = shape
         # kappa = inf: the trailing singular value is exactly zero (rank p - 1)
         sigma = np.geomspace(1.0, 1.0 / min(kappa, 1e8), p)
         if kappa == np.inf:
             sigma[-1] = 0.0
         y = with_spectrum(n, sigma, seed=p)
-        err = np.linalg.norm(msign_iterative(y, scheme, iters) - direct_polar_iteration(y, scheme, iters))
-        assert err <= tol
+        assert np.linalg.norm(msign_iterative(y, iters=8) - direct_polar_iteration(y, 8)) <= 1e-12
 
     def test_wide_matches_direct_iteration(self, rng):
         y = rng.standard_normal((3, 50))
         assert np.linalg.norm(msign_iterative(y) - direct_polar_iteration(y)) <= 1e-12
 
-    def test_divergence_names_the_direct_iteration(self, rng):
-        bad = PolarScheme(coefficients=((40.0, -50.0),))
-        y = rng.standard_normal((6, 3))
-        limit = 10.0 * np.sqrt(3)
-        first = next(k for k in range(1, 13) if np.linalg.norm(direct_polar_iteration(y, bad, k)) > limit)
-        with pytest.raises(NumericError, match=f"at iteration {first}$"):
-            msign_iterative(y, scheme=bad, iters=12)
-
 
 class TestPolarMode:
     def test_exact_dispatch(self, rng):
         y = rng.standard_normal((6, 2))
-        assert np.array_equal(PolarMode.exact().apply(y), msign_exact(y))
+        assert np.array_equal(EXACT.apply(y), msign_exact(y))
 
     def test_iterative_dispatch(self, rng):
         y = rng.standard_normal((6, 2))
-        assert np.array_equal(PolarMode.iterative(5).apply(y), msign_iterative(y, iters=5))
+        assert np.array_equal(PolarMode(iters=5).apply(y), msign_iterative(y, iters=5))
 
     def test_describe(self):
-        assert PolarMode.exact().describe() == "exact"
-        assert PolarMode.iterative(8).describe() == "iterative:8"
+        assert EXACT.describe() == "exact"
+        assert PolarMode(iters=8).describe() == "iterative:8"
 
     @pytest.mark.parametrize("iters", [0, -1])
     def test_iters_validated_on_construction(self, iters):
         # PolarMode(iters=0) would run Manifold Muon's inner loop with H = c·I
         with pytest.raises(ConfigurationError):
             PolarMode(iters=iters)
-        with pytest.raises(ConfigurationError):
-            PolarMode.iterative(iters)
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,3 +248,31 @@ def test_property_msign_scale_safe(seed, exponent, shape, route):
     if n < p:
         y = y.T
     assert np.linalg.norm(route(10.0**exponent * y) - route(y)) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(5, 5), (6, 1), (1, 6), (3, 7), (7, 5), (12, 3), (100, 5), (5, 100), (40, 40)]),
+    st.sampled_from([1.5, 1e2, 1e8]),
+    st.booleans(),
+    st.sampled_from([-200, 0, 200]),
+    st.integers(1, 40),
+)
+def test_property_newton_schulz_stays_in_unit_ball(seed, shape, kappa, deficient, exponent, iters):
+    # From X_0 = y/(1.01·‖y‖_F) every σ² starts in [0, 1), where the cubic
+    # step u ↦ u(1.5 − 0.5u)² is increasing and fixes 1: the iterates cannot
+    # diverge. What exceeds 1 is rounding in the Gram eigenvalues, which
+    # grows with κ and with the zero singular value of a rank p − 1 input.
+    n, p = shape
+    k = min(n, p)
+    sigma = np.geomspace(1.0, 1.0 / kappa, k)
+    deficient = deficient and k > 1
+    if deficient:
+        sigma[-1] = 0.0
+    tall = 10.0**exponent * with_spectrum(max(n, p), sigma, seed=seed % 1000)
+    y = tall if n >= p else tall.T
+    bound = 1.01 if deficient or kappa > 1e2 else 1 + 1e-10
+    assert np.linalg.norm(msign_iterative(y, iters), 2) <= bound
+    x = tall / np.abs(tall).max()
+    assert np.linalg.norm(x @ PolarMode(iters=iters).gram_factor(x.T @ x), 2) <= bound

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mcsd import (
     NormKind,
+    NumericError,
     PolarMode,
     ZeroGradient,
     dual_norm,
@@ -66,7 +67,7 @@ class TestLmo:
     def test_spectral_iterative_mode(self, rng):
         s = rng.standard_normal((30, 4))
         d_exact = lmo(NormKind.SPECTRAL, s)
-        d_iter = lmo(NormKind.SPECTRAL, s, PolarMode.iterative(8))
+        d_iter = lmo(NormKind.SPECTRAL, s, PolarMode(iters=8))
         assert np.linalg.norm(d_exact - d_iter) < 1e-6
 
     def test_spectral_matches_small_net(self, rng):
@@ -92,7 +93,7 @@ class TestLmo:
         d = lmo(NormKind.SPECTRAL, s)
         assert np.linalg.norm(d - expected) < 1e-12
         assert abs(frob_inner(s, d) + dual_norm(NormKind.SPECTRAL, s)) < 1e-10
-        assert np.linalg.norm(lmo(NormKind.SPECTRAL, s, PolarMode.iterative(8)) - expected) < 1e-6
+        assert np.linalg.norm(lmo(NormKind.SPECTRAL, s, PolarMode(iters=8)) - expected) < 1e-6
 
 
 class TestDualNorm:
@@ -102,6 +103,14 @@ class TestDualNorm:
 
     def test_spectral_dual_of_diagonal(self):
         assert abs(dual_norm(NormKind.SPECTRAL, np.diag([2.0, 3.0])) - 5.0) < 1e-12
+
+    def test_spectral_svd_failure_on_finite_input_is_numeric_error(self, rng, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericError, match="dual-norm input failed"):
+            dual_norm(NormKind.SPECTRAL, rng.standard_normal((6, 3)))
 
     def test_frobenius_self_dual(self, rng):
         s = rng.standard_normal((4, 4))

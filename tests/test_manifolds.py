@@ -17,6 +17,7 @@ from mcsd import (
     riemannian_grad,
     tangent_project,
 )
+from mcsd.manifolds import FEAS_TOL
 from tests.conftest import haar
 
 
@@ -43,6 +44,10 @@ class TestManifoldAndPoint:
         m = StiefelManifold(5, 2)
         with pytest.raises(ConfigurationError):
             StiefelPoint(np.eye(4, 2), m)
+
+    def test_point_keeps_its_certified_violation(self, rng):
+        x = project(StiefelManifold(40, 3), rng.standard_normal((40, 3)), PolarMode(iters=8))
+        assert 0.0 < x.violation == feasibility_violation(x.x) <= FEAS_TOL
 
     def test_point_array_read_only(self):
         x = haar(5, 2, seed=0)
@@ -76,7 +81,7 @@ class TestProject:
         m = StiefelManifold(20, 3)
         y = rng.standard_normal((20, 3))
         p_exact = project(m, y)
-        p_iter = project(m, y, PolarMode.iterative(8))
+        p_iter = project(m, y, PolarMode(iters=8))
         assert np.linalg.norm(p_exact.x - p_iter.x) < 1e-6
 
     def test_rank_deficient_input_rejected(self, rng):

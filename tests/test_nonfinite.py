@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcsd import (
+    EXACT,
     ConfigurationError,
     NoiseConfig,
     NormKind,
@@ -34,7 +35,7 @@ from mcsd.optimizers import (
 )
 from tests.conftest import haar
 
-ITERATIVE = PolarMode.iterative(8)
+ITERATIVE = PolarMode(iters=8)
 POINT = haar(200, 5, seed=0)
 MANIFOLD = POINT.manifold
 
@@ -119,7 +120,7 @@ def poisoned_run(method_name, polar_mode, poisoned=PoisonedObjective):
 
 
 @pytest.mark.parametrize("method_name", sorted(METHODS))
-@pytest.mark.parametrize("polar_mode", [PolarMode.exact(), ITERATIVE], ids=["exact", "iterative"])
+@pytest.mark.parametrize("polar_mode", [EXACT, ITERATIVE], ids=["exact", "iterative"])
 def test_nonfinite_gradient_in_step_names_the_iteration(method_name, polar_mode):
     run, objective = poisoned_run(method_name, polar_mode)
     for _ in range(3):
