@@ -208,7 +208,7 @@ def _parse_norm(text: str) -> NormKind:
 
 def _parse_schedule(text: str) -> StepSchedule:
     head, _, tail = text.strip().partition(":")
-    args = [a for a in tail.split(",") if a]
+    args = tail.split(",") if tail else []
     fields = {"constant": 1, "periodic_decay": 3}.get(head)
     if fields is not None and len(args) != fields:
         raise ConfigurationError(f"invalid schedule {text!r}: {head} takes {fields} field(s), got {len(args)}")

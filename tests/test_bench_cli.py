@@ -125,6 +125,25 @@ class TestConfigParsing:
         assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    @pytest.mark.parametrize(
+        "polar_mode, schedule",
+        [
+            ("exact:8", "constant:0.001"),
+            ("iterative:", "constant:0.001"),
+            ("iterative:x", "constant:0.001"),
+            ("iterative:8", "constant:0.1,"),
+            ("iterative:8", "constant:,0.1"),
+            ("iterative:8", "periodic_decay:0.1,,0.5,30"),
+            ("iterative:8", "periodic_decay:0.1,0.5"),
+        ],
+    )
+    def test_empty_or_missing_fields_rejected(self, tmp_path, capsys, polar_mode, schedule):
+        # an empty field counts as a field: it is not dropped to make the count fit
+        path = tiny_config(tmp_path, polar_mode=polar_mode)
+        path.write_text(path.read_text().replace("schedule = constant:0.001", f"schedule = {schedule}"))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MCSD_OUTPUT_DIR", str(tmp_path / "elsewhere"))
         cfg = load_config(tiny_config(tmp_path))

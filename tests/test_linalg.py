@@ -191,6 +191,19 @@ class TestSpectralEvaluation:
         y = with_spectrum(n, sigma, seed=p)
         assert np.linalg.norm(msign_iterative(y, iters=8) - direct_polar_iteration(y, 8)) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(200, 5), (1000, 50), (5, 5)])
+    @pytest.mark.parametrize("kappa", [1e2, np.inf])
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_matches_direct_iteration_after_few_steps(self, shape, kappa, iters):
+        # far from convergence every singular value is still in flight, so
+        # the Gram evaluation must follow each one, not just the limit
+        n, p = shape
+        sigma = np.geomspace(1.0, 1.0 / min(kappa, 1e8), p)
+        if kappa == np.inf:
+            sigma[-1] = 0.0
+        y = with_spectrum(n, sigma, seed=p)
+        assert np.linalg.norm(msign_iterative(y, iters=iters) - direct_polar_iteration(y, iters)) <= 1e-12
+
     def test_wide_matches_direct_iteration(self, rng):
         y = rng.standard_normal((3, 50))
         assert np.linalg.norm(msign_iterative(y) - direct_polar_iteration(y)) <= 1e-12
