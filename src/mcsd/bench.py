@@ -87,6 +87,9 @@ class BenchConfig:
             raise ConfigurationError("steps must be nonnegative")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be at least 1")
+        for key in ("data_seed", "init_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigurationError(f"{key} must be nonnegative, got {getattr(self, key)}")
         if not self.methods:
             raise ConfigurationError("at least one method is required")
 
@@ -150,9 +153,7 @@ def load_config(path) -> BenchConfig:
     try:
         inst = parser["instance"]
         run = parser["run"]
-        n = inst.getint("n")
-        p = inst.getint("p")
-        d = inst.getint("d")
+        n, p, d = (_required_int(inst, key) for key in ("n", "p", "d"))
         data_seed = inst.getint("data_seed", 7)
         steps = run.getint("steps", 300)
         init_seed = run.getint("init_seed", 11)
@@ -163,10 +164,16 @@ def load_config(path) -> BenchConfig:
         raise ConfigurationError(f"invalid config {path}: {exc}") from exc
 
     methods = []
+    section_of: dict[str, str] = {}
     for section in parser.sections():
         if not section.startswith("method:"):
             continue
         label = _sanitize_label(section.split(":", 1)[1])
+        if label in section_of:
+            raise ConfigurationError(
+                f"sections [{section_of[label]}] and [{section}] both write output label {label!r}"
+            )
+        section_of[label] = section
         methods.append(_parse_method(label, parser[section]))
     if not methods:
         raise ConfigurationError(f"config {path} defines no [method:...] sections")
@@ -180,6 +187,12 @@ def load_config(path) -> BenchConfig:
         methods=tuple(methods), steps=steps, init_seed=init_seed,
         polar_mode=polar_mode, output_dir=output_dir, repeats=repeats,
     )
+
+
+def _required_int(section, key: str) -> int:
+    if key not in section:
+        raise ConfigurationError(f"[{section.name}] has no key {key!r}")
+    return section.getint(key)
 
 
 def _sanitize_label(label: str) -> str:

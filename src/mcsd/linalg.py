@@ -4,10 +4,10 @@ The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
 Both routes share one kernel: Y is scaled by max|Y| (and transposed if
 wide), the small Gram matrix G = YᵀY = V·diag(w)·Vᵀ is diagonalised once,
-and the result is Y·V·diag(h(w))·Vᵀ for a scalar map h of the eigenvalues.
-The exact route takes h(w) = w^(-1/2) when the long side is at least twice
+and the result is Y·V·diag(m)·Vᵀ for multipliers m of the eigenvalues.
+The exact route takes m = w^(-1/2) when the long side is at least twice
 the short one, the matrix is not tiny and κ(Y) < 100, and the SVD
-otherwise. The iterative route takes for h the k-step cubic Newton-Schulz
+otherwise. The iterative route takes for m the k-step cubic Newton-Schulz
 polynomial, evaluated on the spectrum.
 """
 
@@ -85,7 +85,7 @@ def sym_unchecked(a: np.ndarray) -> np.ndarray:
 
 def frob_inner(a, b) -> float:
     """Trace inner product Σ a_ij b_ij."""
-    return float(np.tensordot(a, b, axes=2))
+    return float(np.vdot(a, b))
 
 
 class SvdFactors(NamedTuple):
@@ -114,46 +114,46 @@ def spectral_norm(a) -> float:
     return float(np.linalg.svd(as_matrix(a, "matrix"), compute_uv=False)[0])
 
 
-def _gram_polar(y: np.ndarray, h) -> np.ndarray | None:
-    """x·V·diag(h(w))·Vᵀ for the eigendecomposition V·diag(w)·Vᵀ of xᵀx.
+def _gram_polar(y: np.ndarray, iters: int | None) -> np.ndarray | None:
+    """x·H for the p×p factor H that _gram_eigh builds from xᵀx.
 
     x is y divided by max|y|, so that xᵀx neither overflows nor underflows,
     and transposed when y is wide, so that xᵀx is the smaller Gram matrix.
-    That reduction is also the input's finiteness check. h maps the
-    ascending eigenvalues w to the multipliers for x; it returns None to
-    decline the input, and then so does this function.
+    That reduction is also the input's finiteness check. Returns None where
+    the exact route (iters None) declines the input.
     """
     scale = max_abs(y, "polar input")
     if scale == 0.0:
         raise RankDeficiencyError("zero matrix has no polar factor")
     transposed = y.shape[0] < y.shape[1]
     x = (y.T if transposed else y) / scale
-    f = _gram_factor(x.T @ x, h)
+    f = _gram_eigh(x.T @ x, iters)[1]
     if f is None:
         return None
     out = x @ f
     return out.T if transposed else out
 
 
-def _gram_factor(gram: np.ndarray, h) -> np.ndarray | None:
-    """V·diag(h(w))·Vᵀ for the eigendecomposition V·diag(w)·Vᵀ of `gram`,
-    or None when h declines."""
+def _gram_eigh(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ascending eigenvalues w of `gram` = V·diag(w)·Vᵀ, and the polar
+    factor V·diag(m)·Vᵀ for the multipliers m of the route.
+
+    Exact (iters None): m = w^(-1/2), and the factor is None when
+    w_min ≤ GRAM_EIG_RATIO·w_max (κ ≥ 100). Iterative: the `iters`-step
+    Newton-Schulz multipliers.
+    """
     try:
         w, v = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         p = gram.shape[0]
         raise NumericError(f"eigendecomposition of the {p}x{p} Gram matrix failed: {exc}") from exc
-    mult = h(w)
-    if mult is None:
-        return None
-    return (v * mult) @ v.T
-
-
-def _inverse_sqrt(w: np.ndarray) -> np.ndarray | None:
-    """w^(-1/2), or None when w_min ≤ GRAM_EIG_RATIO·w_max."""
-    if w[0] <= GRAM_EIG_RATIO * w[-1]:
-        return None
-    return w**-0.5
+    if iters is not None:
+        mult = _newton_schulz_multipliers(w, iters)
+    elif w[0] <= GRAM_EIG_RATIO * w[-1]:
+        return w, None
+    else:
+        mult = w**-0.5
+    return w, (v * mult) @ v.T
 
 
 def msign_exact(y) -> np.ndarray:
@@ -168,7 +168,7 @@ def msign_exact(y) -> np.ndarray:
     y = as_2d(y, "polar input")
     short = min(y.shape)
     if max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
-        out = _gram_polar(y, _inverse_sqrt)
+        out = _gram_polar(y, None)
         if out is not None:
             return out
     f = svd(y)
@@ -181,27 +181,28 @@ def msign_exact(y) -> np.ndarray:
     return f.u @ f.vt
 
 
-def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
+def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:
     """Multipliers m with x·V·diag(m)·Vᵀ = X_k, the k-th Newton-Schulz iterate.
 
     X_0 = x/(PRENORM·‖x‖_F) and X ← 1.5·X − 0.5·X(XᵀX) act on each singular
     value alone: with u = σ², each step is f = 1.5 − 0.5·u, m ← m·f,
     u ← u·f². The prescale starts every u in [0, 1), where u ↦ u·f² is
-    increasing and fixes 1, so the iterates never leave the unit ball. The
-    recurrence runs on Python floats: p is small at the shapes the
+    increasing and fixes 1, so the iterates never leave the unit ball. Each
+    eigenvalue's k steps run on Python floats: p is small at the shapes the
     optimizers use, where numpy's per-call cost dominates. Eigenvalues below
     zero are rounding and are clipped, so that u ≥ 0.
     """
     w = np.maximum(w, 0.0)
-    mult0 = 1.0 / (PRENORM * math.sqrt(float(np.sum(w))))
-    us = (w * (mult0 * mult0)).tolist()
-    mults = [mult0] * len(us)
-    for _ in range(iters):
-        for i, u in enumerate(us):
+    mult0 = 1.0 / (PRENORM * math.sqrt(float(w.sum())))
+    mults = []
+    for u in (w * (mult0 * mult0)).tolist():
+        m = mult0
+        for _ in range(iters):
             f = 1.5 - 0.5 * u
-            mults[i] *= f
-            us[i] = u * f * f
-    return np.array(mults)
+            m *= f
+            u = u * f * f
+        mults.append(m)
+    return mults
 
 
 def msign_iterative(y, iters: int = 8) -> np.ndarray:
@@ -214,7 +215,7 @@ def msign_iterative(y, iters: int = 8) -> np.ndarray:
     """
     if iters < 1:
         raise ConfigurationError(f"iters must be >= 1, got {iters}")
-    return _gram_polar(as_2d(y, "polar input"), lambda w: _newton_schulz_multipliers(w, iters))
+    return _gram_polar(as_2d(y, "polar input"), iters)
 
 
 @dataclass(frozen=True)
@@ -244,9 +245,7 @@ class PolarMode:
         polynomial in gram, as in msign_iterative.
         The caller scales y so that gram neither overflows nor underflows.
         """
-        if self.iters is None:
-            return _gram_factor(gram, _inverse_sqrt)
-        return _gram_factor(gram, lambda w: _newton_schulz_multipliers(w, self.iters))
+        return _gram_eigh(gram, self.iters)[1]
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"

@@ -197,7 +197,7 @@ def subspace_error(inst: BrockettInstance, w) -> float:
         raise ConfigurationError(f"subspace input shape {w.shape} does not match the optimum's {ws.shape}")
     off_range = float(np.linalg.norm(w - ws @ (ws.T @ w)))
     gram = w.T @ w
-    gram[np.diag_indices_from(gram)] -= 1.0
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
     err = math.hypot(math.sqrt(2.0) * off_range, float(np.linalg.norm(gram)))
     if not math.isfinite(err) and not np.isfinite(w).all():
         raise ConfigurationError("subspace input contains non-finite entries")

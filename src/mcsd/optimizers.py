@@ -34,7 +34,7 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError, ZeroGradient
-from .linalg import EXACT, PolarMode, as_2d, frob_inner, max_abs, msign_exact, sym_unchecked
+from .linalg import EXACT, PolarMode, _gram_eigh, as_2d, frob_inner, max_abs, msign_exact, sym_unchecked
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, project, tangent_component
 from .objectives import NoiseConfig
@@ -380,13 +380,16 @@ def manifold_muon_direction(
     always feasible direction −g_m/‖g_m‖₂ up to quality_tol·‖g_m‖_F;
     otherwise that fallback is returned and flagged.
 
-    The ascent runs on p×p matrices. With A = xᵀg_m and B = xᵀx,
-    YᵀY = g_mᵀg_m + AᵀΛ + ΛA + ΛBΛ, and msign(Y) = Y·H for the p×p factor H
-    that polar_mode computes from YᵀY alone, so xᵀd = −(A + BΛ)·H. Only
-    the final d is formed as an n×p matrix. g_m is first divided by max|g_m|
-    (Λ in proportion), which keeps the Gram matrices in range. Where the
-    exact route declines (κ(Y) ≥ 100), Y is formed and msign_exact takes
-    over for that iteration.
+    The ascent runs on p×p matrices. msign(Y) = Y·H for the p×p factor H
+    that polar_mode computes from YᵀY alone. The first iteration runs at
+    Λ = 0, where YᵀY = g_mᵀg_m and xᵀd = −A·H with A = xᵀg_m; its
+    eigenvalues also give ‖g_m‖₂. Each later iteration forms
+    P = A + BΛ once, with B = xᵀx, and uses it twice:
+    YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and Q = P·H = −xᵀd, so that
+    Λ ← Λ + (lr/2)(Q + Qᵀ). Only the final d is formed as an n×p matrix.
+    g_m is first divided by max|g_m| (Λ in proportion), which keeps the
+    Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100),
+    Y is formed and msign_exact takes over for that iteration.
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
@@ -401,26 +404,29 @@ def manifold_muon_direction(
     gram_g = g.T @ g
     a = xm.T @ g
     b = xm.T @ xm
-    lr = inner_lr / scale
+    half_lr = 0.5 * inner_lr / scale
+    w, h = _gram_eigh(gram_g, polar_mode.iters)
+    g_spec = scale * math.sqrt(max(float(w[-1]), 0.0))
     lam = np.zeros_like(b)
-    for _ in range(inner_iters):
-        lam_a = lam @ a
-        h = polar_mode.gram_factor(gram_g + lam_a.T + lam_a + lam @ b @ lam)
+    p_lam = a
+    for k in range(inner_iters):
+        if k:
+            p_lam = a + b @ lam
+            h = polar_mode.gram_factor(gram_g + (lam @ a).T + lam @ p_lam)
         if h is None:
-            d = -msign_exact(g + xm @ lam)
-            xtd = xm.T @ d
+            msign_y = msign_exact(g + xm @ lam if k else g)
+            q = xm.T @ msign_y
         else:
-            xtd = -(a + b @ lam) @ h
-        lam_d, lam = lam, lam - lr * sym_unchecked(xtd)
+            q = p_lam @ h
+        lam_d, lam = lam, lam + half_lr * (q + q.T)
 
-    tangency = sym_unchecked(xtd)
-    raw_tangency = float(np.linalg.norm(tangency))
+    neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
+    raw_tangency = float(np.linalg.norm(neg_tangency))
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
-    d = d - xm @ tangency if h is None else -(g @ h) - xm @ (lam_d @ h + tangency)
+    d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam_d @ h - neg_tangency)
     d = d / max(1.0, _spectral_norm_of_gram(d.T @ d))
 
     g_fro = scale * math.sqrt(float(np.trace(gram_g)))
-    g_spec = scale * _spectral_norm_of_gram(gram_g)
     target = -(g_fro**2) / g_spec
     value = scale * frob_inner(g, d)
     if value <= target + quality_tol * g_fro:

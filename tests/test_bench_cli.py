@@ -144,6 +144,34 @@ class TestConfigParsing:
         assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("key", ["n", "p", "d"])
+    def test_missing_instance_key_rejected(self, tmp_path, capsys, key):
+        path = tiny_config(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace(f"\n{key} = ", f"\n# {key} = ", 1))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert f"[instance] has no key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["data_seed", "init_seed"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, key):
+        path = tiny_config(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace(f"\n{key} = ", f"\n{key} = -1\n# ", 1))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert f"{key} must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_colliding_labels_rejected(self, tmp_path):
+        # "a b" and "a_b" both sanitize to a_b: one run's CSVs would overwrite
+        # the other's and the summary would merge them
+        path = tmp_path / "collide.ini"
+        path.write_text(
+            "[instance]\nn = 10\np = 2\nd = 30\n\n[run]\nsteps = 3\n"
+            "[method:a b]\nkind = rgd\nschedule = constant:0.01\n"
+            "[method:a_b]\nkind = rgd\nschedule = constant:0.01\n"
+        )
+        with pytest.raises(ConfigurationError, match=r"\[method:a b\] and \[method:a_b\]"):
+            load_config(path)
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MCSD_OUTPUT_DIR", str(tmp_path / "elsewhere"))
         cfg = load_config(tiny_config(tmp_path))

@@ -10,6 +10,9 @@ that converge to zero).
 A change that moves the bits on purpose re-pins the golden:
 
     PYTHONPATH=src python tests/test_golden_trace.py --repin
+
+which prints, per CSV, |Δ| of each final-row column against the old pin
+before it overwrites it.
 """
 
 from __future__ import annotations
@@ -96,10 +99,32 @@ def test_default_trace_matches_golden():
                                    err_msg=name)
 
 
+def final_row_deltas(old: dict[str, list[float]], new: dict[str, list[float]]) -> dict[str, list[float]]:
+    """Per CSV in both pins, |new − old| of each final-row column."""
+    return {name: [abs(a - b) for a, b in zip(row, old[name])] for name, row in new.items() if name in old}
+
+
+def test_final_row_deltas_compare_each_column_of_csvs_in_both_pins():
+    old = {"a.csv": [0.0, 1.0, 2.0], "b.csv": [1.0, 1.0, 1.0]}
+    new = {"a.csv": [0.0, 1.5, 1.75], "c.csv": [1.0, 1.0, 1.0]}
+    assert final_row_deltas(old, new) == {"a.csv": [0.0, 0.5, 0.25]}
+
+
 def repin() -> None:
+    """Re-pin the golden, first printing per CSV how far each final-row
+    column moved from the old pin, and the largest move per column."""
+    old = json.loads(GOLDEN.read_text())["final_rows"] if GOLDEN.is_file() else {}
     with tempfile.TemporaryDirectory() as tmp:
         run_default_bench(Path(tmp))
         sha, finals = trace_digest(Path(tmp))
+        columns = stripped_rows(next(Path(tmp).glob("*.csv")))[0]
+    deltas = final_row_deltas(old, finals)
+    for name in finals:
+        moved = ", ".join(f"{c} {d:.2g}" for c, d in zip(columns, deltas[name])) if name in deltas else "not pinned"
+        print(f"{name}: |Δ| {moved}")
+    if deltas:
+        worst = [max(col) for col in zip(*deltas.values())]
+        print("max |Δ|: " + ", ".join(f"{c} {d:.2g}" for c, d in zip(columns, worst)))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"stamp": environment_stamp(), "sha256": sha, "final_rows": finals}, indent=1) + "\n")
     print(f"pinned {sha} under {environment_stamp()}")

@@ -9,11 +9,13 @@ from mcsd import (
     NumericError,
     PolarMode,
     RankDeficiencyError,
+    frob_inner,
     msign_exact,
     msign_iterative,
     svd,
     sym,
 )
+from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK
 from tests.conftest import haar
 
 def direct_polar_iteration(y, iters=8):
@@ -27,6 +29,56 @@ def direct_polar_iteration(y, iters=8):
     for _ in range(iters):
         x = 1.5 * x + x @ (-0.5 * (x.T @ x))
     return x.T if transposed else x
+
+
+def reference_gram_factor(gram, h):
+    """V·diag(h(w))·Vᵀ for the eigendecomposition of `gram`, or None when h
+    declines: the polar kernel as a composition of a scalar map h."""
+    w, v = np.linalg.eigh(gram)
+    mult = h(w)
+    return None if mult is None else (v * mult) @ v.T
+
+
+def reference_inverse_sqrt(w):
+    return None if w[0] <= GRAM_EIG_RATIO * w[-1] else w**-0.5
+
+
+def reference_newton_schulz(iters):
+    """h for `iters` cubic Newton-Schulz steps, all eigenvalues per step."""
+
+    def h(w):
+        w = np.maximum(w, 0.0)
+        mult0 = 1.0 / (1.01 * np.sqrt(float(np.sum(w))))
+        us = (w * (mult0 * mult0)).tolist()
+        mults = [mult0] * len(us)
+        for _ in range(iters):
+            for i, u in enumerate(us):
+                f = 1.5 - 0.5 * u
+                mults[i] *= f
+                us[i] = u * f * f
+        return np.array(mults)
+
+    return h
+
+
+def reference_gram_polar(y, h):
+    scale = np.abs(y).max()
+    transposed = y.shape[0] < y.shape[1]
+    x = (y.T if transposed else y) / scale
+    f = reference_gram_factor(x.T @ x, h)
+    if f is None:
+        return None
+    return (x @ f).T if transposed else x @ f
+
+
+def reference_msign_exact(y):
+    short = min(y.shape)
+    if max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
+        out = reference_gram_polar(y, reference_inverse_sqrt)
+        if out is not None:
+            return out
+    u, _, vt = np.linalg.svd(y, full_matrices=False)
+    return u @ vt
 
 
 def with_spectrum(n, sigma, seed):
@@ -207,6 +259,51 @@ class TestSpectralEvaluation:
     def test_wide_matches_direct_iteration(self, rng):
         y = rng.standard_normal((3, 50))
         assert np.linalg.norm(msign_iterative(y) - direct_polar_iteration(y)) <= 1e-12
+
+
+class TestAgainstComposedKernel:
+    """The polar routes apply their eigenvalue map in one helper; the result
+    must be the composed kernel's, bit for bit."""
+
+    SHAPES = [(200, 5), (1000, 50), (5, 5), (12, 1)]
+
+    @staticmethod
+    def spectrum_input(shape, kappa):
+        n, p = shape
+        return with_spectrum(n, np.geomspace(kappa, 1.0, p), seed=n + p)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kappa", [1.5, 1e2])
+    @pytest.mark.parametrize("iters", [1, 3, 8])
+    def test_iterative(self, shape, kappa, iters):
+        y = self.spectrum_input(shape, kappa)
+        assert np.array_equal(msign_iterative(y, iters), reference_gram_polar(y, reference_newton_schulz(iters)))
+        x = y / np.abs(y).max()
+        ref = reference_gram_factor(x.T @ x, reference_newton_schulz(iters))
+        assert np.array_equal(PolarMode(iters).gram_factor(x.T @ x), ref)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kappa", [1.5, 1e2])
+    def test_exact(self, shape, kappa):
+        y = self.spectrum_input(shape, kappa)
+        assert np.array_equal(msign_exact(y), reference_msign_exact(y))
+        x = y / np.abs(y).max()
+        ref = reference_gram_factor(x.T @ x, reference_inverse_sqrt)
+        factor = EXACT.gram_factor(x.T @ x)
+        assert (factor is None and ref is None) or np.array_equal(factor, ref)
+
+
+class TestFrobInner:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "mixed"])
+    def test_matches_tensordot_bit_for_bit(self, layout, rng):
+        a, b = rng.standard_normal((2, 400, 10))
+        if layout == "F":
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        elif layout == "strided":
+            a, b = a[::2, ::2], b[1::2, 1::2]
+        elif layout == "mixed":
+            b = np.asfortranarray(b)
+        assert frob_inner(a, b) == float(np.tensordot(a, b, axes=2))
 
 
 class TestPolarMode:

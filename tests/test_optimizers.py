@@ -392,6 +392,26 @@ class TestManifoldMuonGramEquivalence:
         with pytest.raises(RankDeficiencyError):
             manifold_muon_direction(haar(20, 3, seed=13), np.zeros((20, 3)), 10, 0.1)
 
+    @pytest.mark.parametrize("mode", MODES, ids=["exact", "iterative"])
+    @pytest.mark.parametrize("inner_iters", [1, 10])
+    def test_one_eigh_per_inner_iteration(self, mode, inner_iters, monkeypatch):
+        # ‖g‖₂ comes from the first iteration's eigenvalues; the only other
+        # eigen call is the final clip's
+        x = haar(200, 5, seed=14)
+        g = tangent_gradient(x, np.random.default_rng(15))
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(a, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(a)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        res = manifold_muon_direction(x, g, inner_iters, 0.1, polar_mode=mode)
+        assert not res.fallback
+        assert calls == {"eigh": inner_iters, "eigvalsh": 1}
+
 
 class TestManifoldMuonStep:
     def test_zero_gradient_holds(self):
