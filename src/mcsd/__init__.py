@@ -41,10 +41,8 @@ from .objectives import (
     Objective,
     SmoothnessConstants,
     brockett_grad,
-    brockett_value,
     make_brockett,
     smoothness_constants,
-    stochastic_grad,
     subspace_error,
 )
 from .optimizers import (

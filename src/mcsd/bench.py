@@ -117,12 +117,12 @@ class RunResult:
         return self.records[-1].elapsed_s
 
 
-def default_pca_config(output_dir, n: int = 200) -> BenchConfig:
+def default_pca_config(output_dir) -> BenchConfig:
     """The stock comparison: RGD at its grid-searched constant step against
     the spectral method and Manifold Muon under the shared decay schedule."""
     decay = periodic_decay_schedule(0.1, 0.5, 30)
     return BenchConfig(
-        n=n, p=5, d=1000, data_seed=7,
+        n=200, p=5, d=1000, data_seed=7,
         methods=(
             MethodSpec("rgd", Rgd(), constant_schedule(0.001)),
             MethodSpec("spel", Mcsd(norm=NormKind.SPECTRAL), decay),
@@ -174,7 +174,10 @@ def load_config(path) -> BenchConfig:
                 f"sections [{section_of[label]}] and [{section}] both write output label {label!r}"
             )
         section_of[label] = section
-        methods.append(_parse_method(label, parser[section]))
+        try:
+            methods.append(_parse_method(label, parser[section]))
+        except (ConfigurationError, ValueError) as exc:
+            raise ConfigurationError(f"[{section}] {exc}") from exc
     if not methods:
         raise ConfigurationError(f"config {path} defines no [method:...] sections")
 
@@ -230,7 +233,7 @@ def _parse_schedule(text: str) -> StepSchedule:
             return constant_schedule(float(args[0]))
         if head == "periodic_decay":
             return periodic_decay_schedule(float(args[0]), float(args[1]), int(args[2]))
-    except ValueError as exc:
+    except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"invalid schedule {text!r}: {exc}") from exc
     raise ConfigurationError(
         f"unknown schedule {text!r} (config files accept 'constant:a' or 'periodic_decay:a0,factor,period')"
@@ -244,7 +247,7 @@ def _parse_noise(text: str) -> NoiseConfig:
             return NoiseConfig.additive_gaussian(float(tail))
         if head == "minibatch":
             return NoiseConfig.minibatch(int(tail))
-    except ValueError as exc:
+    except (ConfigurationError, ValueError) as exc:
         raise ConfigurationError(f"invalid noise {text!r}: {exc}") from exc
     raise ConfigurationError(f"unknown noise {text!r} (use 'gaussian:<sigma>' or 'minibatch:<size>')")
 
@@ -268,7 +271,7 @@ def _parse_method(label: str, section) -> MethodSpec:
             inner_lr=section.getfloat("inner_lr", 0.1),
         )
     else:
-        raise ConfigurationError(f"method {label!r} has unknown kind {kind!r}")
+        raise ConfigurationError(f"unknown kind {kind!r}")
     return MethodSpec(label, method, schedule)
 
 
@@ -384,7 +387,7 @@ def _bench(cfg: BenchConfig, reduce, prefix: str = "") -> dict:
     if series:
         write_chart(
             cfg.output_dir / chart.file, series,
-            title=chart.title, x_label="iteration", y_label=chart.y_label, log_y=True,
+            title=chart.title, x_label="iteration", y_label=chart.y_label,
         )
     _write_summary(cfg.output_dir, summary)
     return summary
@@ -439,13 +442,18 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
     """Constant-step sweep of RGD from a shared initial point.
 
     Emits one CSV per step size, a combined chart, and a summary flagging
-    the step size with the lowest final subspace error.
+    the step size with the lowest final subspace error. Step sizes that
+    print alike (0.001 and 1e-3) would share a CSV and are rejected.
     """
     if not step_sizes:
         raise ConfigurationError("step-size sweep needs at least one value")
-    sweep_methods = tuple(
-        MethodSpec(f"rgd_{alpha:g}", Rgd(), constant_schedule(alpha)) for alpha in step_sizes
-    )
+    alpha_of: dict[str, float] = {}
+    for alpha in step_sizes:
+        label = f"rgd_{alpha:g}"
+        if label in alpha_of:
+            raise ConfigurationError(f"step sizes {alpha_of[label]!r} and {alpha!r} both write output label {label!r}")
+        alpha_of[label] = alpha
+    sweep_methods = tuple(MethodSpec(label, Rgd(), constant_schedule(alpha)) for label, alpha in alpha_of.items())
 
     def reduce(results, stats):
         finals = {
@@ -555,8 +563,8 @@ def run_verify(level: str = "fast") -> list[BoundReport]:
     return reports
 
 
-def _stochastic_rate_report(inst, manifold, lipschitz, norm_equiv, seeds: int = 20, horizon: int = 400):
-    sigma = 1.0
+def _stochastic_rate_report(inst, manifold, lipschitz, norm_equiv):
+    seeds, horizon, sigma = 20, 400, 1.0
     noise = NoiseConfig.additive_gaussian(sigma / np.sqrt(inst.n * inst.p))
     x0 = random_point(manifold, np.random.default_rng(105))
     gap = gap_with_headroom(inst, x0.x)

@@ -21,5 +21,5 @@ class ZeroGradient(Exception):
     """Signal raised by the LMO when its input is numerically zero.
 
     At zero every unit-ball element is optimal, so there is no canonical
-    direction. Optimizers catch this and hold position (converged).
+    direction. Optimizers catch this and hold position.
     """

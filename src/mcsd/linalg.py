@@ -115,7 +115,7 @@ def spectral_norm(a) -> float:
 
 
 def _gram_polar(y: np.ndarray, iters: int | None) -> np.ndarray | None:
-    """x·H for the p×p factor H that _gram_eigh builds from xᵀx.
+    """x·H for the p×p factor H that gram_polar_factor builds from xᵀx.
 
     x is y divided by max|y|, so that xᵀx neither overflows nor underflows,
     and transposed when y is wide, so that xᵀx is the smaller Gram matrix.
@@ -127,20 +127,22 @@ def _gram_polar(y: np.ndarray, iters: int | None) -> np.ndarray | None:
         raise RankDeficiencyError("zero matrix has no polar factor")
     transposed = y.shape[0] < y.shape[1]
     x = (y.T if transposed else y) / scale
-    f = _gram_eigh(x.T @ x, iters)[1]
+    f = gram_polar_factor(x.T @ x, iters)[1]
     if f is None:
         return None
     out = x @ f
     return out.T if transposed else out
 
 
-def _gram_eigh(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ascending eigenvalues w of `gram` = V·diag(w)·Vᵀ, and the polar
-    factor V·diag(m)·Vᵀ for the multipliers m of the route.
+def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ascending eigenvalues w of `gram` = yᵀy = V·diag(w)·Vᵀ, and the
+    p×p factor H = V·diag(m)·Vᵀ with msign(y) ≈ y·H, from gram alone.
 
-    Exact (iters None): m = w^(-1/2), and the factor is None when
-    w_min ≤ GRAM_EIG_RATIO·w_max (κ ≥ 100). Iterative: the `iters`-step
-    Newton-Schulz multipliers.
+    Exact (iters None): m = w^(-1/2), and H is None when
+    w_min ≤ GRAM_EIG_RATIO·w_max (κ(y) ≥ 100), where the caller has to form
+    y and call msign_exact. Iterative: the `iters`-step Newton-Schulz
+    multipliers, as in msign_iterative. The caller scales y so that gram
+    neither overflows nor underflows.
     """
     try:
         w, v = np.linalg.eigh(gram)
@@ -236,16 +238,6 @@ class PolarMode:
         if self.iters is None:
             return msign_exact(y)
         return msign_iterative(y, self.iters)
-
-    def gram_factor(self, gram: np.ndarray) -> np.ndarray | None:
-        """The p×p factor H with apply(y) ≈ y·H, from gram = yᵀy alone (y tall).
-
-        Exact: H = gram^(-1/2), or None when κ(y) ≥ 100, where the caller
-        has to form y and call apply. Iterative: the k-step Newton-Schulz
-        polynomial in gram, as in msign_iterative.
-        The caller scales y so that gram neither overflows nor underflows.
-        """
-        return _gram_eigh(gram, self.iters)[1]
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"

@@ -10,7 +10,7 @@ decreasing eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .linalg import as_2d, as_matrix, frob_inner, sym
 from .manifolds import StiefelManifold, StiefelPoint
-
-EIGENGAP_WARN_FACTOR = 1e-8
 
 
 @runtime_checkable
@@ -44,8 +42,8 @@ class NoiseConfig:
 
     @classmethod
     def additive_gaussian(cls, sigma_entry: float) -> "NoiseConfig":
-        if sigma_entry < 0:
-            raise ConfigurationError("sigma_entry must be nonnegative")
+        if not (0 <= sigma_entry < math.inf):
+            raise ConfigurationError(f"sigma_entry must be finite and nonnegative, got {sigma_entry}")
         return cls(kind="gaussian", sigma_entry=sigma_entry)
 
     @classmethod
@@ -87,10 +85,11 @@ class BrockettInstance:
     dmat: np.ndarray  # diagonal weights, decreasing
     w_star: StiefelPoint
     eigenvalues: np.ndarray  # full spectrum of c, descending
-    warnings: tuple[str, ...] = field(default=())
 
     def value(self, x: np.ndarray) -> float:
-        return brockett_value(self, x)
+        """−½ tr(xᵀ C x D)."""
+        x = as_matrix(x, "objective input")
+        return _value_from_grad(brockett_grad(self, x), x)
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray:
         return brockett_grad(self, x)
@@ -101,8 +100,30 @@ class BrockettInstance:
         g = self.euclid_grad(x)
         return _value_from_grad(g, x), g
 
-    def stochastic_grad(self, x, rng, noise_cfg: NoiseConfig) -> np.ndarray:
-        return stochastic_grad(self, x, rng, noise_cfg)
+    def stochastic_grad(self, x, rng: np.random.Generator, noise_cfg: NoiseConfig) -> np.ndarray:
+        """Unbiased stochastic estimate of the Euclidean gradient.
+
+        Gaussian: exact gradient plus iid N(0, sigma_entry²) entries.
+        Minibatch: the gradient of the objective restricted to a uniform
+        column sample, rescaled by d/batch so its expectation is the full
+        gradient.
+        """
+        x = as_matrix(x, "gradient input")
+        if noise_cfg.kind == "gaussian":
+            g = brockett_grad(self, x)
+            if noise_cfg.sigma_entry > 0.0:
+                g = g + noise_cfg.sigma_entry * rng.standard_normal(x.shape)
+            return g
+        if noise_cfg.kind == "minibatch":
+            batch = noise_cfg.batch_size
+            if not (1 <= batch <= self.d):
+                raise ConfigurationError(f"batch_size {batch} outside [1, {self.d}]")
+            if batch == self.d:
+                return brockett_grad(self, x)
+            idx = rng.choice(self.d, size=batch, replace=False)
+            xb = self.samples[:, idx]
+            return -(self.d / batch) * (xb @ (xb.T @ x)) * self.dmat[None, :]
+        raise ConfigurationError(f"unknown noise kind {noise_cfg.kind!r}")
 
     def optimum_value(self) -> float:
         """f at the known minimizer, −½ Σ dᵢ λᵢ."""
@@ -114,8 +135,7 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
 
     Weights are (p, p−1, …, 1). The reference optimum holds the top-p
     eigenvectors of C with the sign of each column fixed so its
-    largest-magnitude entry is positive. A near-degenerate eigengap
-    λ_p − λ_{p+1} < 1e-8·λ_1 is recorded as a warning on the instance.
+    largest-magnitude entry is positive. The eigengap is not checked.
     """
     if not (1 <= p <= n <= d):
         raise ConfigurationError(f"need 1 <= p <= n <= d, got n={n}, p={p}, d={d}")
@@ -132,26 +152,13 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
         if evecs[j, k] < 0:
             evecs[:, k] = -evecs[:, k]
 
-    warnings: tuple[str, ...] = ()
-    if p < n and evals[p - 1] - evals[p] < EIGENGAP_WARN_FACTOR * evals[0]:
-        warnings = (
-            f"eigengap {evals[p - 1] - evals[p]:.3e} below {EIGENGAP_WARN_FACTOR:.0e}*lambda_1; "
-            "convergence to the reference subspace may be slow",
-        )
-
     manifold = StiefelManifold(n, p)
     w_star = StiefelPoint(evecs[:, :p], manifold)
     return BrockettInstance(
         n=n, p=p, d=d, data_seed=data_seed,
         samples=samples, c=c, dmat=dmat, w_star=w_star,
-        eigenvalues=evals, warnings=warnings,
+        eigenvalues=evals,
     )
-
-
-def brockett_value(inst: BrockettInstance, w) -> float:
-    """−½ tr(wᵀ C w D)."""
-    w = as_matrix(w, "objective input")
-    return _value_from_grad(brockett_grad(inst, w), w)
 
 
 def _value_from_grad(g: np.ndarray, w: np.ndarray) -> float:
@@ -203,27 +210,3 @@ def subspace_error(inst: BrockettInstance, w) -> float:
         raise ConfigurationError("subspace input contains non-finite entries")
     return err
 
-
-def stochastic_grad(inst: BrockettInstance, w, rng: np.random.Generator, noise_cfg: NoiseConfig) -> np.ndarray:
-    """Unbiased stochastic estimate of the Euclidean gradient.
-
-    Gaussian: exact gradient plus iid N(0, sigma_entry²) entries. Minibatch:
-    the gradient of the objective restricted to a uniform column sample,
-    rescaled by d/batch so its expectation is the full gradient.
-    """
-    w = as_matrix(w, "gradient input")
-    if noise_cfg.kind == "gaussian":
-        g = brockett_grad(inst, w)
-        if noise_cfg.sigma_entry > 0.0:
-            g = g + noise_cfg.sigma_entry * rng.standard_normal(w.shape)
-        return g
-    if noise_cfg.kind == "minibatch":
-        batch = noise_cfg.batch_size
-        if not (1 <= batch <= inst.d):
-            raise ConfigurationError(f"batch_size {batch} outside [1, {inst.d}]")
-        if batch == inst.d:
-            return brockett_grad(inst, w)
-        idx = rng.choice(inst.d, size=batch, replace=False)
-        xb = inst.samples[:, idx]
-        return -(inst.d / batch) * (xb @ (xb.T @ w)) * inst.dmat[None, :]
-    raise ConfigurationError(f"unknown noise kind {noise_cfg.kind!r}")

@@ -34,7 +34,7 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError, ZeroGradient
-from .linalg import EXACT, PolarMode, _gram_eigh, as_2d, frob_inner, max_abs, msign_exact, sym_unchecked
+from .linalg import EXACT, PolarMode, as_2d, frob_inner, gram_polar_factor, max_abs, msign_exact, sym_unchecked
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, project, tangent_component
 from .objectives import NoiseConfig
@@ -44,6 +44,10 @@ from .trace import TraceRecord
 # composed-smoothness constant is valid; bound-matching schedules cap their
 # steps at this value.
 STEP_RADIUS = 0.2
+
+# Manifold Muon's inner solve must beat the normalized gradient −g/‖g‖₂ by
+# ⟨g, d⟩ ≤ −‖g‖_F²/‖g‖₂ + MUON_QUALITY_TOL·‖g‖_F, or the step falls back to it.
+MUON_QUALITY_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -87,37 +91,33 @@ class StepSchedule:
 
 
 def constant_schedule(alpha: float) -> StepSchedule:
-    if alpha <= 0:
-        raise ConfigurationError("step size must be positive")
+    _require_positive(step_size=alpha)
     return StepSchedule(kind="constant", base=alpha)
 
 
 def periodic_decay_schedule(alpha0: float, factor: float, period: int) -> StepSchedule:
-    if alpha0 <= 0 or factor <= 0 or period < 1:
-        raise ConfigurationError("periodic decay needs alpha0 > 0, factor > 0, period >= 1")
+    _require_positive(alpha0=alpha0, factor=factor)
+    if period < 1:
+        raise ConfigurationError(f"period must be at least 1, got {period}")
     return StepSchedule(kind="periodic_decay", base=alpha0, factor=factor, period=period)
 
 
-def deterministic_bound_schedule(
-    gap: float, lipschitz: float, norm_equiv: float, horizon: int, radius: float = STEP_RADIUS
-) -> StepSchedule:
-    """Constant step sqrt(2Δ/(T·L·N²)), valid once T ≥ 2Δ/(r²LN²)."""
-    _require_positive(gap=gap, lipschitz=lipschitz, norm_equiv=norm_equiv, radius=radius)
-    t_min = 2.0 * gap / (radius**2 * lipschitz * norm_equiv**2)
+def deterministic_bound_schedule(gap: float, lipschitz: float, norm_equiv: float, horizon: int) -> StepSchedule:
+    """Constant step sqrt(2Δ/(T·L·N²)), valid once T ≥ 2Δ/(r²LN²) with r = STEP_RADIUS."""
+    _require_positive(gap=gap, lipschitz=lipschitz, norm_equiv=norm_equiv)
+    t_min = 2.0 * gap / (STEP_RADIUS**2 * lipschitz * norm_equiv**2)
     if horizon < t_min:
         raise ConfigurationError(
-            f"horizon T={horizon} below the minimum {t_min:.6g} required for the step to stay within {radius}"
+            f"horizon T={horizon} below the minimum {t_min:.6g} required for the step to stay within {STEP_RADIUS}"
         )
     alpha = math.sqrt(2.0 * gap / (horizon * lipschitz * norm_equiv**2))
     return StepSchedule(kind="deterministic_bound", base=alpha, horizon=horizon)
 
 
-def stochastic_bound_schedule(
-    gap: float, lipschitz: float, norm_equiv: float, horizon: int, radius: float = STEP_RADIUS
-) -> StepSchedule:
+def stochastic_bound_schedule(gap: float, lipschitz: float, norm_equiv: float, horizon: int) -> StepSchedule:
     """Constant step sqrt(2Δ/(L·N²·T·(8√T−7))) with β = 1 − T^(−1/2)."""
-    _require_positive(gap=gap, lipschitz=lipschitz, norm_equiv=norm_equiv, radius=radius)
-    t_min = max(4.0, (gap / (2.0 * lipschitz * norm_equiv**2 * radius**2)) ** (2.0 / 3.0))
+    _require_positive(gap=gap, lipschitz=lipschitz, norm_equiv=norm_equiv)
+    t_min = max(4.0, (gap / (2.0 * lipschitz * norm_equiv**2 * STEP_RADIUS**2)) ** (2.0 / 3.0))
     if horizon < t_min:
         raise ConfigurationError(
             f"horizon T={horizon} below the minimum {t_min:.6g} required by the stochastic step rule"
@@ -128,9 +128,10 @@ def stochastic_bound_schedule(
 
 
 def _require_positive(**named) -> None:
+    """Each value must be finite and > 0; NaN fails both tests."""
     for name, value in named.items():
-        if value <= 0:
-            raise ConfigurationError(f"{name} must be positive, got {value}")
+        if not (0 < value < math.inf):
+            raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +153,10 @@ class Mcsd:
     norm: NormKind = NormKind.SPECTRAL
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
-        """LMO(∇_M f(x)); a zero gradient holds and marks the run converged."""
+        """LMO(∇_M f(x)); a zero gradient holds."""
         try:
             return lmo(self.norm, _true_grad(run, objective), run.polar_mode), 0, False
         except ZeroGradient:
-            run.converged = True
             return None, 0, False
 
 
@@ -205,22 +205,18 @@ class ManifoldMuon:
     uses_true_gradient: ClassVar[bool] = True
     inner_iters: int = 10
     inner_lr: float = 0.1
-    quality_tol: float = 1e-3
 
     def __post_init__(self):
         if self.inner_iters < 1:
             raise ConfigurationError("inner_iters must be at least 1")
-        if self.inner_lr <= 0 or self.quality_tol <= 0:
-            raise ConfigurationError("inner_lr and quality_tol must be positive")
+        _require_positive(inner_lr=self.inner_lr)
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
-        """d from the tangent-constrained inner solver; a zero gradient holds
-        and marks the run converged."""
+        """d from the tangent-constrained inner solver; a zero gradient holds."""
         g = _true_grad(run, objective)
         if float(np.linalg.norm(g)) <= zero_tolerance(*g.shape):
-            run.converged = True
             return None, self.inner_iters, False
-        result = manifold_muon_direction(run.x, g, self.inner_iters, self.inner_lr, self.quality_tol, run.polar_mode)
+        result = manifold_muon_direction(run.x, g, self.inner_iters, self.inner_lr, run.polar_mode)
         if result.fallback:
             run.fallback_count += 1
             _warnings.warn(
@@ -268,10 +264,9 @@ class OptimizerRun:
     x: StiefelPoint
     rng: np.random.Generator | None = None
     polar_mode: PolarMode = EXACT
-    momentum: np.ndarray | None = None
-    t: int = 0
-    converged: bool = False
-    fallback_count: int = 0
+    momentum: np.ndarray | None = field(default=None, init=False)
+    t: int = field(default=0, init=False)
+    fallback_count: int = field(default=0, init=False)
     evaluation: Evaluation | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -357,10 +352,8 @@ class MuonDirectionResult:
     """Outcome of the tangent-constrained LMO inner solve."""
 
     direction: np.ndarray
-    inner_iters: int
     fallback: bool
     raw_tangency: float  # ‖sym(xᵀd)‖_F before hard projection
-    quality_gap: float  # ⟨g, d⟩ − (−‖g‖_F²/‖g‖₂); ≤ quality_tol·‖g‖_F when accepted
 
 
 def manifold_muon_direction(
@@ -368,7 +361,6 @@ def manifold_muon_direction(
     g_m: np.ndarray,
     inner_iters: int,
     inner_lr: float,
-    quality_tol: float = 1e-3,
     polar_mode: PolarMode = EXACT,
 ) -> MuonDirectionResult:
     """Approximately minimize ⟨g_m, d⟩ over {‖d‖₂ ≤ 1} ∩ T_x.
@@ -377,11 +369,11 @@ def manifold_muon_direction(
     d ← −msign(Y) with Y = g_m + xΛ, Λ ← Λ − lr·sym(xᵀd). The final d is
     then hard-projected (tangent projection followed by a spectral-norm
     clip) so the returned direction is always feasible. It must beat the
-    always feasible direction −g_m/‖g_m‖₂ up to quality_tol·‖g_m‖_F;
+    always feasible direction −g_m/‖g_m‖₂ up to MUON_QUALITY_TOL·‖g_m‖_F;
     otherwise that fallback is returned and flagged.
 
     The ascent runs on p×p matrices. msign(Y) = Y·H for the p×p factor H
-    that polar_mode computes from YᵀY alone. The first iteration runs at
+    that gram_polar_factor computes from YᵀY alone. The first iteration runs at
     Λ = 0, where YᵀY = g_mᵀg_m and xᵀd = −A·H with A = xᵀg_m; its
     eigenvalues also give ‖g_m‖₂. Each later iteration forms
     P = A + BΛ once, with B = xᵀx, and uses it twice:
@@ -405,14 +397,14 @@ def manifold_muon_direction(
     a = xm.T @ g
     b = xm.T @ xm
     half_lr = 0.5 * inner_lr / scale
-    w, h = _gram_eigh(gram_g, polar_mode.iters)
+    w, h = gram_polar_factor(gram_g, polar_mode.iters)
     g_spec = scale * math.sqrt(max(float(w[-1]), 0.0))
     lam = np.zeros_like(b)
     p_lam = a
     for k in range(inner_iters):
         if k:
             p_lam = a + b @ lam
-            h = polar_mode.gram_factor(gram_g + (lam @ a).T + lam @ p_lam)
+            h = gram_polar_factor(gram_g + (lam @ a).T + lam @ p_lam, polar_mode.iters)[1]
         if h is None:
             msign_y = msign_exact(g + xm @ lam if k else g)
             q = xm.T @ msign_y
@@ -429,10 +421,9 @@ def manifold_muon_direction(
     g_fro = scale * math.sqrt(float(np.trace(gram_g)))
     target = -(g_fro**2) / g_spec
     value = scale * frob_inner(g, d)
-    if value <= target + quality_tol * g_fro:
-        return MuonDirectionResult(d, inner_iters, False, raw_tangency, value - target)
-    fallback = -g_m / g_spec
-    return MuonDirectionResult(fallback, inner_iters, True, raw_tangency, 0.0)
+    if value <= target + MUON_QUALITY_TOL * g_fro:
+        return MuonDirectionResult(d, False, raw_tangency)
+    return MuonDirectionResult(-g_m / g_spec, True, raw_tangency)
 
 
 def _spectral_norm_of_gram(gram: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Self-contained SVG line charts: axes, optional log-y scale, legend.
+"""Self-contained SVG line charts: axes, log-y scale, legend.
 
 Deliberately dependency-free; output is deterministic for fixed input.
 """
@@ -17,6 +17,12 @@ MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
 
+# Every chart is WIDTH×HEIGHT pixels with a log-10 y axis (points with
+# y ≤ 0 are dropped) and X_TICKS evenly spaced x ticks.
+WIDTH = 760
+HEIGHT = 480
+X_TICKS = 6
+
 
 @dataclass(frozen=True)
 class Series:
@@ -30,21 +36,18 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    log_y: bool = False,
-    width: int = 760,
-    height: int = 480,
 ) -> str:
     """Render the series as an SVG document string."""
     points = []
     for s in series:
         for x, y in zip(s.xs, s.ys):
-            if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0):
+            if math.isfinite(x) and math.isfinite(y) and y > 0:
                 points.append((x, y))
     if not points:
         raise ValueError("no drawable points")
 
     xs = [p[0] for p in points]
-    ys = [math.log10(p[1]) if log_y else p[1] for p in points]
+    ys = [math.log10(p[1]) for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -52,8 +55,8 @@ def line_chart(
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -62,13 +65,13 @@ def line_chart(
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>'
+            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{_esc(title)}</text>'
         )
 
     # Axes frame
@@ -77,7 +80,7 @@ def line_chart(
         f'fill="none" stroke="#333" stroke-width="1"/>'
     )
 
-    for y_val, label in _y_ticks(y_lo, y_hi, log_y):
+    for y_val, label in _y_ticks(y_lo, y_hi):
         yp = py(y_val)
         out.append(
             f'<line x1="{MARGIN_LEFT}" y1="{yp:.2f}" x2="{MARGIN_LEFT + plot_w}" y2="{yp:.2f}" '
@@ -98,7 +101,7 @@ def line_chart(
 
     if x_label:
         out.append(
-            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle">{_esc(x_label)}</text>'
+            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">{_esc(x_label)}</text>'
         )
     if y_label:
         yc = MARGIN_TOP + plot_h / 2
@@ -110,13 +113,8 @@ def line_chart(
         color = PALETTE[i % len(PALETTE)]
         coords = []
         for x, y in zip(s.xs, s.ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if log_y:
-                if y <= 0:
-                    continue
-                y = math.log10(y)
-            coords.append(f"{px(x):.2f},{py(y):.2f}")
+            if math.isfinite(x) and math.isfinite(y) and y > 0:
+                coords.append(f"{px(x):.2f},{py(math.log10(y)):.2f}")
         if coords:
             out.append(
                 f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -138,20 +136,18 @@ def write_chart(path, series: Sequence[Series], **kwargs) -> None:
     path.write_text(line_chart(series, **kwargs))
 
 
-def _linear_ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _linear_ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / (X_TICKS - 1)
+    return [lo + i * step for i in range(X_TICKS)]
 
 
-def _y_ticks(lo: float, hi: float, log_y: bool) -> list[tuple[float, str]]:
-    if log_y:
-        lo_exp = math.floor(lo)
-        hi_exp = math.ceil(hi)
-        span = hi_exp - lo_exp
-        stride = max(1, span // 6)
-        exps = list(range(lo_exp, hi_exp + 1, stride))
-        return [(float(e), f"1e{e:d}") for e in exps if lo <= e <= hi] or [(lo, f"1e{lo:.0f}")]
-    return [(v, f"{v:.4g}") for v in _linear_ticks(lo, hi)]
+def _y_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """Power-of-ten ticks over the log-10 range [lo, hi]."""
+    lo_exp = math.floor(lo)
+    hi_exp = math.ceil(hi)
+    stride = max(1, (hi_exp - lo_exp) // 6)
+    exps = range(lo_exp, hi_exp + 1, stride)
+    return [(float(e), f"1e{e:d}") for e in exps if lo <= e <= hi] or [(lo, f"1e{lo:.0f}")]
 
 
 def _esc(text: str) -> str:

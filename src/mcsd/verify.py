@@ -23,6 +23,13 @@ from .objectives import BrockettInstance, smoothness_constants
 from .optimizers import STEP_RADIUS, StepSchedule
 from .trace import TraceRecord
 
+# Slack on one evaluation of the per-step descent inequality, sampled
+# (check_descent_lemma) or read off a trace (audit_per_step_descent).
+DESCENT_SLACK = 1e-8
+
+# The brute-force LMO check allows the oracle LMO_NET_TOL·‖s‖_F above the
+# net minimum.
+LMO_NET_TOL = 1e-2
 
 @dataclass
 class BoundReport:
@@ -62,27 +69,18 @@ def gap_with_headroom(inst: BrockettInstance, x0: np.ndarray) -> float:
     return 1.1 * (inst.value(x0) - inst.optimum_value())
 
 
-def check_descent_lemma(
-    inst: BrockettInstance,
-    samples: int,
-    radius: float = STEP_RADIUS,
-    rng: np.random.Generator | None = None,
-    slack: float = 1e-8,
-) -> BoundReport:
+def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Generator) -> BoundReport:
     """Sample the per-step descent inequality of the projected update.
 
-    Draws Haar-random x and directions d with ‖d‖₂ uniform in (0, radius]
-    (Gaussian direction rescaled to a uniform spectral radius) and checks
-    f(P_M(x+d)) ≤ f(x) + ⟨∇_M f(x), d⟩ + (L/2)‖d‖_F² with the certified
-    composed-smoothness constant L. Reports the worst margin; a violation
-    beyond `slack` fails the report and carries the witness (x, d).
+    Draws Haar-random x and directions d with ‖d‖₂ uniform in
+    (0, STEP_RADIUS] (Gaussian direction rescaled to a uniform spectral
+    radius) and checks f(P_M(x+d)) ≤ f(x) + ⟨∇_M f(x), d⟩ + (L/2)‖d‖_F² with
+    the certified composed-smoothness constant L. Reports the worst margin;
+    a violation beyond DESCENT_SLACK fails the report and carries the
+    witness (x, d).
     """
-    if radius > STEP_RADIUS:
-        raise ConfigurationError(f"radius must not exceed {STEP_RADIUS}")
     if samples < 1:
         raise ConfigurationError("samples must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     manifold = StiefelManifold(inst.n, inst.p)
     lip = smoothness_constants(inst).composed_lipschitz
 
@@ -91,7 +89,7 @@ def check_descent_lemma(
     for k in range(samples):
         x = random_point(manifold, rng)
         g = rng.standard_normal((inst.n, inst.p))
-        rho = radius * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, radius]
+        rho = STEP_RADIUS * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, STEP_RADIUS]
         d = g * (rho / spectral_norm(g))
         lhs = inst.value(msign_exact(x.x + d))
         rhs = inst.value(x.x) + frob_inner(riemannian_grad(x, inst.euclid_grad(x.x)), d) + (
@@ -103,14 +101,14 @@ def check_descent_lemma(
             worst = (x.x, d, lhs, rhs, k)
 
     x_w, d_w, lhs_w, rhs_w, idx = worst
-    passed = worst_margin <= slack
+    passed = worst_margin <= DESCENT_SLACK
     return BoundReport(
         name="descent_lemma",
         lhs=lhs_w,
         rhs=rhs_w,
-        slack=slack,
+        slack=DESCENT_SLACK,
         passed=passed,
-        constants={"L": lip, "r": radius},
+        constants={"L": lip, "r": STEP_RADIUS},
         detail=f"worst margin {worst_margin:.3e} over {samples} samples (sample {idx})",
         witness=None if passed else (x_w, d_w),
     )
@@ -144,12 +142,7 @@ def audit_deterministic_bound(
     )
 
 
-def audit_per_step_descent(
-    records: list[TraceRecord],
-    lipschitz: float,
-    norm_equiv: float,
-    slack: float = 1e-8,
-) -> BoundReport:
+def audit_per_step_descent(records: list[TraceRecord], lipschitz: float, norm_equiv: float) -> BoundReport:
     """Worst single-step check of f(x_{t+1}) ≤ f(x_t) − α_t‖∇_M f‖_* + (L/2)α_t²N²."""
     _require_dual_norms(records)
     worst_margin = -math.inf
@@ -166,8 +159,8 @@ def audit_per_step_descent(
         name="per_step_descent",
         lhs=lhs_w,
         rhs=rhs_w,
-        slack=slack,
-        passed=worst_margin <= slack,
+        slack=DESCENT_SLACK,
+        passed=worst_margin <= DESCENT_SLACK,
         constants={"L": lipschitz, "N": norm_equiv},
         detail=f"worst step t={worst_t}, margin {worst_margin:.3e}",
     )
@@ -238,12 +231,11 @@ def brute_force_lmo_check(
     net_size: int,
     rng: np.random.Generator,
     inputs: int = 20,
-    tol_factor: float = 1e-2,
 ) -> BoundReport:
     """Cross-validate the LMO value against a random net of the unit ball.
 
     For each random input s, samples `net_size` unit-norm directions and
-    asserts ⟨s, lmo(s)⟩ ≤ net minimum + tol_factor·‖s‖_F. The net minimum is
+    asserts ⟨s, lmo(s)⟩ ≤ net minimum + LMO_NET_TOL·‖s‖_F. The net minimum is
     an upper bound on the true optimum, so this certifies the oracle is at
     least as good as brute force.
     """
@@ -260,7 +252,7 @@ def brute_force_lmo_check(
         direction = lmo(norm, s)
         oracle_value = frob_inner(s, direction)
         net_min = _net_minimum(norm, s, net_size, rng)
-        tol = tol_factor * s_fro
+        tol = LMO_NET_TOL * s_fro
         gap = oracle_value - net_min
         if gap > worst_gap:
             worst_gap = gap

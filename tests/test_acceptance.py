@@ -124,7 +124,7 @@ def test_criterion_3_deterministic_bound_audit(small_instance):
 
 def test_criterion_4_descent_lemma_sampling(small_instance):
     tic = time.perf_counter()
-    result = check_descent_lemma(small_instance, samples=1000, radius=0.2, rng=np.random.default_rng(99))
+    result = check_descent_lemma(small_instance, samples=1000, rng=np.random.default_rng(99))
     elapsed = time.perf_counter() - tic
     report(4, "descent lemma sampling", result.passed, result.detail, elapsed, 60.0)
 

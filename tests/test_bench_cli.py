@@ -172,6 +172,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=r"\[method:a b\] and \[method:a_b\]"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "body, key, value",
+        [
+            ("kind = manifold_muon\ninner_lr = nan\nschedule = constant:0.01", "inner_lr", "nan"),
+            ("kind = rgd\nschedule = constant:nan", "schedule", "nan"),
+            ("kind = rgd\nschedule = constant:inf", "schedule", "inf"),
+            ("kind = mcsd\nschedule = periodic_decay:0.1,nan,30", "schedule", "nan"),
+            ("kind = stochastic_mcsd\nnoise = gaussian:nan\nschedule = constant:0.01", "noise", "nan"),
+        ],
+        ids=["inner_lr", "constant_nan", "constant_inf", "periodic_decay_nan", "gaussian_nan"],
+    )
+    def test_non_finite_method_value_rejected(self, tmp_path, capsys, body, key, value):
+        # NaN passes a bare `<= 0` test: unchecked, a NaN inner_lr falls back
+        # on every step, a NaN sigma runs noiseless, and a non-finite step
+        # fails mid-run with an error that names no config key
+        path = tiny_config(tmp_path)
+        path.write_text(path.read_text() + f"\n[method:bad]\n{body}\n")
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: [method:bad] ")
+        assert key in err and value in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MCSD_OUTPUT_DIR", str(tmp_path / "elsewhere"))
         cfg = load_config(tiny_config(tmp_path))
@@ -348,6 +371,28 @@ class TestRgdSweep:
         cfg = load_config(tiny_config(tmp_path))
         with pytest.raises(ConfigurationError):
             run_rgd_sweep(cfg, [])
+
+    @pytest.mark.parametrize("steps", [["nan"], ["inf"], ["0.01", "nan"]])
+    def test_non_finite_step_rejected(self, tmp_path, capsys, steps):
+        path = tiny_config(tmp_path, repeats=1)
+        assert main(["rgd-sweep", str(path), "--steps", *steps]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: step_size must be finite and positive")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "steps, first, second",
+        [(["0.001", "1e-3"], "0.001", "0.001"), (["0.01", "0.01"], "0.01", "0.01"),
+         (["0.001", "0.0010000001"], "0.001", "0.0010000001")],
+    )
+    def test_colliding_labels_rejected(self, tmp_path, capsys, steps, first, second):
+        # both would write rgd_<alpha:g>_0.csv: one CSV overwritten and two
+        # finals in summary.json for a one-repeat sweep
+        path = tiny_config(tmp_path, repeats=1)
+        assert main(["rgd-sweep", str(path), "--steps", "0.1", *steps]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert f"step sizes {first} and {second} both write output label 'rgd_{float(first):g}'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOrthViolation:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -84,9 +85,23 @@ class TestSvgChart:
         assert svg.rstrip().endswith("</svg>")
 
     def test_log_scale_skips_nonpositive(self):
-        svg = line_chart([Series("a", [0, 1, 2], [1.0, 0.0, 0.01])], log_y=True)
+        svg = line_chart([Series("a", [0, 1, 2], [1.0, 0.0, 0.01])])
         assert "<polyline" in svg
         assert "1e" in svg  # power-of-ten tick labels
+
+    def test_bytes_pinned(self):
+        # every byte of a two-series chart of the kind the bench commands
+        # write: size, log-10 axis, ticks, legend and a dropped y = 0 point
+        series = [
+            Series("rgd", [0, 1, 2, 3], [1.0, 0.3, 0.05, 0.002]),
+            Series("spel", [0, 1, 2, 3], [1.0, 0.1, 1e-3, 0.0]),
+        ]
+        svg = line_chart(
+            series, title="Subspace error, St(200,5), d=1000", x_label="iteration", y_label="subspace error"
+        )
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "354f772e30540acb31ff0579cc76ebadbe0b8d36c79ac429fd3abe1e05d541d9"
+        )
 
     def test_deterministic(self):
         series = [Series("a", [0, 1], [3.0, 1.0])]

@@ -66,10 +66,6 @@ class TestDescentLemma:
         d = -0.01 * g / spectral_norm(g)
         assert small_instance.value(msign_exact(x.x + d)) < small_instance.value(x.x)
 
-    def test_radius_capped(self, small_instance):
-        with pytest.raises(ConfigurationError):
-            check_descent_lemma(small_instance, samples=10, radius=0.5)
-
     def test_reproducible(self, small_instance):
         a = check_descent_lemma(small_instance, samples=50, rng=np.random.default_rng(3))
         b = check_descent_lemma(small_instance, samples=50, rng=np.random.default_rng(3))
