@@ -19,7 +19,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-import os
 import statistics
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 from .linalg import EXACT, PolarMode
 from .lmo import NormKind, norm_equiv_constant
-from .manifolds import StiefelManifold, StiefelPoint, random_point
+from .manifolds import FEAS_TOL, StiefelManifold, StiefelPoint, random_point
 from .objectives import BrockettInstance, NoiseConfig, make_brockett, smoothness_constants, subspace_error
 from .optimizers import (
     ManifoldMuon,
@@ -57,9 +56,7 @@ from .verify import (
     gap_with_headroom,
 )
 
-ENV_OUTPUT_DIR = "MCSD_OUTPUT_DIR"
-
-ORTH_VIOLATION_LIMIT = 1e-6
+DEFAULT_OUTPUT_DIR = "bench-out"
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class BenchConfig:
     init_seed: int
     polar_mode: PolarMode
     output_dir: Path
-    repeats: int = 3
+    repeats: int
 
     def __post_init__(self):
         if self.steps < 0:
@@ -100,9 +97,12 @@ class RunResult:
     repeat: int
     init_hash: str
     records: list[TraceRecord]
-    aborted: bool = False
-    abort_message: str = ""
-    fallback_count: int = 0
+    abort_message: str  # empty for a finished run
+    fallback_count: int
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.abort_message)
 
     @property
     def initial_subspace_error(self) -> float:
@@ -144,135 +144,146 @@ def load_config(path) -> BenchConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # No header can name the empty default section, so [DEFAULT] is an
+    # ordinary section (rejected below) and no key is copied between sections.
+    parser = configparser.ConfigParser(default_section="")
     try:
         parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
-    try:
-        inst = parser["instance"]
-        run = parser["run"]
-        n, p, d = (_required_int(inst, key) for key in ("n", "p", "d"))
-        data_seed = inst.getint("data_seed", 7)
-        steps = run.getint("steps", 300)
-        init_seed = run.getint("init_seed", 11)
-        repeats = run.getint("repeats", 3)
-        polar_mode = _parse_polar_mode(run.get("polar_mode", "iterative:8"))
-        output_dir = Path(run.get("output_dir", "bench-out"))
-    except (KeyError, ValueError) as exc:
-        raise ConfigurationError(f"invalid config {path}: {exc}") from exc
+    for name in parser.sections():
+        if name not in ("instance", "run") and not name.startswith("method:"):
+            raise ConfigurationError(f"config {path}: unknown section [{name}] (use instance, run, method:<label>)")
+    for name in ("instance", "run"):
+        if not parser.has_section(name):
+            raise ConfigurationError(f"config {path} has no [{name}] section")
+    instance = _read(parser["instance"], _INSTANCE_KEYS)
+    run = _read(parser["run"], _RUN_KEYS)
 
     methods = []
     section_of: dict[str, str] = {}
     for section in parser.sections():
         if not section.startswith("method:"):
             continue
-        label = _sanitize_label(section.split(":", 1)[1])
+        label = _method_label(section)
         if label in section_of:
             raise ConfigurationError(
                 f"sections [{section_of[label]}] and [{section}] both write output label {label!r}"
             )
         section_of[label] = section
-        try:
-            methods.append(_parse_method(label, parser[section]))
-        except (ConfigurationError, ValueError) as exc:
-            raise ConfigurationError(f"[{section}] {exc}") from exc
+        methods.append(_parse_method(label, parser[section], instance["d"]))
     if not methods:
         raise ConfigurationError(f"config {path} defines no [method:...] sections")
-
-    env_dir = os.environ.get(ENV_OUTPUT_DIR)
-    if env_dir:
-        output_dir = Path(env_dir)
-
-    return BenchConfig(
-        n=n, p=p, d=d, data_seed=data_seed,
-        methods=tuple(methods), steps=steps, init_seed=init_seed,
-        polar_mode=polar_mode, output_dir=output_dir, repeats=repeats,
-    )
+    return BenchConfig(**instance, **run, methods=tuple(methods))
 
 
-def _required_int(section, key: str) -> int:
-    if key not in section:
-        raise ConfigurationError(f"[{section.name}] has no key {key!r}")
-    return section.getint(key)
+def _read(section, keys: dict) -> dict:
+    """Parse one config section by `keys`, a table of key -> (parser, default
+    text) in which a default of None marks a required key. A key outside the
+    table is rejected, and every error names the section and the key."""
+    values = {}
+    for key, (parse, default) in keys.items():
+        if default is None and key not in section:
+            raise ConfigurationError(f"[{section.name}] has no key {key!r}")
+        try:
+            values[key] = parse(section.get(key, default))
+        except (configparser.Error, ConfigurationError, ValueError) as exc:
+            text = section.get(key, default, raw=True)
+            raise ConfigurationError(f"[{section.name}] {key} = {text!r}: {exc}") from None
+    for key in section:
+        if key not in keys:
+            raise ConfigurationError(
+                f"[{section.name}] {key} = {section.get(key, raw=True)!r}: unknown key (use {', '.join(keys)})"
+            )
+    return values
 
 
-def _sanitize_label(label: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() or ch in "_-." else "_" for ch in label.strip())
+def _method_label(section: str) -> str:
+    """The output label of [method:<label>]: other characters than letters,
+    digits and _-. become _."""
+    cleaned = "".join(ch if ch.isalnum() or ch in "_-." else "_" for ch in section.split(":", 1)[1].strip())
     if not cleaned:
-        raise ConfigurationError("empty method label")
+        raise ConfigurationError(f"[{section}] gives an empty method label")
     return cleaned
 
 
 def _parse_polar_mode(text: str) -> PolarMode:
-    text = text.strip().lower()
+    text = text.lower()
     if text == "exact":
         return EXACT
     head, colon, iters = text.partition(":")
     if head == "iterative":
         return PolarMode(iters=int(iters) if colon else 8)
-    raise ConfigurationError(f"unknown polar_mode {text!r} (use 'exact', 'iterative' or 'iterative:<k>')")
+    raise ConfigurationError("unknown polar_mode (use 'exact', 'iterative' or 'iterative:<k>')")
 
 
 def _parse_norm(text: str) -> NormKind:
     try:
-        return NormKind(text.strip().lower())
+        return NormKind(text.lower())
     except ValueError:
-        raise ConfigurationError(f"unknown norm {text!r} (use 'frobenius' or 'spectral')") from None
+        raise ConfigurationError("unknown norm (use 'frobenius' or 'spectral')") from None
 
 
 def _parse_schedule(text: str) -> StepSchedule:
-    head, _, tail = text.strip().partition(":")
+    head, _, tail = text.partition(":")
     args = tail.split(",") if tail else []
     fields = {"constant": 1, "periodic_decay": 3}.get(head)
-    if fields is not None and len(args) != fields:
-        raise ConfigurationError(f"invalid schedule {text!r}: {head} takes {fields} field(s), got {len(args)}")
-    try:
-        if head == "constant":
-            return constant_schedule(float(args[0]))
-        if head == "periodic_decay":
-            return periodic_decay_schedule(float(args[0]), float(args[1]), int(args[2]))
-    except (ConfigurationError, ValueError) as exc:
-        raise ConfigurationError(f"invalid schedule {text!r}: {exc}") from exc
-    raise ConfigurationError(
-        f"unknown schedule {text!r} (config files accept 'constant:a' or 'periodic_decay:a0,factor,period')"
-    )
+    if fields is None:
+        raise ConfigurationError("unknown schedule (use 'constant:a' or 'periodic_decay:a0,factor,period')")
+    if len(args) != fields:
+        raise ConfigurationError(f"{head} takes {fields} field(s), got {len(args)}")
+    if head == "constant":
+        return constant_schedule(float(args[0]))
+    return periodic_decay_schedule(float(args[0]), float(args[1]), int(args[2]))
 
 
 def _parse_noise(text: str) -> NoiseConfig:
-    head, _, tail = text.strip().partition(":")
+    head, _, tail = text.partition(":")
+    if head == "gaussian":
+        return NoiseConfig.additive_gaussian(float(tail))
+    if head == "minibatch":
+        return NoiseConfig.minibatch(int(tail))
+    raise ConfigurationError("unknown noise (use 'gaussian:<sigma>' or 'minibatch:<size>')")
+
+
+def _parse_kind(text: str) -> str:
+    if text.lower() not in _METHOD_KINDS:
+        raise ConfigurationError(f"unknown kind (use {', '.join(_METHOD_KINDS)})")
+    return text.lower()
+
+
+# Key tables for _read: key -> (parser, default text), None for a required
+# key. Each key is the name of the field it sets.
+_INSTANCE_KEYS = {"n": (int, None), "p": (int, None), "d": (int, None), "data_seed": (int, "7")}
+_RUN_KEYS = {
+    "steps": (int, "300"),
+    "init_seed": (int, "11"),
+    "repeats": (int, "3"),
+    "polar_mode": (_parse_polar_mode, "iterative:8"),
+    "output_dir": (Path, DEFAULT_OUTPUT_DIR),
+}
+_NORM = {"norm": (_parse_norm, "spectral")}
+_METHOD_KINDS = {
+    "rgd": (Rgd, {}),
+    "mcsd": (Mcsd, _NORM),
+    "stochastic_mcsd": (StochasticMcsd, {**_NORM, "beta": (float, "0.9"), "noise": (_parse_noise, "gaussian:0.0")}),
+    "manifold_muon": (ManifoldMuon, {"inner_iters": (int, "10"), "inner_lr": (float, "0.1")}),
+}
+
+
+def _parse_method(label: str, section, d: int) -> MethodSpec:
+    """A [method:*] section: `kind` picks the class and the keys it takes."""
+    method_class, keys = _METHOD_KINDS.get(section.get("kind", "", raw=True).lower(), (None, {}))
+    values = _read(section, {"kind": (_parse_kind, None), "schedule": (_parse_schedule, None), **keys})
     try:
-        if head == "gaussian":
-            return NoiseConfig.additive_gaussian(float(tail))
-        if head == "minibatch":
-            return NoiseConfig.minibatch(int(tail))
-    except (ConfigurationError, ValueError) as exc:
-        raise ConfigurationError(f"invalid noise {text!r}: {exc}") from exc
-    raise ConfigurationError(f"unknown noise {text!r} (use 'gaussian:<sigma>' or 'minibatch:<size>')")
-
-
-def _parse_method(label: str, section) -> MethodSpec:
-    kind = section.get("kind", "").strip().lower()
-    schedule = _parse_schedule(section.get("schedule", ""))
-    if kind == "rgd":
-        method: Method = Rgd()
-    elif kind == "mcsd":
-        method = Mcsd(norm=_parse_norm(section.get("norm", "spectral")))
-    elif kind == "stochastic_mcsd":
-        method = StochasticMcsd(
-            norm=_parse_norm(section.get("norm", "spectral")),
-            beta=section.getfloat("beta", 0.9),
-            noise=_parse_noise(section.get("noise", "gaussian:0.0")),
-        )
-    elif kind == "manifold_muon":
-        method = ManifoldMuon(
-            inner_iters=section.getint("inner_iters", 10),
-            inner_lr=section.getfloat("inner_lr", 0.1),
-        )
-    else:
-        raise ConfigurationError(f"unknown kind {kind!r}")
-    return MethodSpec(label, method, schedule)
+        method = method_class(**{key: values[key] for key in keys})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{section.name}] {exc}") from None
+    batch = values["noise"].batch_size if "noise" in values else 0
+    if batch > d:
+        raise ConfigurationError(f"[{section.name}] noise = {section['noise']!r}: batch_size {batch} outside [1, {d}]")
+    return MethodSpec(label, method, values["schedule"])
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +321,10 @@ def _run_task(cfg: BenchConfig, inst: BrockettInstance, index: int, repeat: int,
         polar_mode=cfg.polar_mode,
     )
     try:
-        records = run_trace(run, inst, cfg.steps, subspace_fn=lambda w: subspace_error(inst, w))
+        records, message = run_trace(run, inst, cfg.steps, subspace_fn=lambda w: subspace_error(inst, w)), ""
     except NumericError as exc:
-        return RunResult(
-            label=spec.label, repeat=repeat, init_hash=got,
-            records=exc.records,
-            aborted=True, abort_message=f"method {spec.label!r}: {exc}",
-            fallback_count=run.fallback_count,
-        )
-    return RunResult(label=spec.label, repeat=repeat, init_hash=got, records=records,
-                     fallback_count=run.fallback_count)
+        records, message = exc.records, f"method {spec.label!r}: {exc}"
+    return RunResult(spec.label, repeat, got, records, message, run.fallback_count)
 
 
 def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
@@ -338,12 +343,10 @@ def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
 
 
 def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
-    by_label: dict[str, list[RunResult]] = {}
-    for res in results:
-        by_label.setdefault(res.label, []).append(res)
+    """Per-method figures; `results` are in (method, repeat) order."""
     stats = {}
     for spec in cfg.methods:
-        runs = sorted(by_label[spec.label], key=lambda r: r.repeat)
+        runs = [r for r in results if r.label == spec.label]
         finals = [r.final_subspace_error for r in runs if not r.aborted]
         walls = [r.step_wall_s for r in runs if not r.aborted]
         stats[spec.label] = {
@@ -457,17 +460,17 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
 
     def reduce(results, stats):
         finals = {
-            alpha: stats[f"rgd_{alpha:g}"]["final_subspace_error"][0]
-            for alpha in step_sizes
-            if stats[f"rgd_{alpha:g}"]["final_subspace_error"]
+            label: stats[label]["final_subspace_error"][0]
+            for label in alpha_of
+            if stats[label]["final_subspace_error"]
         }
         summary = {
             "instance": _instance(cfg),
             "steps": cfg.steps,
             "polar_mode": cfg.polar_mode.describe(),
             "step_sizes": list(step_sizes),
-            "final_subspace_error": {f"{a:g}": v for a, v in finals.items()},
-            "winner": min(finals, key=finals.get) if finals else None,
+            "final_subspace_error": {label.removeprefix("rgd_"): v for label, v in finals.items()},
+            "winner": alpha_of[min(finals, key=finals.get)] if finals else None,
             "note": "the stock comparison pins the RGD constant step at 1e-3",
             "methods": stats,
             "aborted": any(r.aborted for r in results),
@@ -481,31 +484,18 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
 def run_orth_violation(cfg: BenchConfig) -> dict:
     """Track the orthogonality violation of every method's iterates.
 
-    A breach is any violation above 1e-6 (including runs aborted by the
-    feasibility guard); the summary names the offending method and
-    iteration.
+    Every recorded iterate is certified within FEAS_TOL, and an iterate
+    beyond it aborts its run. So a breach is an aborted run, and its message
+    names the method and the iteration.
     """
 
     def reduce(results, stats):
-        breaches = []
-        max_violation = 0.0
-        for res in results:
-            for rec in res.records:
-                if rec.orth_violation > max_violation:
-                    max_violation = rec.orth_violation
-                if rec.orth_violation > ORTH_VIOLATION_LIMIT:
-                    breaches.append(
-                        f"method {res.label!r} repeat {res.repeat} iteration {rec.iter}: "
-                        f"violation {rec.orth_violation:.3e}"
-                    )
-            if res.aborted:
-                breaches.append(res.abort_message)
         summary = {
             "instance": _instance(cfg),
             "polar_mode": cfg.polar_mode.describe(),
-            "max_violation": max_violation,
-            "limit": ORTH_VIOLATION_LIMIT,
-            "breaches": breaches,
+            "max_violation": max((rec.orth_violation for res in results for rec in res.records), default=0.0),
+            "limit": FEAS_TOL,
+            "breaches": [res.abort_message for res in results if res.aborted],
             "methods": stats,
         }
         title = f"Orthogonality violation, polar mode {cfg.polar_mode.describe()}"

@@ -7,8 +7,8 @@ Subcommands: pca-bench, rgd-sweep, orth-violation, verify. Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench
@@ -49,16 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> bench.BenchConfig:
-    if args.config:
-        cfg = bench.load_config(args.config)
-    else:
-        out = os.environ.get(bench.ENV_OUTPUT_DIR, "bench-out")
-        cfg = bench.default_pca_config(out)
-    if getattr(args, "output_dir", None):
-        from dataclasses import replace
-
-        cfg = replace(cfg, output_dir=Path(args.output_dir))
-    return cfg
+    cfg = bench.load_config(args.config) if args.config else bench.default_pca_config(bench.DEFAULT_OUTPUT_DIR)
+    return replace(cfg, output_dir=Path(args.output_dir)) if args.output_dir else cfg
 
 
 def main(argv=None) -> int:
@@ -87,6 +79,14 @@ def _print_method_summary(summary) -> None:
             )
 
 
+def _report_fallbacks(summary) -> None:
+    """Print one `FALLBACK …` line to stderr per run with fallback steps."""
+    for label, st in summary["methods"].items():
+        for repeat, count in enumerate(st["fallback_count"]):
+            if count:
+                print(f"FALLBACK method {label!r} repeat {repeat}: {count} steps", file=sys.stderr)
+
+
 def _report_aborts(summary) -> bool:
     """Print one `ABORT …` line to stderr per aborted run; true if any."""
     for st in summary["methods"].values():
@@ -100,6 +100,7 @@ def _dispatch(args) -> int:
         cfg = _load_config(args)
         summary = bench.run_pca_bench(cfg)
         _print_method_summary(summary)
+        _report_fallbacks(summary)
         return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
 
     if args.command == "rgd-sweep":
@@ -114,6 +115,7 @@ def _dispatch(args) -> int:
     if args.command == "orth-violation":
         cfg = _load_config(args)
         summary = bench.run_orth_violation(cfg)
+        _report_fallbacks(summary)
         print(f"max orthogonality violation: {summary['max_violation']:.3e} (limit {summary['limit']:.0e})")
         if summary["breaches"]:
             for breach in summary["breaches"]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Union
 
@@ -219,12 +218,6 @@ class ManifoldMuon:
         result = manifold_muon_direction(run.x, g, self.inner_iters, self.inner_lr, run.polar_mode)
         if result.fallback:
             run.fallback_count += 1
-            _warnings.warn(
-                f"inner solver missed the direction-quality contract at iteration {run.t}; "
-                "using the normalized-gradient fallback",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return result.direction, self.inner_iters, result.fallback
 
 

@@ -195,10 +195,76 @@ class TestConfigParsing:
         assert key in err and value in err
         assert not (tmp_path / "out").exists()
 
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MCSD_OUTPUT_DIR", str(tmp_path / "elsewhere"))
-        cfg = load_config(tiny_config(tmp_path))
-        assert cfg.output_dir == tmp_path / "elsewhere"
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [
+            ("steps = 5", "steps = abc", "run", "steps"),
+            ("inner_iters = 10", "inner_iters = 1.5", "method:mm", "inner_iters"),
+            ("polar_mode = iterative:8", "polar_mode = iterative:x", "run", "polar_mode"),
+            ("steps = 5", "step = 7", "run", "step"),
+            ("inner_lr = 0.1", "inner_lrr = 0.5", "method:mm", "inner_lrr"),
+            ("[method:spel]", "[methods:spel]", "methods:spel", None),
+            ("[run]", "[DEFAULT]", "DEFAULT", None),
+            ("data_seed = 3", "data_seed = 3\nsteps = 9", "instance", "steps"),
+            ("kind = mcsd", "kind = sgd", "method:spel", "kind"),
+        ],
+        ids=["non_integer", "fractional_integer", "bad_polar_iters", "misspelled_run_key",
+             "misspelled_method_key", "unknown_section", "default_section", "key_in_wrong_section",
+             "unknown_kind"],
+    )
+    def test_bad_key_or_section_named(self, tmp_path, capsys, old, new, section, key):
+        # unchecked, each of these runs with a default in place of the intended
+        # value, or fails with a message that names no key
+        path = tiny_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"[{section}]" + (f" {key} = " if key else "") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section", ["instance", "run"])
+    def test_missing_section_named(self, tmp_path, capsys, section):
+        path = tiny_config(tmp_path)
+        blocks = path.read_text().split("\n[")
+        path.write_text("\n[".join(block for block in blocks if not block.startswith(f"{section}]")))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert f"has no [{section}] section" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("output_dir = ", "output_dir = 100%", "[run] output_dir = '100%"),
+            ("n = 20", "n = 20\xff", "cannot parse"),
+        ],
+        ids=["interpolation", "undecodable"],
+    )
+    def test_unreadable_value_is_config_error(self, tmp_path, capsys, old, new, message):
+        # configparser's own errors are configuration errors, not tracebacks
+        path = tiny_config(tmp_path)
+        path.write_bytes(path.read_text().replace(old, new, 1).encode("latin-1"))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_minibatch_larger_than_d_rejected_before_any_run(self, tmp_path, capsys):
+        path = tiny_config(tmp_path)
+        path.write_text(
+            path.read_text()
+            + "\n[method:sto]\nkind = stochastic_mcsd\nnoise = minibatch:100\nschedule = constant:0.01\n"
+        )
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "[method:sto] noise = 'minibatch:100': batch_size 100 outside [1, 50]" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_minibatch_of_d_runs(self, tmp_path):
+        path = tiny_config(tmp_path, repeats=1)
+        path.write_text(
+            path.read_text()
+            + "\n[method:sto]\nkind = stochastic_mcsd\nnoise = minibatch:50\nschedule = constant:0.01\n"
+        )
+        assert main(["pca-bench", str(path)]) == EXIT_OK
 
     def test_default_config_shape(self, tmp_path):
         cfg = default_pca_config(tmp_path)
@@ -208,8 +274,7 @@ class TestConfigParsing:
 
 
 class TestShippedConfig:
-    def test_default_ini_matches_built_in_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("MCSD_OUTPUT_DIR", raising=False)
+    def test_default_ini_matches_built_in_default(self, tmp_path):
         path = Path(__file__).resolve().parents[1] / "configs" / "pca_default.ini"
         assert replace(load_config(path), output_dir=tmp_path) == default_pca_config(tmp_path)
 
@@ -307,8 +372,7 @@ class TestPcaBench:
         cfg = load_config(tiny_config(tmp_path, steps=4))
         broken = replace(cfg.methods[2], method=ManifoldMuon(inner_iters=3, inner_lr=1e9))
         cfg = replace(cfg, methods=(*cfg.methods[:2], broken))
-        with pytest.warns(RuntimeWarning, match="fallback"):
-            summary = run_pca_bench(cfg)
+        summary = run_pca_bench(cfg)
         counts = {label: st["fallback_count"] for label, st in summary["methods"].items()}
         assert counts == {"rgd": [0, 0], "spel": [0, 0], "mm": [4, 4]}
         written = json.loads((cfg.output_dir / "summary.json").read_text())
@@ -406,6 +470,7 @@ class TestOrthViolation:
         cfg = load_config(tiny_config(tmp_path, steps=20, repeats=1, polar_mode="iterative:8"))
         summary = run_orth_violation(cfg)
         assert summary["max_violation"] <= 1e-6
+        assert summary["limit"] == 1e-8  # manifolds.FEAS_TOL, which certifies every recorded iterate
         assert summary["breaches"] == []
         assert (cfg.output_dir / "orth_violation.svg").is_file()
 
@@ -437,6 +502,15 @@ class TestCli:
     def test_orth_violation_breach_exit(self, tmp_path):
         cfg_path = tiny_config(tmp_path, steps=3, repeats=1, polar_mode="iterative:1")
         assert main(["orth-violation", str(cfg_path)]) == EXIT_CHECK_FAILURE
+
+    @pytest.mark.parametrize("command", ["pca-bench", "orth-violation"])
+    def test_fallback_line_per_run(self, tmp_path, capsys, command):
+        # an absurd inner step size makes every Manifold Muon step fall back
+        path = tiny_config(tmp_path, steps=4)
+        path.write_text(path.read_text().replace("inner_lr = 0.1", "inner_lr = 1e9"))
+        assert main([command, str(path)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["FALLBACK method 'mm' repeat 0: 4 steps", "FALLBACK method 'mm' repeat 1: 4 steps"]
 
     def test_orth_violation_clean_exit(self, tmp_path):
         cfg_path = tiny_config(tmp_path, steps=5, repeats=1)

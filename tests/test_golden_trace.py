@@ -53,8 +53,7 @@ def environment_stamp() -> str:
 
 
 def run_default_bench(out_dir: Path) -> None:
-    env = {k: v for k, v in os.environ.items() if k != "MCSD_OUTPUT_DIR"}
-    env.update(PINNED_ENV)
+    env = {**os.environ, **PINNED_ENV}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-m", "mcsd.cli", "pca-bench", "--output-dir", str(out_dir)],

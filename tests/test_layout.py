@@ -3,12 +3,21 @@
 A module of src/mcsd may import only public names from its siblings: an
 underscore name is private to the module that defines it, so a caller in
 another module makes it a second, undocumented entry point.
+
+The README's Constants table names module constants with their values; a
+row that names one must match the code.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mcsd"
+README = PACKAGE.parents[1] / "README.md"
+
+# | `NAME` | value | `module` | role |
+CONSTANT_ROW = re.compile(r"^\| `(\w+)` \| ([^|]+?) \| `(\w+)` \|", re.MULTILINE)
 
 
 def private_sibling_imports(source: str, filename: str) -> list[str]:
@@ -45,4 +54,49 @@ def test_the_scan_finds_private_imports():
         "m.py:2 imports _gram_polar from .linalg",
         "m.py:3 imports _helpers from .",
         "m.py:4 imports _SQ_MIN from mcsd.lmo",
+    ]
+
+
+def constant_rows(readme: str) -> list[tuple[str, str, str]]:
+    """(name, value, module) of each Constants-table row whose name and
+    module cells are backticked identifiers."""
+    table = readme.split("\n## Constants\n", 1)[1].split("\n## ", 1)[0]
+    return CONSTANT_ROW.findall(table)
+
+
+def stale_constant_rows(rows: list[tuple[str, str, str]]) -> list[str]:
+    """One line per row whose mcsd.<module>.<name> is missing or differs from
+    the listed value."""
+    stale = []
+    for name, value, module in rows:
+        try:
+            actual = getattr(importlib.import_module(f"mcsd.{module}"), name)
+        except (ImportError, AttributeError):
+            stale.append(f"mcsd.{module}.{name} does not exist (README: {value})")
+            continue
+        if actual != float(value):
+            stale.append(f"mcsd.{module}.{name} is {actual!r} (README: {value})")
+    return stale
+
+
+def test_readme_constants_match_the_code():
+    rows = constant_rows(README.read_text())
+    assert len(rows) >= 8
+    assert stale_constant_rows(rows) == []
+
+
+def test_the_constants_check_finds_stale_rows():
+    table = (
+        "intro\n\n## Constants\n\n| constant | value | module | role |\n|---|---|---|---|\n"
+        "| `FEAS_TOL` | 1e-8 | `manifolds` | certified |\n"
+        "| `ORTH_VIOLATION_LIMIT` | 1e-6 | `bench` | gone |\n"
+        "| `STEP_RADIUS` | 0.3 | `optimizers` | moved |\n"
+        "| zero tolerance | 1e-14 | `lmo.zero_tolerance` | not a constant |\n"
+        "\n## Next\n\n| `X` | 1 | `linalg` | outside the table |\n"
+    )
+    rows = constant_rows(table)
+    assert [name for name, _, _ in rows] == ["FEAS_TOL", "ORTH_VIOLATION_LIMIT", "STEP_RADIUS"]
+    assert stale_constant_rows(rows) == [
+        "mcsd.bench.ORTH_VIOLATION_LIMIT does not exist (README: 1e-6)",
+        "mcsd.optimizers.STEP_RADIUS is 0.2 (README: 0.3)",
     ]

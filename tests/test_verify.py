@@ -214,6 +214,23 @@ class TestBruteForceLmo:
         )
         assert report.passed
 
+    def test_spectral_net_beyond_2x2(self):
+        # a spectral net of any shape but 2x2 takes its norms from a batched SVD
+        report = brute_force_lmo_check(
+            NormKind.SPECTRAL, (3, 2), net_size=10**5, rng=np.random.default_rng(12), inputs=2
+        )
+        assert report.passed
+
+    def test_spectral_net_beyond_2x2_catches_a_shrunken_lmo(self, monkeypatch):
+        import mcsd.verify
+
+        exact = mcsd.verify.lmo
+        monkeypatch.setattr(mcsd.verify, "lmo", lambda norm, s: 0.1 * exact(norm, s))
+        report = brute_force_lmo_check(
+            NormKind.SPECTRAL, (3, 2), net_size=10**5, rng=np.random.default_rng(12), inputs=2
+        )
+        assert not report.passed
+
     def test_dims_capped(self):
         with pytest.raises(ConfigurationError):
             brute_force_lmo_check(NormKind.SPECTRAL, (4, 4), net_size=10**5, rng=np.random.default_rng(0))
