@@ -8,10 +8,9 @@ timings are comparable. The (method, repeat) grid runs in this process,
 one run after another. A run that fails numerically is recorded as aborted
 with the trace it reached, and the other runs go on.
 
-The three commands (pca-bench, rgd-sweep, orth-violation) share one
-pipeline: execute the runs, write one CSV per run, gather per-method
-statistics, and let the command's reducer build its summary and name the
-field it charts.
+The two commands (pca-bench, rgd-sweep) share one pipeline: execute the
+runs, write one CSV per run, gather per-method statistics, and let the
+command's reducer build its summary and name the field it charts.
 """
 
 from __future__ import annotations
@@ -78,17 +77,6 @@ class BenchConfig:
     polar_mode: PolarMode
     output_dir: Path
     repeats: int
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigurationError("steps must be nonnegative")
-        if self.repeats < 1:
-            raise ConfigurationError("repeats must be at least 1")
-        for key in ("data_seed", "init_seed"):
-            if getattr(self, key) < 0:
-                raise ConfigurationError(f"{key} must be nonnegative, got {getattr(self, key)}")
-        if not self.methods:
-            raise ConfigurationError("at least one method is required")
 
 
 @dataclass
@@ -159,6 +147,9 @@ def load_config(path) -> BenchConfig:
         if not parser.has_section(name):
             raise ConfigurationError(f"config {path} has no [{name}] section")
     instance = _read(parser["instance"], _INSTANCE_KEYS)
+    for low, high in (("p", "n"), ("n", "d")):
+        if instance[low] > instance[high]:
+            raise _key_error(parser["instance"], low, f"exceeds {high} = {instance[high]}")
     run = _read(parser["run"], _RUN_KEYS)
 
     methods = []
@@ -178,6 +169,11 @@ def load_config(path) -> BenchConfig:
     return BenchConfig(**instance, **run, methods=tuple(methods))
 
 
+def _key_error(section, key: str, reason) -> ConfigurationError:
+    """The one form of a config value error: `[section] key = 'text': reason`."""
+    return ConfigurationError(f"[{section.name}] {key} = {section.get(key, raw=True)!r}: {reason}")
+
+
 def _read(section, keys: dict) -> dict:
     """Parse one config section by `keys`, a table of key -> (parser, default
     text) in which a default of None marks a required key. A key outside the
@@ -189,14 +185,23 @@ def _read(section, keys: dict) -> dict:
         try:
             values[key] = parse(section.get(key, default))
         except (configparser.Error, ConfigurationError, ValueError) as exc:
-            text = section.get(key, default, raw=True)
-            raise ConfigurationError(f"[{section.name}] {key} = {text!r}: {exc}") from None
+            raise _key_error(section, key, exc) from None
     for key in section:
         if key not in keys:
-            raise ConfigurationError(
-                f"[{section.name}] {key} = {section.get(key, raw=True)!r}: unknown key (use {', '.join(keys)})"
-            )
+            raise _key_error(section, key, f"unknown key (use {', '.join(keys)})")
     return values
+
+
+def _int_at_least(low: int):
+    """An int parser that rejects values below `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+
+    return parse
 
 
 def _method_label(section: str) -> str:
@@ -255,11 +260,16 @@ def _parse_kind(text: str) -> str:
 
 # Key tables for _read: key -> (parser, default text), None for a required
 # key. Each key is the name of the field it sets.
-_INSTANCE_KEYS = {"n": (int, None), "p": (int, None), "d": (int, None), "data_seed": (int, "7")}
+_INSTANCE_KEYS = {
+    "n": (_int_at_least(1), None),
+    "p": (_int_at_least(1), None),
+    "d": (_int_at_least(1), None),
+    "data_seed": (_int_at_least(0), "7"),
+}
 _RUN_KEYS = {
-    "steps": (int, "300"),
-    "init_seed": (int, "11"),
-    "repeats": (int, "3"),
+    "steps": (_int_at_least(0), "300"),
+    "init_seed": (_int_at_least(0), "11"),
+    "repeats": (_int_at_least(1), "3"),
     "polar_mode": (_parse_polar_mode, "iterative:8"),
     "output_dir": (Path, DEFAULT_OUTPUT_DIR),
 }
@@ -279,10 +289,12 @@ def _parse_method(label: str, section, d: int) -> MethodSpec:
     try:
         method = method_class(**{key: values[key] for key in keys})
     except ConfigurationError as exc:
-        raise ConfigurationError(f"[{section.name}] {exc}") from None
+        # a class check names its field first: "<key> must ..."
+        key, _, reason = str(exc).partition(" ")
+        raise _key_error(section, key, reason) from None
     batch = values["noise"].batch_size if "noise" in values else 0
     if batch > d:
-        raise ConfigurationError(f"[{section.name}] noise = {section['noise']!r}: batch_size {batch} outside [1, {d}]")
+        raise _key_error(section, "noise", f"batch_size {batch} outside [1, {d}]")
     return MethodSpec(label, method, values["schedule"])
 
 
@@ -374,13 +386,13 @@ class _Chart:
     field: str
 
 
-def _bench(cfg: BenchConfig, reduce, prefix: str = "") -> dict:
+def _bench(cfg: BenchConfig, reduce) -> dict:
     """Execute every run, write one CSV per run, and let `reduce(results,
     stats)` return the summary and the chart of repeat 0; writes both."""
     _, results = execute_runs(cfg)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     for res in results:
-        write_trace_csv(cfg.output_dir / f"{prefix}{res.label}_{res.repeat}.csv", res.records)
+        write_trace_csv(cfg.output_dir / f"{res.label}_{res.repeat}.csv", res.records)
     summary, chart = reduce(results, _method_stats(cfg, results))
     series = [
         Series(label=res.label, xs=[r.iter for r in res.records], ys=[getattr(r, chart.field) for r in res.records])
@@ -407,6 +419,8 @@ def _write_summary(output_dir: Path, summary: dict) -> None:
                 f"{label:>12}: mean final subspace error {st['mean_final_subspace_error']:.6e}, "
                 f"mean step wall time {st['mean_step_wall_s']:.3f} s"
             )
+    if "max_violation" in summary:
+        lines.append(f"max_violation: {summary['max_violation']:.3e} (FEAS_TOL {FEAS_TOL:.0e})")
     if summary.get("winner") is not None:
         lines.append(f"winner: {summary['winner']}")
     if summary.get("note"):
@@ -420,7 +434,12 @@ def _instance(cfg: BenchConfig) -> dict:
 
 def run_pca_bench(cfg: BenchConfig) -> dict:
     """Full comparison: per-run CSVs, a log-scale subspace-error chart, and a
-    summary keyed by method with per-repeat and aggregate figures."""
+    summary keyed by method with per-repeat and aggregate figures.
+
+    `max_violation` is the largest orthogonality violation over every
+    recorded iterate. Each one is certified within FEAS_TOL, and an iterate
+    beyond it aborts its run, so a breach shows as an aborted run.
+    """
 
     def reduce(results, stats):
         initial = [r.initial_subspace_error for r in results if r.repeat == 0 and r.records]
@@ -434,6 +453,7 @@ def run_pca_bench(cfg: BenchConfig) -> dict:
             "initial_subspace_error": initial[0] if initial else None,
             "methods": stats,
             "aborted": any(r.aborted for r in results),
+            "max_violation": max((rec.orth_violation for res in results for rec in res.records), default=0.0),
         }
         title = f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}"
         return summary, _Chart("subspace_error.svg", title, "subspace error", "subspace_error")
@@ -479,29 +499,6 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
         return summary, _Chart("rgd_sweep.svg", title, "subspace error", "subspace_error")
 
     return _bench(replace(cfg, methods=sweep_methods, repeats=1), reduce)
-
-
-def run_orth_violation(cfg: BenchConfig) -> dict:
-    """Track the orthogonality violation of every method's iterates.
-
-    Every recorded iterate is certified within FEAS_TOL, and an iterate
-    beyond it aborts its run. So a breach is an aborted run, and its message
-    names the method and the iteration.
-    """
-
-    def reduce(results, stats):
-        summary = {
-            "instance": _instance(cfg),
-            "polar_mode": cfg.polar_mode.describe(),
-            "max_violation": max((rec.orth_violation for res in results for rec in res.records), default=0.0),
-            "limit": FEAS_TOL,
-            "breaches": [res.abort_message for res in results if res.aborted],
-            "methods": stats,
-        }
-        title = f"Orthogonality violation, polar mode {cfg.polar_mode.describe()}"
-        return summary, _Chart("orth_violation.svg", title, "violation", "orth_violation")
-
-    return _bench(cfg, reduce, prefix="orth_")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: pca-bench, rgd-sweep, orth-violation, verify. Exit codes:
-0 success, 1 check failure, 2 configuration error, 3 numeric error.
+Subcommands: pca-bench, rgd-sweep, verify. Exit codes: 0 success, 1 a
+failed verify bound report, 2 configuration error, 3 numeric or I/O error.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", nargs="+", type=float, required=True, metavar="ALPHA",
                        help="constant step sizes to try")
     sweep.add_argument("--output-dir", help="override the output directory")
-
-    orth = sub.add_parser("orth-violation", help="track the orthogonality violation of every method")
-    orth.add_argument("config", nargs="?", help="INI config file (omit for the built-in default)")
-    orth.add_argument("--output-dir", help="override the output directory")
 
     verify = sub.add_parser("verify", help="run the descent/convergence bound checks")
     verify.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -111,17 +107,6 @@ def _dispatch(args) -> int:
         winner = summary["winner"]
         print("winner: none" if winner is None else f"winner: alpha={winner:g}")
         return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
-
-    if args.command == "orth-violation":
-        cfg = _load_config(args)
-        summary = bench.run_orth_violation(cfg)
-        _report_fallbacks(summary)
-        print(f"max orthogonality violation: {summary['max_violation']:.3e} (limit {summary['limit']:.0e})")
-        if summary["breaches"]:
-            for breach in summary["breaches"]:
-                print(f"BREACH {breach}", file=sys.stderr)
-            return EXIT_CHECK_FAILURE
-        return EXIT_OK
 
     if args.command == "verify":
         reports = bench.run_verify(args.level)

@@ -101,6 +101,10 @@ def svd(y) -> SvdFactors:
 
     Raises NumericError if the underlying eigen-solver fails to converge.
     """
+    # The one finiteness scan no reduction covers: given an inf entry,
+    # np.linalg.svd with vectors does not return (a 50x3 input ran past 15 s
+    # on numpy 2.4 with OpenBLAS), where the values-only SVD returns NaN.
+    # Without this scan a non-finite input hangs instead of raising.
     y = as_matrix(y, "svd input")
     try:
         u, s, vt = np.linalg.svd(y, full_matrices=False)

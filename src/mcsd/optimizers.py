@@ -178,7 +178,7 @@ class StochasticMcsd:
 
     def __post_init__(self):
         if not (0.0 <= self.beta < 1.0):
-            raise ConfigurationError(f"momentum beta must lie in [0, 1), got {self.beta}")
+            raise ConfigurationError(f"beta must lie in [0, 1), got {self.beta}")
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """Sample a gradient, update the momentum (m₀ = g₀) and take the LMO

@@ -5,11 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from mcsd import BrockettInstance, ConfigurationError, NormKind, PolarMode, read_trace_csv
+from mcsd import (
+    BoundReport,
+    BrockettInstance,
+    ConfigurationError,
+    NormKind,
+    NumericError,
+    PolarMode,
+    bench,
+    read_trace_csv,
+)
 from mcsd.bench import (
     default_pca_config,
     load_config,
-    run_orth_violation,
     run_pca_bench,
     run_rgd_sweep,
     run_verify,
@@ -152,13 +160,45 @@ class TestConfigParsing:
         assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
         assert f"[instance] has no key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["data_seed", "init_seed"])
-    def test_negative_seed_rejected(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("section, key", [("instance", "data_seed"), ("run", "init_seed")])
+    def test_negative_seed_rejected(self, tmp_path, capsys, section, key):
         path = tiny_config(tmp_path)
         text = path.read_text()
         path.write_text(text.replace(f"\n{key} = ", f"\n{key} = -1\n# ", 1))
         assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
-        assert f"{key} must be nonnegative, got -1" in capsys.readouterr().err
+        assert f"[{section}] {key} = '-1': must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("p = 2", "p = 0", "[instance] p = '0': must be at least 1"),
+            ("repeats = 2", "repeats = 0", "[run] repeats = '0': must be at least 1"),
+            ("p = 2", "p = 21", "[instance] p = '21': exceeds n = 20"),
+            ("d = 50", "d = 19", "[instance] n = '20': exceeds d = 19"),
+        ],
+        ids=["p_zero", "repeats_zero", "p_above_n", "n_above_d"],
+    )
+    def test_out_of_range_value_named(self, tmp_path, capsys, old, new, message):
+        # range checks belong to the reader: outside it they name no section
+        path = tiny_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("kind = manifold_muon\ninner_iters = 0", "inner_iters = '0': must be at least 1"),
+            ("kind = stochastic_mcsd\nbeta = 1.5", "beta = '1.5': must lie in [0, 1), got 1.5"),
+        ],
+        ids=["inner_iters", "beta"],
+    )
+    def test_method_class_check_quotes_the_key(self, tmp_path, capsys, body, message):
+        path = tiny_config(tmp_path)
+        path.write_text(path.read_text() + f"\n[method:x]\n{body}\nschedule = constant:0.01\n")
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"configuration error: [method:x] {message}\n"
 
     def test_colliding_labels_rejected(self, tmp_path):
         # "a b" and "a_b" both sanitize to a_b: one run's CSVs would overwrite
@@ -301,17 +341,16 @@ class TestNumericAbort:
         return install
 
     @pytest.mark.parametrize(
-        "argv, code, prefix, aborted_run",
+        "argv, aborted_run",
         [
-            (["pca-bench"], EXIT_NUMERIC_ERROR, "", ("rgd", 1)),
-            (["rgd-sweep", "--steps", "0.01", "0.001"], EXIT_NUMERIC_ERROR, "", ("rgd_0.001", 0)),
-            (["orth-violation"], EXIT_CHECK_FAILURE, "orth_", ("rgd", 1)),
+            (["pca-bench"], ("rgd", 1)),
+            (["rgd-sweep", "--steps", "0.01", "0.001"], ("rgd_0.001", 0)),
         ],
     )
-    def test_one_failing_run(self, tmp_path, capsys, nan_at, argv, code, prefix, aborted_run):
+    def test_one_failing_run(self, tmp_path, capsys, nan_at, argv, aborted_run):
         nan_at(9)  # x_3 of the second run
         out = tmp_path / "out"
-        assert main([argv[0], str(tiny_config(tmp_path)), *argv[1:]]) == code
+        assert main([argv[0], str(tiny_config(tmp_path)), *argv[1:]]) == EXIT_NUMERIC_ERROR
         summary = json.loads((out / "summary.json").read_text())
         runs = {
             (label, k): aborted
@@ -320,18 +359,14 @@ class TestNumericAbort:
         }
         assert [run for run, aborted in runs.items() if aborted] == [aborted_run]
         for label, k in runs:
-            rows = read_trace_csv(out / f"{prefix}{label}_{k}.csv")
+            rows = read_trace_csv(out / f"{label}_{k}.csv")
             assert len(rows) == (3 if (label, k) == aborted_run else 6)
         assert (out / "summary.txt").is_file() and list(out.glob("*.svg"))
         message = "iteration 3: the objective value is not finite"
         assert message in summary["methods"][aborted_run[0]]["abort_messages"][0]
         err = capsys.readouterr().err.splitlines()
-        if argv[0] == "orth-violation":
-            assert any(message in breach for breach in summary["breaches"])
-            assert any(line.startswith("BREACH ") and message in line for line in err)
-        else:
-            label = aborted_run[0]
-            assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {label!r}: {message}"]
+        label = aborted_run[0]
+        assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {label!r}: {message}"]
 
     def test_abort_at_the_initial_point(self, tmp_path, nan_at):
         nan_at(0)  # x_0 of the first run: its trace is empty
@@ -459,26 +494,36 @@ class TestRgdSweep:
         assert not (tmp_path / "out").exists()
 
 
-class TestOrthViolation:
+class TestMaxViolation:
+    """pca-bench's max_violation: the largest orth_violation over every
+    recorded iterate of every run."""
+
     def test_exact_mode_high_precision(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path, steps=20, repeats=1, polar_mode="exact"))
-        summary = run_orth_violation(cfg)
+        summary = run_pca_bench(cfg)
         assert summary["max_violation"] <= 1e-10
-        assert summary["breaches"] == []
+        assert not summary["aborted"]
 
     def test_iterative_8_within_limit(self, tmp_path):
         cfg = load_config(tiny_config(tmp_path, steps=20, repeats=1, polar_mode="iterative:8"))
-        summary = run_orth_violation(cfg)
+        summary = run_pca_bench(cfg)
         assert summary["max_violation"] <= 1e-6
-        assert summary["limit"] == 1e-8  # manifolds.FEAS_TOL, which certifies every recorded iterate
-        assert summary["breaches"] == []
-        assert (cfg.output_dir / "orth_violation.svg").is_file()
+        assert not summary["aborted"]
+        rows = [r for label in ("rgd", "spel", "mm") for r in read_trace_csv(cfg.output_dir / f"{label}_0.csv")]
+        assert summary["max_violation"] == max(r.orth_violation for r in rows)
+        written = json.loads((cfg.output_dir / "summary.json").read_text())
+        assert written["max_violation"] == summary["max_violation"]
+        lines = (cfg.output_dir / "summary.txt").read_text().splitlines()
+        assert lines[-1] == f"max_violation: {summary['max_violation']:.3e} (FEAS_TOL 1e-08)"
 
-    def test_underresolved_projection_reports_breach(self, tmp_path):
+    def test_underresolved_projection_aborts_naming_the_iteration(self, tmp_path):
+        # every recorded iterate is certified within FEAS_TOL: a breach is an aborted run
         cfg = load_config(tiny_config(tmp_path, steps=5, repeats=1, polar_mode="iterative:1"))
-        summary = run_orth_violation(cfg)
-        assert summary["breaches"]
-        assert any("iteration" in b for b in summary["breaches"])
+        summary = run_pca_bench(cfg)
+        assert summary["aborted"]
+        assert summary["max_violation"] <= 1e-8
+        messages = [m for st in summary["methods"].values() for m in st["abort_messages"]]
+        assert messages and all("iteration" in m for m in messages)
 
 
 class TestCli:
@@ -499,22 +544,13 @@ class TestCli:
         assert main(["rgd-sweep", str(cfg_path), "--steps", "0.01", "0.001"]) == EXIT_NUMERIC_ERROR
         assert "winner: none" in capsys.readouterr().out
 
-    def test_orth_violation_breach_exit(self, tmp_path):
-        cfg_path = tiny_config(tmp_path, steps=3, repeats=1, polar_mode="iterative:1")
-        assert main(["orth-violation", str(cfg_path)]) == EXIT_CHECK_FAILURE
-
-    @pytest.mark.parametrize("command", ["pca-bench", "orth-violation"])
-    def test_fallback_line_per_run(self, tmp_path, capsys, command):
+    def test_fallback_line_per_run(self, tmp_path, capsys):
         # an absurd inner step size makes every Manifold Muon step fall back
         path = tiny_config(tmp_path, steps=4)
         path.write_text(path.read_text().replace("inner_lr = 0.1", "inner_lr = 1e9"))
-        assert main([command, str(path)]) == EXIT_OK
+        assert main(["pca-bench", str(path)]) == EXIT_OK
         err = capsys.readouterr().err.splitlines()
         assert err == ["FALLBACK method 'mm' repeat 0: 4 steps", "FALLBACK method 'mm' repeat 1: 4 steps"]
-
-    def test_orth_violation_clean_exit(self, tmp_path):
-        cfg_path = tiny_config(tmp_path, steps=5, repeats=1)
-        assert main(["orth-violation", str(cfg_path)]) == EXIT_OK
 
     def test_output_dir_flag(self, tmp_path):
         override = tmp_path / "override"
@@ -538,6 +574,51 @@ class TestCli:
         lines = report_path.read_text().splitlines()
         assert lines[0] == "name,lhs,rhs,slack,passed"
         assert all(line.endswith(",true") for line in lines[1:])
+
+
+class TestExitCodes:
+    """Each documented exit code, reached by injecting its fault."""
+
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        """Make `verify` return reports with the given outcomes instead of
+        running the battery."""
+
+        def install(*passed):
+            made = [BoundReport(f"check_{k}", 1.0, 2.0, 0.0, ok) for k, ok in enumerate(passed)]
+            monkeypatch.setattr(bench, "run_verify", lambda level: made)
+
+        return install
+
+    def test_failed_bound_report_is_check_failure(self, reports):
+        reports(True, False)
+        assert main(["verify"]) == EXIT_CHECK_FAILURE
+
+    def test_report_path_that_is_a_directory_is_io_error(self, tmp_path, capsys, reports):
+        reports(True)
+        assert main(["verify", "--report", str(tmp_path)]) == EXIT_NUMERIC_ERROR
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_output_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        path = tiny_config(tmp_path, steps=1, repeats=1)
+        assert main(["pca-bench", str(path), "--output-dir", str(target)]) == EXIT_NUMERIC_ERROR
+        assert capsys.readouterr().err.startswith("i/o error:")
+
+    def test_numeric_error_reaching_main(self, monkeypatch, capsys):
+        def fail(level):
+            raise NumericError("injected")
+
+        monkeypatch.setattr(bench, "run_verify", fail)
+        assert main(["verify"]) == EXIT_NUMERIC_ERROR
+        assert capsys.readouterr().err == "numeric error: injected\n"
+
+    def test_unknown_subcommand_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["orth-violation"])
+        assert exc.value.code == EXIT_CONFIG_ERROR
+        assert "invalid choice: 'orth-violation'" in capsys.readouterr().err
 
 
 class TestRunVerify:

@@ -121,7 +121,7 @@ class TestCommandLayout:
         assert files == runs + ["subspace_error.svg", "summary.json", "summary.txt"]
         assert keys == [
             "instance", "steps", "repeats", "polar_mode", "init_seed", "init_hashes",
-            "initial_subspace_error", "methods", "aborted",
+            "initial_subspace_error", "methods", "aborted", "max_violation",
         ]
 
     def test_rgd_sweep(self, tmp_path):
@@ -131,9 +131,3 @@ class TestCommandLayout:
             "instance", "steps", "polar_mode", "step_sizes", "final_subspace_error", "winner", "note",
             "methods", "aborted",
         ]
-
-    def test_orth_violation(self, tmp_path):
-        files, keys = self.run(tmp_path, "orth-violation")
-        runs = [f"orth_{label}_{k}.csv" for label in ("mm", "rgd", "spel") for k in (0, 1)]
-        assert files == runs + ["orth_violation.svg", "summary.json", "summary.txt"]
-        assert keys == ["instance", "polar_mode", "max_violation", "limit", "breaches", "methods"]

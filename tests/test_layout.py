@@ -6,12 +6,17 @@ another module makes it a second, undocumented entry point.
 
 The README's Constants table names module constants with their values; a
 row that names one must match the code.
+
+The subcommands that `cli.build_parser()` accepts are the ones the README's
+CLI block and the `cli` module docstring list.
 """
 
 import ast
 import importlib
 import re
 from pathlib import Path
+
+from mcsd import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mcsd"
 README = PACKAGE.parents[1] / "README.md"
@@ -100,3 +105,42 @@ def test_the_constants_check_finds_stale_rows():
         "mcsd.bench.ORTH_VIOLATION_LIMIT does not exist (README: 1e-6)",
         "mcsd.optimizers.STEP_RADIUS is 0.2 (README: 0.3)",
     ]
+
+
+def parser_subcommands(usage: str) -> list[str]:
+    """The {a,b,...} choices of an argparse usage line."""
+    return re.search(r"\{([^}]*)\}", usage).group(1).split(",")
+
+
+def readme_subcommands(readme: str) -> list[str]:
+    """The subcommand of each `mcsd-bench <name> ...` line in the first code
+    block of the README's Command-line interface section."""
+    section = readme.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1] for line in block.splitlines() if line.startswith("mcsd-bench ")]
+
+
+def docstring_subcommands(doc: str) -> list[str]:
+    """The names after `Subcommands:` up to the next full stop."""
+    return [name.strip() for name in re.search(r"Subcommands:([^.]+)\.", doc).group(1).split(",")]
+
+
+def test_subcommands_match_the_readme_and_the_docstring():
+    names = parser_subcommands(cli.build_parser().format_usage())
+    assert len(names) >= 3
+    assert readme_subcommands(README.read_text()) == names
+    assert docstring_subcommands(cli.__doc__) == names
+
+
+def test_the_subcommand_scans_read_their_sources():
+    assert parser_subcommands("usage: mcsd-bench [-h] {pca-bench,verify} ...\n") == ["pca-bench", "verify"]
+    readme = (
+        "intro\n\n## Command-line interface\n\n```sh\n"
+        "mcsd-bench pca-bench [config]   # comparison\n"
+        "# mcsd-bench gone\n"
+        "mcsd-bench verify --level fast\n```\n\n"
+        "```sh\nmcsd-bench second-block\n```\n\n## Next\n\n```sh\nmcsd-bench other-section\n```\n"
+    )
+    assert readme_subcommands(readme) == ["pca-bench", "verify"]
+    doc = "Entry point.\n\nSubcommands: pca-bench, rgd-sweep,\north-violation. Exit codes: 0.\n"
+    assert docstring_subcommands(doc) == ["pca-bench", "rgd-sweep", "orth-violation"]
