@@ -388,9 +388,10 @@ class _Chart:
 
 def _bench(cfg: BenchConfig, reduce) -> dict:
     """Execute every run, write one CSV per run, and let `reduce(results,
-    stats)` return the summary and the chart of repeat 0; writes both."""
-    _, results = execute_runs(cfg)
+    stats)` return the summary and the chart of repeat 0; writes both. The
+    output directory is made first, so an unusable one fails before any run."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    _, results = execute_runs(cfg)
     for res in results:
         write_trace_csv(cfg.output_dir / f"{res.label}_{res.repeat}.csv", res.records)
     summary, chart = reduce(results, _method_stats(cfg, results))

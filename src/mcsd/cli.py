@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -109,15 +110,16 @@ def _dispatch(args) -> int:
         return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
 
     if args.command == "verify":
-        reports = bench.run_verify(args.level)
-        for report in reports:
-            print(report.human_lines())
-        lines = [r.machine_line() for r in reports]
-        print("name,lhs,rhs,slack,passed")
-        for line in lines:
-            print(line)
-        if args.report:
-            Path(args.report).write_text("name,lhs,rhs,slack,passed\n" + "\n".join(lines) + "\n")
+        # The report file is opened before the battery runs, so an unusable
+        # path fails first; a battery that raises leaves it empty, not stale.
+        with open(args.report, "w") if args.report else nullcontext() as report_file:
+            reports = bench.run_verify(args.level)
+            for report in reports:
+                print(report.human_lines())
+            lines = ["name,lhs,rhs,slack,passed"] + [r.machine_line() for r in reports]
+            print("\n".join(lines))
+            if report_file:
+                report_file.write("\n".join(lines) + "\n")
         return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILURE
 
     raise ConfigurationError(f"unknown command {args.command!r}")

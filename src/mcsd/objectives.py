@@ -89,7 +89,7 @@ class BrockettInstance:
     def value(self, x: np.ndarray) -> float:
         """−½ tr(xᵀ C x D)."""
         x = as_matrix(x, "objective input")
-        return _value_from_grad(brockett_grad(self, x), x)
+        return _value_from_grad(_grad(self, x), x)
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray:
         return brockett_grad(self, x)
@@ -110,7 +110,7 @@ class BrockettInstance:
         """
         x = as_matrix(x, "gradient input")
         if noise_cfg.kind == "gaussian":
-            g = brockett_grad(self, x)
+            g = _grad(self, x)
             if noise_cfg.sigma_entry > 0.0:
                 g = g + noise_cfg.sigma_entry * rng.standard_normal(x.shape)
             return g
@@ -119,7 +119,7 @@ class BrockettInstance:
             if not (1 <= batch <= self.d):
                 raise ConfigurationError(f"batch_size {batch} outside [1, {self.d}]")
             if batch == self.d:
-                return brockett_grad(self, x)
+                return _grad(self, x)
             idx = rng.choice(self.d, size=batch, replace=False)
             xb = self.samples[:, idx]
             return -(self.d / batch) * (xb @ (xb.T @ x)) * self.dmat[None, :]
@@ -168,7 +168,11 @@ def _value_from_grad(g: np.ndarray, w: np.ndarray) -> float:
 
 def brockett_grad(inst: BrockettInstance, w) -> np.ndarray:
     """Euclidean gradient −C w D."""
-    w = as_matrix(w, "gradient input")
+    return _grad(inst, as_matrix(w, "gradient input"))
+
+
+def _grad(inst: BrockettInstance, w: np.ndarray) -> np.ndarray:
+    """−C w D for a w its caller has already scanned for finiteness."""
     return -(inst.c @ w) * inst.dmat[None, :]
 
 

@@ -31,6 +31,10 @@ DESCENT_SLACK = 1e-8
 # net minimum.
 LMO_NET_TOL = 1e-2
 
+# The brute-force net is drawn and scored this many directions at a time,
+# which caps its memory at one chunk whatever its size.
+NET_CHUNK = 200_000
+
 @dataclass
 class BoundReport:
     """One verified inequality: passed ⇔ lhs ≤ rhs + slack."""
@@ -75,9 +79,9 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     Draws Haar-random x and directions d with ‖d‖₂ uniform in
     (0, STEP_RADIUS] (Gaussian direction rescaled to a uniform spectral
     radius) and checks f(P_M(x+d)) ≤ f(x) + ⟨∇_M f(x), d⟩ + (L/2)‖d‖_F² with
-    the certified composed-smoothness constant L. Reports the worst margin;
-    a violation beyond DESCENT_SLACK fails the report and carries the
-    witness (x, d).
+    the certified composed-smoothness constant L. f(x) and ∇f(x) come from
+    one `inst.evaluate` per sample. Reports the worst margin; a violation
+    beyond DESCENT_SLACK fails the report and carries the witness (x, d).
     """
     if samples < 1:
         raise ConfigurationError("samples must be at least 1")
@@ -91,10 +95,9 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
         g = rng.standard_normal((inst.n, inst.p))
         rho = STEP_RADIUS * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, STEP_RADIUS]
         d = g * (rho / spectral_norm(g))
+        fx, egrad = inst.evaluate(x.x)
         lhs = inst.value(msign_exact(x.x + d))
-        rhs = inst.value(x.x) + frob_inner(riemannian_grad(x, inst.euclid_grad(x.x)), d) + (
-            0.5 * lip * float(np.sum(d * d))
-        )
+        rhs = fx + frob_inner(riemannian_grad(x, egrad), d) + 0.5 * lip * float(np.sum(d * d))
         margin = lhs - rhs
         if margin > worst_margin:
             worst_margin = margin
@@ -234,25 +237,25 @@ def brute_force_lmo_check(
 ) -> BoundReport:
     """Cross-validate the LMO value against a random net of the unit ball.
 
-    For each random input s, samples `net_size` unit-norm directions and
-    asserts ⟨s, lmo(s)⟩ ≤ net minimum + LMO_NET_TOL·‖s‖_F. The net minimum is
-    an upper bound on the true optimum, so this certifies the oracle is at
-    least as good as brute force.
+    Draws `inputs` random matrices s, then one net of `net_size` unit-norm
+    directions, drawn after the inputs in NET_CHUNK-direction chunks and
+    shared by every input, and asserts ⟨s, lmo(s)⟩ ≤ net minimum +
+    LMO_NET_TOL·‖s‖_F for each s. The net minimum is an upper bound on the
+    true optimum, so this certifies the oracle is at least as good as brute
+    force.
     """
     if dims[0] > 3 or dims[1] > 3:
         raise ConfigurationError("net oracle is only tractable for dims up to 3x3")
     if net_size < 10**5:
         raise ConfigurationError("net_size must be at least 1e5 for meaningful resolution")
 
+    targets = [rng.standard_normal(dims) for _ in range(inputs)]
+    net_minima = _net_minima(norm, tuple(dims), targets, net_size, rng)
     worst_gap = -math.inf
     worst = (0.0, 0.0, 0.0, 0)
-    for k in range(inputs):
-        s = rng.standard_normal(dims)
-        s_fro = float(np.linalg.norm(s))
-        direction = lmo(norm, s)
-        oracle_value = frob_inner(s, direction)
-        net_min = _net_minimum(norm, s, net_size, rng)
-        tol = LMO_NET_TOL * s_fro
+    for k, (s, net_min) in enumerate(zip(targets, net_minima)):
+        oracle_value = frob_inner(s, lmo(norm, s))
+        tol = LMO_NET_TOL * float(np.linalg.norm(s))
         gap = oracle_value - net_min
         if gap > worst_gap:
             worst_gap = gap
@@ -270,23 +273,27 @@ def brute_force_lmo_check(
     )
 
 
-def _net_minimum(norm: NormKind, s: np.ndarray, net_size: int, rng: np.random.Generator) -> float:
-    best = math.inf
-    chunk = 200_000
+def _net_minima(
+    norm: NormKind, dims: tuple[int, int], targets: list[np.ndarray], net_size: int, rng: np.random.Generator
+) -> list[float]:
+    """min ⟨s, d⟩ for each s in `targets` over one net of `net_size` directions
+    d with norm(d) = 1, drawn, normalized in place and scored NET_CHUNK at a
+    time, so no array outgrows one chunk however many targets share it."""
+    best = [math.inf] * len(targets)
     remaining = net_size
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(NET_CHUNK, remaining)
         remaining -= size
-        g = rng.standard_normal((size,) + s.shape)
+        g = rng.standard_normal((size,) + dims)
         if norm is NormKind.FROBENIUS:
             scale = np.sqrt(np.sum(g * g, axis=(1, 2)))
-        elif s.shape == (2, 2):
+        elif dims == (2, 2):
             scale = _spectral_norms_2x2(g)
         else:
             scale = np.linalg.svd(g, compute_uv=False)[:, 0]
-        d = g / scale[:, None, None]
-        vals = np.tensordot(d, s, axes=([1, 2], [0, 1]))
-        best = min(best, float(vals.min()))
+        g /= scale[:, None, None]
+        for k, s in enumerate(targets):
+            best[k] = min(best[k], float(np.tensordot(g, s, axes=([1, 2], [0, 1])).min()))
     return best
 
 

@@ -586,7 +586,9 @@ class TestExitCodes:
 
         def install(*passed):
             made = [BoundReport(f"check_{k}", 1.0, 2.0, 0.0, ok) for k, ok in enumerate(passed)]
-            monkeypatch.setattr(bench, "run_verify", lambda level: made)
+            calls = []
+            monkeypatch.setattr(bench, "run_verify", lambda level: calls.append(level) or made)
+            return calls
 
         return install
 
@@ -595,16 +597,33 @@ class TestExitCodes:
         assert main(["verify"]) == EXIT_CHECK_FAILURE
 
     def test_report_path_that_is_a_directory_is_io_error(self, tmp_path, capsys, reports):
-        reports(True)
+        calls = reports(True)
         assert main(["verify", "--report", str(tmp_path)]) == EXIT_NUMERIC_ERROR
         assert capsys.readouterr().err.startswith("i/o error:")
+        assert calls == []  # the path fails before the battery starts
 
-    def test_output_dir_that_is_a_file_is_io_error(self, tmp_path, capsys):
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The runs `bench.run_trace` is asked for, none of them executed."""
+        calls = []
+        monkeypatch.setattr(bench, "run_trace", lambda *args, **kwargs: calls.append(args))
+        return calls
+
+    def test_output_dir_that_is_a_file_is_io_error(self, tmp_path, capsys, runs):
         target = tmp_path / "taken"
         target.write_text("")
         path = tiny_config(tmp_path, steps=1, repeats=1)
         assert main(["pca-bench", str(path), "--output-dir", str(target)]) == EXIT_NUMERIC_ERROR
         assert capsys.readouterr().err.startswith("i/o error:")
+        assert runs == []  # the directory fails before any run
+
+    def test_sweep_output_dir_that_is_a_file_is_io_error(self, tmp_path, capsys, runs):
+        target = tmp_path / "taken"
+        target.write_text("")
+        path = tiny_config(tmp_path, steps=1)
+        assert main(["rgd-sweep", str(path), "--steps", "1e-3", "--output-dir", str(target)]) == EXIT_NUMERIC_ERROR
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert runs == []
 
     def test_numeric_error_reaching_main(self, monkeypatch, capsys):
         def fail(level):

@@ -139,6 +139,27 @@ class TestValueAndGrad:
             assert value == pca_instance.value(w)
             assert np.array_equal(g, pca_instance.euclid_grad(w))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, w: inst.value(w),
+            lambda inst, w: inst.euclid_grad(w),
+            lambda inst, w: inst.evaluate(w),
+            lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.additive_gaussian(0.5)),
+            lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.minibatch(inst.d)),
+            lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.minibatch(5)),
+        ],
+        ids=["value", "euclid_grad", "evaluate", "gaussian", "full_batch", "minibatch"],
+    )
+    def test_one_finiteness_scan_per_call(self, tiny, monkeypatch, call):
+        import mcsd.objectives
+
+        names = []
+        scan = mcsd.objectives.as_matrix
+        monkeypatch.setattr(mcsd.objectives, "as_matrix", lambda a, name: names.append(name) or scan(a, name))
+        call(tiny, haar(10, 2, seed=23).x)
+        assert len(names) == 1
+
 
 class TestSmoothnessConstants:
     def test_scaling_homogeneity(self, tiny):

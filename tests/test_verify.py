@@ -29,6 +29,7 @@ from mcsd.optimizers import (
     stochastic_bound_schedule,
 )
 from mcsd.trace import TraceRecord
+from mcsd.verify import NET_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +193,24 @@ class TestMinGradRate:
         assert det_report.rhs < sto_report.rhs  # noiseless bound is tighter
 
 
+# The two nets run_verify checks, with their seeds.
+RUN_VERIFY_NETS = [(NormKind.SPECTRAL, (2, 2), 101), (NormKind.FROBENIUS, (3, 2), 102)]
+NET_SHAPES = [(norm, dims) for norm, dims, _ in RUN_VERIFY_NETS]
+NET_IDS = ["spectral-2x2", "frobenius-3x2"]
+
+
+class CountingGenerator:
+    """A Generator stand-in that counts the standard normals it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.normals = 0
+
+    def standard_normal(self, size):
+        self.normals += math.prod(size)
+        return self.rng.standard_normal(size)
+
+
 class TestBruteForceLmo:
     def test_one_by_one_closed_form(self):
         from mcsd import frob_inner, lmo
@@ -230,6 +249,50 @@ class TestBruteForceLmo:
             NormKind.SPECTRAL, (3, 2), net_size=10**5, rng=np.random.default_rng(12), inputs=2
         )
         assert not report.passed
+
+    @pytest.mark.parametrize("norm, dims", NET_SHAPES, ids=NET_IDS)
+    def test_one_net_per_check(self, norm, dims):
+        rng = CountingGenerator(13)
+        brute_force_lmo_check(norm, dims, net_size=10**5, rng=rng, inputs=5)
+        assert rng.normals == (10**5 + 5) * math.prod(dims)
+
+    @pytest.mark.parametrize("norm, dims", NET_SHAPES, ids=NET_IDS)
+    def test_shared_net_scores_each_input_as_if_alone(self, norm, dims):
+        import mcsd.verify
+
+        net_size = 250_000  # a full NET_CHUNK and a partial one
+        rng = np.random.default_rng(14)
+        targets = [rng.standard_normal(dims) for _ in range(3)]
+        minima = mcsd.verify._net_minima(norm, dims, targets, net_size, rng)
+
+        ref = np.random.default_rng(14)
+        for _ in targets:
+            ref.standard_normal(dims)
+        chunks = [ref.standard_normal((size,) + dims) for size in (NET_CHUNK, net_size - NET_CHUNK)]
+        if norm is NormKind.FROBENIUS:
+            units = [c / np.sqrt(np.sum(c * c, axis=(1, 2)))[:, None, None] for c in chunks]
+        else:
+            units = [c / mcsd.verify._spectral_norms_2x2(c)[:, None, None] for c in chunks]
+        for k, s in enumerate(targets):
+            alone = min(float(np.tensordot(u, s, axes=([1, 2], [0, 1])).min()) for u in units)
+            assert minima[k] == alone
+
+    @pytest.mark.parametrize("norm, dims, seed", RUN_VERIFY_NETS, ids=NET_IDS)
+    @pytest.mark.parametrize(
+        "oracle, passes",
+        [
+            (lambda exact: exact, True),
+            (lambda exact: lambda norm, s: -exact(norm, s), False),
+            (lambda exact: lambda norm, s: 0.1 * exact(norm, s), False),
+        ],
+        ids=["exact", "negated", "shrunken"],
+    )
+    def test_run_verify_nets_catch_a_wrong_oracle(self, monkeypatch, norm, dims, seed, oracle, passes):
+        import mcsd.verify
+
+        monkeypatch.setattr(mcsd.verify, "lmo", oracle(mcsd.verify.lmo))
+        report = brute_force_lmo_check(norm, dims, net_size=2 * 10**5, rng=np.random.default_rng(seed), inputs=5)
+        assert report.passed == passes
 
     def test_dims_capped(self):
         with pytest.raises(ConfigurationError):
