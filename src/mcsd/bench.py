@@ -19,6 +19,7 @@ import configparser
 import hashlib
 import json
 import statistics
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -513,6 +514,10 @@ def run_verify(level: str = "fast") -> list[BoundReport]:
     audited end to end (telescoped and per-step), its min-gradient rate
     check, and a brute-force LMO net. full: adds a 1000-sample descent
     lemma and the 20-seed stochastic rate check.
+
+    Each report's `seconds` is the wall time of the call that made it; the
+    stochastic check's includes its 20 runs, while the deterministic run
+    that three audits share is timed in none of them.
     """
     if level not in ("fast", "full"):
         raise ConfigurationError(f"unknown verify level {level!r}")
@@ -523,12 +528,14 @@ def run_verify(level: str = "fast") -> list[BoundReport]:
     norm_equiv = norm_equiv_constant(NormKind.SPECTRAL, 50, 3)
 
     reports = [
-        check_descent_lemma(inst, samples=200, rng=np.random.default_rng(100)),
-        brute_force_lmo_check(
-            NormKind.SPECTRAL, (2, 2), net_size=2 * 10**5, rng=np.random.default_rng(101), inputs=5
+        _timed(check_descent_lemma, inst, samples=200, rng=np.random.default_rng(100)),
+        _timed(
+            brute_force_lmo_check,
+            NormKind.SPECTRAL, (2, 2), net_size=2 * 10**5, rng=np.random.default_rng(101), inputs=5,
         ),
-        brute_force_lmo_check(
-            NormKind.FROBENIUS, (3, 2), net_size=2 * 10**5, rng=np.random.default_rng(102), inputs=5
+        _timed(
+            brute_force_lmo_check,
+            NormKind.FROBENIUS, (3, 2), net_size=2 * 10**5, rng=np.random.default_rng(102), inputs=5,
         ),
     ]
 
@@ -538,17 +545,25 @@ def run_verify(level: str = "fast") -> list[BoundReport]:
     schedule = deterministic_bound_schedule(gap, consts.composed_lipschitz, norm_equiv, horizon)
     run = OptimizerRun(method=Mcsd(norm=NormKind.SPECTRAL), schedule=schedule, x=x0)
     records = run_trace(run, inst, horizon, subspace_fn=lambda w: subspace_error(inst, w))
-    reports.append(audit_deterministic_bound(records, consts.composed_lipschitz, norm_equiv))
-    reports.append(audit_per_step_descent(records, consts.composed_lipschitz, norm_equiv))
+    reports.append(_timed(audit_deterministic_bound, records, consts.composed_lipschitz, norm_equiv))
+    reports.append(_timed(audit_per_step_descent, records, consts.composed_lipschitz, norm_equiv))
     reports.append(
-        check_min_grad_rate([records], gap, consts.composed_lipschitz, norm_equiv, schedule)
+        _timed(check_min_grad_rate, [records], gap, consts.composed_lipschitz, norm_equiv, schedule)
     )
 
     if level == "full":
-        reports.append(check_descent_lemma(inst, samples=1000, rng=np.random.default_rng(104)))
-        reports.append(_stochastic_rate_report(inst, manifold, consts.composed_lipschitz, norm_equiv))
+        reports.append(_timed(check_descent_lemma, inst, samples=1000, rng=np.random.default_rng(104)))
+        reports.append(_timed(_stochastic_rate_report, inst, manifold, consts.composed_lipschitz, norm_equiv))
 
     return reports
+
+
+def _timed(check, *args, **kwargs) -> BoundReport:
+    """check(*args, **kwargs), with its wall time in the report's `seconds`."""
+    start = time.perf_counter()
+    report = check(*args, **kwargs)
+    report.seconds = time.perf_counter() - start
+    return report
 
 
 def _stochastic_rate_report(inst, manifold, lipschitz, norm_equiv):

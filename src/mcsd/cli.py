@@ -109,20 +109,18 @@ def _dispatch(args) -> int:
         print("winner: none" if winner is None else f"winner: alpha={winner:g}")
         return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
 
-    if args.command == "verify":
-        # The report file is opened before the battery runs, so an unusable
-        # path fails first; a battery that raises leaves it empty, not stale.
-        with open(args.report, "w") if args.report else nullcontext() as report_file:
-            reports = bench.run_verify(args.level)
-            for report in reports:
-                print(report.human_lines())
-            lines = ["name,lhs,rhs,slack,passed"] + [r.machine_line() for r in reports]
-            print("\n".join(lines))
-            if report_file:
-                report_file.write("\n".join(lines) + "\n")
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILURE
-
-    raise ConfigurationError(f"unknown command {args.command!r}")
+    # verify: the subparsers are required, so argparse admits no other command.
+    # The report file is opened before the battery runs, so an unusable
+    # path fails first; a battery that raises leaves it empty, not stale.
+    with open(args.report, "w") if args.report else nullcontext() as report_file:
+        reports = bench.run_verify(args.level)
+        for report in reports:
+            print(report.human_lines())
+        lines = ["name,lhs,rhs,slack,passed"] + [r.machine_line() for r in reports]
+        print("\n".join(lines))
+        if report_file:
+            report_file.write("\n".join(lines) + "\n")
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -31,9 +31,12 @@ DESCENT_SLACK = 1e-8
 # net minimum.
 LMO_NET_TOL = 1e-2
 
-# The brute-force net is drawn and scored this many directions at a time,
-# which caps its memory at one chunk whatever its size.
-NET_CHUNK = 200_000
+# The brute-force net is drawn and scored this many directions at a time.
+# At 16 384 a chunk array of a 2x2, 3x2 or 3x3 net is 0.5–1.1 MiB, so the
+# few arrays alive at once stay cache-sized and the check's working set is
+# a few MiB whatever the net's size. Every direction is drawn in sequence
+# and scored on its own, so the net minima do not depend on this value.
+NET_CHUNK = 16_384
 
 @dataclass
 class BoundReport:
@@ -47,6 +50,7 @@ class BoundReport:
     constants: dict[str, float] = field(default_factory=dict)
     detail: str = ""
     witness: tuple | None = None
+    seconds: float | None = None  # wall time of the check, set by run_verify
 
     def machine_line(self) -> str:
         return f"{self.name},{self.lhs:.17g},{self.rhs:.17g},{self.slack:.17g},{str(self.passed).lower()}"
@@ -54,8 +58,9 @@ class BoundReport:
     def human_lines(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         consts = ", ".join(f"{k}={v:.6g}" for k, v in self.constants.items())
+        timing = "" if self.seconds is None else f" ({self.seconds:.3g} s)"
         lines = [
-            f"[{status}] {self.name}: lhs={self.lhs:.6e} <= rhs={self.rhs:.6e} + slack={self.slack:.3e}"
+            f"[{status}] {self.name}: lhs={self.lhs:.6e} <= rhs={self.rhs:.6e} + slack={self.slack:.3e}{timing}"
         ]
         if consts:
             lines.append(f"       constants: {consts}")
@@ -238,9 +243,9 @@ def brute_force_lmo_check(
     """Cross-validate the LMO value against a random net of the unit ball.
 
     Draws `inputs` random matrices s, then one net of `net_size` unit-norm
-    directions, drawn after the inputs in NET_CHUNK-direction chunks and
-    shared by every input, and asserts ⟨s, lmo(s)⟩ ≤ net minimum +
-    LMO_NET_TOL·‖s‖_F for each s. The net minimum is an upper bound on the
+    directions, drawn after the inputs in cache-sized chunks of NET_CHUNK
+    directions and shared by every input, and asserts ⟨s, lmo(s)⟩ ≤ net
+    minimum + LMO_NET_TOL·‖s‖_F for each s. The net minimum is an upper bound on the
     true optimum, so this certifies the oracle is at least as good as brute
     force.
     """
@@ -278,7 +283,9 @@ def _net_minima(
 ) -> list[float]:
     """min ⟨s, d⟩ for each s in `targets` over one net of `net_size` directions
     d with norm(d) = 1, drawn, normalized in place and scored NET_CHUNK at a
-    time, so no array outgrows one chunk however many targets share it."""
+    time, so no array outgrows one cache-sized chunk however large the net
+    or however many targets share it. The minima are the same floats at any
+    NET_CHUNK: the draws are sequential and each direction is scored alone."""
     best = [math.inf] * len(targets)
     remaining = net_size
     while remaining > 0:

@@ -649,6 +649,13 @@ class TestRunVerify:
         assert "telescoped_descent" in names
         assert "min_grad_rate_deterministic" in names
 
+    def test_every_report_is_timed(self):
+        for report in run_verify("fast"):
+            assert report.seconds > 0
+            assert f"({report.seconds:.3g} s)" in report.human_lines()
+            assert report.machine_line().split(",")[0] == report.name
+            assert len(report.machine_line().split(",")) == 5
+
     def test_full_level_passes(self):
         reports = run_verify("full")
         assert all(r.passed for r in reports)

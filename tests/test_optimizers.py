@@ -457,6 +457,11 @@ class TestManifoldMuonStep:
             ManifoldMuon(inner_iters=0)
         with pytest.raises(ConfigurationError):
             ManifoldMuon(inner_lr=-0.1)
+        # the public entry point keeps its own guard: with no inner iteration
+        # it would have no direction to return
+        x = haar(20, 3, seed=16)
+        with pytest.raises(ConfigurationError, match="inner_iters must be at least 1"):
+            manifold_muon_direction(x, np.ones((20, 3)), 0, 0.1)
 
 
 class TestDispatchAndState:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,9 @@ class TestMinGradRate:
 RUN_VERIFY_NETS = [(NormKind.SPECTRAL, (2, 2), 101), (NormKind.FROBENIUS, (3, 2), 102)]
 NET_SHAPES = [(norm, dims) for norm, dims, _ in RUN_VERIFY_NETS]
 NET_IDS = ["spectral-2x2", "frobenius-3x2"]
+# Every normalization path: the 2x2 closed form, row norms and the batched SVD.
+ALL_NET_SHAPES = NET_SHAPES + [(NormKind.SPECTRAL, (3, 3))]
+ALL_NET_IDS = NET_IDS + ["spectral-3x3"]
 
 
 class CountingGenerator:
@@ -276,6 +280,28 @@ class TestBruteForceLmo:
         for k, s in enumerate(targets):
             alone = min(float(np.tensordot(u, s, axes=([1, 2], [0, 1])).min()) for u in units)
             assert minima[k] == alone
+
+    @pytest.mark.parametrize("norm, dims", ALL_NET_SHAPES, ids=ALL_NET_IDS)
+    def test_net_minima_do_not_depend_on_the_chunk_size(self, monkeypatch, norm, dims):
+        import mcsd.verify
+
+        targets = [np.random.default_rng(15).standard_normal(dims) for _ in range(3)]
+        minima = []
+        for chunk in (4_096, NET_CHUNK, 200_000):
+            monkeypatch.setattr(mcsd.verify, "NET_CHUNK", chunk)
+            # 100 003 is a multiple of none of the chunk sizes
+            minima.append(mcsd.verify._net_minima(norm, dims, targets, 100_003, np.random.default_rng(16)))
+        assert minima[0] == minima[1] == minima[2]
+
+    @pytest.mark.parametrize("norm, dims", ALL_NET_SHAPES, ids=ALL_NET_IDS)
+    def test_working_set_is_a_few_chunks(self, norm, dims):
+        tracemalloc.start()
+        try:
+            brute_force_lmo_check(norm, dims, net_size=2 * 10**5, rng=np.random.default_rng(17), inputs=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("norm, dims, seed", RUN_VERIFY_NETS, ids=NET_IDS)
     @pytest.mark.parametrize(
