@@ -44,7 +44,7 @@ GRAM_MIN_WORK = 2000
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float64 array with finite entries."""
     m = as_2d(a, name)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ConfigurationError(f"{name} contains non-finite entries")
     return m
 
@@ -79,13 +79,22 @@ def sym(a) -> np.ndarray:
 
 
 def sym_unchecked(a: np.ndarray) -> np.ndarray:
-    """(a + aᵀ)/2 of a square array the caller built itself."""
-    return 0.5 * (a + a.T)
+    """(a + aᵀ)/2 of a square array the caller built itself, or of each
+    matrix of a stack of them on leading axes."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def frob_inner(a, b) -> float:
     """Trace inner product Σ a_ij b_ij."""
     return float(np.vdot(a, b))
+
+
+def frob_norm(a: np.ndarray) -> float:
+    """‖a‖_F as one BLAS dot: np.linalg.norm(a) bit for bit (the same dot
+    over the same memory-order ravel), without its argument handling.
+    Unscaled, so it overflows where lmo.frobenius_norm rescales."""
+    v = a.ravel(order="K")
+    return math.sqrt(float(v.dot(v)))
 
 
 class SvdFactors(NamedTuple):
@@ -111,6 +120,34 @@ def svd(y) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD of {y.shape[0]}x{y.shape[1]} matrix failed: {exc}") from exc
     return SvdFactors(u, s, vt)
+
+
+def msign_stack(y: np.ndarray) -> np.ndarray:
+    """Polar factors U·Vᵀ of a stack y of shape (k, n, p), from one stacked SVD.
+
+    LAPACK factors each matrix of the stack on its own, so every slice gets
+    the bits msign_exact's SVD route gives it alone, at a fraction of the
+    per-call cost. Raises RankDeficiencyError, with `index` the first slice
+    whose σ_min ≤ RANK_TOL_FACTOR·σ_max.
+    """
+    if y.ndim != 3 or 0 in y.shape:
+        raise ConfigurationError(f"polar input must be a stack of matrices, got shape {y.shape}")
+    # The SVD with vectors does not return on an infinite entry (see svd).
+    if not np.isfinite(y).all():
+        raise ConfigurationError("polar input contains non-finite entries")
+    try:
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD of a stack of {y.shape[1]}x{y.shape[2]} matrices failed: {exc}") from exc
+    deficient = s[:, -1] <= RANK_TOL_FACTOR * s[:, 0]
+    if deficient.any():
+        k = int(np.argmax(deficient))
+        raise RankDeficiencyError(
+            f"matrix {k} of the stack is numerically rank-deficient (sigma_min={s[k, -1]:.3e}, "
+            f"sigma_max={s[k, 0]:.3e}); polar factor undefined",
+            index=k,
+        )
+    return u @ vt
 
 
 def spectral_norm(a) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError
-from .linalg import EXACT, PolarMode, as_2d, as_matrix, sym_unchecked
+from .linalg import EXACT, PolarMode, as_2d, as_matrix, frob_norm, sym_unchecked
 
 # Every StiefelPoint satisfies ‖xᵀx − I‖_F ≤ FEAS_TOL.
 FEAS_TOL = 1e-8
@@ -74,7 +74,8 @@ def feasibility_violation(x) -> float:
     """
     x = as_2d(x, "matrix")
     g = x.T @ x
-    violation = float(np.linalg.norm(g - np.eye(x.shape[1])))
+    g.flat[:: g.shape[0] + 1] -= 1.0
+    violation = frob_norm(g)
     if not math.isfinite(violation) and not np.isfinite(x).all():
         raise ConfigurationError("matrix contains non-finite entries")
     return violation
@@ -105,8 +106,9 @@ def tangent_project(x: StiefelPoint, g) -> np.ndarray:
 
 
 def tangent_component(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g − x·sym(xᵀg) for arrays the caller has already checked."""
-    return g - x @ sym_unchecked(x.T @ g)
+    """g − x·sym(xᵀg) for arrays the caller has already checked, or for each
+    pair of matrices of two stacks of them on leading axes."""
+    return g - x @ sym_unchecked(x.swapaxes(-1, -2) @ g)
 
 
 def riemannian_grad(x: StiefelPoint, euclid_grad) -> np.ndarray:

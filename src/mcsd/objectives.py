@@ -16,7 +16,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import as_2d, as_matrix, frob_inner, sym
+from .linalg import as_2d, as_matrix, frob_inner, frob_norm, sym
 from .manifolds import StiefelManifold, StiefelPoint
 
 
@@ -89,7 +89,7 @@ class BrockettInstance:
     def value(self, x: np.ndarray) -> float:
         """−½ tr(xᵀ C x D)."""
         x = as_matrix(x, "objective input")
-        return _value_from_grad(_grad(self, x), x)
+        return value_from_grad(brockett_grad_unchecked(self, x), x)
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray:
         return brockett_grad(self, x)
@@ -98,7 +98,7 @@ class BrockettInstance:
         """(f(x), ∇f(x)) from one product C·x, the value read off the gradient
         as value(x) does."""
         g = self.euclid_grad(x)
-        return _value_from_grad(g, x), g
+        return value_from_grad(g, x), g
 
     def stochastic_grad(self, x, rng: np.random.Generator, noise_cfg: NoiseConfig) -> np.ndarray:
         """Unbiased stochastic estimate of the Euclidean gradient.
@@ -106,24 +106,30 @@ class BrockettInstance:
         Gaussian: exact gradient plus iid N(0, sigma_entry²) entries.
         Minibatch: the gradient of the objective restricted to a uniform
         column sample, rescaled by d/batch so its expectation is the full
-        gradient.
+        gradient. A non-finite entry of x makes ‖g‖_F non-finite, so x is
+        scanned for one only then, and raises ConfigurationError.
         """
-        x = as_matrix(x, "gradient input")
+        x = as_2d(x, "gradient input")
         if noise_cfg.kind == "gaussian":
-            g = _grad(self, x)
+            g = brockett_grad_unchecked(self, x)
             if noise_cfg.sigma_entry > 0.0:
-                g = g + noise_cfg.sigma_entry * rng.standard_normal(x.shape)
-            return g
-        if noise_cfg.kind == "minibatch":
+                g += noise_cfg.sigma_entry * rng.standard_normal(x.shape)
+        elif noise_cfg.kind == "minibatch":
             batch = noise_cfg.batch_size
             if not (1 <= batch <= self.d):
                 raise ConfigurationError(f"batch_size {batch} outside [1, {self.d}]")
             if batch == self.d:
-                return _grad(self, x)
-            idx = rng.choice(self.d, size=batch, replace=False)
-            xb = self.samples[:, idx]
-            return -(self.d / batch) * (xb @ (xb.T @ x)) * self.dmat[None, :]
-        raise ConfigurationError(f"unknown noise kind {noise_cfg.kind!r}")
+                g = brockett_grad_unchecked(self, x)
+            else:
+                idx = rng.choice(self.d, size=batch, replace=False)
+                xb = self.samples[:, idx]
+                with np.errstate(invalid="ignore"):  # inf − inf from a non-finite x, reported below
+                    g = -(self.d / batch) * (xb @ (xb.T @ x)) * self.dmat[None, :]
+        else:
+            raise ConfigurationError(f"unknown noise kind {noise_cfg.kind!r}")
+        if not math.isfinite(frob_norm(g)) and not np.isfinite(x).all():
+            raise ConfigurationError("gradient input contains non-finite entries")
+        return g
 
     def optimum_value(self) -> float:
         """f at the known minimizer, −½ Σ dᵢ λᵢ."""
@@ -161,19 +167,22 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
     )
 
 
-def _value_from_grad(g: np.ndarray, w: np.ndarray) -> float:
+def value_from_grad(g: np.ndarray, w: np.ndarray) -> float:
     """f(w) = ½⟨∇f(w), w⟩ for the quadratic f(w) = −½ tr(wᵀ C w D)."""
     return 0.5 * frob_inner(g, w)
 
 
 def brockett_grad(inst: BrockettInstance, w) -> np.ndarray:
     """Euclidean gradient −C w D."""
-    return _grad(inst, as_matrix(w, "gradient input"))
+    return brockett_grad_unchecked(inst, as_matrix(w, "gradient input"))
 
 
-def _grad(inst: BrockettInstance, w: np.ndarray) -> np.ndarray:
-    """−C w D for a w its caller has already scanned for finiteness."""
-    return -(inst.c @ w) * inst.dmat[None, :]
+def brockett_grad_unchecked(inst: BrockettInstance, w: np.ndarray) -> np.ndarray:
+    """−C w D for a w its caller has already scanned for finiteness, or for
+    each matrix of a stack of them on leading axes."""
+    g = inst.c @ w
+    g *= -inst.dmat  # (−a)·b = −(a·b) exactly: the bits of −(C w)·D
+    return g
 
 
 def smoothness_constants(inst: BrockettInstance) -> SmoothnessConstants:
@@ -206,10 +215,10 @@ def subspace_error(inst: BrockettInstance, w) -> float:
     ws = inst.w_star.x
     if w.shape != ws.shape:
         raise ConfigurationError(f"subspace input shape {w.shape} does not match the optimum's {ws.shape}")
-    off_range = float(np.linalg.norm(w - ws @ (ws.T @ w)))
+    off_range = frob_norm(w - ws @ (ws.T @ w))
     gram = w.T @ w
     gram.flat[:: gram.shape[0] + 1] -= 1.0
-    err = math.hypot(math.sqrt(2.0) * off_range, float(np.linalg.norm(gram)))
+    err = math.hypot(math.sqrt(2.0) * off_range, frob_norm(gram))
     if not math.isfinite(err) and not np.isfinite(w).all():
         raise ConfigurationError("subspace input contains non-finite entries")
     return err

@@ -33,7 +33,8 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError, ZeroGradient
-from .linalg import EXACT, PolarMode, as_2d, frob_inner, gram_polar_factor, max_abs, msign_exact, sym_unchecked
+from .linalg import (EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, msign_exact,
+                     sym_unchecked)
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, project, tangent_component
 from .objectives import NoiseConfig
@@ -213,7 +214,7 @@ class ManifoldMuon:
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """d from the tangent-constrained inner solver; a zero gradient holds."""
         g = _true_grad(run, objective)
-        if float(np.linalg.norm(g)) <= zero_tolerance(*g.shape):
+        if frob_norm(g) <= zero_tolerance(*g.shape):
             return None, self.inner_iters, False
         result = manifold_muon_direction(run.x, g, self.inner_iters, self.inner_lr, run.polar_mode)
         if result.fallback:
@@ -406,7 +407,7 @@ def manifold_muon_direction(
         lam_d, lam = lam, lam + half_lr * (q + q.T)
 
     neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
-    raw_tangency = float(np.linalg.norm(neg_tangency))
+    raw_tangency = frob_norm(neg_tangency)
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
     d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam_d @ h - neg_tangency)
     d = d / max(1.0, _spectral_norm_of_gram(d.T @ d))

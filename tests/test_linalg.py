@@ -15,7 +15,7 @@ from mcsd import (
     svd,
     sym,
 )
-from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK, gram_polar_factor
+from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK, frob_norm, gram_polar_factor, msign_stack, sym_unchecked
 from tests.conftest import haar
 
 def direct_polar_iteration(y, iters=8):
@@ -139,6 +139,11 @@ class TestSym:
         with pytest.raises(ConfigurationError):
             sym(np.ones((2, 3)))
 
+    def test_stack_is_each_matrix_bit_for_bit(self, rng):
+        a = rng.standard_normal((6, 4, 4))
+        stacked = sym_unchecked(a)
+        assert all(np.array_equal(stacked[k], sym(a[k])) for k in range(6))
+
 
 class TestMsignExact:
     def test_stiefel_fixed_point(self):
@@ -194,6 +199,34 @@ class TestMsignExact:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericError, match="Gram"):
             route(rng.standard_normal((200, 5)))
+
+
+class TestMsignStack:
+    # shapes on msign_exact's SVD route
+    @pytest.mark.parametrize("shape", [(50, 3), (12, 4), (3, 5)])
+    def test_each_slice_is_msign_exact_bit_for_bit(self, shape, rng):
+        y = rng.standard_normal((9,) + shape)
+        out = msign_stack(y)
+        assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(9))
+
+    @pytest.mark.parametrize("bad", [0, 5])
+    def test_rank_deficient_slice_is_named(self, bad, rng):
+        y = rng.standard_normal((7, 6, 3))
+        y[bad, :, 2] = y[bad, :, 0]  # a repeated column: rank two
+        with pytest.raises(RankDeficiencyError, match=f"matrix {bad} of the stack") as info:
+            msign_stack(y)
+        assert info.value.index == bad
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_input_rejected(self, value, rng):
+        y = rng.standard_normal((4, 6, 3))
+        y[2, 5, 1] = value
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            msign_stack(y)
+
+    def test_needs_a_stack(self):
+        with pytest.raises(ConfigurationError, match="stack"):
+            msign_stack(np.ones((4, 2)))
 
 
 class TestMsignIterative:
@@ -304,6 +337,19 @@ class TestFrobInner:
         elif layout == "mixed":
             b = np.asfortranarray(b)
         assert frob_inner(a, b) == float(np.tensordot(a, b, axes=2))
+
+
+class TestFrobNorm:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "stack"])
+    def test_matches_numpy_norm_bit_for_bit(self, layout, rng):
+        a = rng.standard_normal((400, 10))
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            a = a[::3, 1::2]
+        elif layout == "stack":
+            a = a.reshape(20, 20, 10)[3]
+        assert frob_norm(a) == float(np.linalg.norm(a))
 
 
 class TestPolarMode:

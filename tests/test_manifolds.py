@@ -17,7 +17,7 @@ from mcsd import (
     riemannian_grad,
     tangent_project,
 )
-from mcsd.manifolds import FEAS_TOL
+from mcsd.manifolds import FEAS_TOL, tangent_component
 from tests.conftest import haar
 
 
@@ -44,6 +44,12 @@ class TestManifoldAndPoint:
         m = StiefelManifold(5, 2)
         with pytest.raises(ConfigurationError):
             StiefelPoint(np.eye(4, 2), m)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_violation_is_the_gram_residual_norm_bit_for_bit(self, layout, rng):
+        for x in batched_haar(5, 9, 4, rng) + 1e-9 * rng.standard_normal((5, 9, 4)):
+            x = np.asfortranarray(x) if layout == "F" else x
+            assert feasibility_violation(x) == float(np.linalg.norm(x.T @ x - np.eye(4)))
 
     def test_point_keeps_its_certified_violation(self, rng):
         x = project(StiefelManifold(40, 3), rng.standard_normal((40, 3)), PolarMode(iters=8))
@@ -130,6 +136,12 @@ class TestTangentProject:
         x = haar(7, 3, seed=8)
         with pytest.raises(ConfigurationError):
             tangent_project(x, np.ones((3, 7)))
+
+    def test_stack_is_each_pair_bit_for_bit(self, rng):
+        xs = batched_haar(5, 7, 3, rng)
+        gs = rng.standard_normal((5, 7, 3))
+        stacked = tangent_component(xs, gs)
+        assert all(np.array_equal(stacked[k], tangent_component(xs[k], gs[k])) for k in range(5))
 
 
 class TestRiemannianGrad:

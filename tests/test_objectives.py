@@ -15,6 +15,7 @@ from mcsd import (
     smoothness_constants,
     subspace_error,
 )
+from mcsd.objectives import brockett_grad_unchecked
 from tests.conftest import haar
 
 
@@ -132,6 +133,13 @@ class TestValueAndGrad:
             g = tiny.euclid_grad(w)
             assert np.linalg.norm(fd - g) <= 1e-5 * np.linalg.norm(g)
 
+    def test_grad_of_a_stack_is_each_matrix_bit_for_bit(self, tiny, rng):
+        ws = rng.standard_normal((6, 10, 2))
+        stacked = brockett_grad_unchecked(tiny, ws)
+        for w, g in zip(ws, stacked):
+            assert np.array_equal(g, brockett_grad(tiny, w))
+            assert np.array_equal(g, -(tiny.c @ w) * tiny.dmat[None, :])
+
     def test_evaluate_is_value_and_grad_bit_for_bit(self, pca_instance):
         for seed in range(5):
             w = haar(200, 5, seed=110 + seed).x
@@ -140,25 +148,38 @@ class TestValueAndGrad:
             assert np.array_equal(g, pca_instance.euclid_grad(w))
 
     @pytest.mark.parametrize(
-        "call",
+        "call, scans",
         [
-            lambda inst, w: inst.value(w),
-            lambda inst, w: inst.euclid_grad(w),
-            lambda inst, w: inst.evaluate(w),
-            lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.additive_gaussian(0.5)),
-            lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.minibatch(inst.d)),
-            lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.minibatch(5)),
+            (lambda inst, w: inst.value(w), 1),
+            (lambda inst, w: inst.euclid_grad(w), 1),
+            (lambda inst, w: inst.evaluate(w), 1),
+            # stochastic_grad certifies x through ‖g‖_F and scans it only when that is not finite
+            (lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.additive_gaussian(0.5)), 0),
+            (lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.minibatch(inst.d)), 0),
+            (lambda inst, w: inst.stochastic_grad(w, np.random.default_rng(0), NoiseConfig.minibatch(5)), 0),
         ],
         ids=["value", "euclid_grad", "evaluate", "gaussian", "full_batch", "minibatch"],
     )
-    def test_one_finiteness_scan_per_call(self, tiny, monkeypatch, call):
+    def test_one_finiteness_scan_per_call(self, tiny, monkeypatch, call, scans):
         import mcsd.objectives
 
         names = []
         scan = mcsd.objectives.as_matrix
         monkeypatch.setattr(mcsd.objectives, "as_matrix", lambda a, name: names.append(name) or scan(a, name))
         call(tiny, haar(10, 2, seed=23).x)
-        assert len(names) == 1
+        assert len(names) == scans
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseConfig.additive_gaussian(0.5), NoiseConfig.additive_gaussian(0.0), NoiseConfig.minibatch(5)],
+        ids=["gaussian", "noiseless", "minibatch"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_stochastic_grad_rejects_a_nonfinite_input(self, tiny, noise, value):
+        w = haar(10, 2, seed=24).x.copy()
+        w[-1, -1] = value
+        with pytest.raises(ConfigurationError, match="gradient input contains non-finite"):
+            tiny.stochastic_grad(w, np.random.default_rng(0), noise)
 
 
 class TestSmoothnessConstants:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,21 +7,27 @@ import pytest
 
 from mcsd import (
     ConfigurationError,
+    FeasibilityError,
     NoiseConfig,
     NormKind,
+    NumericError,
     StiefelManifold,
     audit_deterministic_bound,
     audit_per_step_descent,
     brute_force_lmo_check,
     check_descent_lemma,
     check_min_grad_rate,
+    frob_inner,
     gap_with_headroom,
     msign_exact,
     norm_equiv_constant,
     random_point,
+    riemannian_grad,
     smoothness_constants,
+    spectral_norm,
 )
 from mcsd.optimizers import (
+    STEP_RADIUS,
     Mcsd,
     OptimizerRun,
     StochasticMcsd,
@@ -30,7 +37,7 @@ from mcsd.optimizers import (
     stochastic_bound_schedule,
 )
 from mcsd.trace import TraceRecord
-from mcsd.verify import NET_CHUNK
+from mcsd.verify import DESCENT_CHUNK, NET_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +54,118 @@ def bound_run(small_instance):
     return records, gap, consts.composed_lipschitz, n_const, schedule
 
 
+def reference_descent_lemma(inst, samples, rng, lip):
+    """The descent-lemma scan one sample at a time through the public calls:
+    (lhs, rhs, worst sample, x, d) at the worst margin, and the largest
+    observed curvature."""
+    manifold = StiefelManifold(inst.n, inst.p)
+    worst, worst_margin, curvature = None, -math.inf, -math.inf
+    for k in range(samples):
+        x = random_point(manifold, rng)
+        g = rng.standard_normal((inst.n, inst.p))
+        rho = STEP_RADIUS * (1.0 - rng.uniform(0.0, 1.0))
+        d = g * (rho / spectral_norm(g))
+        fx, egrad = inst.evaluate(x.x)
+        lhs = inst.value(msign_exact(x.x + d))
+        slope = frob_inner(riemannian_grad(x, egrad), d)
+        sq = float(np.sum(d * d))
+        rhs = fx + slope + 0.5 * lip * sq
+        curvature = max(curvature, 2.0 * (lhs - fx - slope) / sq)
+        if lhs - rhs > worst_margin:
+            worst_margin = lhs - rhs
+            worst = (lhs, rhs, k, x.x, d)
+    return worst, curvature
+
+
+def scaled_lipschitz(monkeypatch, scale):
+    import dataclasses
+
+    import mcsd.verify
+
+    exact = mcsd.verify.smoothness_constants
+    monkeypatch.setattr(
+        mcsd.verify, "smoothness_constants",
+        lambda inst: dataclasses.replace(exact(inst), composed_lipschitz=scale * exact(inst).composed_lipschitz),
+    )
+
+
+class ZeroDraw:
+    """A Generator stand-in whose `zero`-th standard-normal draw is all zeros."""
+
+    def __init__(self, seed, zero):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+        self.zero = zero
+
+    def standard_normal(self, size):
+        self.draws += 1
+        return np.zeros(size) if self.draws - 1 == self.zero else self.rng.standard_normal(size)
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
 class TestDescentLemma:
+    @pytest.mark.parametrize("seed", [100, 104])
+    @pytest.mark.parametrize("samples", [DESCENT_CHUNK - 1, DESCENT_CHUNK, DESCENT_CHUNK + 1])
+    # L itself passes; 0·L fails, so the report carries its witness
+    @pytest.mark.parametrize("lip_scale", [1.0, 0.0])
+    def test_matches_the_per_sample_reference(self, monkeypatch, small_instance, seed, samples, lip_scale):
+        scaled_lipschitz(monkeypatch, lip_scale)
+        lip = lip_scale * smoothness_constants(small_instance).composed_lipschitz
+        report = check_descent_lemma(small_instance, samples, np.random.default_rng(seed))
+        (lhs, rhs, idx, x, d), curvature = reference_descent_lemma(
+            small_instance, samples, np.random.default_rng(seed), lip
+        )
+        assert (report.lhs, report.rhs) == (lhs, rhs)
+        assert f"(sample {idx});" in report.detail
+        assert f"largest observed curvature {curvature:.6g} " in report.detail
+        assert report.passed == (lip_scale == 1.0)
+        if not report.passed:
+            assert np.array_equal(report.witness[0], x)
+            assert np.array_equal(report.witness[1], d)
+
+    def test_observed_curvature_is_at_most_L(self, small_instance):
+        report = check_descent_lemma(small_instance, samples=1000, rng=np.random.default_rng(104))
+        lip = smoothness_constants(small_instance).composed_lipschitz
+        match = re.search(r"largest observed curvature (\S+) against L = (\S+)$", report.detail)
+        assert 0.0 < float(match[1]) <= lip
+        assert float(match[2]) == pytest.approx(lip, rel=1e-5)
+        assert match[0] in report.human_lines()
+
+    def test_working_set_is_a_few_chunks(self, small_instance):
+        tracemalloc.start()
+        try:
+            check_descent_lemma(small_instance, samples=1000, rng=np.random.default_rng(104))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below the brute-force nets' peak of 1.1-1.8 MiB
+        assert peak <= 2**20
+
+    def test_infeasible_point_is_a_feasibility_error_naming_the_sample(self, monkeypatch, small_instance):
+        import mcsd.verify
+
+        exact = mcsd.verify.msign_stack
+        calls = []
+
+        def stretched(y):  # the second chunk's points, sample 3 off the manifold
+            out = exact(y)
+            calls.append(y)
+            if len(calls) == 3:
+                out[3] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(mcsd.verify, "msign_stack", stretched)
+        with pytest.raises(FeasibilityError, match=f"descent-lemma sample {DESCENT_CHUNK + 3}: "):
+            check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sample", [0, DESCENT_CHUNK + 2])
+    def test_rank_deficient_draw_is_a_numeric_error_naming_the_sample(self, small_instance, sample):
+        # each sample draws y, then its direction: y of sample k is draw 2k
+        with pytest.raises(NumericError, match=f"descent-lemma sample {sample}: .* rank-deficient"):
+            check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=ZeroDraw(7, 2 * sample))
+
     def test_sampled_inequality_holds(self, small_instance):
         report = check_descent_lemma(small_instance, samples=200, rng=np.random.default_rng(0))
         assert report.passed
@@ -61,8 +179,6 @@ class TestDescentLemma:
 
     def test_small_gradient_step_decreases(self, small_instance):
         # moving along the normalized negative gradient must decrease f
-        from mcsd import riemannian_grad, spectral_norm
-
         x = random_point(StiefelManifold(50, 3), np.random.default_rng(2))
         g = riemannian_grad(x, small_instance.euclid_grad(x.x))
         d = -0.01 * g / spectral_norm(g)
@@ -135,6 +251,21 @@ class TestTelescopedAudit:
 
 
 class TestMinGradRate:
+    def test_one_gradient_input_scan_per_stochastic_iterate(self, monkeypatch, small_instance):
+        import mcsd.bench
+        import mcsd.objectives
+
+        names = []
+        scan = mcsd.objectives.as_matrix
+        monkeypatch.setattr(mcsd.objectives, "as_matrix", lambda a, name: names.append(name) or scan(a, name))
+        lip = smoothness_constants(small_instance).composed_lipschitz
+        norm_equiv = norm_equiv_constant(NormKind.SPECTRAL, 50, 3)
+        report = mcsd.bench._stochastic_rate_report(small_instance, StiefelManifold(50, 3), lip, norm_equiv)
+        assert report.passed
+        # 20 seeds x 401 records, each evaluating the objective once; the
+        # sampled gradients certify x through their own norm
+        assert names.count("gradient input") == 20 * 401
+
     def test_deterministic_rate(self, bound_run):
         records, gap, lip, n_const, schedule = bound_run
         report = check_min_grad_rate([records], gap, lip, n_const, schedule)
