@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import as_2d, as_matrix, frob_inner, frob_norm, sym
+from .linalg import as_2d, as_matrix, frob_inner, frob_norm
 from .manifolds import StiefelManifold, StiefelPoint
 
 
@@ -72,19 +73,29 @@ class SmoothnessConstants:
 class BrockettInstance:
     """Weighted-PCA problem data with its known optimum.
 
-    Fields are immutable after construction; evaluation methods are pure, so
-    one instance serves every run of a benchmark.
+    Fields are immutable after construction and their arrays are read-only
+    views; evaluation methods are pure, so one instance serves every run of
+    a benchmark. The n×d data matrix X is not kept: only minibatch gradients
+    read it, through `samples`, which redraws it from data_seed on first use.
     """
 
     n: int
     p: int
     d: int
     data_seed: int
-    samples: np.ndarray  # n×d data matrix X
     c: np.ndarray  # Gram matrix XXᵀ, exactly symmetric
     dmat: np.ndarray  # diagonal weights, decreasing
     w_star: StiefelPoint
     eigenvalues: np.ndarray  # full spectrum of c, descending
+
+    def __post_init__(self):
+        for name in ("c", "dmat", "eigenvalues"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """The n×d data matrix X of make_brockett, read-only."""
+        return _read_only(_draw_samples(self.n, self.d, self.data_seed))
 
     def value(self, x: np.ndarray) -> float:
         """−½ tr(xᵀ C x D)."""
@@ -136,34 +147,49 @@ class BrockettInstance:
         return -0.5 * float(np.dot(self.dmat, self.eigenvalues[: self.p]))
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only view of `a`; the caller's array keeps its own flags."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+def _draw_samples(n: int, d: int, data_seed: int) -> np.ndarray:
+    """The instance's n×d standard-normal data matrix X, the first draw from data_seed."""
+    return np.random.default_rng(data_seed).standard_normal((n, d))
+
+
 def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
     """Build an instance from an n×d standard-normal data matrix.
 
     Weights are (p, p−1, …, 1). The reference optimum holds the top-p
     eigenvectors of C with the sign of each column fixed so its
     largest-magnitude entry is positive. The eigengap is not checked.
+    X is released once C = XXᵀ exists, so the eigendecomposition's buffers
+    never sit beside it.
     """
     if not (1 <= p <= n <= d):
         raise ConfigurationError(f"need 1 <= p <= n <= d, got n={n}, p={p}, d={d}")
-    rng = np.random.default_rng(data_seed)
-    samples = rng.standard_normal((n, d))
-    c = sym(samples @ samples.T)
-    dmat = np.arange(p, 0, -1, dtype=np.float64)
+    samples = _draw_samples(n, d, data_seed)
+    c = as_matrix(samples @ samples.T, "Gram matrix")
+    del samples
+    # linalg.sym's (c + cᵀ)/2 bit for bit, in place: numpy buffers the
+    # transpose that overlaps its output.
+    c += c.T
+    c *= 0.5
 
     evals, evecs = np.linalg.eigh(c)
-    evals = evals[::-1].copy()
-    evecs = evecs[:, ::-1].copy()
+    top = evecs[:, ::-1][:, :p].copy()
     for k in range(p):
-        j = int(np.argmax(np.abs(evecs[:, k])))
-        if evecs[j, k] < 0:
-            evecs[:, k] = -evecs[:, k]
+        j = int(np.argmax(np.abs(top[:, k])))
+        if top[j, k] < 0:
+            top[:, k] = -top[:, k]
 
-    manifold = StiefelManifold(n, p)
-    w_star = StiefelPoint(evecs[:, :p], manifold)
     return BrockettInstance(
         n=n, p=p, d=d, data_seed=data_seed,
-        samples=samples, c=c, dmat=dmat, w_star=w_star,
-        eigenvalues=evals,
+        c=c, dmat=np.arange(p, 0, -1, dtype=np.float64),
+        w_star=StiefelPoint(top, StiefelManifold(n, p)),
+        eigenvalues=evals[::-1].copy(),
     )
 
 

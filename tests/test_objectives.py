@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,7 @@ from mcsd import (
     random_point,
     smoothness_constants,
     subspace_error,
+    sym,
 )
 from mcsd.objectives import brockett_grad_unchecked
 from tests.conftest import haar
@@ -47,6 +50,24 @@ def central_diff_grad(value_fn, w, h=1e-5):
         e[idx] = h
         g[idx] = (value_fn(w + e) - value_fn(w - e)) / (2.0 * h)
     return g
+
+
+def reference_brockett(n, p, d, data_seed):
+    """(X, C, w*, spectrum) from the plain formulas: X the first draw from
+    data_seed, sym(XXᵀ), a full eigh, a reversed copy of every eigenvector,
+    then the sign fix on the top p."""
+    x = np.random.default_rng(data_seed).standard_normal((n, d))
+    c = sym(x @ x.T)
+    evals, evecs = np.linalg.eigh(c)
+    evals, evecs = evals[::-1].copy(), evecs[:, ::-1].copy()
+    for k in range(p):
+        j = int(np.argmax(np.abs(evecs[:, k])))
+        if evecs[j, k] < 0:
+            evecs[:, k] = -evecs[:, k]
+    return x, c, evecs[:, :p], evals
+
+
+REFERENCE_SHAPES = [(20, 3, 60), (50, 3, 200), (200, 5, 1000), (6, 6, 12), (30, 1, 40)]
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +121,58 @@ class TestMakeBrockett:
         for k in range(tiny.p):
             col = tiny.w_star.x[:, k]
             assert col[np.argmax(np.abs(col))] > 0
+
+    @pytest.mark.parametrize("shape", REFERENCE_SHAPES, ids=["x".join(map(str, s)) for s in REFERENCE_SHAPES])
+    def test_matches_the_reference_construction_bit_for_bit(self, shape):
+        inst = make_brockett(*shape, data_seed=7)
+        x, c, w_star, evals = reference_brockett(*shape, data_seed=7)
+        assert np.array_equal(inst.c, c)
+        assert np.array_equal(inst.w_star.x, w_star)
+        assert np.array_equal(inst.eigenvalues, evals)
+        assert np.array_equal(inst.samples, x)
+
+    def test_minibatch_gradient_matches_the_reference_bit_for_bit(self, small_instance):
+        x = reference_brockett(50, 3, 200, data_seed=7)[0]
+        w = haar(50, 3, seed=25).x
+        g = small_instance.stochastic_grad(w, np.random.default_rng(26), NoiseConfig.minibatch(20))
+        idx = np.random.default_rng(26).choice(200, size=20, replace=False)
+        xb = x[:, idx]
+        assert np.array_equal(g, -(200 / 20) * (xb @ (xb.T @ w)) * small_instance.dmat[None, :])
+
+    @pytest.mark.parametrize("field", ["c", "dmat", "eigenvalues", "samples"])
+    def test_arrays_are_read_only(self, field):
+        arr = getattr(make_brockett(10, 2, 30, data_seed=5), field)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+
+    def test_a_replaced_array_is_read_only_and_the_callers_is_not(self, tiny):
+        c = np.eye(10)
+        inst = replace(tiny, c=c)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.c[0, 0] = 2.0
+        c[0, 0] = 2.0
+        assert inst.c[0, 0] == 2.0
+
+    def test_keeps_c_not_the_data_matrix(self):
+        """Tracemalloc sees numpy's arrays but not the work buffers LAPACK's
+        eigh allocates inside numpy, so the peak bounds the arrays alone.
+
+        Kept: C plus O(np), where keeping X too would add 2.56 MB. Peak:
+        X + C while C = XXᵀ is formed, below X + 2·C plus the finiteness
+        scan's n×n bool mask and O(np); holding X through the
+        eigendecomposition peaks near X + 3·C.
+        """
+        n, p, d = 400, 10, 800
+        make_brockett(6, 2, 8, data_seed=0)  # lazy imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            inst = make_brockett(n, p, d, data_seed=7)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        x_bytes, c_bytes, np_bytes = 8 * n * d, inst.c.nbytes, 8 * n * (p + 1)
+        assert kept <= c_bytes + 8 * np_bytes
+        assert peak <= x_bytes + 2 * c_bytes + n * n + 8 * np_bytes
 
 
 class TestValueAndGrad:
