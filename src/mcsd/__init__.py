@@ -33,14 +33,12 @@ from .manifolds import (
     project,
     random_point,
     riemannian_grad,
-    tangent_project,
 )
 from .objectives import (
     BrockettInstance,
     NoiseConfig,
     Objective,
     SmoothnessConstants,
-    brockett_grad,
     make_brockett,
     smoothness_constants,
     subspace_error,

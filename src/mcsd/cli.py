@@ -65,17 +65,6 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC_ERROR
 
 
-def _print_method_summary(summary) -> None:
-    for label, st in summary["methods"].items():
-        if st["mean_final_subspace_error"] is None:
-            print(f"{label}: aborted")
-        else:
-            print(
-                f"{label}: mean final subspace error {st['mean_final_subspace_error']:.6e}, "
-                f"mean step wall time {st['mean_step_wall_s']:.3f} s"
-            )
-
-
 def _report_fallbacks(summary) -> None:
     """Print one `FALLBACK …` line to stderr per run with fallback steps."""
     for label, st in summary["methods"].items():
@@ -96,7 +85,7 @@ def _dispatch(args) -> int:
     if args.command == "pca-bench":
         cfg = _load_config(args)
         summary = bench.run_pca_bench(cfg)
-        _print_method_summary(summary)
+        print("\n".join(bench.method_lines(summary)))
         _report_fallbacks(summary)
         return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
 

@@ -1,4 +1,5 @@
-"""Dense float64 matrix kernels: SVD, the spectral norm and the polar factor.
+"""Dense float64 matrix kernels: the Frobenius norm, SVD, the spectral norm
+and the polar factor, of a matrix or (SVD route) of each matrix of a stack.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -90,11 +91,20 @@ def frob_inner(a, b) -> float:
 
 
 def frob_norm(a: np.ndarray) -> float:
-    """‖a‖_F as one BLAS dot: np.linalg.norm(a) bit for bit (the same dot
-    over the same memory-order ravel), without its argument handling.
-    Unscaled, so it overflows where lmo.frobenius_norm rescales."""
+    """‖a‖_F: one BLAS dot over the memory-order ravel, np.linalg.norm(a) bit
+    for bit in any layout, recomputed with a divided by max|a| only when Σa²
+    leaves [1e-290, 1e300] (overflow, or precision lost to underflow). A NaN
+    or ±inf entry gives a non-finite result and no warning (np.vdot, unlike
+    ndarray.dot, does not warn on overflow)."""
     v = a.ravel(order="K")
-    return math.sqrt(float(v.dot(v)))
+    sq = float(np.vdot(v, v))
+    if 1e-290 <= sq <= 1e300:
+        return math.sqrt(sq)
+    scale = max(float(a.max()), -float(a.min()))
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    t = v / scale
+    return scale * math.sqrt(float(np.vdot(t, t)))
 
 
 class SvdFactors(NamedTuple):
@@ -106,48 +116,27 @@ class SvdFactors(NamedTuple):
 
 
 def svd(y) -> SvdFactors:
-    """Thin SVD with singular values in descending order.
+    """Thin SVD with singular values in descending order, of a matrix or of
+    each matrix of a stack (k, n, p).
 
-    Raises NumericError if the underlying eigen-solver fails to converge.
+    LAPACK factors each matrix of a stack on its own, so every slice gets
+    the bits its own call would. Raises NumericError if the underlying
+    eigen-solver fails to converge.
     """
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim not in (2, 3) or 0 in y.shape:
+        raise ConfigurationError(f"svd input must be a matrix or a stack of them, got shape {y.shape}")
     # The one finiteness scan no reduction covers: given an inf entry,
     # np.linalg.svd with vectors does not return (a 50x3 input ran past 15 s
     # on numpy 2.4 with OpenBLAS), where the values-only SVD returns NaN.
     # Without this scan a non-finite input hangs instead of raising.
-    y = as_matrix(y, "svd input")
-    try:
-        u, s, vt = np.linalg.svd(y, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD of {y.shape[0]}x{y.shape[1]} matrix failed: {exc}") from exc
-    return SvdFactors(u, s, vt)
-
-
-def msign_stack(y: np.ndarray) -> np.ndarray:
-    """Polar factors U·Vᵀ of a stack y of shape (k, n, p), from one stacked SVD.
-
-    LAPACK factors each matrix of the stack on its own, so every slice gets
-    the bits msign_exact's SVD route gives it alone, at a fraction of the
-    per-call cost. Raises RankDeficiencyError, with `index` the first slice
-    whose σ_min ≤ RANK_TOL_FACTOR·σ_max.
-    """
-    if y.ndim != 3 or 0 in y.shape:
-        raise ConfigurationError(f"polar input must be a stack of matrices, got shape {y.shape}")
-    # The SVD with vectors does not return on an infinite entry (see svd).
     if not np.isfinite(y).all():
-        raise ConfigurationError("polar input contains non-finite entries")
+        raise ConfigurationError("svd input contains non-finite entries")
     try:
         u, s, vt = np.linalg.svd(y, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD of a stack of {y.shape[1]}x{y.shape[2]} matrices failed: {exc}") from exc
-    deficient = s[:, -1] <= RANK_TOL_FACTOR * s[:, 0]
-    if deficient.any():
-        k = int(np.argmax(deficient))
-        raise RankDeficiencyError(
-            f"matrix {k} of the stack is numerically rank-deficient (sigma_min={s[k, -1]:.3e}, "
-            f"sigma_max={s[k, 0]:.3e}); polar factor undefined",
-            index=k,
-        )
-    return u @ vt
+        raise NumericError(f"SVD of a {y.shape[-2]}x{y.shape[-1]} matrix failed: {exc}") from exc
+    return SvdFactors(u, s, vt)
 
 
 def spectral_norm(a) -> float:
@@ -200,28 +189,38 @@ def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, 
 
 
 def msign_exact(y) -> np.ndarray:
-    """Polar factor UVᵀ of a full-column-rank matrix.
+    """Polar factor UVᵀ of a full-column-rank matrix, or of each matrix of a
+    stack (k, n, p).
 
-    Computed from the Gram eigendecomposition when the long side is at
-    least twice the short one, n·p² ≥ GRAM_MIN_WORK and κ < 100, and from
-    the SVD otherwise. Raises RankDeficiencyError when the smallest singular
+    A single matrix is computed from the Gram eigendecomposition when the
+    long side is at least twice the short one, n·p² ≥ GRAM_MIN_WORK and
+    κ < 100, and from the SVD otherwise; a stack from one stacked SVD, so
+    each slice gets the bits of its own SVD route at a fraction of the
+    per-call cost. Raises RankDeficiencyError when the smallest singular
     value falls below RANK_TOL_FACTOR times the largest: the nearest
-    orthonormal-column matrix is then not unique.
+    orthonormal-column matrix is then not unique. Its `index` is the first
+    such matrix of a stack.
     """
-    y = as_2d(y, "polar input")
-    short = min(y.shape)
-    if max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
-        out = _gram_polar(y, None)
-        if out is not None:
-            return out
-    f = svd(y)
-    smax = f.s[0]
-    if smax <= 0.0 or f.s[-1] <= RANK_TOL_FACTOR * smax:
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim == 2:
+        short = min(y.shape)
+        if max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
+            out = _gram_polar(y, None)
+            if out is not None:
+                return out
+    u, s, vt = svd(y)
+    # One flag per matrix: on the 1-D s of a single matrix the stacked test
+    # (a 0-d s[..., -1], then .any()) costs several times the scalar one.
+    flags = [s[-1] <= RANK_TOL_FACTOR * s[0]] if s.ndim == 1 else (s[:, -1] <= RANK_TOL_FACTOR * s[:, 0]).tolist()
+    if any(flags):
+        k = flags.index(True)
+        sk, where, index = (s, "", None) if s.ndim == 1 else (s[k], f" {k} of the stack", k)
         raise RankDeficiencyError(
-            f"matrix is numerically rank-deficient (sigma_min={f.s[-1]:.3e}, "
-            f"sigma_max={smax:.3e}); polar factor undefined"
+            f"matrix{where} is numerically rank-deficient (sigma_min={sk[-1]:.3e}, "
+            f"sigma_max={sk[0]:.3e}); polar factor undefined",
+            index=index,
         )
-    return f.u @ f.vt
+    return u @ vt
 
 
 def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:

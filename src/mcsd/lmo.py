@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import NumericError, RankDeficiencyError, ZeroGradient
-from .linalg import EXACT, RANK_TOL_FACTOR, PolarMode, as_2d, as_matrix, max_abs, svd
+from .linalg import EXACT, RANK_TOL_FACTOR, PolarMode, as_2d, as_matrix, frob_norm, svd
 
 
 class NormKind(enum.Enum):
@@ -27,31 +27,6 @@ def zero_tolerance(n: int, p: int) -> float:
     return 1e-14 * math.sqrt(n * p)
 
 
-# Sums of squares in this range lose no precision to underflow and have
-# headroom below overflow; outside it frobenius_norm rescales.
-_SQ_MIN = 1e-290
-_SQ_MAX = 1e300
-
-
-def frobenius_norm(s: np.ndarray, name: str = "matrix") -> float:
-    """‖s‖_F, safe from overflow and underflow; raises ConfigurationError on
-    a non-finite entry.
-
-    Σ s_ij² is taken directly when it lands in the normal range, and
-    otherwise recomputed with s divided by max|s|, which also tells a
-    non-finite entry (NaN or inf propagates into the sum) from an overflow.
-    """
-    with np.errstate(over="ignore"):
-        sq = float((s * s).sum())
-    if _SQ_MIN <= sq <= _SQ_MAX:
-        return math.sqrt(sq)
-    scale = max_abs(s, name)
-    if scale == 0.0:
-        return 0.0
-    t = s / scale
-    return scale * math.sqrt(float((t * t).sum()))
-
-
 def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     """Minimizer of ⟨s, d⟩ over the unit ball of `norm`.
 
@@ -62,7 +37,9 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     takes sign(0) = 0 on the null singular values.
     """
     s = as_2d(s, "lmo input")
-    fro = frobenius_norm(s, "lmo input")
+    fro = frob_norm(s)
+    if not math.isfinite(fro):
+        as_matrix(s, "lmo input")
     if fro <= zero_tolerance(*s.shape):
         raise ZeroGradient
     if norm is NormKind.FROBENIUS:
@@ -77,16 +54,17 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
 
 def dual_norm(norm: NormKind, s) -> float:
     """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm."""
-    if norm is NormKind.FROBENIUS:
-        return frobenius_norm(as_2d(s, "dual-norm input"), "dual-norm input")
     s = as_2d(s, "dual-norm input")
-    # The SVD is the finiteness check: NaN makes it raise, ±inf makes the
-    # sum non-finite, and only then is the input scanned.
-    try:
-        total = float(np.sum(np.linalg.svd(s, compute_uv=False)))
-    except np.linalg.LinAlgError as exc:
-        as_matrix(s, "dual-norm input")
-        raise NumericError(f"SVD of the {s.shape[0]}x{s.shape[1]} dual-norm input failed: {exc}") from exc
+    # The norm is the finiteness check: NaN and ±inf make it non-finite (or
+    # the SVD raise), and only then is the input scanned.
+    if norm is NormKind.FROBENIUS:
+        total = frob_norm(s)
+    else:
+        try:
+            total = float(np.sum(np.linalg.svd(s, compute_uv=False)))
+        except np.linalg.LinAlgError as exc:
+            as_matrix(s, "dual-norm input")
+            raise NumericError(f"SVD of the {s.shape[0]}x{s.shape[1]} dual-norm input failed: {exc}") from exc
     if not math.isfinite(total):
         as_matrix(s, "dual-norm input")
     return total

@@ -94,8 +94,9 @@ def project(m: StiefelManifold, y, mode: PolarMode = EXACT) -> StiefelPoint:
     return StiefelPoint(mode.apply(y), m)
 
 
-def tangent_project(x: StiefelPoint, g) -> np.ndarray:
-    """Orthogonal projection of g onto the tangent space at x.
+def riemannian_grad(x: StiefelPoint, g) -> np.ndarray:
+    """Riemannian gradient: the orthogonal projection of the Euclidean
+    gradient g onto the tangent space at x.
 
     Returns g − x·sym(xᵀg); the result z satisfies xᵀz + zᵀx = 0.
     """
@@ -109,11 +110,6 @@ def tangent_component(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g − x·sym(xᵀg) for arrays the caller has already checked, or for each
     pair of matrices of two stacks of them on leading axes."""
     return g - x @ sym_unchecked(x.swapaxes(-1, -2) @ g)
-
-
-def riemannian_grad(x: StiefelPoint, euclid_grad) -> np.ndarray:
-    """Riemannian gradient: the tangent projection of the Euclidean gradient."""
-    return tangent_project(x, euclid_grad)
 
 
 def random_point(m: StiefelManifold, rng: np.random.Generator) -> StiefelPoint:

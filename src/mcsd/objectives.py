@@ -103,7 +103,8 @@ class BrockettInstance:
         return value_from_grad(brockett_grad_unchecked(self, x), x)
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray:
-        return brockett_grad(self, x)
+        """Euclidean gradient −C x D."""
+        return brockett_grad_unchecked(self, as_matrix(x, "gradient input"))
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """(f(x), ∇f(x)) from one product C·x, the value read off the gradient
@@ -196,11 +197,6 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
 def value_from_grad(g: np.ndarray, w: np.ndarray) -> float:
     """f(w) = ½⟨∇f(w), w⟩ for the quadratic f(w) = −½ tr(wᵀ C w D)."""
     return 0.5 * frob_inner(g, w)
-
-
-def brockett_grad(inst: BrockettInstance, w) -> np.ndarray:
-    """Euclidean gradient −C w D."""
-    return brockett_grad_unchecked(inst, as_matrix(w, "gradient input"))
 
 
 def brockett_grad_unchecked(inst: BrockettInstance, w: np.ndarray) -> np.ndarray:

@@ -347,7 +347,6 @@ class MuonDirectionResult:
 
     direction: np.ndarray
     fallback: bool
-    raw_tangency: float  # ‖sym(xᵀd)‖_F before hard projection
 
 
 def manifold_muon_direction(
@@ -407,7 +406,6 @@ def manifold_muon_direction(
         lam_d, lam = lam, lam + half_lr * (q + q.T)
 
     neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
-    raw_tangency = frob_norm(neg_tangency)
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
     d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam_d @ h - neg_tangency)
     d = d / max(1.0, _spectral_norm_of_gram(d.T @ d))
@@ -416,8 +414,8 @@ def manifold_muon_direction(
     target = -(g_fro**2) / g_spec
     value = scale * frob_inner(g, d)
     if value <= target + MUON_QUALITY_TOL * g_fro:
-        return MuonDirectionResult(d, False, raw_tangency)
-    return MuonDirectionResult(-g_m / g_spec, True, raw_tangency)
+        return MuonDirectionResult(d, False)
+    return MuonDirectionResult(-g_m / g_spec, True)
 
 
 def _spectral_norm_of_gram(gram: np.ndarray) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError
-from .linalg import frob_inner, frob_norm, msign_stack
+from .linalg import frob_inner, frob_norm, msign_exact
 from .lmo import NormKind, lmo
 from .manifolds import FEAS_TOL, feasibility_violation, tangent_component
 from .objectives import BrockettInstance, brockett_grad_unchecked, smoothness_constants, value_from_grad
@@ -122,7 +122,7 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             d[k] = rng.standard_normal(shape)
             rho[k] = STEP_RADIUS * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, STEP_RADIUS]
         try:
-            x = msign_stack(y)
+            x = msign_exact(y)
         except RankDeficiencyError as exc:
             raise NumericError(
                 f"descent-lemma sample {start + exc.index}: the Gaussian draw for x is rank-deficient"
@@ -130,7 +130,7 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
         d *= (rho / np.linalg.svd(d, compute_uv=False)[:, 0])[:, None, None]
         egrad = brockett_grad_unchecked(inst, x)
         rgrad = tangent_component(x, egrad)
-        w = msign_stack(x + d)
+        w = msign_exact(x + d)
         wgrad = brockett_grad_unchecked(inst, w)
         squares = d * d
         for k in range(size):

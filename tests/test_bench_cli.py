@@ -399,6 +399,14 @@ class TestPcaBench:
         assert all(r.inner_iters == 10 for r in mm_rows[:-1])
         assert mm_rows[-1].inner_iters == 0
 
+    def test_cli_prints_the_method_lines_of_summary_txt(self, tmp_path, capsys):
+        assert main(["pca-bench", str(tiny_config(tmp_path))]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == (tmp_path / "out" / "summary.txt").read_text().splitlines()[2:5]
+        schedules = ["constant:0.001", "periodic_decay:0.1,0.5,30", "periodic_decay:0.1,0.5,30"]
+        for line, label, schedule in zip(printed, ["rgd", "spel", "mm"], schedules):
+            assert line.startswith(f"{label} ({schedule}): mean final subspace error ")
+
     def test_fallback_count_per_run(self, tmp_path):
         # an absurd inner step size makes every Manifold Muon step fall back
         import json

@@ -2,7 +2,8 @@
 
 A module of src/mcsd may import only public names from its siblings: an
 underscore name is private to the module that defines it, so a caller in
-another module makes it a second, undocumented entry point.
+another module makes it a second, undocumented entry point. For the same
+reason, a private name its own module never uses is dead code.
 
 The README's Constants table names module constants with their values; a
 row that names one must match the code.
@@ -52,13 +53,61 @@ def test_the_scan_finds_private_imports():
         "from __future__ import annotations\n"
         "from .linalg import EXACT, _gram_polar\n"
         "from . import _helpers\n"
-        "from mcsd.lmo import _SQ_MIN\n"
+        "from mcsd.lmo import _CACHE\n"
         "from numpy.linalg import _umath_linalg\n"
     )
     assert private_sibling_imports(source, "m.py") == [
         "m.py:2 imports _gram_polar from .linalg",
         "m.py:3 imports _helpers from .",
-        "m.py:4 imports _SQ_MIN from mcsd.lmo",
+        "m.py:4 imports _CACHE from mcsd.lmo",
+    ]
+
+
+def unused_private_names(source: str, filename: str) -> list[str]:
+    """One line per module-level underscore name (a function, a class or a
+    constant) that `source` defines and never reads."""
+    tree = ast.parse(source, filename=filename)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{filename}:{line} defines {name} and never uses it" for name, line in defined.items() if name not in read]
+
+
+def test_every_private_name_is_used_in_its_module():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    found = [line for path in modules for line in unused_private_names(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_the_scan_finds_unused_private_names():
+    source = (
+        "__version__ = '1'\n"
+        "_LIMIT = 1e300\n"
+        "_LOW, _HIGH = 0, 1\n"
+        "_TABLE: dict = {}\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def _helper(x):\n"
+        "    _local = 1\n"
+        "    return x * _HIGH * _local\n"
+        "def public(x):\n"
+        "    return _helper(x) + _TABLE.get(x, 0)\n"
+    )
+    assert unused_private_names(source, "m.py") == [
+        "m.py:2 defines _LIMIT and never uses it",
+        "m.py:3 defines _LOW and never uses it",
+        "m.py:5 defines _Unused and never uses it",
     ]
 
 

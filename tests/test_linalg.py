@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from mcsd import (
     svd,
     sym,
 )
-from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK, frob_norm, gram_polar_factor, msign_stack, sym_unchecked
+from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK, frob_norm, gram_polar_factor, sym_unchecked
 from tests.conftest import haar
 
 def direct_polar_iteration(y, iters=8):
@@ -201,12 +204,12 @@ class TestMsignExact:
             route(rng.standard_normal((200, 5)))
 
 
-class TestMsignStack:
+class TestMsignExactStack:
     # shapes on msign_exact's SVD route
     @pytest.mark.parametrize("shape", [(50, 3), (12, 4), (3, 5)])
-    def test_each_slice_is_msign_exact_bit_for_bit(self, shape, rng):
+    def test_each_slice_is_its_own_call_bit_for_bit(self, shape, rng):
         y = rng.standard_normal((9,) + shape)
-        out = msign_stack(y)
+        out = msign_exact(y)
         assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(9))
 
     @pytest.mark.parametrize("bad", [0, 5])
@@ -214,19 +217,23 @@ class TestMsignStack:
         y = rng.standard_normal((7, 6, 3))
         y[bad, :, 2] = y[bad, :, 0]  # a repeated column: rank two
         with pytest.raises(RankDeficiencyError, match=f"matrix {bad} of the stack") as info:
-            msign_stack(y)
+            msign_exact(y)
         assert info.value.index == bad
+        with pytest.raises(RankDeficiencyError, match="^matrix is") as info:
+            msign_exact(y[bad])
+        assert info.value.index is None
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, value, rng):
         y = rng.standard_normal((4, 6, 3))
         y[2, 5, 1] = value
         with pytest.raises(ConfigurationError, match="non-finite"):
-            msign_stack(y)
+            msign_exact(y)
 
-    def test_needs_a_stack(self):
-        with pytest.raises(ConfigurationError, match="stack"):
-            msign_stack(np.ones((4, 2)))
+    @pytest.mark.parametrize("shape", [(4,), (0, 3), (4, 0), (0, 6, 3), (2, 6, 0), (2, 2, 6, 3)])
+    def test_needs_a_nonempty_matrix_or_stack(self, shape):
+        with pytest.raises(ConfigurationError, match="must be a matrix or a stack"):
+            msign_exact(np.ones(shape))
 
 
 class TestMsignIterative:
@@ -350,6 +357,35 @@ class TestFrobNorm:
         elif layout == "stack":
             a = a.reshape(20, 20, 10)[3]
         assert frob_norm(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_rescales_where_the_sum_of_squares_over_or_underflows(self, scale, layout, rng):
+        base = rng.standard_normal((40, 10))
+        a = scale * base
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            a, base = a[::3, 1::2], base[::3, 1::2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fro = frob_norm(a)
+        expected = scale * float(np.linalg.norm(base))
+        assert abs(fro - expected) <= 1e-14 * expected
+
+    def test_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frob_norm(np.zeros((5, 3))) == 0.0
+
+    @pytest.mark.parametrize("entries", [[np.nan], [np.inf], [-np.inf], [np.inf, np.nan], [np.inf, -np.inf]])
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_nonfinite_entry_gives_a_nonfinite_norm(self, entries, scale, rng):
+        a = scale * rng.standard_normal((20, 4))
+        a.flat[[3, 71][: len(entries)]] = entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not math.isfinite(frob_norm(a))
 
 
 class TestPolarMode:

@@ -15,7 +15,6 @@ from mcsd import (
     project,
     random_point,
     riemannian_grad,
-    tangent_project,
 )
 from mcsd.manifolds import FEAS_TOL, tangent_component
 from tests.conftest import haar
@@ -103,39 +102,39 @@ class TestProject:
         assert np.linalg.norm(twice.x - once.x) < 1e-10
 
 
-class TestTangentProject:
+class TestRiemannianGrad:
     def test_point_itself_maps_to_zero(self):
         x = haar(7, 3, seed=3)
-        assert np.abs(tangent_project(x, x.x)).max() < 1e-14
+        assert np.abs(riemannian_grad(x, x.x)).max() < 1e-14
 
     def test_skew_component_unchanged(self, rng):
         x = haar(7, 3, seed=4)
         a = rng.standard_normal((3, 3))
         skew = a - a.T
         g = x.x @ (0.5 * skew)
-        assert np.linalg.norm(tangent_project(x, g) - g) < 1e-12
+        assert np.linalg.norm(riemannian_grad(x, g) - g) < 1e-12
 
     def test_idempotent(self, rng):
         x = haar(7, 3, seed=5)
         g = rng.standard_normal((7, 3))
-        once = tangent_project(x, g)
-        assert np.linalg.norm(tangent_project(x, once) - once) < 1e-12
+        once = riemannian_grad(x, g)
+        assert np.linalg.norm(riemannian_grad(x, once) - once) < 1e-12
 
     def test_output_in_tangent_space(self, rng):
         x = haar(7, 3, seed=6)
-        z = tangent_project(x, rng.standard_normal((7, 3)))
+        z = riemannian_grad(x, rng.standard_normal((7, 3)))
         assert np.linalg.norm(x.x.T @ z + z.T @ x.x) < 1e-10
 
     def test_nonexpansive(self, rng):
         x = haar(7, 3, seed=7)
         for _ in range(20):
             g = rng.standard_normal((7, 3))
-            assert np.linalg.norm(tangent_project(x, g)) <= np.linalg.norm(g) + 1e-12
+            assert np.linalg.norm(riemannian_grad(x, g)) <= np.linalg.norm(g) + 1e-12
 
     def test_dimension_mismatch(self):
         x = haar(7, 3, seed=8)
         with pytest.raises(ConfigurationError):
-            tangent_project(x, np.ones((3, 7)))
+            riemannian_grad(x, np.ones((3, 7)))
 
     def test_stack_is_each_pair_bit_for_bit(self, rng):
         xs = batched_haar(5, 7, 3, rng)
@@ -143,15 +142,13 @@ class TestTangentProject:
         stacked = tangent_component(xs, gs)
         assert all(np.array_equal(stacked[k], tangent_component(xs[k], gs[k])) for k in range(5))
 
-
-class TestRiemannianGrad:
     def test_zero(self):
         x = haar(5, 2, seed=9)
         assert np.abs(riemannian_grad(x, np.zeros((5, 2)))).max() == 0.0
 
     def test_tangent_input_unchanged(self, rng):
         x = haar(5, 2, seed=10)
-        g = tangent_project(x, rng.standard_normal((5, 2)))
+        g = riemannian_grad(x, rng.standard_normal((5, 2)))
         assert np.linalg.norm(riemannian_grad(x, g) - g) < 1e-12
 
     def test_residual_orthogonal_to_tangent_space(self, small_instance, rng):
@@ -162,13 +159,8 @@ class TestRiemannianGrad:
         residual = eg - gm
         scale = np.linalg.norm(eg)
         for _ in range(100):
-            z = tangent_project(x, rng.standard_normal((50, 3)))
+            z = riemannian_grad(x, rng.standard_normal((50, 3)))
             assert abs(np.tensordot(residual, z, axes=2)) < 1e-9 * max(scale * np.linalg.norm(z), 1.0)
-
-    def test_fixed_point_of_tangent_project(self, rng):
-        x = haar(6, 2, seed=12)
-        g = riemannian_grad(x, rng.standard_normal((6, 2)))
-        assert np.linalg.norm(tangent_project(x, g) - g) < 1e-12
 
 
 class TestFeasibilityViolation:
@@ -232,11 +224,11 @@ class TestSphereReduction:
         y = rng.standard_normal((9, 1))
         assert np.linalg.norm(project(m, y).x - y / np.linalg.norm(y)) < 1e-12
 
-    def test_tangent_project_is_orthogonal_complement(self, rng):
+    def test_riemannian_grad_is_orthogonal_complement(self, rng):
         x = haar(9, 1, seed=15)
         g = rng.standard_normal((9, 1))
         direct = g - x.x * float((x.x.T @ g)[0, 0])
-        assert np.linalg.norm(tangent_project(x, g) - direct) < 1e-12
+        assert np.linalg.norm(riemannian_grad(x, g) - direct) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -251,8 +243,8 @@ def test_property_projection_idempotent(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_property_tangent_projection_nonexpansive(seed):
+def test_property_riemannian_grad_nonexpansive(seed):
     rng = np.random.default_rng(seed)
     x = project(StiefelManifold(7, 3), rng.standard_normal((7, 3)))
     g = rng.standard_normal((7, 3))
-    assert np.linalg.norm(tangent_project(x, g)) <= np.linalg.norm(g) + 1e-12
+    assert np.linalg.norm(riemannian_grad(x, g)) <= np.linalg.norm(g) + 1e-12

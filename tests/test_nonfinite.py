@@ -20,7 +20,7 @@ from mcsd import (
     msign_exact,
     msign_iterative,
     project,
-    tangent_project,
+    riemannian_grad,
 )
 from mcsd.optimizers import (
     ManifoldMuon,
@@ -52,7 +52,7 @@ CALLS = {
     "dual_norm_spectral": (lambda a: dual_norm(NormKind.SPECTRAL, a), "gaussian"),
     "project_exact": (lambda a: project(MANIFOLD, a), "gaussian"),
     "project_iterative": (lambda a: project(MANIFOLD, a, ITERATIVE), "gaussian"),
-    "tangent_project": (lambda a: tangent_project(POINT, a), "gaussian"),
+    "riemannian_grad": (lambda a: riemannian_grad(POINT, a), "gaussian"),
     "StiefelPoint": (lambda a: StiefelPoint(a, MANIFOLD), "point"),
     "feasibility_violation": (lambda a: feasibility_violation(a), "point"),
     "manifold_muon_direction_exact": (lambda a: manifold_muon_direction(POINT, a, 10, 0.1), "gaussian"),

@@ -146,7 +146,7 @@ class TestDescentLemma:
     def test_infeasible_point_is_a_feasibility_error_naming_the_sample(self, monkeypatch, small_instance):
         import mcsd.verify
 
-        exact = mcsd.verify.msign_stack
+        exact = mcsd.verify.msign_exact
         calls = []
 
         def stretched(y):  # the second chunk's points, sample 3 off the manifold
@@ -156,7 +156,7 @@ class TestDescentLemma:
                 out[3] *= 1.0 + 1e-6
             return out
 
-        monkeypatch.setattr(mcsd.verify, "msign_stack", stretched)
+        monkeypatch.setattr(mcsd.verify, "msign_exact", stretched)
         with pytest.raises(FeasibilityError, match=f"descent-lemma sample {DESCENT_CHUNK + 3}: "):
             check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=np.random.default_rng(0))
 

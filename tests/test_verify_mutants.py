@@ -56,7 +56,7 @@ def dropped_momentum(monkeypatch):
     monkeypatch.setattr(StochasticMcsd, "direction", direction)
 
 
-def skipped_tangent_projection(monkeypatch):
+def skipped_tangent_component(monkeypatch):
     monkeypatch.setattr(mcsd.optimizers, "tangent_component", lambda x, g: g)
 
 
@@ -85,7 +85,7 @@ MUTANTS = {
     # every entry offset by the sample's mean absolute entry
     "biased-stochastic-grad": (mapped_stochastic_grad(lambda g: g + np.abs(g).mean()), set()),
     "dropped-momentum": (dropped_momentum, set()),
-    "skipped-tangent-projection": (skipped_tangent_projection, {"per_step_descent", "telescoped_descent"}),
+    "skipped-tangent-projection": (skipped_tangent_component, {"per_step_descent", "telescoped_descent"}),
     "skipped-retraction": (skipped_retraction, FeasibilityError),
     "shrunken-lipschitz": (shrunken_lipschitz, set()),
 }
