@@ -504,7 +504,7 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
             "step_sizes": list(step_sizes),
             "final_subspace_error": {label.removeprefix("rgd_"): v for label, v in finals.items()},
             "winner": alpha_of[min(finals, key=finals.get)] if finals else None,
-            "note": "the stock comparison pins the RGD constant step at 1e-3",
+            "note": "the stock RGD step 1e-3 is set by hand and is not this sweep's pick",
             "methods": stats,
             "aborted": any(r.aborted for r in results),
         }

@@ -9,7 +9,8 @@ and the result is Y·V·diag(m)·Vᵀ for multipliers m of the eigenvalues.
 The exact route takes m = w^(-1/2) when the long side is at least twice
 the short one, the matrix is not tiny and κ(Y) < 100, and the SVD
 otherwise. The iterative route takes for m the k-step cubic Newton-Schulz
-polynomial, evaluated on the spectrum.
+polynomial, evaluated on the spectrum. The retraction onto St(n, p) always
+takes the exact route; the iterative one serves only a direction's sign.
 """
 
 from __future__ import annotations
@@ -262,10 +263,9 @@ def msign_iterative(y, iters: int = 8) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarMode:
-    """Selects how polar factors are computed: exact or iterative.
-
-    `iters is None` means the exact route (msign_exact); otherwise `iters`
-    (at least 1) Newton-Schulz iterations (msign_iterative).
+    """Selects the matrix sign inside a direction (the spectral LMO, Manifold
+    Muon's inner solve): `iters` None is msign_exact, else `iters` (at least
+    1) Newton-Schulz iterations. The retraction is always msign_exact.
     """
 
     iters: int | None = None

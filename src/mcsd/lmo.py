@@ -34,7 +34,8 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     element is then optimal and callers decide what that means (optimizers
     treat it as converged / hold position). A rank-deficient s has no
     unique polar factor; the spectral oracle then returns −U_r·V_rᵀ, which
-    takes sign(0) = 0 on the null singular values.
+    takes sign(0) = 0 on the null singular values. `polar_mode` picks how
+    msign(s) is computed: exactly, or by the paper's fast iterative sign.
     """
     s = as_2d(s, "lmo input")
     fro = frob_norm(s)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError
-from .linalg import EXACT, PolarMode, as_2d, as_matrix, frob_norm, sym_unchecked
+from .linalg import as_2d, as_matrix, frob_norm, msign_exact, sym_unchecked
 
 # Every StiefelPoint satisfies ‖xᵀx − I‖_F ≤ FEAS_TOL.
 FEAS_TOL = 1e-8
@@ -81,17 +81,16 @@ def feasibility_violation(x) -> float:
     return violation
 
 
-def project(m: StiefelManifold, y, mode: PolarMode = EXACT) -> StiefelPoint:
-    """Euclidean projection of a full-column-rank matrix onto St(n, p).
-
-    The projection is the polar factor of y, computed exactly or iteratively
-    per `mode`, whose max|y| reduction (or SVD input check) also rejects
-    non-finite input. Rank-deficient input raises RankDeficiencyError.
+def project(m: StiefelManifold, y) -> StiefelPoint:
+    """Euclidean projection of a full-column-rank matrix onto St(n, p): its
+    exact polar factor (msign_exact) at every shape, whose max|y| reduction
+    (or SVD input check) also rejects non-finite input. Rank-deficient input
+    raises RankDeficiencyError.
     """
     y = as_2d(y, "projection input")
     if y.shape != (m.n, m.p):
         raise ConfigurationError(f"input shape {y.shape} does not match St({m.n}, {m.p})")
-    return StiefelPoint(mode.apply(y), m)
+    return StiefelPoint(msign_exact(y), m)
 
 
 def riemannian_grad(x: StiefelPoint, g) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Optimizers over a common stepping interface.
 
-Four methods share the projected-update template x ← P_M(x + α·direction).
-Each method supplies only `direction(run, objective)`; the single `step`
-takes the scheduled α, asks the method for its direction and projects.
+Four methods share the projected-update template x ← P_M(x + α·direction),
+with P_M the exact polar factor; the run's `polar_mode` picks only the
+matrix sign inside a direction (the spectral LMO, Manifold Muon's inner
+solve). Each method supplies only `direction(run, objective)`; the single
+`step` takes the scheduled α, asks the method for its direction and projects.
 The objective is evaluated once per iterate: the value and the Riemannian
 gradient at x are cached on the run, where the next direction and the
 trace's metric record both read them.
@@ -32,9 +34,8 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError, ZeroGradient
-from .linalg import (EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, msign_exact,
-                     sym_unchecked)
+from .errors import ConfigurationError, NumericError, RankDeficiencyError, ZeroGradient
+from .linalg import EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, sym_unchecked
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, project, tangent_component
 from .objectives import NoiseConfig
@@ -280,7 +281,8 @@ class StepInfo:
 
 def step(run: OptimizerRun, objective) -> StepInfo:
     """x ← P_M(x + α·d) with d from the run's method, or hold where it gives
-    none; the new StiefelPoint certifies its feasibility.
+    none; the new StiefelPoint certifies its feasibility. A NumericError of
+    P_M (a rank-deficient x + α·d) is re-raised as its type, naming the iteration.
 
     For a method whose direction uses the true gradient, the step then
     evaluates the objective at the new x, so each step holds exactly one
@@ -291,9 +293,9 @@ def step(run: OptimizerRun, objective) -> StepInfo:
     d, inner_iters, fallback = run.method.direction(run, objective)
     if d is not None:
         try:
-            run.x = project(run.manifold, run.x.x + alpha * d, run.polar_mode)
-        except FeasibilityError as exc:
-            raise FeasibilityError(f"iteration {run.t}: {exc}") from exc
+            run.x = project(run.manifold, run.x.x + alpha * d)
+        except NumericError as exc:
+            raise type(exc)(f"iteration {run.t}: {exc}") from exc
     run.t += 1
     if d is not None and run.method.uses_true_gradient:
         _evaluation(run, objective)
@@ -373,8 +375,9 @@ def manifold_muon_direction(
     YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and Q = P·H = −xᵀd, so that
     Λ ← Λ + (lr/2)(Q + Qᵀ). Only the final d is formed as an n×p matrix.
     g_m is first divided by max|g_m| (Λ in proportion), which keeps the
-    Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100),
-    Y is formed and msign_exact takes over for that iteration.
+    Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100, or
+    Y rank-deficient, as at n == p with p odd), Y is formed and the exact
+    spectral LMO takes over for that iteration.
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
@@ -399,7 +402,7 @@ def manifold_muon_direction(
             p_lam = a + b @ lam
             h = gram_polar_factor(gram_g + (lam @ a).T + lam @ p_lam, polar_mode.iters)[1]
         if h is None:
-            msign_y = msign_exact(g + xm @ lam if k else g)
+            msign_y = -lmo(NormKind.SPECTRAL, g + xm @ lam if k else g)
             q = xm.T @ msign_y
         else:
             q = p_lam @ h
@@ -408,7 +411,7 @@ def manifold_muon_direction(
     neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
     d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam_d @ h - neg_tangency)
-    d = d / max(1.0, _spectral_norm_of_gram(d.T @ d))
+    d = d / max(1.0, math.sqrt(max(float(np.linalg.eigvalsh(d.T @ d)[-1]), 0.0)))  # ‖d‖₂ ≤ 1
 
     g_fro = scale * math.sqrt(float(np.trace(gram_g)))
     target = -(g_fro**2) / g_spec
@@ -416,11 +419,6 @@ def manifold_muon_direction(
     if value <= target + MUON_QUALITY_TOL * g_fro:
         return MuonDirectionResult(d, False)
     return MuonDirectionResult(-g_m / g_spec, True)
-
-
-def _spectral_norm_of_gram(gram: np.ndarray) -> float:
-    """‖y‖₂ from gram = yᵀy: the root of its largest eigenvalue."""
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,8 @@ def brute_force_lmo_check(
         raise ConfigurationError("net oracle is only tractable for dims up to 3x3")
     if net_size < 10**5:
         raise ConfigurationError("net_size must be at least 1e5 for meaningful resolution")
+    if inputs < 1:
+        raise ConfigurationError(f"the check needs at least one input, got {inputs}")
 
     targets = [rng.standard_normal(dims) for _ in range(inputs)]
     net_minima = _net_minima(norm, tuple(dims), targets, net_size, rng)
@@ -359,7 +361,7 @@ def _spectral_norms_2x2(g: np.ndarray) -> np.ndarray:
 
 
 def _require_dual_norms(records: list[TraceRecord]) -> None:
-    if not records:
-        raise ConfigurationError("empty trace")
+    if len(records) < 2:
+        raise ConfigurationError(f"a trace of {len(records)} records holds no step")
     if any(not math.isfinite(r.grad_dual_norm) for r in records):
         raise ConfigurationError("trace is missing gradient dual-norm values")

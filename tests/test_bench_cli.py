@@ -457,6 +457,7 @@ class TestRgdSweep:
         steps = [0.01, 0.001, 0.0001]
         summary = run_rgd_sweep(cfg, steps)
         assert summary["winner"] in steps
+        assert summary["note"] == "the stock RGD step 1e-3 is set by hand and is not this sweep's pick"
         for alpha in steps:
             assert (cfg.output_dir / f"rgd_{alpha:g}_0.csv").is_file()
         assert (cfg.output_dir / "rgd_sweep.svg").is_file()
@@ -524,9 +525,20 @@ class TestMaxViolation:
         lines = (cfg.output_dir / "summary.txt").read_text().splitlines()
         assert lines[-1] == f"max_violation: {summary['max_violation']:.3e} (FEAS_TOL 1e-08)"
 
-    def test_underresolved_projection_aborts_naming_the_iteration(self, tmp_path):
+    def test_iterative_8_retracts_at_1000x50(self, tmp_path):
+        # the retraction is exact whatever the polar_mode: a shape where eight
+        # Newton-Schulz steps leave |x'x - I|_F near 2e-4 runs clean
+        path = tiny_config(tmp_path, steps=3, repeats=1, polar_mode="iterative:8")
+        path.write_text(path.read_text().replace("n = 20\np = 2\nd = 50\n", "n = 1000\np = 50\nd = 2000\n"))
+        assert main(["pca-bench", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["instance"]["n"] == 1000 and summary["polar_mode"] == "iterative:8"
+        assert not summary["aborted"]
+        assert summary["max_violation"] <= 1e-12
+
+    def test_underresolved_projection_aborts_naming_the_iteration(self, tmp_path, underresolved_retraction):
         # every recorded iterate is certified within FEAS_TOL: a breach is an aborted run
-        cfg = load_config(tiny_config(tmp_path, steps=5, repeats=1, polar_mode="iterative:1"))
+        cfg = load_config(tiny_config(tmp_path, steps=5, repeats=1))
         summary = run_pca_bench(cfg)
         assert summary["aborted"]
         assert summary["max_violation"] <= 1e-8
@@ -545,10 +557,10 @@ class TestCli:
         code = main(["rgd-sweep", str(tiny_config(tmp_path, steps=5, repeats=1)), "--steps", "0.01", "0.001"])
         assert code == EXIT_OK
 
-    def test_rgd_sweep_all_aborted(self, tmp_path, capsys):
+    def test_rgd_sweep_all_aborted(self, tmp_path, capsys, underresolved_retraction):
         from mcsd.cli import EXIT_NUMERIC_ERROR
 
-        cfg_path = tiny_config(tmp_path, steps=3, repeats=1, polar_mode="iterative:1")
+        cfg_path = tiny_config(tmp_path, steps=3, repeats=1)
         assert main(["rgd-sweep", str(cfg_path), "--steps", "0.01", "0.001"]) == EXIT_NUMERIC_ERROR
         assert "winner: none" in capsys.readouterr().out
 
@@ -565,10 +577,10 @@ class TestCli:
         assert main(["pca-bench", str(tiny_config(tmp_path)), "--output-dir", str(override)]) == EXIT_OK
         assert (override / "summary.json").is_file()
 
-    def test_pca_bench_abort_is_numeric_error(self, tmp_path):
+    def test_pca_bench_abort_is_numeric_error(self, tmp_path, underresolved_retraction):
         from mcsd.cli import EXIT_NUMERIC_ERROR
 
-        cfg_path = tiny_config(tmp_path, steps=3, repeats=1, polar_mode="iterative:1")
+        cfg_path = tiny_config(tmp_path, steps=3, repeats=1)
         assert main(["pca-bench", str(cfg_path)]) == EXIT_NUMERIC_ERROR
         # partial CSV flushed alongside the error summary
         assert (tmp_path / "out" / "rgd_0.csv").is_file()

@@ -8,12 +8,18 @@ reason, a private name its own module never uses is dead code.
 The README's Constants table names module constants with their values; a
 row that names one must match the code.
 
+Each `mcsd.X` row of the README's Library layout table names only what
+exists: every backticked identifier (or hyphenated command name) in it is an attribute of mcsd.X, an
+attribute or dataclass field of a class mcsd.X defines, or a CLI subcommand.
+
 The subcommands that `cli.build_parser()` accepts are the ones the README's
 CLI block and the `cli` module docstring list.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -24,6 +30,10 @@ README = PACKAGE.parents[1] / "README.md"
 
 # | `NAME` | value | `module` | role |
 CONSTANT_ROW = re.compile(r"^\| `(\w+)` \| ([^|]+?) \| `(\w+)` \|", re.MULTILINE)
+
+# | `mcsd.X` | contents |
+LAYOUT_ROW = re.compile(r"^\| `mcsd\.(\w+)` +\|(.*)\|$", re.MULTILINE)
+IDENTIFIER = re.compile(r"`([A-Za-z_][\w-]*)`")
 
 
 def private_sibling_imports(source: str, filename: str) -> list[str]:
@@ -153,6 +163,60 @@ def test_the_constants_check_finds_stale_rows():
     assert stale_constant_rows(rows) == [
         "mcsd.bench.ORTH_VIOLATION_LIMIT does not exist (README: 1e-6)",
         "mcsd.optimizers.STEP_RADIUS is 0.2 (README: 0.3)",
+    ]
+
+
+def layout_rows(readme: str) -> list[tuple[str, list[str]]]:
+    """(module, backticked identifiers) of each `mcsd.X` row of the README's
+    Library layout table."""
+    table = readme.split("\n## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    return [(module, IDENTIFIER.findall(contents)) for module, contents in LAYOUT_ROW.findall(table)]
+
+
+def stale_layout_names(rows: list[tuple[str, list[str]]], subcommands: list[str]) -> list[str]:
+    """One line per identifier that is neither an attribute of its row's
+    module, nor an attribute or dataclass field of a class that module
+    defines, nor a subcommand."""
+    stale = []
+    for module_name, names in rows:
+        module = importlib.import_module(f"mcsd.{module_name}")
+        classes = [c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__]
+        known = set(dir(module)) | set(subcommands)
+        for cls in classes:
+            known |= set(dir(cls))
+            if dataclasses.is_dataclass(cls):
+                known |= {f.name for f in dataclasses.fields(cls)}
+        stale += [f"mcsd.{module_name} row names {name}, which does not exist" for name in names if name not in known]
+    return stale
+
+
+def test_readme_layout_names_only_what_exists():
+    rows = layout_rows(README.read_text())
+    assert [module for module, _ in rows] == [
+        "linalg", "manifolds", "lmo", "objectives", "optimizers", "verify", "trace", "svgchart", "bench", "cli",
+    ]
+    subcommands = parser_subcommands(cli.build_parser().format_usage())
+    assert stale_layout_names(rows, subcommands) == []
+
+
+def test_the_layout_check_finds_stale_names():
+    table = (
+        "intro\n\n## Library layout\n\n| module | contents |\n|---|---|\n"
+        "| `mcsd.linalg`  | `msign_exact`, `msign_stack` (gone), x + `α·d` |\n"
+        "| `mcsd.objectives` | `BrockettInstance` (`evaluate`, `data_seed`, `redraw`) |\n"
+        "| `mcsd.bench`   | the `verify` battery, the `orth-violation` command |\n"
+        "\n## Next\n\n| `mcsd.lmo` | `outside` |\n"
+    )
+    rows = layout_rows(table)
+    assert rows == [
+        ("linalg", ["msign_exact", "msign_stack"]),
+        ("objectives", ["BrockettInstance", "evaluate", "data_seed", "redraw"]),
+        ("bench", ["verify", "orth-violation"]),
+    ]
+    assert stale_layout_names(rows, ["pca-bench", "verify"]) == [
+        "mcsd.linalg row names msign_stack, which does not exist",
+        "mcsd.objectives row names redraw, which does not exist",
+        "mcsd.bench row names orth-violation, which does not exist",
     ]
 
 

@@ -51,7 +51,6 @@ CALLS = {
     "dual_norm_frobenius": (lambda a: dual_norm(NormKind.FROBENIUS, a), "gaussian"),
     "dual_norm_spectral": (lambda a: dual_norm(NormKind.SPECTRAL, a), "gaussian"),
     "project_exact": (lambda a: project(MANIFOLD, a), "gaussian"),
-    "project_iterative": (lambda a: project(MANIFOLD, a, ITERATIVE), "gaussian"),
     "riemannian_grad": (lambda a: riemannian_grad(POINT, a), "gaussian"),
     "StiefelPoint": (lambda a: StiefelPoint(a, MANIFOLD), "point"),
     "feasibility_violation": (lambda a: feasibility_violation(a), "point"),

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcsd import (
     EXACT,
@@ -16,6 +18,8 @@ from mcsd import (
     StiefelManifold,
     StiefelPoint,
     frob_inner,
+    lmo,
+    make_brockett,
     msign_exact,
     project,
     random_point,
@@ -381,11 +385,9 @@ class TestManifoldMuonGramEquivalence:
         assert np.linalg.norm(res.direction - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_exact_route_declines_ill_conditioned(self, monkeypatch):
-        # κ(g) = 1e3: the first iterations form Y and call msign_exact
-        import mcsd.optimizers as optimizers
-
+        # κ(g) = 1e3: the first iterations form Y and call the exact spectral LMO
         calls = []
-        monkeypatch.setattr(optimizers, "msign_exact", lambda y: calls.append(y) or msign_exact(y))
+        monkeypatch.setattr(optimizers, "lmo", lambda norm, y: calls.append(y) or lmo(norm, y))
         x = haar(200, 5, seed=7)
         g = tangent_gradient(x, np.random.default_rng(8), sigma=np.geomspace(1e3, 1.0, 5))
         res = manifold_muon_direction(x, g, 10, 0.1)
@@ -477,16 +479,54 @@ class TestDispatchAndState:
         assert ManifoldMuon().norm is NormKind.SPECTRAL
         assert Mcsd(NormKind.FROBENIUS).norm is NormKind.FROBENIUS
 
-    def test_feasibility_guard_aborts_underresolved_projection(self, small_instance):
+    def test_feasibility_guard_aborts_underresolved_projection(self, small_instance, underresolved_retraction):
         # one polar iteration cannot reach the manifold tolerance
-        run = OptimizerRun(
-            method=Mcsd(NormKind.SPECTRAL),
-            schedule=constant_schedule(0.1),
-            x=haar(50, 3, seed=16),
-            polar_mode=PolarMode(iters=1),
-        )
+        run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.1), x=haar(50, 3, seed=16))
         with pytest.raises(FeasibilityError, match="iteration 0"):
             step(run, small_instance)
+
+
+class RankOneDirection:
+    """Stub method whose direction −x + u·vᵀ makes x + 1·d the rank-1 u·vᵀ."""
+
+    uses_true_gradient = False
+    norm = NormKind.SPECTRAL
+
+    def direction(self, run, objective):
+        n, p = run.x.x.shape
+        return -run.x.x + np.outer(np.arange(1.0, n + 1), np.ones(p)), 0, False
+
+
+class TestRetraction:
+    def test_rank_deficient_retraction_names_the_iteration(self, small_instance):
+        run = OptimizerRun(method=RankOneDirection(), schedule=constant_schedule(1.0), x=haar(50, 3, seed=23))
+        with pytest.raises(RankDeficiencyError, match="^iteration 0: ") as excinfo:
+            run_trace(run, small_instance, 5)
+        assert len(excinfo.value.records) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        polar_mode=st.sampled_from([EXACT, PolarMode(iters=1), PolarMode(iters=8)]),
+        method=st.sampled_from(
+            [Mcsd(NormKind.SPECTRAL), Rgd(), ManifoldMuon(),
+             StochasticMcsd(NormKind.SPECTRAL, 0.9, NoiseConfig.additive_gaussian(0.1))]
+        ),
+        alpha=st.floats(1e-3, STEP_RADIUS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sizes=(40, 40), polar_mode=PolarMode(iters=1), method=Mcsd(NormKind.SPECTRAL), alpha=0.2, seed=0)
+    @example(sizes=(40, 1), polar_mode=PolarMode(iters=1), method=ManifoldMuon(), alpha=0.2, seed=0)
+    @example(sizes=(3, 3), polar_mode=EXACT, method=ManifoldMuon(), alpha=0.1, seed=0)  # rank-2 gradient
+    def test_property_every_polar_mode_retracts_at_every_shape(self, sizes, polar_mode, method, alpha, seed):
+        # the retraction is exact whatever polar_mode picks for the direction
+        n, p = max(sizes), min(sizes)
+        inst = make_brockett(n, p, n + 2, data_seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        run = OptimizerRun(method=method, schedule=constant_schedule(alpha),
+                           x=random_point(StiefelManifold(n, p), rng), rng=rng, polar_mode=polar_mode)
+        step(run, inst)
+        assert run.x.violation <= 1e-12
 
 
 class TestRunTrace:
@@ -526,13 +566,8 @@ class TestRunTrace:
             assert ra.grad_dual_norm == rb.grad_dual_norm
             assert ra.orth_violation == rb.orth_violation
 
-    def test_partial_records_attached_on_abort(self, small_instance):
-        run = OptimizerRun(
-            method=Mcsd(NormKind.SPECTRAL),
-            schedule=constant_schedule(0.1),
-            x=haar(50, 3, seed=21),
-            polar_mode=PolarMode(iters=1),
-        )
+    def test_partial_records_attached_on_abort(self, small_instance, underresolved_retraction):
+        run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.1), x=haar(50, 3, seed=21))
         with pytest.raises(FeasibilityError) as excinfo:
             run_trace(run, small_instance, 10)
         assert len(excinfo.value.records) == 1

@@ -211,11 +211,13 @@ class TestTelescopedAudit:
         assert report.passed
         assert report.slack == 1e-6 * 100
 
-    def test_empty_horizon(self, small_instance):
+    @pytest.mark.parametrize("audit", [audit_deterministic_bound, audit_per_step_descent])
+    def test_empty_horizon(self, small_instance, audit):
+        # a one-record trace holds no step, so there is nothing to certify
         x = random_point(StiefelManifold(50, 3), np.random.default_rng(5))
         rec = TraceRecord(0, small_instance.value(x.x), 0.0, 0.0, 1.0, 0.0, 0, 0.0)
-        report = audit_deterministic_bound([rec], 1.0, 1.0)
-        assert report.passed and report.lhs == 0.0 and report.rhs == 0.0
+        with pytest.raises(ConfigurationError, match="holds no step"):
+            audit([rec], 1.0, 1.0)
 
     def test_single_step_reduces_to_per_step_check(self, small_instance):
         manifold = StiefelManifold(50, 3)
@@ -458,6 +460,12 @@ class TestBruteForceLmo:
     def test_net_size_floor(self):
         with pytest.raises(ConfigurationError):
             brute_force_lmo_check(NormKind.SPECTRAL, (2, 2), net_size=10, rng=np.random.default_rng(0))
+
+    def test_no_inputs_rejected_before_the_net_is_drawn(self):
+        rng = CountingGenerator(0)
+        with pytest.raises(ConfigurationError, match="at least one input"):
+            brute_force_lmo_check(NormKind.SPECTRAL, (2, 2), net_size=10**5, rng=rng, inputs=0)
+        assert rng.normals == 0
 
 
 class TestBoundReportShape:
