@@ -21,9 +21,7 @@ from .linalg import (
     frob_inner,
     msign_exact,
     msign_iterative,
-    spectral_norm,
     svd,
-    sym,
 )
 from .lmo import NormKind, dual_norm, lmo, norm_equiv_constant, zero_tolerance
 from .manifolds import (

@@ -381,12 +381,10 @@ def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
 
 @dataclass(frozen=True)
 class _Chart:
-    """A log-scale chart of one TraceRecord field against the iteration."""
+    """A log-scale chart of each run's subspace error against the iteration."""
 
     file: str
     title: str
-    y_label: str
-    field: str
 
 
 def _bench(cfg: BenchConfig, reduce) -> dict:
@@ -399,14 +397,14 @@ def _bench(cfg: BenchConfig, reduce) -> dict:
         write_trace_csv(cfg.output_dir / f"{res.label}_{res.repeat}.csv", res.records)
     summary, chart = reduce(results, _method_stats(cfg, results))
     series = [
-        Series(label=res.label, xs=[r.iter for r in res.records], ys=[getattr(r, chart.field) for r in res.records])
+        Series(label=res.label, xs=[r.iter for r in res.records], ys=[r.subspace_error for r in res.records])
         for res in results
         if res.repeat == 0 and res.records
     ]
     if series:
         write_chart(
             cfg.output_dir / chart.file, series,
-            title=chart.title, x_label="iteration", y_label=chart.y_label,
+            title=chart.title, x_label="iteration", y_label="subspace error",
         )
     _write_summary(cfg.output_dir, summary)
     return summary
@@ -469,7 +467,7 @@ def run_pca_bench(cfg: BenchConfig) -> dict:
             "max_violation": max((rec.orth_violation for res in results for rec in res.records), default=0.0),
         }
         title = f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}"
-        return summary, _Chart("subspace_error.svg", title, "subspace error", "subspace_error")
+        return summary, _Chart("subspace_error.svg", title)
 
     return _bench(cfg, reduce)
 
@@ -509,7 +507,7 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
             "aborted": any(r.aborted for r in results),
         }
         title = f"RGD constant-step sweep, St({cfg.n},{cfg.p})"
-        return summary, _Chart("rgd_sweep.svg", title, "subspace error", "subspace_error")
+        return summary, _Chart("rgd_sweep.svg", title)
 
     return _bench(replace(cfg, methods=sweep_methods, repeats=1), reduce)
 

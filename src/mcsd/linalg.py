@@ -72,14 +72,6 @@ def max_abs(a: np.ndarray, name: str = "matrix") -> float:
     return max(hi, -lo)
 
 
-def sym(a) -> np.ndarray:
-    """Symmetric part (a + aᵀ)/2 of a square matrix; exactly symmetric."""
-    a = as_matrix(a, "sym input")
-    if a.shape[0] != a.shape[1]:
-        raise ConfigurationError(f"sym requires a square matrix, got {a.shape}")
-    return sym_unchecked(a)
-
-
 def sym_unchecked(a: np.ndarray) -> np.ndarray:
     """(a + aᵀ)/2 of a square array the caller built itself, or of each
     matrix of a stack of them on leading axes."""
@@ -138,11 +130,6 @@ def svd(y) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD of a {y.shape[-2]}x{y.shape[-1]} matrix failed: {exc}") from exc
     return SvdFactors(u, s, vt)
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.svd(as_matrix(a, "matrix"), compute_uv=False)[0])
 
 
 def _gram_polar(y: np.ndarray, iters: int | None) -> np.ndarray | None:

@@ -174,7 +174,7 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
     samples = _draw_samples(n, d, data_seed)
     c = as_matrix(samples @ samples.T, "Gram matrix")
     del samples
-    # linalg.sym's (c + cᵀ)/2 bit for bit, in place: numpy buffers the
+    # linalg.sym_unchecked's (c + cᵀ)/2 bit for bit, in place: numpy buffers the
     # transpose that overlaps its output.
     c += c.T
     c *= 0.5

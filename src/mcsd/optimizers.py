@@ -218,8 +218,6 @@ class ManifoldMuon:
         if frob_norm(g) <= zero_tolerance(*g.shape):
             return None, self.inner_iters, False
         result = manifold_muon_direction(run.x, g, self.inner_iters, self.inner_lr, run.polar_mode)
-        if result.fallback:
-            run.fallback_count += 1
         return result.direction, self.inner_iters, result.fallback
 
 
@@ -291,6 +289,7 @@ def step(run: OptimizerRun, objective) -> StepInfo:
     """
     alpha = run.schedule.alpha(run.t)
     d, inner_iters, fallback = run.method.direction(run, objective)
+    run.fallback_count += fallback
     if d is not None:
         try:
             run.x = project(run.manifold, run.x.x + alpha * d)

@@ -27,6 +27,13 @@ from .trace import TraceRecord
 # (check_descent_lemma) or read off a trace (audit_per_step_descent).
 DESCENT_SLACK = 1e-8
 
+# Per-step slack of the telescoped trace audit: a T-step trace gets
+# TELESCOPED_SLACK·T for floating-point accumulation.
+TELESCOPED_SLACK = 1e-6
+
+# Slack of the deterministic min-gradient rate check.
+RATE_SLACK = 1e-6
+
 # check_descent_lemma scores its samples this many at a time. On the 50x3
 # verify instance a chunk array is 37.5 KiB and the check's working set
 # 0.5 MiB, below the brute-force nets' (1.1–1.8 MiB); at most 64 keeps it
@@ -48,17 +55,26 @@ NET_CHUNK = 16_384
 
 @dataclass
 class BoundReport:
-    """One verified inequality: passed ⇔ lhs ≤ rhs + slack."""
+    """One verified inequality lhs ≤ rhs + slack.
+
+    `passed` is derived from the three numbers and from nothing else, so the
+    machine line, the human line and the CLI's exit code cannot disagree. A
+    check over many rows reports the row with the largest lhs − rhs − slack
+    (see _WorstRow), so it passes exactly when every row does.
+    """
 
     name: str
     lhs: float
     rhs: float
     slack: float
-    passed: bool
     constants: dict[str, float] = field(default_factory=dict)
     detail: str = ""
     witness: tuple | None = None
     seconds: float | None = None  # wall time of the check, set by run_verify
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs + self.slack
 
     def machine_line(self) -> str:
         return f"{self.name},{self.lhs:.17g},{self.rhs:.17g},{self.slack:.17g},{str(self.passed).lower()}"
@@ -75,6 +91,21 @@ class BoundReport:
         if self.detail:
             lines.append(f"       {self.detail}")
         return "\n".join(lines)
+
+
+class _WorstRow:
+    """The row with the largest margin lhs − rhs − slack among those offered
+    one at a time, so no check holds more than this one row. The first of
+    equal margins is kept, and a NaN margin is worse than any other."""
+
+    def __init__(self) -> None:
+        self.margin = -math.inf
+        self.row: tuple = ()
+
+    def offer(self, lhs: float, rhs: float, slack: float, *context) -> None:
+        margin = lhs - rhs - slack
+        if not (margin <= self.margin or math.isnan(self.margin)):
+            self.margin, self.row = margin, (lhs, rhs, slack, *context)
 
 
 def gap_with_headroom(inst: BrockettInstance, x0: np.ndarray) -> float:
@@ -101,17 +132,18 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     Gaussian direction and its radius in turn. The samples are then scored
     DESCENT_CHUNK at a time with stacked calls, each of which gives every
     sample the bits its own call would: lhs and rhs are those of
-    random_point, spectral_norm, evaluate, msign_exact, riemannian_grad and
-    value called sample by sample. Every x is certified within FEAS_TOL. A
-    rank-deficient y (probability 0) raises NumericError naming the sample.
+    random_point, np.linalg.norm(·, 2), evaluate, msign_exact,
+    riemannian_grad and value called sample by sample. Every x is certified
+    within FEAS_TOL. A rank-deficient y (probability 0) raises NumericError
+    naming the sample.
     """
     if samples < 1:
         raise ConfigurationError("samples must be at least 1")
     lip = smoothness_constants(inst).composed_lipschitz
     shape = (inst.n, inst.p)
 
-    worst = None
-    worst_margin = curvature = -math.inf
+    worst = _WorstRow()
+    curvature = -math.inf
     for start in range(0, samples, DESCENT_CHUNK):
         size = min(DESCENT_CHUNK, samples - start)
         y = np.empty((size,) + shape)
@@ -145,38 +177,31 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             sq = float(squares[k].sum())
             rhs = fx + slope + 0.5 * lip * sq
             curvature = max(curvature, 2.0 * (lhs - fx - slope) / sq)
-            margin = lhs - rhs
-            if margin > worst_margin:
-                worst_margin = margin
-                worst = (x[k], d[k], lhs, rhs, start + k)
+            worst.offer(lhs, rhs, DESCENT_SLACK, start + k, x[k], d[k])
 
-    x_w, d_w, lhs_w, rhs_w, idx = worst
-    passed = worst_margin <= DESCENT_SLACK
-    return BoundReport(
+    lhs, rhs, slack, idx, x_w, d_w = worst.row
+    report = BoundReport(
         name="descent_lemma",
-        lhs=lhs_w,
-        rhs=rhs_w,
-        slack=DESCENT_SLACK,
-        passed=passed,
+        lhs=lhs,
+        rhs=rhs,
+        slack=slack,
         constants={"L": lip, "r": STEP_RADIUS},
         detail=(
-            f"worst margin {worst_margin:.3e} over {samples} samples (sample {idx}); "
+            f"worst margin {lhs - rhs:.3e} over {samples} samples (sample {idx}); "
             f"largest observed curvature {curvature:.6g} against L = {lip:.6g}"
         ),
-        witness=None if passed else (x_w, d_w),
     )
+    if not report.passed:
+        report.witness = (x_w, d_w)
+    return report
 
 
-def audit_deterministic_bound(
-    records: list[TraceRecord],
-    lipschitz: float,
-    norm_equiv: float,
-    slack_per_step: float = 1e-6,
-) -> BoundReport:
+def audit_deterministic_bound(records: list[TraceRecord], lipschitz: float, norm_equiv: float) -> BoundReport:
     """Telescoped audit of a deterministic MCSD trace.
 
     Recomputes Σ α_t·‖∇_M f(x_t)‖_* ≤ f(x_0) − f(x_T) + (LN²/2)·Σ α_t² from
-    the trace rows, with slack 1e-6·T for floating-point accumulation.
+    the trace rows, with slack TELESCOPED_SLACK·T for floating-point
+    accumulation.
     """
     _require_dual_norms(records)
     horizon = len(records) - 1
@@ -184,13 +209,11 @@ def audit_deterministic_bound(
     lhs = sum(r.step_size * r.grad_dual_norm for r in steps)
     sq = sum(r.step_size**2 for r in steps)
     rhs = records[0].objective - records[horizon].objective + 0.5 * lipschitz * norm_equiv**2 * sq
-    slack = slack_per_step * horizon
     return BoundReport(
         name="telescoped_descent",
         lhs=lhs,
         rhs=rhs,
-        slack=slack,
-        passed=lhs <= rhs + slack,
+        slack=TELESCOPED_SLACK * horizon,
         constants={"L": lipschitz, "N": norm_equiv, "T": float(horizon)},
     )
 
@@ -198,24 +221,19 @@ def audit_deterministic_bound(
 def audit_per_step_descent(records: list[TraceRecord], lipschitz: float, norm_equiv: float) -> BoundReport:
     """Worst single-step check of f(x_{t+1}) ≤ f(x_t) − α_t‖∇_M f‖_* + (L/2)α_t²N²."""
     _require_dual_norms(records)
-    worst_margin = -math.inf
-    worst_t = 0
-    lhs_w = rhs_w = 0.0
+    worst = _WorstRow()
     for t in range(len(records) - 1):
         r = records[t]
-        lhs = records[t + 1].objective
         rhs = r.objective - r.step_size * r.grad_dual_norm + 0.5 * lipschitz * r.step_size**2 * norm_equiv**2
-        if lhs - rhs > worst_margin:
-            worst_margin = lhs - rhs
-            worst_t, lhs_w, rhs_w = t, lhs, rhs
+        worst.offer(records[t + 1].objective, rhs, DESCENT_SLACK, t)
+    lhs, rhs, slack, t = worst.row
     return BoundReport(
         name="per_step_descent",
-        lhs=lhs_w,
-        rhs=rhs_w,
-        slack=DESCENT_SLACK,
-        passed=worst_margin <= DESCENT_SLACK,
+        lhs=lhs,
+        rhs=rhs,
+        slack=slack,
         constants={"L": lipschitz, "N": norm_equiv},
-        detail=f"worst step t={worst_t}, margin {worst_margin:.3e}",
+        detail=f"worst step t={t}, margin {lhs - rhs:.3e}",
     )
 
 
@@ -229,8 +247,8 @@ def check_min_grad_rate(
 ) -> BoundReport:
     """Rate check on the smallest recorded gradient dual norm.
 
-    Deterministic schedule: min_t ‖∇_M f(x_t)‖_* ≤ sqrt(2ΔLN²/T) + 1e-6 on a
-    single trace. Stochastic schedule: the seed-mean of per-seed minima must
+    Deterministic schedule: min_t ‖∇_M f(x_t)‖_* ≤ sqrt(2ΔLN²/T) + RATE_SLACK
+    on a single trace. Stochastic schedule: the seed-mean of per-seed minima must
     stay below 4N(√(LΔ)+σ)·T^(−1/4) plus a 3-standard-error Monte-Carlo
     slack, over at least 20 seeds (the guarantee bounds an expectation); the
     detail names the iterate at which each seed's minimum falls.
@@ -250,7 +268,7 @@ def check_min_grad_rate(
             raise ConfigurationError("deterministic rate check takes exactly one trace")
         lhs = min(r.grad_dual_norm for r in traces[0][:horizon])
         rhs = math.sqrt(2.0 * gap * lipschitz * norm_equiv**2 / horizon)
-        slack = 1e-6
+        slack = RATE_SLACK
         name = "min_grad_rate_deterministic"
         detail = ""
     else:
@@ -272,7 +290,6 @@ def check_min_grad_rate(
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        passed=lhs <= rhs + slack,
         constants={"gap": gap, "L": lipschitz, "N": norm_equiv, "T": float(horizon), "sigma": sigma},
         detail=detail,
     )
@@ -292,7 +309,8 @@ def brute_force_lmo_check(
     directions and shared by every input, and asserts ⟨s, lmo(s)⟩ ≤ net
     minimum + LMO_NET_TOL·‖s‖_F for each s. The net minimum is an upper bound on the
     true optimum, so this certifies the oracle is at least as good as brute
-    force.
+    force. Each input is held to its own slack, and the report is the input
+    with the largest lhs − rhs − slack.
     """
     if dims[0] > 3 or dims[1] > 3:
         raise ConfigurationError("net oracle is only tractable for dims up to 3x3")
@@ -303,23 +321,16 @@ def brute_force_lmo_check(
 
     targets = [rng.standard_normal(dims) for _ in range(inputs)]
     net_minima = _net_minima(norm, tuple(dims), targets, net_size, rng)
-    worst_gap = -math.inf
-    worst = (0.0, 0.0, 0.0, 0)
+    worst = _WorstRow()
     for k, (s, net_min) in enumerate(zip(targets, net_minima)):
-        oracle_value = frob_inner(s, lmo(norm, s))
-        tol = LMO_NET_TOL * frob_norm(s)
-        gap = oracle_value - net_min
-        if gap > worst_gap:
-            worst_gap = gap
-            worst = (oracle_value, net_min, tol, k)
+        worst.offer(frob_inner(s, lmo(norm, s)), net_min, LMO_NET_TOL * frob_norm(s), k)
 
-    lhs, rhs, slack, idx = worst
+    lhs, rhs, slack, idx = worst.row
     return BoundReport(
         name=f"lmo_net_{norm.value}",
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        passed=lhs <= rhs + slack,
         constants={"net_size": float(net_size), "inputs": float(inputs)},
         detail=f"worst input {idx}: oracle {lhs:.6g} vs net {rhs:.6g}",
     )

@@ -605,7 +605,7 @@ class TestExitCodes:
         running the battery."""
 
         def install(*passed):
-            made = [BoundReport(f"check_{k}", 1.0, 2.0, 0.0, ok) for k, ok in enumerate(passed)]
+            made = [BoundReport(f"check_{k}", 1.0 if ok else 3.0, 2.0, 0.0) for k, ok in enumerate(passed)]
             calls = []
             monkeypatch.setattr(bench, "run_verify", lambda level: calls.append(level) or made)
             return calls

@@ -15,8 +15,8 @@ from mcsd import (
     random_point,
     smoothness_constants,
     subspace_error,
-    sym,
 )
+from mcsd.linalg import sym_unchecked
 from mcsd.objectives import brockett_grad_unchecked
 from tests.conftest import haar
 
@@ -56,7 +56,7 @@ def reference_brockett(n, p, d, data_seed):
     data_seed, sym(XXᵀ), a full eigh, a reversed copy of every eigenvector,
     then the sign fix on the top p."""
     x = np.random.default_rng(data_seed).standard_normal((n, d))
-    c = sym(x @ x.T)
+    c = sym_unchecked(x @ x.T)
     evals, evecs = np.linalg.eigh(c)
     evals, evecs = evals[::-1].copy(), evecs[:, ::-1].copy()
     for k in range(p):

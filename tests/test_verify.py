@@ -17,6 +17,7 @@ from mcsd import (
     brute_force_lmo_check,
     check_descent_lemma,
     check_min_grad_rate,
+    dual_norm,
     frob_inner,
     gap_with_headroom,
     msign_exact,
@@ -24,7 +25,6 @@ from mcsd import (
     random_point,
     riemannian_grad,
     smoothness_constants,
-    spectral_norm,
 )
 from mcsd.optimizers import (
     STEP_RADIUS,
@@ -37,7 +37,7 @@ from mcsd.optimizers import (
     stochastic_bound_schedule,
 )
 from mcsd.trace import TraceRecord
-from mcsd.verify import DESCENT_CHUNK, NET_CHUNK
+from mcsd.verify import DESCENT_CHUNK, LMO_NET_TOL, NET_CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def reference_descent_lemma(inst, samples, rng, lip):
         x = random_point(manifold, rng)
         g = rng.standard_normal((inst.n, inst.p))
         rho = STEP_RADIUS * (1.0 - rng.uniform(0.0, 1.0))
-        d = g * (rho / spectral_norm(g))
+        d = g * (rho / np.linalg.norm(g, 2))
         fx, egrad = inst.evaluate(x.x)
         lhs = inst.value(msign_exact(x.x + d))
         slope = frob_inner(riemannian_grad(x, egrad), d)
@@ -181,7 +181,7 @@ class TestDescentLemma:
         # moving along the normalized negative gradient must decrease f
         x = random_point(StiefelManifold(50, 3), np.random.default_rng(2))
         g = riemannian_grad(x, small_instance.euclid_grad(x.x))
-        d = -0.01 * g / spectral_norm(g)
+        d = -0.01 * g / np.linalg.norm(g, 2)
         assert small_instance.value(msign_exact(x.x + d)) < small_instance.value(x.x)
 
     def test_reproducible(self, small_instance):
@@ -226,7 +226,7 @@ class TestTelescopedAudit:
         n_const = norm_equiv_constant(NormKind.SPECTRAL, 50, 3)
         run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.01), x=x0)
         records = run_trace(run, small_instance, 1)
-        tele = audit_deterministic_bound(records, consts.composed_lipschitz, n_const, slack_per_step=1e-8)
+        tele = audit_deterministic_bound(records, consts.composed_lipschitz, n_const)
         per = audit_per_step_descent(records, consts.composed_lipschitz, n_const)
         assert tele.passed and per.passed
         # both views of the one-step run state the same inequality
@@ -452,6 +452,44 @@ class TestBruteForceLmo:
         monkeypatch.setattr(mcsd.verify, "lmo", oracle(mcsd.verify.lmo))
         report = brute_force_lmo_check(norm, dims, net_size=2 * 10**5, rng=np.random.default_rng(seed), inputs=5)
         assert report.passed == passes
+
+    def test_each_input_is_held_to_its_own_slack(self, monkeypatch):
+        # The oracle sits at 0.99 of its slack on the input with the largest
+        # ‖s‖_F and at 1.01 on the one with the smallest, which breaks the
+        # bound although its raw gap is the smaller of the two.
+        import mcsd.verify
+
+        norm, dims, seed, net_size = NormKind.SPECTRAL, (2, 2), 101, 10**5
+        rng = np.random.default_rng(seed)
+        targets = [rng.standard_normal(dims) for _ in range(5)]
+        nets = mcsd.verify._net_minima(norm, dims, targets, net_size, rng)
+        sizes = [np.linalg.norm(s) for s in targets]
+        big, small = int(np.argmax(sizes)), int(np.argmin(sizes))
+        want = {big: 0.99 * LMO_NET_TOL * sizes[big], small: 1.01 * LMO_NET_TOL * sizes[small]}
+        assert want[big] > want[small]
+
+        exact = mcsd.verify.lmo
+
+        def stub(norm, s):
+            k = next(k for k, t in enumerate(targets) if np.array_equal(s, t))
+            if k not in want:
+                return exact(norm, s)
+            return exact(norm, s) * (-(want[k] + nets[k]) / dual_norm(norm, s))
+
+        monkeypatch.setattr(mcsd.verify, "lmo", stub)
+        report = brute_force_lmo_check(norm, dims, net_size=net_size, rng=np.random.default_rng(seed), inputs=5)
+        assert not report.passed
+        assert f"worst input {small}:" in report.detail
+
+    def test_a_nan_oracle_value_fails(self, monkeypatch):
+        import mcsd.verify
+
+        monkeypatch.setattr(mcsd.verify, "lmo", lambda norm, s: np.full(s.shape, np.nan))
+        report = brute_force_lmo_check(
+            NormKind.SPECTRAL, (2, 2), net_size=10**5, rng=np.random.default_rng(8), inputs=3
+        )
+        assert not report.passed
+        assert "worst input 0:" in report.detail
 
     def test_dims_capped(self):
         with pytest.raises(ConfigurationError):
