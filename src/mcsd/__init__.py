@@ -11,13 +11,11 @@ from .errors import (
     ConfigurationError,
     FeasibilityError,
     NumericError,
-    RankDeficiencyError,
     ZeroGradient,
 )
 from .linalg import (
     EXACT,
     PolarMode,
-    SvdFactors,
     frob_inner,
     msign_exact,
     msign_iterative,

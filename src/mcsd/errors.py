@@ -9,18 +9,6 @@ class NumericError(RuntimeError):
     """A numeric routine failed: non-convergence, overflow."""
 
 
-class RankDeficiencyError(NumericError):
-    """Input is numerically rank-deficient where full column rank is required.
-
-    `index` is the position of the first such matrix in a stacked input,
-    and None for a single matrix.
-    """
-
-    def __init__(self, message: str = "", index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 class FeasibilityError(NumericError):
     """An iterate violates the manifold constraint beyond tolerance."""
 

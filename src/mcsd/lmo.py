@@ -2,7 +2,7 @@
 
 lmo(norm, s) returns argmin ⟨s, d⟩ over ‖d‖ ≤ 1; the attained value is
 −‖s‖_* where ‖·‖_* is the dual norm. Frobenius is self-dual with oracle
-−s/‖s‖_F; the dual of spectral is nuclear, with oracle −msign(s), or
+−s/‖s‖_F; the dual of spectral is nuclear, with oracle −msign(s), which is
 −U_r·V_rᵀ over the nonzero singular values when s is rank-deficient.
 """
 
@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, RankDeficiencyError, ZeroGradient
-from .linalg import EXACT, RANK_TOL_FACTOR, PolarMode, as_2d, as_matrix, frob_norm, svd
+from .errors import NumericError, ZeroGradient
+from .linalg import EXACT, PolarMode, as_2d, as_matrix, frob_norm
 
 
 class NormKind(enum.Enum):
@@ -32,10 +32,10 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
 
     Raises ZeroGradient when ‖s‖_F is below zero_tolerance: every unit-ball
     element is then optimal and callers decide what that means (optimizers
-    treat it as converged / hold position). A rank-deficient s has no
-    unique polar factor; the spectral oracle then returns −U_r·V_rᵀ, which
-    takes sign(0) = 0 on the null singular values. `polar_mode` picks how
-    msign(s) is computed: exactly, or by the paper's fast iterative sign.
+    treat it as converged / hold position). The spectral oracle is −msign(s),
+    which takes sign(0) = 0 on the null singular values of a rank-deficient
+    s. `polar_mode` picks how msign(s) is computed: exactly, or by the
+    paper's fast iterative sign.
     """
     s = as_2d(s, "lmo input")
     fro = frob_norm(s)
@@ -45,12 +45,7 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
         raise ZeroGradient
     if norm is NormKind.FROBENIUS:
         return -s / fro
-    try:
-        return -polar_mode.apply(s)
-    except RankDeficiencyError:
-        f = svd(s)
-        r = int(np.count_nonzero(f.s > RANK_TOL_FACTOR * f.s[0]))
-        return -(f.u[:, :r] @ f.vt[:r])
+    return -polar_mode.apply(s)
 
 
 def dual_norm(norm: NormKind, s) -> float:

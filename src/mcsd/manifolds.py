@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FeasibilityError, NumericError, RankDeficiencyError
+from .errors import ConfigurationError, FeasibilityError
 from .linalg import as_2d, as_matrix, frob_norm, msign_exact, sym_unchecked
 
 # Every StiefelPoint satisfies ‖xᵀx − I‖_F ≤ FEAS_TOL.
@@ -84,8 +84,9 @@ def feasibility_violation(x) -> float:
 def project(m: StiefelManifold, y) -> StiefelPoint:
     """Euclidean projection of a full-column-rank matrix onto St(n, p): its
     exact polar factor (msign_exact) at every shape, whose max|y| reduction
-    (or SVD input check) also rejects non-finite input. Rank-deficient input
-    raises RankDeficiencyError.
+    (or SVD input check) also rejects non-finite input. A rank-deficient y
+    of rank r has the partial isometry U_r·V_rᵀ for its factor, with
+    ‖xᵀx − I‖_F = √(p − r), so StiefelPoint raises FeasibilityError.
     """
     y = as_2d(y, "projection input")
     if y.shape != (m.n, m.p):
@@ -114,13 +115,7 @@ def tangent_component(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 def random_point(m: StiefelManifold, rng: np.random.Generator) -> StiefelPoint:
     """Haar-uniform point on St(n, p): polar factor of a Gaussian draw.
 
-    Deterministic for a given generator state. Retries once in the
-    astronomically improbable event of a rank-deficient draw.
+    Deterministic for a given generator state. A rank-deficient draw
+    (probability 0) raises FeasibilityError, as project does.
     """
-    for attempt in range(2):
-        y = rng.standard_normal((m.n, m.p))
-        try:
-            return project(m, y)
-        except RankDeficiencyError:
-            continue
-    raise NumericError("two consecutive Gaussian draws were rank-deficient")
+    return project(m, rng.standard_normal((m.n, m.p)))

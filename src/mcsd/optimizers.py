@@ -34,8 +34,10 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, RankDeficiencyError, ZeroGradient
-from .linalg import EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, sym_unchecked
+from .errors import ConfigurationError, NumericError, ZeroGradient
+from .linalg import (
+    EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, msign_exact, sym_unchecked,
+)
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, project, tangent_component
 from .objectives import NoiseConfig
@@ -280,7 +282,9 @@ class StepInfo:
 def step(run: OptimizerRun, objective) -> StepInfo:
     """x ← P_M(x + α·d) with d from the run's method, or hold where it gives
     none; the new StiefelPoint certifies its feasibility. A NumericError of
-    P_M (a rank-deficient x + α·d) is re-raised as its type, naming the iteration.
+    P_M (a FeasibilityError, as from a rank-deficient x + α·d, whose polar
+    factor is a partial isometry) is re-raised as its type, naming the
+    iteration.
 
     For a method whose direction uses the true gradient, the step then
     evaluates the objective at the new x, so each step holds exactly one
@@ -375,8 +379,8 @@ def manifold_muon_direction(
     Λ ← Λ + (lr/2)(Q + Qᵀ). Only the final d is formed as an n×p matrix.
     g_m is first divided by max|g_m| (Λ in proportion), which keeps the
     Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100, or
-    Y rank-deficient, as at n == p with p odd), Y is formed and the exact
-    spectral LMO takes over for that iteration.
+    Y rank-deficient, as at n == p with p odd), Y is formed and msign_exact
+    takes over for that iteration. A zero g_m raises ZeroGradient.
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
@@ -386,7 +390,7 @@ def manifold_muon_direction(
         raise ConfigurationError(f"gradient shape {g_m.shape} does not match point shape {xm.shape}")
     scale = max_abs(g_m, "Riemannian gradient")
     if scale == 0.0:
-        raise RankDeficiencyError("zero matrix has no polar factor")
+        raise ZeroGradient
     g = g_m / scale
     gram_g = g.T @ g
     a = xm.T @ g
@@ -401,7 +405,7 @@ def manifold_muon_direction(
             p_lam = a + b @ lam
             h = gram_polar_factor(gram_g + (lam @ a).T + lam @ p_lam, polar_mode.iters)[1]
         if h is None:
-            msign_y = -lmo(NormKind.SPECTRAL, g + xm @ lam if k else g)
+            msign_y = msign_exact(g + xm @ lam if k else g)
             q = xm.T @ msign_y
         else:
             q = p_lam @ h

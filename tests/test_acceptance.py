@@ -9,6 +9,7 @@ reproducible run to run.
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from mcsd import (
     riemannian_grad,
     smoothness_constants,
 )
-from mcsd.bench import default_pca_config, run_pca_bench
+from mcsd.bench import default_pca_config, run_pca_bench, run_rgd_sweep
 from mcsd.objectives import make_brockett
 from mcsd.optimizers import (
     Mcsd,
@@ -247,3 +248,21 @@ def test_criterion_9_lmo_brute_force():
     )
     elapsed = time.perf_counter() - tic
     report(9, "lmo brute force", result.passed, result.detail, elapsed, 120.0)
+
+
+def test_criterion_10_spel_beats_the_rgd_sweep_winner(tmp_path):
+    # criterion 2 compares SPEL with the stock RGD step, set by hand; here RGD
+    # gets the best constant step of a sweep on the same instance and start
+    tic = time.perf_counter()
+    cfg = default_pca_config(tmp_path / "pca")
+    sweep = run_rgd_sweep(replace(cfg, output_dir=tmp_path / "sweep"), [0.1, 0.03, 0.01, 0.001, 0.0001])
+    spel_only = replace(cfg, methods=tuple(spec for spec in cfg.methods if spec.label == "spel"))
+    spel = run_pca_bench(spel_only)["methods"]["spel"]
+    elapsed = time.perf_counter() - tic
+
+    winner = sweep["winner"]
+    best_rgd = sweep["final_subspace_error"][f"{winner:g}"]
+    med_spel = statistics.median(spel["final_subspace_error"])
+    ok = med_spel < best_rgd and len(spel["final_subspace_error"]) == cfg.repeats and not sweep["aborted"]
+    detail = f"final spel {med_spel:.2e} vs rgd {best_rgd:.2e} at the sweep's step {winner:g}"
+    report(10, "spel against the rgd sweep", ok, detail, elapsed, 300.0)

@@ -14,6 +14,10 @@ attribute or dataclass field of a class mcsd.X defines, or a CLI subcommand.
 
 The subcommands that `cli.build_parser()` accepts are the ones the README's
 CLI block and the `cli` module docstring list.
+
+Every exception class that `mcsd.errors` defines is raised somewhere in the
+package: a type nothing raises is dead code, and an `except` clause for it
+guards against nothing.
 """
 
 import ast
@@ -119,6 +123,45 @@ def test_the_scan_finds_unused_private_names():
         "m.py:3 defines _LOW and never uses it",
         "m.py:5 defines _Unused and never uses it",
     ]
+
+
+def unraised_error_classes(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes `errors_source` defines that no `raise` in `sources`
+    names, as `raise X`, `raise X(...)` or `raise module.X(...)`."""
+    defined = [n.name for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)]
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return [name for name in defined if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    modules = sorted(PACKAGE.glob("*.py"))
+    errors = (PACKAGE / "errors.py").read_text()
+    assert len(unraised_error_classes(errors, [])) >= 4
+    assert unraised_error_classes(errors, [path.read_text() for path in modules]) == []
+
+
+def test_the_scan_finds_unraised_error_classes():
+    errors = (
+        "class ConfigurationError(ValueError):\n    pass\n"
+        "class NumericError(RuntimeError):\n    pass\n"
+        "class RankError(NumericError):\n    pass\n"
+        "class Signal(Exception):\n    pass\n"
+        "class Stale(Exception):\n    pass\n"
+    )
+    sources = [
+        "def f(x):\n    if x:\n        raise ConfigurationError('x')\n    raise errors.NumericError\n",
+        "def g():\n    try:\n        pass\n    except RankError:\n        raise\n    raise Signal\n",
+        "def h(exc):\n    raise type(exc)('again') from exc\n# raise Stale\n",
+    ]
+    assert unraised_error_classes(errors, sources) == ["RankError", "Stale"]
 
 
 def constant_rows(readme: str) -> list[tuple[str, str, str]]:

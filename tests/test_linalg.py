@@ -11,7 +11,6 @@ from mcsd import (
     ConfigurationError,
     NumericError,
     PolarMode,
-    RankDeficiencyError,
     frob_inner,
     msign_exact,
     msign_iterative,
@@ -95,28 +94,29 @@ def orth_error(m):
 
 class TestSvd:
     def test_diagonal(self):
-        f = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(f.s, [3.0, 1.0])
+        _, s, _ = svd(np.diag([3.0, 1.0]))
+        assert np.allclose(s, [3.0, 1.0])
 
     def test_orthonormal_columns_give_unit_singular_values(self):
         x = haar(7, 3, seed=2).x
-        assert np.abs(svd(x).s - 1.0).max() < 1e-10
+        _, s, _ = svd(x)
+        assert np.abs(s - 1.0).max() < 1e-10
 
     def test_reconstruction(self, rng):
         y = rng.standard_normal((5, 3))
-        f = svd(y)
-        err = np.linalg.norm(f.u @ np.diag(f.s) @ f.vt - y)
+        u, s, vt = svd(y)
+        err = np.linalg.norm(u @ np.diag(s) @ vt - y)
         assert err <= 1e-10 * np.linalg.norm(y)
 
     def test_descending(self, rng):
-        s = svd(rng.standard_normal((6, 4))).s
+        _, s, _ = svd(rng.standard_normal((6, 4)))
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
     def test_factor_orthonormality(self, rng):
-        f = svd(rng.standard_normal((6, 4)))
+        u, _, vt = svd(rng.standard_normal((6, 4)))
         k = 4
-        assert np.linalg.norm(f.u.T @ f.u - np.eye(k)) < 1e-10
-        assert np.linalg.norm(f.vt @ f.vt.T - np.eye(k)) < 1e-10
+        assert np.linalg.norm(u.T @ u - np.eye(k)) < 1e-10
+        assert np.linalg.norm(vt @ vt.T - np.eye(k)) < 1e-10
 
 
 class TestSym:
@@ -165,10 +165,10 @@ class TestMsignExact:
         q = msign_exact(rng.standard_normal((3, 3)))
         assert np.linalg.norm(msign_exact(y @ q) - msign_exact(y) @ q) < 1e-9
 
-    def test_rank_deficient_rejected(self):
-        y = np.ones((4, 2))  # rank one
-        with pytest.raises(RankDeficiencyError):
-            msign_exact(y)
+    def test_rank_deficient_gives_the_partial_isometry(self):
+        # rank one: sign 0 on the null singular value leaves u1·v1ᵀ
+        y = np.ones((4, 2))
+        assert np.allclose(msign_exact(y), np.full((4, 2), 0.5 / math.sqrt(2.0)), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize(
         "shape, kappa, svd_calls", [((200, 5), 99.0, 0), ((200, 5), 101.0, 1), ((50, 3), 2.0, 1)]
@@ -208,15 +208,13 @@ class TestMsignExactStack:
         assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(9))
 
     @pytest.mark.parametrize("bad", [0, 5])
-    def test_rank_deficient_slice_is_named(self, bad, rng):
+    def test_rank_deficient_slice_gives_its_partial_isometry(self, bad, rng):
         y = rng.standard_normal((7, 6, 3))
         y[bad, :, 2] = y[bad, :, 0]  # a repeated column: rank two
-        with pytest.raises(RankDeficiencyError, match=f"matrix {bad} of the stack") as info:
-            msign_exact(y)
-        assert info.value.index == bad
-        with pytest.raises(RankDeficiencyError, match="^matrix is") as info:
-            msign_exact(y[bad])
-        assert info.value.index is None
+        out = msign_exact(y)
+        u, _, vt = np.linalg.svd(y[bad], full_matrices=False)
+        assert np.linalg.norm(out[bad] - u[:, :2] @ vt[:2]) <= 1e-10
+        assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(7))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, value, rng):
@@ -258,9 +256,12 @@ class TestMsignIterative:
         m = msign_iterative(y, iters=8)
         assert np.linalg.norm(m @ m.T - np.eye(3)) < 1e-8
 
-    def test_zero_input_rejected(self):
-        with pytest.raises(RankDeficiencyError):
-            msign_iterative(np.zeros((3, 2)))
+    @pytest.mark.parametrize("shape", [(3, 2), (200, 5), (2, 3)])
+    @pytest.mark.parametrize("route", [msign_exact, msign_iterative])
+    def test_zero_input_gives_zeros(self, shape, route):
+        # sign(0) = 0 on both routes: (200, 5) is the exact Gram route's shape
+        out = route(np.zeros(shape))
+        assert out.shape == shape and not out.any()
 
 
 class TestSpectralEvaluation:
@@ -463,3 +464,30 @@ def test_property_newton_schulz_stays_in_unit_ball(seed, shape, kappa, deficient
     assert np.linalg.norm(msign_iterative(y, iters), 2) <= bound
     x = tall / np.abs(tall).max()
     assert np.linalg.norm(x @ gram_polar_factor(x.T @ x, iters)[1], 2) <= bound
+
+
+@st.composite
+def deficient_dims(draw):
+    """(n, p, r) with 1 <= r < p <= n <= 12."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(2, n))
+    return n, p, draw(st.integers(1, p - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), deficient_dims())
+def test_property_rank_deficient_sign_is_the_partial_isometry(seed, dims):
+    # sign(0) = 0: msign of a rank-r matrix U_r·Σ_r·V_rᵀ is U_r·V_rᵀ, alone or
+    # as a slice of a stack, and Newton-Schulz keeps every null direction at 0
+    n, p, r = dims
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    v, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    y = (u[:, :r] * rng.uniform(1.0, 10.0, r)) @ v[:, :r].T
+    expected = u[:, :r] @ v[:, :r].T
+    assert np.linalg.norm(msign_exact(y) - expected) <= 1e-10
+    stack = rng.standard_normal((3, n, p))
+    k = seed % 3
+    stack[k] = y
+    assert np.linalg.norm(msign_exact(stack)[k] - expected) <= 1e-10
+    assert np.abs(msign_iterative(y, 8) @ v[:, r:]).max() <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ class TestLmo:
         assert np.linalg.norm(d - expected) < 1e-12
         assert abs(frob_inner(s, d) + dual_norm(NormKind.SPECTRAL, s)) < 1e-10
         assert np.linalg.norm(lmo(NormKind.SPECTRAL, s, PolarMode(iters=8)) - expected) < 1e-6
+
+    # 200x5 is the Gram route's shape, which declines a rank-deficient
+    # input; 6x3 goes to the SVD at once
+    @pytest.mark.parametrize("shape", [(200, 5), (6, 3)])
+    def test_exact_spectral_rank_deficient_takes_one_svd(self, shape, rng, monkeypatch):
+        import mcsd.linalg as linalg
+
+        n, p = shape
+        u, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((p, 2)))
+        s = (u * [3.0, 1.0]) @ v.T  # rank two
+        calls = []
+        real_svd = linalg.svd
+
+        def spy(y):
+            calls.append(y.shape)
+            return real_svd(y)
+
+        monkeypatch.setattr(linalg, "svd", spy)
+        # the module, not the package attribute `mcsd.lmo`, which is the function
+        monkeypatch.setattr(sys.modules["mcsd.lmo"], "svd", spy, raising=False)
+        d = lmo(NormKind.SPECTRAL, s)
+        assert calls == [shape]
+        assert np.linalg.norm(d + u @ v.T) <= 1e-10
 
 
 class TestDualNorm:

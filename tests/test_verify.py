@@ -10,7 +10,6 @@ from mcsd import (
     FeasibilityError,
     NoiseConfig,
     NormKind,
-    NumericError,
     StiefelManifold,
     audit_deterministic_bound,
     audit_per_step_descent,
@@ -161,9 +160,10 @@ class TestDescentLemma:
             check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("sample", [0, DESCENT_CHUNK + 2])
-    def test_rank_deficient_draw_is_a_numeric_error_naming_the_sample(self, small_instance, sample):
-        # each sample draws y, then its direction: y of sample k is draw 2k
-        with pytest.raises(NumericError, match=f"descent-lemma sample {sample}: .* rank-deficient"):
+    def test_rank_deficient_draw_is_a_feasibility_error_naming_the_sample(self, small_instance, sample):
+        # each sample draws y, then its direction: y of sample k is draw 2k;
+        # sign(0) = 0 makes x = 0, with |x'x - I|_F = sqrt(3)
+        with pytest.raises(FeasibilityError, match=rf"descent-lemma sample {sample}: \|x'x - I\|_F = 1\.732e\+00"):
             check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=ZeroDraw(7, 2 * sample))
 
     def test_sampled_inequality_holds(self, small_instance):
