@@ -54,6 +54,7 @@ from .optimizers import (
     deterministic_bound_schedule,
     manifold_muon_direction,
     periodic_decay_schedule,
+    run_seeds,
     run_trace,
     step,
     stochastic_bound_schedule,

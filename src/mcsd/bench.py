@@ -41,6 +41,7 @@ from .optimizers import (
     constant_schedule,
     deterministic_bound_schedule,
     periodic_decay_schedule,
+    run_seeds,
     run_trace,
     stochastic_bound_schedule,
 )
@@ -524,6 +525,11 @@ def run_verify(level: str = "fast") -> list[BoundReport]:
     check, and a brute-force LMO net. full: adds a 1000-sample descent
     lemma and the 20-seed stochastic rate check.
 
+    The stochastic check steps its 20 seeds in lockstep (run_seeds): one
+    stochastic_grad call per seed and step, and one call over the stack of
+    the seeds' iterates for every other operation, with the bits that 20
+    separate run_trace calls give.
+
     Each report's `seconds` is the wall time of the call that made it; the
     stochastic check's includes its 20 runs, while the deterministic run
     that three audits share is timed in none of them.
@@ -582,13 +588,6 @@ def _stochastic_rate_report(inst, manifold, lipschitz, norm_equiv):
     gap = gap_with_headroom(inst, x0.x)
     schedule = stochastic_bound_schedule(gap, lipschitz, norm_equiv, horizon)
     method = StochasticMcsd(norm=NormKind.SPECTRAL, beta=schedule.momentum_beta, noise=noise)
-    traces = []
-    for seed in range(seeds):
-        run = OptimizerRun(
-            method=method,
-            schedule=schedule,
-            x=x0,
-            rng=np.random.default_rng(np.random.SeedSequence(106, spawn_key=(seed,))),
-        )
-        traces.append(run_trace(run, inst, horizon))
+    rngs = [np.random.default_rng(np.random.SeedSequence(106, spawn_key=(seed,))) for seed in range(seeds)]
+    traces = run_seeds(method, schedule, x0, rngs, inst, horizon)
     return check_min_grad_rate(traces, gap, lipschitz, norm_equiv, schedule, sigma=sigma)

@@ -45,22 +45,25 @@ GRAM_MIN_WORK = 2000
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a 2-D float64 array with finite entries."""
-    m = as_2d(a, name)
+    """Validate and return `a` as a float64 matrix, or a stack (k, n, p) of
+    them, with finite entries."""
+    m = as_2d(a, name, stack=True)
     if not np.isfinite(m).all():
         raise ConfigurationError(f"{name} contains non-finite entries")
     return m
 
 
-def as_2d(a, name: str = "matrix") -> np.ndarray:
-    """`a` as a non-empty 2-D float64 array, without the finiteness scan.
+def as_2d(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """`a` as a non-empty 2-D float64 array (with `stack`, also a stack
+    (k, n, p) of them), without the finiteness scan.
 
     For callers whose first reduction over the array (a norm or max|a|)
     propagates NaN and inf and so doubles as the finiteness check.
     """
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
+    if m.ndim not in ((2, 3) if stack else (2,)) or 0 in m.shape:
+        kind = "matrix or a stack of them" if stack else "2-D matrix"
+        raise ConfigurationError(f"{name} must be a {kind}, got shape {m.shape}")
     return m
 
 
@@ -174,16 +177,19 @@ def msign_exact(y) -> np.ndarray:
     RANK_TOL_FACTOR times the largest: UVᵀ at full column rank, and the
     partial isometry U_r·V_rᵀ (sign 0 on the null singular values) below it.
 
-    A single matrix is computed from the Gram eigendecomposition when the
-    long side is at least twice the short one, n·p² ≥ GRAM_MIN_WORK and
-    κ < 100, and from the SVD otherwise; a stack from one stacked SVD, so
-    each slice gets the bits of its own SVD route at a fraction of the
-    per-call cost.
+    A matrix is computed from the Gram eigendecomposition when the long
+    side is at least twice the short one, n·p² ≥ GRAM_MIN_WORK and
+    κ < 100, and from the SVD otherwise. Each slice of a stack gets the bits
+    of its own call: at a shape that takes the SVD route, from one stacked
+    SVD at a fraction of the per-call cost, and at one that may take the
+    Gram route, which has no stacked form, from a call per slice.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 2:
-        short = min(y.shape)
-        if max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
+    if y.ndim in (2, 3) and 0 not in y.shape:
+        short, long = sorted(y.shape[-2:])
+        if long >= 2 * short and long * short * short >= GRAM_MIN_WORK:
+            if y.ndim == 3:
+                return np.stack([msign_exact(m) for m in y])
             out = _gram_polar(y, None)
             if out is not None:
                 return out

@@ -36,8 +36,15 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     which takes sign(0) = 0 on the null singular values of a rank-deficient
     s. `polar_mode` picks how msign(s) is computed: exactly, or by the
     paper's fast iterative sign.
+
+    A stack (k, n, p) gives each matrix's minimizer, with the bits of its own
+    call, from one call per operation; its spectral oracle needs the exact
+    sign (msign_iterative takes no stack). A matrix below zero_tolerance gets
+    the zero direction, so a zero slice of the result stands for ZeroGradient.
     """
-    s = as_2d(s, "lmo input")
+    s = as_2d(s, "lmo input", stack=True)
+    if s.ndim == 3:
+        return _lmo_stack(norm, s, polar_mode)
     fro = frob_norm(s)
     if not math.isfinite(fro):
         as_matrix(s, "lmo input")
@@ -48,20 +55,38 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     return -polar_mode.apply(s)
 
 
-def dual_norm(norm: NormKind, s) -> float:
-    """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm."""
-    s = as_2d(s, "dual-norm input")
+def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode) -> np.ndarray:
+    """lmo of each matrix of a stack, zero where the matrix counts as zero."""
+    fro = np.array([frob_norm(m) for m in s])
+    if not np.isfinite(fro).all():
+        as_matrix(s, "lmo input")
+    zero = fro <= zero_tolerance(*s.shape[1:])
+    if norm is NormKind.FROBENIUS:
+        d = -s / np.where(zero, 1.0, fro)[:, None, None]
+    else:
+        d = -polar_mode.apply(s)
+    d[zero] = 0.0
+    return d
+
+
+def dual_norm(norm: NormKind, s):
+    """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm: a float,
+    or for a stack (k, n, p) the array of each matrix's norm, with the bits
+    of its own call (one values-only stacked SVD for the nuclear norms)."""
+    s = as_2d(s, "dual-norm input", stack=True)
     # The norm is the finiteness check: NaN and ±inf make it non-finite (or
     # the SVD raise), and only then is the input scanned.
     if norm is NormKind.FROBENIUS:
-        total = frob_norm(s)
+        total = frob_norm(s) if s.ndim == 2 else np.array([frob_norm(m) for m in s])
     else:
         try:
-            total = float(np.sum(np.linalg.svd(s, compute_uv=False)))
+            total = np.linalg.svd(s, compute_uv=False).sum(axis=-1)
         except np.linalg.LinAlgError as exc:
             as_matrix(s, "dual-norm input")
-            raise NumericError(f"SVD of the {s.shape[0]}x{s.shape[1]} dual-norm input failed: {exc}") from exc
-    if not math.isfinite(total):
+            raise NumericError(f"SVD of the {s.shape[-2]}x{s.shape[-1]} dual-norm input failed: {exc}") from exc
+        if s.ndim == 2:
+            total = float(total)
+    if not (math.isfinite(total) if s.ndim == 2 else np.isfinite(total).all()):
         as_matrix(s, "dual-norm input")
     return total
 

@@ -65,16 +65,26 @@ class StiefelPoint:
         return f"StiefelPoint(St({m.n}, {m.p}))"
 
 
-def feasibility_violation(x) -> float:
-    """‖xᵀx − I_p‖_F, the orthonormality-constraint violation.
+def feasibility_violation(x):
+    """‖xᵀx − I_p‖_F, the orthonormality-constraint violation, of a matrix,
+    or the list of each matrix's of a stack (k, n, p), with its own call's
+    bits, from one stacked product.
 
     A non-finite entry of x makes a diagonal entry of xᵀx non-finite, so
-    x is scanned for one only when the result is not finite (it may also be
+    x is scanned for one only when a result is not finite (it may also be
     an overflow); a non-finite entry raises ConfigurationError.
     """
-    x = as_2d(x, "matrix")
-    g = x.T @ x
-    g.flat[:: g.shape[0] + 1] -= 1.0
+    x = as_2d(x, "matrix", stack=True)
+    g = x.swapaxes(-1, -2) @ x
+    p = g.shape[-1]
+    g.reshape(-1, p * p)[:, :: p + 1] -= 1.0
+    if g.ndim == 3:
+        return [_violation(a, b) for a, b in zip(g, x)]
+    return _violation(g, x)
+
+
+def _violation(g: np.ndarray, x: np.ndarray) -> float:
+    """‖g‖_F for g = xᵀx − I, raising ConfigurationError for a non-finite x."""
     violation = frob_norm(g)
     if not math.isfinite(violation) and not np.isfinite(x).all():
         raise ConfigurationError("matrix contains non-finite entries")

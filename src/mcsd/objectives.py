@@ -27,7 +27,9 @@ class Objective(Protocol):
 
     evaluate(x) returns (f(x), ∇f(x)) from one evaluation; the optimizers
     call it once per iterate. Stochastic MCSD also draws gradients through
-    stochastic_grad(x, rng, noise_cfg).
+    stochastic_grad(x, rng, noise_cfg), and `run_seeds` evaluates its seeds'
+    iterates as one stack (k, n, p), for which evaluate returns the k values
+    and the k gradients.
     """
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]: ...
@@ -97,18 +99,19 @@ class BrockettInstance:
         """The n×d data matrix X of make_brockett, read-only."""
         return _read_only(_draw_samples(self.n, self.d, self.data_seed))
 
-    def value(self, x: np.ndarray) -> float:
-        """−½ tr(xᵀ C x D)."""
+    def value(self, x: np.ndarray):
+        """−½ tr(xᵀ C x D), or the list of each matrix's of a stack (k, n, p)."""
         x = as_matrix(x, "objective input")
         return value_from_grad(brockett_grad_unchecked(self, x), x)
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean gradient −C x D."""
+        """Euclidean gradient −C x D, of a matrix or of each matrix of a stack
+        (k, n, p) from one broadcast product."""
         return brockett_grad_unchecked(self, as_matrix(x, "gradient input"))
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, x: np.ndarray):
         """(f(x), ∇f(x)) from one product C·x, the value read off the gradient
-        as value(x) does."""
+        as value(x) does; of a stack, the list of values and the gradients."""
         g = self.euclid_grad(x)
         return value_from_grad(g, x), g
 
@@ -194,8 +197,11 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
     )
 
 
-def value_from_grad(g: np.ndarray, w: np.ndarray) -> float:
-    """f(w) = ½⟨∇f(w), w⟩ for the quadratic f(w) = −½ tr(wᵀ C w D)."""
+def value_from_grad(g: np.ndarray, w: np.ndarray):
+    """f(w) = ½⟨∇f(w), w⟩ for the quadratic f(w) = −½ tr(wᵀ C w D), or the
+    list of each matrix's value of a stack, each with its own call's bits."""
+    if g.ndim == 3:
+        return [0.5 * frob_inner(a, b) for a, b in zip(g, w)]
     return 0.5 * frob_inner(g, w)
 
 

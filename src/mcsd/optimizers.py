@@ -34,12 +34,12 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ZeroGradient
+from .errors import ConfigurationError, FeasibilityError, NumericError, ZeroGradient
 from .linalg import (
     EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, msign_exact, sym_unchecked,
 )
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
-from .manifolds import StiefelPoint, project, tangent_component
+from .manifolds import FEAS_TOL, StiefelPoint, feasibility_violation, project, tangent_component
 from .objectives import NoiseConfig
 from .trace import TraceRecord
 
@@ -65,6 +65,9 @@ class StepSchedule:
     "stochastic_bound". The bound kinds produce the constant step matching
     the corresponding convergence guarantee for a horizon of `horizon`
     steps; the stochastic kind additionally pins the momentum parameter.
+    ConfigurationError rejects an unknown kind, a base step that is not
+    finite and positive (named as its kind's constructor names it) and, for
+    periodic decay, such a factor or a period below 1.
     """
 
     kind: str
@@ -73,6 +76,15 @@ class StepSchedule:
     period: int = 0
     horizon: int = 0
     beta: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _BASE_NAMES:
+            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
+        _require_positive(**{_BASE_NAMES[self.kind]: self.base})
+        if self.kind == "periodic_decay":
+            _require_positive(factor=self.factor)
+            if self.period < 1:
+                raise ConfigurationError(f"period must be at least 1, got {self.period}")
 
     def alpha(self, t: int) -> float:
         if self.kind == "periodic_decay":
@@ -93,15 +105,16 @@ class StepSchedule:
         return f"{self.kind}:T={self.horizon}"
 
 
+# Each kind's name for its base step in StepSchedule's error messages.
+_BASE_NAMES = {"constant": "step_size", "periodic_decay": "alpha0", "deterministic_bound": "step_size",
+               "stochastic_bound": "step_size"}
+
+
 def constant_schedule(alpha: float) -> StepSchedule:
-    _require_positive(step_size=alpha)
     return StepSchedule(kind="constant", base=alpha)
 
 
 def periodic_decay_schedule(alpha0: float, factor: float, period: int) -> StepSchedule:
-    _require_positive(alpha0=alpha0, factor=factor)
-    if period < 1:
-        raise ConfigurationError(f"period must be at least 1, got {period}")
     return StepSchedule(kind="periodic_decay", base=alpha0, factor=factor, period=period)
 
 
@@ -190,14 +203,18 @@ class StochasticMcsd:
         if run.rng is None:
             raise ConfigurationError("stochastic runs need an RNG stream")
         g = _checked_gradient(run, objective.stochastic_grad(run.x.x, run.rng, self.noise))
-        if run.momentum is None:
-            run.momentum = g.copy()
-        else:
-            run.momentum = self.beta * run.momentum + (1.0 - self.beta) * g
+        run.momentum = self.next_momentum(run.momentum, g)
         try:
             return lmo(self.norm, tangent_component(run.x.x, run.momentum), run.polar_mode), 0, False
         except ZeroGradient:
             return None, 0, False
+
+    def next_momentum(self, m: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+        """β·m + (1 − β)·g, or g itself for the first step (m None); of one
+        run, or entry by entry of a stack of runs."""
+        if m is None:
+            return g.copy()
+        return self.beta * m + (1.0 - self.beta) * g
 
 
 @dataclass(frozen=True)
@@ -484,3 +501,91 @@ def _metric_record(run, objective, norm, subspace_fn, t, elapsed) -> TraceRecord
         inner_iters=0,
         elapsed_s=elapsed,
     )
+
+
+def run_seeds(
+    method: StochasticMcsd,
+    schedule: StepSchedule,
+    x0: StiefelPoint,
+    rngs: list[np.random.Generator],
+    objective,
+    steps: int,
+) -> list[list[TraceRecord]]:
+    """Step one stochastic-MCSD run per generator in `rngs` from x0, in lockstep.
+
+    Seed i's trace equals, field for field except elapsed_s, run_trace's of
+    OptimizerRun(method, schedule, x0, rngs[i]) over `steps` steps without a
+    subspace_fn. Each seed draws its sampled gradients with its own
+    stochastic_grad call; every other operation is one call over the
+    (k, n, p) stack of the seeds' iterates, which gives each seed the bits of
+    its own call: the records' evaluation, tangent projection and dual norms,
+    the momentum update, the LMO and the exact retraction. A seed whose
+    projected momentum is zero holds its position while the others step on.
+    Each new iterate is certified within FEAS_TOL, as StiefelPoint does.
+
+    A seed's elapsed_s accumulates its share, 1/k, of each lockstep step's
+    wall time, so the seeds' final elapsed_s sum to the step loop's time. A
+    NumericError names the iteration and the seed (the iteration only where
+    the stacked retraction fails) and carries the per-seed partial traces in
+    its `records` attribute.
+    """
+    if not isinstance(method, StochasticMcsd):
+        raise ConfigurationError(f"run_seeds steps stochastic MCSD, got {type(method).__name__}")
+    if not rngs:
+        raise ConfigurationError("run_seeds needs at least one RNG stream")
+    k = len(rngs)
+    xs = np.stack([x0.x] * k)
+    violations = [x0.violation] * k
+    momentum = None
+    traces: list[list[TraceRecord]] = [[] for _ in rngs]
+    elapsed = 0.0
+    try:
+        for t in range(steps + 1):
+            values, g = objective.evaluate(xs)
+            _raise_for_nonfinite(t, _as_gradient(g, xs))
+            duals = dual_norm(method.norm, tangent_component(xs, g))
+            alpha = schedule.alpha(t) if t < steps else 0.0
+            for i, trace in enumerate(traces):
+                value = float(values[i])
+                if not math.isfinite(value):
+                    raise NumericError(f"iteration {t}, seed {i}: the objective value is not finite")
+                trace.append(TraceRecord(
+                    iter=t, objective=value, subspace_error=math.nan, orth_violation=violations[i],
+                    grad_dual_norm=float(duals[i]), step_size=alpha, inner_iters=0, elapsed_s=elapsed,
+                ))
+            if t == steps:
+                break
+
+            tic = time.perf_counter()
+            samples = np.stack([
+                _as_gradient(objective.stochastic_grad(x, rng, method.noise), x) for x, rng in zip(xs, rngs)
+            ])
+            _raise_for_nonfinite(t, samples)
+            momentum = method.next_momentum(momentum, samples)
+            d = lmo(method.norm, tangent_component(xs, momentum))
+            moving = d.any(axis=(1, 2))
+            if moving.any():
+                try:
+                    xs[moving] = msign_exact(xs[moving] + alpha * d[moving])
+                except NumericError as exc:
+                    raise type(exc)(f"iteration {t}: {exc}") from exc
+                violations = feasibility_violation(xs)
+                for i, v in enumerate(violations):
+                    if not v <= FEAS_TOL:
+                        raise FeasibilityError(
+                            f"iteration {t}, seed {i}: matrix violates the orthonormality constraint: "
+                            f"|x'x - I|_F = {v:.3e} > {FEAS_TOL:.1e}"
+                        )
+            elapsed += (time.perf_counter() - tic) / k
+    except NumericError as exc:
+        exc.records = traces
+        raise
+    return traces
+
+
+def _raise_for_nonfinite(t: int, grads: np.ndarray) -> None:
+    """NumericError naming iteration t and the first seed whose gradient in
+    the stack `grads` has a non-finite entry, if one has."""
+    if not np.isfinite(grads).all():
+        i = int(np.flatnonzero(~np.isfinite(grads).all(axis=(1, 2)))[0])
+        raise NumericError(f"iteration {t}, seed {i}: {_NONFINITE_GRADIENT}")

@@ -216,6 +216,15 @@ class TestMsignExactStack:
         assert np.linalg.norm(out[bad] - u[:, :2] @ vt[:2]) <= 1e-10
         assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(7))
 
+    # shapes on or at the edge of the Gram route, which has no stacked form
+    @pytest.mark.parametrize("shape", [(200, 5), (5, 200), (40, 20)])
+    def test_gram_route_shapes_give_each_slice_its_own_call(self, shape, rng):
+        y = rng.standard_normal((4,) + shape)
+        y[1] = 0.0
+        y[2, :, 0] *= 1e3  # κ ≥ 100: its own call declines the Gram route
+        out = msign_exact(y)
+        assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(4))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, value, rng):
         y = rng.standard_normal((4, 6, 3))

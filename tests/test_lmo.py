@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsd import (
+    ConfigurationError,
     NormKind,
     NumericError,
     PolarMode,
@@ -139,6 +140,52 @@ class TestDualNorm:
     def test_frobenius_self_dual(self, rng):
         s = rng.standard_normal((4, 4))
         assert abs(dual_norm(NormKind.FROBENIUS, s) - np.linalg.norm(s)) < 1e-12
+
+
+class TestStacks:
+    """A stack (k, n, p) gives each matrix the bits of its own call."""
+
+    @pytest.mark.parametrize("norm", BOTH)
+    @pytest.mark.parametrize("shape", [(50, 3), (7, 1), (5, 5)])
+    def test_lmo_slices_are_their_own_calls(self, norm, shape, rng):
+        s = rng.standard_normal((6,) + shape)
+        s[1] = 0.0
+        s[4] *= 1e-16  # nonzero, below zero_tolerance
+        d = lmo(norm, s)
+        for k in range(6):
+            if k in (1, 4):
+                with pytest.raises(ZeroGradient):
+                    lmo(norm, s[k])
+                assert not d[k].any()
+            else:
+                assert np.array_equal(d[k], lmo(norm, s[k]))
+
+    def test_lmo_stack_needs_the_exact_sign(self, rng):
+        with pytest.raises(ConfigurationError, match="polar input must be a 2-D matrix"):
+            lmo(NormKind.SPECTRAL, rng.standard_normal((3, 6, 2)), PolarMode(8))
+
+    @pytest.mark.parametrize("norm", BOTH)
+    def test_lmo_stack_rejects_a_nonfinite_slice(self, norm, rng):
+        s = rng.standard_normal((3, 6, 2))
+        s[2, 0, 0] = np.nan
+        with pytest.raises(ConfigurationError, match="lmo input contains non-finite"):
+            lmo(norm, s)
+
+    @pytest.mark.parametrize("norm", BOTH)
+    @pytest.mark.parametrize("shape", [(50, 3), (7, 1), (5, 5)])
+    def test_dual_norm_slices_are_their_own_calls(self, norm, shape, rng):
+        s = rng.standard_normal((5,) + shape)
+        s[3] = 0.0
+        totals = dual_norm(norm, s)
+        assert totals.shape == (5,)
+        assert [float(v) for v in totals] == [dual_norm(norm, m) for m in s]
+
+    @pytest.mark.parametrize("norm", BOTH)
+    def test_dual_norm_stack_rejects_a_nonfinite_slice(self, norm, rng):
+        s = rng.standard_normal((3, 6, 2))
+        s[1, 2, 1] = np.inf
+        with pytest.raises(ConfigurationError, match="dual-norm input contains non-finite"):
+            dual_norm(norm, s)
 
 
 class TestNormEquivConstant:

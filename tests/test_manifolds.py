@@ -167,6 +167,18 @@ class TestFeasibilityViolation:
     def test_zero_matrix(self):
         assert abs(feasibility_violation(np.zeros((6, 2))) - np.sqrt(2)) < 1e-15
 
+    @pytest.mark.parametrize("shape", [(50, 3), (7, 1), (5, 5)])
+    def test_stack_slices_are_their_own_calls(self, shape):
+        xs = np.stack([haar(*shape, seed=s).x for s in range(4)])
+        xs[2] *= 1.5
+        assert feasibility_violation(xs) == [feasibility_violation(x) for x in xs]
+
+    def test_stack_rejects_a_nonfinite_slice(self):
+        xs = np.stack([haar(6, 2, seed=s).x for s in range(3)])
+        xs[1, 0, 0] = np.inf
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            feasibility_violation(xs)
+
 
 class TestRandomPoint:
     def test_feasible(self):

@@ -212,6 +212,26 @@ class TestValueAndGrad:
             assert np.array_equal(g, tiny.euclid_grad(w))
             assert np.array_equal(g, -(tiny.c @ w) * tiny.dmat[None, :])
 
+    def test_evaluate_of_a_stack_is_each_matrix_bit_for_bit(self, tiny, rng):
+        ws = rng.standard_normal((6, 10, 2))
+        values, grads = tiny.evaluate(ws)
+        assert values == tiny.value(ws) == [tiny.value(w) for w in ws]
+        for w, g in zip(ws, grads):
+            assert np.array_equal(g, tiny.euclid_grad(w))
+
+    def test_evaluate_of_a_stack_scans_it_once(self, tiny, rng, monkeypatch):
+        import mcsd.objectives
+
+        names = []
+        scan = mcsd.objectives.as_matrix
+        monkeypatch.setattr(mcsd.objectives, "as_matrix", lambda a, name: names.append(name) or scan(a, name))
+        ws = rng.standard_normal((6, 10, 2))
+        tiny.evaluate(ws)
+        assert names == ["gradient input"]
+        ws[4, 3, 1] = np.nan
+        with pytest.raises(ConfigurationError, match="gradient input contains non-finite"):
+            tiny.evaluate(ws)
+
     def test_evaluate_is_value_and_grad_bit_for_bit(self, pca_instance):
         for seed in range(5):
             w = haar(200, 5, seed=110 + seed).x

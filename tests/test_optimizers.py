@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mcsd import (
     FeasibilityError,
     NoiseConfig,
     NormKind,
+    NumericError,
     PolarMode,
     StiefelManifold,
     StiefelPoint,
@@ -20,6 +22,7 @@ from mcsd import (
     frob_inner,
     make_brockett,
     msign_exact,
+    msign_iterative,
     project,
     random_point,
     riemannian_grad,
@@ -33,11 +36,13 @@ from mcsd.optimizers import (
     Mcsd,
     OptimizerRun,
     Rgd,
+    StepSchedule,
     StochasticMcsd,
     constant_schedule,
     deterministic_bound_schedule,
     manifold_muon_direction,
     periodic_decay_schedule,
+    run_seeds,
     run_trace,
     step,
     stochastic_bound_schedule,
@@ -125,6 +130,20 @@ class TestSchedules:
         for name, make in makers.items():
             with pytest.raises(ConfigurationError, match=f"{name} must be finite and positive"):
                 make()
+
+
+    def test_schedule_validates_its_own_fields(self):
+        # the checks sit in StepSchedule, so a schedule built directly gets them too
+        with pytest.raises(ConfigurationError, match="period must be at least 1, got 0"):
+            StepSchedule(kind="periodic_decay", base=0.1, factor=0.5, period=0)
+        with pytest.raises(ConfigurationError, match="unknown schedule kind 'cosine'"):
+            StepSchedule(kind="cosine", base=0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 0.0, math.inf])
+    @pytest.mark.parametrize("kind, name", [("constant", "step_size"), ("periodic_decay", "alpha0")])
+    def test_schedule_base_must_be_finite_and_positive(self, kind, name, bad):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite and positive"):
+            StepSchedule(kind=kind, base=bad, factor=0.5, period=10)
 
 
 class TestMcsdStep:
@@ -625,6 +644,125 @@ def grad_calls(monkeypatch):
     monkeypatch.setattr(BrockettInstance, "euclid_grad", euclid_grad)
     monkeypatch.setattr(optimizers, "step", step)
     return calls
+
+
+_NONFINITE = "the objective's gradient has non-finite entries"
+
+
+def seed_rngs(k):
+    return [np.random.default_rng(np.random.SeedSequence(31, spawn_key=(i,))) for i in range(k)]
+
+
+def fields(records):
+    """Every field but elapsed_s, with NaN comparing equal to NaN."""
+    return [repr(replace(r, elapsed_s=0.0)) for r in records]
+
+
+class SeedStub:
+    """Wraps an instance: seed `seed`'s sampled gradients at the given
+    iterations are filled with `value` (0 or NaN), all others are the
+    instance's draws."""
+
+    def __init__(self, inst, seed, iterations, value):
+        self.inst, self.seed, self.iterations, self.value = inst, seed, iterations, value
+        self.drawn = 0
+
+    def evaluate(self, x):
+        return self.inst.evaluate(x)
+
+    def stochastic_grad(self, x, rng, noise):
+        g = self.inst.stochastic_grad(x, rng, noise)
+        if rng.bit_generator.seed_seq.spawn_key == (self.seed,):
+            if self.drawn in self.iterations:
+                g = np.full_like(g, self.value)
+            self.drawn += 1
+        return g
+
+
+def per_seed_traces(method, schedule, x0, objective_of, k, steps):
+    """run_trace of each seed on its own, with a fresh objective from objective_of()."""
+    return [
+        run_trace(OptimizerRun(method=method, schedule=schedule, x=x0, rng=rng), objective_of(), steps)
+        for rng in seed_rngs(k)
+    ]
+
+
+class TestRunSeeds:
+    NOISES = {"gaussian": NoiseConfig.additive_gaussian(0.3), "minibatch": NoiseConfig.minibatch(4)}
+
+    @pytest.mark.parametrize("noise", list(NOISES))
+    # 200x5 is on msign_exact's Gram route, which a stack takes slice by slice
+    @pytest.mark.parametrize("shape", [(50, 3), (7, 1), (5, 5), (200, 5)])
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_equals_per_seed_run_trace(self, k, shape, noise):
+        n, p = shape
+        inst = make_brockett(n, p, 4 * n, data_seed=3)
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=self.NOISES[noise])
+        schedule = constant_schedule(0.05)
+        x0 = haar(n, p, seed=29)
+        traces = run_seeds(method, schedule, x0, seed_rngs(k), inst, 12)
+        expected = per_seed_traces(method, schedule, x0, lambda: inst, k, 12)
+        assert [fields(tr) for tr in traces] == [fields(tr) for tr in expected]
+        if k > 1:  # the seeds draw their own gradients, so their trajectories differ
+            assert traces[0][-1].objective != traces[1][-1].objective
+
+    def test_frobenius_norm_equals_per_seed_run_trace(self, small_instance):
+        method = StochasticMcsd(NormKind.FROBENIUS, beta=0.5, noise=NoiseConfig.additive_gaussian(0.3))
+        x0 = haar(50, 3, seed=30)
+        traces = run_seeds(method, constant_schedule(0.02), x0, seed_rngs(3), small_instance, 10)
+        expected = per_seed_traces(method, constant_schedule(0.02), x0, lambda: small_instance, 3, 10)
+        assert [fields(tr) for tr in traces] == [fields(tr) for tr in expected]
+
+    def test_zero_projected_momentum_holds_one_seed(self, small_instance):
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        x0 = haar(50, 3, seed=32)
+
+        def stub():  # seed 1 draws zero gradients at iterations 0-3
+            return SeedStub(small_instance, 1, range(4), 0.0)
+
+        traces = run_seeds(method, constant_schedule(0.05), x0, seed_rngs(3), stub(), 8)
+        expected = per_seed_traces(method, constant_schedule(0.05), x0, stub, 3, 8)
+        assert [fields(tr) for tr in traces] == [fields(tr) for tr in expected]
+        held = [r.objective for r in traces[1]]
+        assert held[:5] == [held[0]] * 5 and held[5] != held[0]  # holds 4 steps, then moves
+        assert len({r.objective for r in traces[0][:5]}) == 5  # the others step on
+
+    @pytest.mark.parametrize("iteration", [0, 5])
+    def test_nonfinite_sampled_gradient_names_iteration_and_seed(self, small_instance, iteration):
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        x0 = haar(50, 3, seed=33)
+        stub = SeedStub(small_instance, 2, {iteration}, math.nan)
+        with pytest.raises(NumericError, match=rf"^iteration {iteration}, seed 2: {_NONFINITE}") as excinfo:
+            run_seeds(method, constant_schedule(0.05), x0, seed_rngs(4), stub, 8)
+        partial = excinfo.value.records
+        clean = run_seeds(method, constant_schedule(0.05), x0, seed_rngs(4), small_instance, 8)
+        assert [fields(tr) for tr in partial] == [fields(tr[: iteration + 1]) for tr in clean]
+
+    def test_infeasible_retraction_names_iteration_and_seed(self, small_instance, monkeypatch):
+        # one Newton-Schulz iteration cannot reach FEAS_TOL (see underresolved_retraction)
+        monkeypatch.setattr(optimizers, "msign_exact", lambda y: np.stack([msign_iterative(m, 1) for m in y]))
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        with pytest.raises(FeasibilityError, match=r"^iteration 0, seed 0: matrix violates") as excinfo:
+            run_seeds(method, constant_schedule(0.1), haar(50, 3, seed=36), seed_rngs(3), small_instance, 5)
+        assert [len(tr) for tr in excinfo.value.records] == [1, 1, 1]
+
+    def test_each_seed_records_its_share_of_the_step_time(self, small_instance, monkeypatch):
+        # a clock that advances 0.25 s per read: each lockstep step reads it twice
+        ticks = iter(0.25 * i for i in range(10**6))
+        monkeypatch.setattr(optimizers, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        traces = run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=34), seed_rngs(4), small_instance, 10)
+        step_loop_s = 10 * 0.25
+        for trace in traces:
+            assert [r.elapsed_s for r in trace] == [t * 0.25 / 4 for t in range(11)]
+        assert sum(trace[-1].elapsed_s for trace in traces) == step_loop_s
+
+    def test_needs_stochastic_mcsd_and_a_seed(self, small_instance):
+        with pytest.raises(ConfigurationError, match="steps stochastic MCSD, got Mcsd"):
+            run_seeds(Mcsd(), constant_schedule(0.05), haar(50, 3, seed=35), seed_rngs(2), small_instance, 3)
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        with pytest.raises(ConfigurationError, match="at least one RNG stream"):
+            run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=35), [], small_instance, 3)
 
 
 class TestEvaluationCount:

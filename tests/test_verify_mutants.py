@@ -5,7 +5,9 @@ optimizers call, and the battery runs once per bug with its own checks,
 bounds, slacks, seeds and net sizes. The table pins today's catch matrix:
 the exact set of reports that fail, or the typed error the battery raises.
 A bug that no report catches is pinned with the empty set, so a check that
-learns to catch it must change its row here.
+learns to catch it must change its row here. The stochastic bugs are also
+shown to reach the lockstep driver (`run_seeds`) that the stochastic rate
+check steps its seeds with.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import pytest
 import mcsd.bench
 import mcsd.optimizers
 import mcsd.verify
+from mcsd import NormKind, StiefelManifold, make_brockett, norm_equiv_constant, smoothness_constants
 from mcsd.errors import FeasibilityError
 from mcsd.manifolds import StiefelPoint
 from mcsd.objectives import BrockettInstance
@@ -46,13 +49,9 @@ def mapped_stochastic_grad(fn):
 
 
 def dropped_momentum(monkeypatch):
-    exact = StochasticMcsd.direction
-
-    def direction(self, run, objective):
-        run.momentum = None  # every step restarts from m = g
-        return exact(self, run, objective)
-
-    monkeypatch.setattr(StochasticMcsd, "direction", direction)
+    # the one momentum update, which run_trace's step and run_seeds both call
+    exact = StochasticMcsd.next_momentum
+    monkeypatch.setattr(StochasticMcsd, "next_momentum", lambda self, m, g: exact(self, None, g))  # m = g
 
 
 def skipped_tangent_component(monkeypatch):
@@ -100,3 +99,39 @@ def test_catch_matrix(monkeypatch, name):
     else:
         reports = mcsd.bench.run_verify("full")
         assert {r.name for r in reports if not r.passed} == caught
+
+
+STOCHASTIC_BUGS = ("sign-flipped-stochastic-grad", "biased-stochastic-grad", "dropped-momentum")
+
+
+def stochastic_rate_run(monkeypatch):
+    """The battery's stochastic rate report and the lockstep traces it read."""
+    seen = []
+    lockstep = mcsd.bench.run_seeds
+    monkeypatch.setattr(mcsd.bench, "run_seeds", lambda *args: seen.append(lockstep(*args)) or seen[-1])
+    inst = make_brockett(50, 3, 200, data_seed=7)
+    report = mcsd.bench._stochastic_rate_report(
+        inst, StiefelManifold(50, 3), smoothness_constants(inst).composed_lipschitz,
+        norm_equiv_constant(NormKind.SPECTRAL, 50, 3),
+    )
+    (traces,) = seen
+    return report, traces
+
+
+@pytest.fixture(scope="module")
+def clean_stochastic_run():
+    with pytest.MonkeyPatch.context() as mp:
+        return stochastic_rate_run(mp)
+
+
+@pytest.mark.parametrize("name", STOCHASTIC_BUGS)
+def test_stochastic_bug_reaches_the_lockstep_path(monkeypatch, clean_stochastic_run, name):
+    clean_report, clean_traces = clean_stochastic_run
+    MUTANTS[name][0](monkeypatch)
+    report, traces = stochastic_rate_run(monkeypatch)
+    # every seed's trajectory moves
+    assert all(a[-1].objective != b[-1].objective for a, b in zip(traces, clean_traces))
+    # Every seed's minimum dual norm sits at t = 0, the record of the shared
+    # x0, in the clean run and under the biased gradient and dropped
+    # momentum, so only the flipped gradient moves the report's lhs.
+    assert (report.lhs != clean_report.lhs) == (name == "sign-flipped-stochastic-grad")
