@@ -33,7 +33,6 @@ from .manifolds import (
 from .objectives import (
     BrockettInstance,
     NoiseConfig,
-    Objective,
     SmoothnessConstants,
     make_brockett,
     smoothness_constants,

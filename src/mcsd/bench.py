@@ -525,10 +525,8 @@ def run_verify(level: str = "fast") -> list[BoundReport]:
     check, and a brute-force LMO net. full: adds a 1000-sample descent
     lemma and the 20-seed stochastic rate check.
 
-    The stochastic check steps its 20 seeds in lockstep (run_seeds): one
-    stochastic_grad call per seed and step, and one call over the stack of
-    the seeds' iterates for every other operation, with the bits that 20
-    separate run_trace calls give.
+    The stochastic check steps its 20 seeds as one stack (run_seeds), with
+    the bits that 20 separate run_trace calls give.
 
     Each report's `seconds` is the wall time of the call that made it; the
     stochastic check's includes its 20 runs, while the deterministic run

@@ -6,7 +6,10 @@ class ConfigurationError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numeric routine failed: non-convergence, overflow."""
+    """A numeric routine failed: non-convergence, overflow. `index` is the
+    matrix of a stack (k, n, p) at fault, where one is."""
+
+    index: int | None = None
 
 
 class FeasibilityError(NumericError):

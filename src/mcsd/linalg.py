@@ -1,5 +1,5 @@
 """Dense float64 matrix kernels: the Frobenius norm, SVD, the spectral norm
-and the polar factor, of a matrix or (SVD route) of each matrix of a stack.
+and the polar factor, of a matrix or of each matrix of a stack.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -228,7 +228,8 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:
 
 
 def msign_iterative(y, iters: int = 8) -> np.ndarray:
-    """Approximate polar factor: `iters` steps of cubic Newton-Schulz.
+    """Approximate polar factor: `iters` steps of cubic Newton-Schulz, of a
+    matrix or, by a call per slice, of each matrix of a stack (k, n, p).
 
     The k-step polynomial is evaluated on the spectrum of the Gram matrix
     (see _newton_schulz_multipliers), which in exact arithmetic is the
@@ -238,7 +239,10 @@ def msign_iterative(y, iters: int = 8) -> np.ndarray:
     """
     if iters < 1:
         raise ConfigurationError(f"iters must be >= 1, got {iters}")
-    return _gram_polar(as_2d(y, "polar input"), iters)
+    y = as_2d(y, "polar input", stack=True)
+    if y.ndim == 3:
+        return np.stack([_gram_polar(m, iters) for m in y])
+    return _gram_polar(y, iters)
 
 
 @dataclass(frozen=True)

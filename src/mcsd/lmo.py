@@ -38,9 +38,9 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     paper's fast iterative sign.
 
     A stack (k, n, p) gives each matrix's minimizer, with the bits of its own
-    call, from one call per operation; its spectral oracle needs the exact
-    sign (msign_iterative takes no stack). A matrix below zero_tolerance gets
-    the zero direction, so a zero slice of the result stands for ZeroGradient.
+    call, from one call per operation under either sign. A matrix below
+    zero_tolerance gets the zero direction, so a zero slice of the result
+    stands for ZeroGradient.
     """
     s = as_2d(s, "lmo input", stack=True)
     if s.ndim == 3:

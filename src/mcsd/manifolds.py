@@ -32,33 +32,44 @@ class StiefelManifold:
 
 
 class StiefelPoint:
-    """An n×p matrix certified to satisfy ‖xᵀx − I‖_F ≤ FEAS_TOL.
+    """An n×p matrix, or a stack (k, n, p) of them, certified to satisfy
+    ‖xᵀx − I‖_F ≤ FEAS_TOL (each matrix of a stack).
 
     The stored array is a read-only copy, so points can be shared freely;
-    `violation` keeps the certified ‖xᵀx − I‖_F.
+    `violation` keeps the certified ‖xᵀx − I‖_F (of a stack, the list of each
+    matrix's), and `point[i]` is matrix i of a stack under that certificate.
     The feasibility norm is also the finiteness check: a non-finite entry
     makes it non-finite, and the constructor then raises ConfigurationError.
+    A matrix beyond FEAS_TOL raises FeasibilityError, whose `index` is its
+    place in the stack.
     """
 
     __slots__ = ("x", "manifold", "violation")
 
     def __init__(self, x, manifold: StiefelManifold):
-        x = as_2d(x, "Stiefel point")
-        if x.shape != (manifold.n, manifold.p):
+        x = as_2d(x, "Stiefel point", stack=True)
+        if x.shape[-2:] != (manifold.n, manifold.p):
             raise ConfigurationError(
                 f"point shape {x.shape} does not match St({manifold.n}, {manifold.p})"
             )
         violation = feasibility_violation(x)
-        if not violation <= FEAS_TOL:
-            raise FeasibilityError(
-                f"matrix violates the orthonormality constraint: "
-                f"|x'x - I|_F = {violation:.3e} > {FEAS_TOL:.1e}"
-            )
+        for index, v in enumerate(violation if x.ndim == 3 else (violation,)):
+            if not v <= FEAS_TOL:
+                exc = FeasibilityError(
+                    f"matrix violates the orthonormality constraint: |x'x - I|_F = {v:.3e} > {FEAS_TOL:.1e}"
+                )
+                exc.index = index
+                raise exc
         x = x.copy()
         x.flags.writeable = False
         self.x = x
         self.manifold = manifold
         self.violation = violation
+
+    def __getitem__(self, i: int) -> StiefelPoint:
+        point = object.__new__(StiefelPoint)
+        point.x, point.manifold, point.violation = self.x[i], self.manifold, self.violation[i]
+        return point
 
     def __repr__(self):
         m = self.manifold

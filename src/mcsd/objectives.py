@@ -5,6 +5,10 @@ the Gram matrix of an n×d Gaussian data matrix and D is a fixed diagonal
 weight matrix with distinct decreasing entries. Distinct weights make the
 minimizer unique up to column signs: the top-p eigenvectors of C ordered by
 decreasing eigenvalue.
+
+The optimizers read an objective through `evaluate(x)`, f(x) and ∇f(x) from
+one evaluation (of a stack (k, n, p), the k values and gradients), and
+stochastic MCSD through `stochastic_grad(x, rng, noise_cfg)` of one matrix.
 """
 
 from __future__ import annotations
@@ -12,27 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import as_2d, as_matrix, frob_inner, frob_norm
 from .manifolds import StiefelManifold, StiefelPoint
-
-
-@runtime_checkable
-class Objective(Protocol):
-    """The objective surface the optimizers consume.
-
-    evaluate(x) returns (f(x), ∇f(x)) from one evaluation; the optimizers
-    call it once per iterate. Stochastic MCSD also draws gradients through
-    stochastic_grad(x, rng, noise_cfg), and `run_seeds` evaluates its seeds'
-    iterates as one stack (k, n, p), for which evaluate returns the k values
-    and the k gradients.
-    """
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]: ...
 
 
 @dataclass(frozen=True)

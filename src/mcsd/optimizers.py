@@ -5,9 +5,11 @@ with P_M the exact polar factor; the run's `polar_mode` picks only the
 matrix sign inside a direction (the spectral LMO, Manifold Muon's inner
 solve). Each method supplies only `direction(run, objective)`; the single
 `step` takes the scheduled α, asks the method for its direction and projects.
-The objective is evaluated once per iterate: the value and the Riemannian
-gradient at x are cached on the run, where the next direction and the
-trace's metric record both read them.
+`step` and `run_trace` are the one step loop, for one run or for a stack of
+k runs that share a method, schedule and polar mode, stepped with one call
+per operation over the stack. The objective is evaluated once per iterate:
+the value and the Riemannian gradient at x are cached on the run, where the
+next direction and the trace's metric record both read them.
 
 * MCSD picks the direction with a norm-ball LMO applied to the Riemannian
   gradient; the spectral-norm case on the Stiefel manifold is SPEL,
@@ -34,12 +36,12 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, FeasibilityError, NumericError, ZeroGradient
+from .errors import ConfigurationError, NumericError, ZeroGradient
 from .linalg import (
     EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, msign_exact, sym_unchecked,
 )
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
-from .manifolds import FEAS_TOL, StiefelPoint, feasibility_violation, project, tangent_component
+from .manifolds import StiefelPoint, tangent_component
 from .objectives import NoiseConfig
 from .trace import TraceRecord
 
@@ -67,7 +69,8 @@ class StepSchedule:
     steps; the stochastic kind additionally pins the momentum parameter.
     ConfigurationError rejects an unknown kind, a base step that is not
     finite and positive (named as its kind's constructor names it) and, for
-    periodic decay, such a factor or a period below 1.
+    periodic decay, such a factor, a factor above 1 (whose powers overflow)
+    or a period below 1.
     """
 
     kind: str
@@ -83,6 +86,8 @@ class StepSchedule:
         _require_positive(**{_BASE_NAMES[self.kind]: self.base})
         if self.kind == "periodic_decay":
             _require_positive(factor=self.factor)
+            if self.factor > 1:
+                raise ConfigurationError(f"factor must be at most 1, got {self.factor}")
             if self.period < 1:
                 raise ConfigurationError(f"period must be at least 1, got {self.period}")
 
@@ -154,9 +159,10 @@ def _require_positive(**named) -> None:
 # Methods: each supplies the direction of one step
 
 
-# A method's choice for one step: the direction (None holds position), the
-# inner-iteration count and the fallback flag that StepInfo reports.
-Direction = tuple[np.ndarray | None, int, bool]
+# A method's choice for one step: the direction, of the run or of each run of
+# a stack (None holds every run, a zero slice its run), the inner-iteration
+# count and the number of runs whose direction fell back.
+Direction = tuple[np.ndarray | None, int, int]
 
 
 @dataclass(frozen=True)
@@ -170,10 +176,7 @@ class Mcsd:
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """LMO(∇_M f(x)); a zero gradient holds."""
-        try:
-            return lmo(self.norm, _true_grad(run, objective), run.polar_mode), 0, False
-        except ZeroGradient:
-            return None, 0, False
+        return _lmo_or_hold(self.norm, _true_grad(run, objective), run.polar_mode), 0, False
 
 
 @dataclass(frozen=True)
@@ -198,23 +201,19 @@ class StochasticMcsd:
             raise ConfigurationError(f"beta must lie in [0, 1), got {self.beta}")
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
-        """Sample a gradient, update the momentum (m₀ = g₀) and take the LMO
-        of its tangent projection; a zero projection holds."""
+        """Sample a gradient (one stochastic_grad call per run, each with its
+        own stream), update the momentum (m₀ = g₀) and take the LMO of its
+        tangent projection; a zero projection holds."""
         if run.rng is None:
             raise ConfigurationError("stochastic runs need an RNG stream")
-        g = _checked_gradient(run, objective.stochastic_grad(run.x.x, run.rng, self.noise))
-        run.momentum = self.next_momentum(run.momentum, g)
-        try:
-            return lmo(self.norm, tangent_component(run.x.x, run.momentum), run.polar_mode), 0, False
-        except ZeroGradient:
-            return None, 0, False
-
-    def next_momentum(self, m: np.ndarray | None, g: np.ndarray) -> np.ndarray:
-        """β·m + (1 − β)·g, or g itself for the first step (m None); of one
-        run, or entry by entry of a stack of runs."""
-        if m is None:
-            return g.copy()
-        return self.beta * m + (1.0 - self.beta) * g
+        x = run.x.x
+        g = np.reshape([
+            _as_gradient(objective.stochastic_grad(x_i, rng, self.noise), x_i)
+            for x_i, rng in zip(_each(run, x), _each(run, run.rng))
+        ], x.shape)
+        _raise_for_nonfinite(run, g)
+        run.momentum = g if run.momentum is None else self.beta * run.momentum + (1.0 - self.beta) * g
+        return _lmo_or_hold(self.norm, tangent_component(x, run.momentum), run.polar_mode), 0, False
 
 
 @dataclass(frozen=True)
@@ -232,15 +231,28 @@ class ManifoldMuon:
         _require_positive(inner_lr=self.inner_lr)
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
-        """d from the tangent-constrained inner solver; a zero gradient holds."""
+        """d from the tangent-constrained inner solver, run by run; a zero
+        gradient holds."""
         g = _true_grad(run, objective)
-        if frob_norm(g) <= zero_tolerance(*g.shape):
-            return None, self.inner_iters, False
-        result = manifold_muon_direction(run.x, g, self.inner_iters, self.inner_lr, run.polar_mode)
-        return result.direction, self.inner_iters, result.fallback
+        d, moved, fallbacks = np.zeros_like(g), False, 0
+        for x, g_m, d_m in zip(_each(run, run.x), _each(run, g), _each(run, d)):
+            if frob_norm(g_m) > zero_tolerance(*g_m.shape):
+                result = manifold_muon_direction(x, g_m, self.inner_iters, self.inner_lr, run.polar_mode)
+                d_m[...] = result.direction
+                moved, fallbacks = True, fallbacks + result.fallback
+        return d if moved else None, self.inner_iters, fallbacks
 
 
 Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
+
+
+def _lmo_or_hold(norm: NormKind, s: np.ndarray, polar_mode: PolarMode) -> np.ndarray | None:
+    """lmo(norm, s), or None where s is one run's zero (a stack's zero slice
+    gets the zero direction)."""
+    try:
+        return lmo(norm, s, polar_mode)
+    except ZeroGradient:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +261,34 @@ Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
 
 @dataclass(frozen=True)
 class Evaluation:
-    """The value and the Riemannian gradient of one objective at one point.
-
-    grad is None where the Euclidean gradient has a non-finite entry; the
-    first use of the gradient raises NumericError for it (see _true_grad).
-    """
+    """The value and the Riemannian gradient of one objective at a point, or
+    the values and the gradients at a stack of points. A Euclidean gradient
+    with a non-finite entry is kept as grad, with finite False, and its first
+    use raises NumericError (see _true_grad)."""
 
     point: StiefelPoint
     objective: object
-    value: float
-    grad: np.ndarray | None
+    value: float | list[float]
+    grad: np.ndarray
+    finite: bool
 
 
 @dataclass
 class OptimizerRun:
-    """Single-owner state of one optimization trajectory.
+    """Single-owner state of one optimization trajectory (x an n×p point,
+    `rng` its stream), or of a stack of k that share a method, schedule and
+    polar mode (x a (k, n, p) stack of points, `rng` the list of k streams).
 
-    A (seed, config) pair yields a bitwise-identical trajectory; distinct
-    runs own distinct RNG streams. `evaluation` caches the objective at x,
-    keyed by the identity of the StiefelPoint, so assigning a new x
-    invalidates it.
+    A (seed, config) pair yields a bitwise-identical trajectory, alone or in
+    a stack; distinct runs own distinct RNG streams. `evaluation` caches the
+    objective at x, keyed by the identity of the StiefelPoint, so assigning
+    a new x invalidates it.
     """
 
     method: Method
     schedule: StepSchedule
     x: StiefelPoint
-    rng: np.random.Generator | None = None
+    rng: np.random.Generator | list[np.random.Generator] | None = None
     polar_mode: PolarMode = EXACT
     momentum: np.ndarray | None = field(default=None, init=False)
     t: int = field(default=0, init=False)
@@ -285,10 +299,26 @@ class OptimizerRun:
     def manifold(self):
         return self.x.manifold
 
+    @property
+    def stacked(self) -> bool:
+        return self.x.x.ndim == 3
+
+
+def _each(run: OptimizerRun, a):
+    """`a` run by run: a stack (or list) as it is, one run's `a` as (a,)."""
+    return a if run.stacked else (a,)
+
+
+def _at(run: OptimizerRun, i: int | None) -> str:
+    """Where an error arose: the iteration, and run i of a stack where known."""
+    return f"iteration {run.t}" if i is None or not run.stacked else f"iteration {run.t}, seed {i}"
+
 
 @dataclass(frozen=True)
 class StepInfo:
-    """What a single step did: its size, inner work, and special outcomes."""
+    """What a single step did: its size, inner work, and special outcomes
+    (held: the method gave no direction, so every run held; fallback: a
+    run's direction fell back)."""
 
     alpha: float
     inner_iters: int = 0
@@ -297,32 +327,40 @@ class StepInfo:
 
 
 def step(run: OptimizerRun, objective) -> StepInfo:
-    """x ← P_M(x + α·d) with d from the run's method, or hold where it gives
-    none; the new StiefelPoint certifies its feasibility. A NumericError of
-    P_M (a FeasibilityError, as from a rank-deficient x + α·d, whose polar
-    factor is a partial isometry) is re-raised as its type, naming the
-    iteration.
+    """x ← P_M(x + α·d) with d from the run's method, of one run or of every
+    run of a stack in one call per operation; a run whose direction is zero
+    (or None) holds. The new StiefelPoint certifies each run's feasibility. A
+    NumericError of P_M (a FeasibilityError, as from a rank-deficient
+    x + α·d, whose polar factor is a partial isometry) is re-raised as its
+    type, naming the iteration, and in a stack the run at fault.
 
-    For a method whose direction uses the true gradient, the step then
-    evaluates the objective at the new x, so each step holds exactly one
-    evaluation. A non-finite gradient found there raises at its first use:
-    the next step, or the trace's record of the new iterate.
+    For a method whose direction uses the true gradient, a step that moves
+    then evaluates the objective at the new x, so each step holds exactly
+    one evaluation. A non-finite gradient found there raises at its first
+    use: the next step, or the trace's record of the new iterate.
     """
     alpha = run.schedule.alpha(run.t)
-    d, inner_iters, fallback = run.method.direction(run, objective)
-    run.fallback_count += fallback
+    d, inner_iters, fallbacks = run.method.direction(run, objective)
+    run.fallback_count += fallbacks
     if d is not None:
+        x = run.x.x
         try:
-            run.x = project(run.manifold, run.x.x + alpha * d)
+            y = msign_exact(x + alpha * d)
+            if x.ndim == 3:  # a zero slice holds its run
+                held = ~d.any(axis=(1, 2))
+                y[held] = x[held]
+            run.x = StiefelPoint(y, run.manifold)
         except NumericError as exc:
-            raise type(exc)(f"iteration {run.t}: {exc}") from exc
+            raise type(exc)(f"{_at(run, exc.index)}: {exc}") from exc
     run.t += 1
     if d is not None and run.method.uses_true_gradient:
         _evaluation(run, objective)
-    return StepInfo(alpha=alpha, inner_iters=inner_iters, held=d is None, fallback=fallback)
+    return StepInfo(alpha=alpha, inner_iters=inner_iters, held=d is None, fallback=fallbacks > 0)
 
 
-_NONFINITE_GRADIENT = "the objective's gradient has non-finite entries"
+# `step` as defined here, for run_seeds: a wrapper installed on the module
+# attribute, which run_trace looks up at each call, then sees its steps alone.
+_STEP = step
 
 
 def _as_gradient(g, x: np.ndarray) -> np.ndarray:
@@ -332,13 +370,12 @@ def _as_gradient(g, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _checked_gradient(run: OptimizerRun, g) -> np.ndarray:
-    """A sampled gradient at run.x, checked once for this step: a non-finite
-    entry raises NumericError naming the iteration."""
-    g = _as_gradient(g, run.x.x)
-    if not np.isfinite(g).all():
-        raise NumericError(f"iteration {run.t}: {_NONFINITE_GRADIENT}")
-    return g
+def _raise_for_nonfinite(run: OptimizerRun, g: np.ndarray) -> None:
+    """NumericError naming the iteration, and in a stack the first run whose
+    gradient it is, if the gradient g has a non-finite entry."""
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        raise NumericError(f"{_at(run, int(np.argmin(finite)))}: the objective's gradient has non-finite entries")
 
 
 def _evaluation(run: OptimizerRun, objective) -> Evaluation:
@@ -349,18 +386,18 @@ def _evaluation(run: OptimizerRun, objective) -> Evaluation:
         x = run.x.x
         value, g = objective.evaluate(x)
         g = _as_gradient(g, x)
-        grad = tangent_component(x, g) if np.isfinite(g).all() else None
-        ev = run.evaluation = Evaluation(run.x, objective, float(value), grad)
+        finite = bool(np.isfinite(g).all())
+        ev = run.evaluation = Evaluation(run.x, objective, value, tangent_component(x, g) if finite else g, finite)
     return ev
 
 
 def _true_grad(run: OptimizerRun, objective) -> np.ndarray:
-    """∇_M f(run.x) from the run's evaluation; a non-finite Euclidean
-    gradient raises NumericError naming the iteration."""
-    grad = _evaluation(run, objective).grad
-    if grad is None:
-        raise NumericError(f"iteration {run.t}: {_NONFINITE_GRADIENT}")
-    return grad
+    """∇_M f at run.x from the run's evaluation; a non-finite Euclidean
+    gradient raises NumericError naming the iteration (and the run)."""
+    ev = _evaluation(run, objective)
+    if not ev.finite:
+        _raise_for_nonfinite(run, ev.grad)
+    return ev.grad
 
 
 @dataclass(frozen=True)
@@ -450,57 +487,74 @@ def run_trace(
     objective,
     steps: int,
     subspace_fn: Callable[[np.ndarray], float] | None = None,
-) -> list[TraceRecord]:
-    """Step `steps` times, recording metrics at every iterate x_0 … x_T.
+) -> list[TraceRecord] | list[list[TraceRecord]]:
+    """Step `steps` times, recording metrics at every iterate x_0 … x_T: the
+    run's list of records, or of a stack the list of each run's.
 
     elapsed_s accumulates the wall time of the optimizer steps only, so
-    per-step costs of different methods compare cleanly. A step whose method
-    uses the true gradient evaluates the objective at the new iterate inside
-    that time; the record of the iterate (objective value, subspace error,
-    feasibility, dual norm of the true Riemannian gradient) reads that
-    evaluation and computes the rest outside it. The records of x_0, and of
-    every iterate of a stochastic method, evaluate the objective themselves.
+    per-step costs of different methods compare cleanly; each run of a stack
+    of k accrues 1/k of each step's time, and a single run (k = 1) the whole
+    of it. A step whose method uses the true gradient evaluates the
+    objective at the new iterate inside that time; the record of the iterate
+    (objective value, subspace error, feasibility, dual norm of the true
+    Riemannian gradient) reads that evaluation and computes the rest outside
+    it. The records of x_0, and of every iterate of a stochastic method,
+    evaluate the objective themselves.
 
     A NumericError from a step or a metric record (a feasibility abort, a
-    non-finite value or gradient) carries the
-    records accumulated so far in its `records` attribute, so callers can
+    non-finite value or gradient) carries the records accumulated so far,
+    shaped as the return value, in its `records` attribute, so callers can
     flush a partial trace.
     """
-    norm = run.method.norm
-    records: list[TraceRecord] = []
+    return _trace(run, objective, steps, subspace_fn, step)
+
+
+def _trace(run: OptimizerRun, objective, steps: int, subspace_fn, step_fn):
+    """run_trace, stepping with step_fn."""
+    k = len(run.x.x) if run.stacked else 1
+    traces: list[list[TraceRecord]] = [[] for _ in range(k)]
+    out = traces if run.stacked else traces[0]
     elapsed = 0.0
     try:
-        for t in range(steps):
-            rec = _metric_record(run, objective, norm, subspace_fn, t, elapsed)
-            rec.step_size = run.schedule.alpha(run.t)
-            records.append(rec)
+        for t in range(steps + 1):
+            alpha = run.schedule.alpha(run.t) if t < steps else 0.0
+            records = _records(run, objective, subspace_fn, t, elapsed, alpha)
+            for trace, rec in zip(traces, records):
+                trace.append(rec)
+            if t == steps:
+                break
             tic = time.perf_counter()
-            info = step(run, objective)
-            elapsed += time.perf_counter() - tic
-            rec.inner_iters = info.inner_iters
-        records.append(_metric_record(run, objective, norm, subspace_fn, steps, elapsed))
+            info = step_fn(run, objective)
+            elapsed += (time.perf_counter() - tic) / k
+            for rec in records:
+                rec.inner_iters = info.inner_iters
     except NumericError as exc:
-        exc.records = records
+        exc.records = out
         raise
-    return records
+    return out
 
 
-def _metric_record(run, objective, norm, subspace_fn, t, elapsed) -> TraceRecord:
-    x = run.x.x
+def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, step_size: float) -> list[TraceRecord]:
+    """The record of the current iterate of each run, from the run's
+    evaluation; an objective value that is not finite raises NumericError
+    naming the iteration (and the run)."""
     g = _true_grad(run, objective)
-    value = run.evaluation.value
-    if not math.isfinite(value):
-        raise NumericError(f"iteration {run.t}: the objective value is not finite")
-    return TraceRecord(
-        iter=t,
-        objective=value,
-        subspace_error=subspace_fn(x) if subspace_fn is not None else float("nan"),
-        orth_violation=run.x.violation,
-        grad_dual_norm=dual_norm(norm, g),
-        step_size=0.0,
-        inner_iters=0,
-        elapsed_s=elapsed,
-    )
+    columns = (run.x.x, run.evaluation.value, run.x.violation, dual_norm(run.method.norm, g))
+    records = []
+    for i, (x, value, violation, dual) in enumerate(zip(*columns) if run.stacked else (columns,)):
+        if not math.isfinite(value):
+            raise NumericError(f"{_at(run, i)}: the objective value is not finite")
+        records.append(TraceRecord(
+            iter=t,
+            objective=float(value),
+            subspace_error=subspace_fn(x) if subspace_fn is not None else math.nan,
+            orth_violation=violation,
+            grad_dual_norm=float(dual),
+            step_size=step_size,
+            inner_iters=0,
+            elapsed_s=elapsed,
+        ))
+    return records
 
 
 def run_seeds(
@@ -511,81 +565,13 @@ def run_seeds(
     objective,
     steps: int,
 ) -> list[list[TraceRecord]]:
-    """Step one stochastic-MCSD run per generator in `rngs` from x0, in lockstep.
-
-    Seed i's trace equals, field for field except elapsed_s, run_trace's of
-    OptimizerRun(method, schedule, x0, rngs[i]) over `steps` steps without a
-    subspace_fn. Each seed draws its sampled gradients with its own
-    stochastic_grad call; every other operation is one call over the
-    (k, n, p) stack of the seeds' iterates, which gives each seed the bits of
-    its own call: the records' evaluation, tangent projection and dual norms,
-    the momentum update, the LMO and the exact retraction. A seed whose
-    projected momentum is zero holds its position while the others step on.
-    Each new iterate is certified within FEAS_TOL, as StiefelPoint does.
-
-    A seed's elapsed_s accumulates its share, 1/k, of each lockstep step's
-    wall time, so the seeds' final elapsed_s sum to the step loop's time. A
-    NumericError names the iteration and the seed (the iteration only where
-    the stacked retraction fails) and carries the per-seed partial traces in
-    its `records` attribute.
-    """
+    """run_trace, without a subspace_fn, of the stack of stochastic-MCSD runs
+    from x0 with one generator of `rngs` each. Seed i's trace equals, field
+    for field except elapsed_s, run_trace's of OptimizerRun(method, schedule,
+    x0, rngs[i]): a stack's operations give each run its own call's bits."""
     if not isinstance(method, StochasticMcsd):
         raise ConfigurationError(f"run_seeds steps stochastic MCSD, got {type(method).__name__}")
     if not rngs:
         raise ConfigurationError("run_seeds needs at least one RNG stream")
-    k = len(rngs)
-    xs = np.stack([x0.x] * k)
-    violations = [x0.violation] * k
-    momentum = None
-    traces: list[list[TraceRecord]] = [[] for _ in rngs]
-    elapsed = 0.0
-    try:
-        for t in range(steps + 1):
-            values, g = objective.evaluate(xs)
-            _raise_for_nonfinite(t, _as_gradient(g, xs))
-            duals = dual_norm(method.norm, tangent_component(xs, g))
-            alpha = schedule.alpha(t) if t < steps else 0.0
-            for i, trace in enumerate(traces):
-                value = float(values[i])
-                if not math.isfinite(value):
-                    raise NumericError(f"iteration {t}, seed {i}: the objective value is not finite")
-                trace.append(TraceRecord(
-                    iter=t, objective=value, subspace_error=math.nan, orth_violation=violations[i],
-                    grad_dual_norm=float(duals[i]), step_size=alpha, inner_iters=0, elapsed_s=elapsed,
-                ))
-            if t == steps:
-                break
-
-            tic = time.perf_counter()
-            samples = np.stack([
-                _as_gradient(objective.stochastic_grad(x, rng, method.noise), x) for x, rng in zip(xs, rngs)
-            ])
-            _raise_for_nonfinite(t, samples)
-            momentum = method.next_momentum(momentum, samples)
-            d = lmo(method.norm, tangent_component(xs, momentum))
-            moving = d.any(axis=(1, 2))
-            if moving.any():
-                try:
-                    xs[moving] = msign_exact(xs[moving] + alpha * d[moving])
-                except NumericError as exc:
-                    raise type(exc)(f"iteration {t}: {exc}") from exc
-                violations = feasibility_violation(xs)
-                for i, v in enumerate(violations):
-                    if not v <= FEAS_TOL:
-                        raise FeasibilityError(
-                            f"iteration {t}, seed {i}: matrix violates the orthonormality constraint: "
-                            f"|x'x - I|_F = {v:.3e} > {FEAS_TOL:.1e}"
-                        )
-            elapsed += (time.perf_counter() - tic) / k
-    except NumericError as exc:
-        exc.records = traces
-        raise
-    return traces
-
-
-def _raise_for_nonfinite(t: int, grads: np.ndarray) -> None:
-    """NumericError naming iteration t and the first seed whose gradient in
-    the stack `grads` has a non-finite entry, if one has."""
-    if not np.isfinite(grads).all():
-        i = int(np.flatnonzero(~np.isfinite(grads).all(axis=(1, 2)))[0])
-        raise NumericError(f"iteration {t}, seed {i}: {_NONFINITE_GRADIENT}")
+    run = OptimizerRun(method, schedule, StiefelPoint(np.stack([x0.x] * len(rngs)), x0.manifold), list(rngs))
+    return _trace(run, objective, steps, None, _STEP)

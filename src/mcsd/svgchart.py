@@ -37,17 +37,19 @@ def line_chart(
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render the series as an SVG document string."""
+    """Render the series as an SVG document string. Series without a point
+    are rejected; points that a log scale cannot draw leave empty axes with
+    a note."""
+    if not any(len(s.xs) for s in series):
+        raise ValueError("no points to chart")
     points = []
     for s in series:
         for x, y in zip(s.xs, s.ys):
             if math.isfinite(x) and math.isfinite(y) and y > 0:
                 points.append((x, y))
-    if not points:
-        raise ValueError("no drawable points")
 
-    xs = [p[0] for p in points]
-    ys = [math.log10(p[1]) for p in points]
+    xs = [p[0] for p in points] or [0.0]
+    ys = [math.log10(p[1]) for p in points] or [0.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -79,6 +81,11 @@ def line_chart(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333" stroke-width="1"/>'
     )
+    if not points:
+        out.append(
+            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{MARGIN_TOP + plot_h / 2:.1f}" '
+            f'text-anchor="middle">no positive values on a log scale</text>'
+        )
 
     for y_val, label in _y_ticks(y_lo, y_hi):
         yp = py(y_val)

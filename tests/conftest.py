@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcsd import StiefelManifold, StiefelPoint, make_brockett, msign_iterative, optimizers, random_point
+from mcsd import StiefelManifold, make_brockett, msign_iterative, optimizers, random_point
 
 
 @pytest.fixture(scope="session")
@@ -30,4 +30,4 @@ def underresolved_retraction(monkeypatch):
     """Retract every step with one Newton-Schulz iteration, which cannot reach
     the manifold tolerance: each step's new point breaches FEAS_TOL. Initial
     points (random_point) keep the exact projection."""
-    monkeypatch.setattr(optimizers, "project", lambda m, y: StiefelPoint(msign_iterative(y, 1), m))
+    monkeypatch.setattr(optimizers, "msign_exact", lambda y: msign_iterative(y, 1))

@@ -660,6 +660,42 @@ class TestExitCodes:
         assert "invalid choice: 'orth-violation'" in capsys.readouterr().err
 
 
+class TestEdgeConfigs:
+    """Configs at the edges of the grammar end in a documented exit code."""
+
+    PROBE = (
+        "[instance]\nn = {n}\np = {p}\nd = {d}\n\n[run]\nsteps = 5\nrepeats = 1\noutput_dir = {out}\n\n"
+        "[method:m]\nkind = mcsd\nschedule = {schedule}\n"
+    )
+
+    def probe(self, tmp_path, n=20, p=3, d=40, schedule="constant:0.1"):
+        path = tmp_path / f"probe_{n}_{p}.ini"
+        path.write_text(self.PROBE.format(n=n, p=p, d=d, schedule=schedule, out=tmp_path / f"out_{n}_{p}"))
+        return path
+
+    def test_growing_decay_factor_is_config_error(self, tmp_path, capsys):
+        # factor ** (t // period) overflowed at t = 2 instead
+        path = self.probe(tmp_path, schedule="periodic_decay:0.1,1e308,1")
+        assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "[method:m] schedule = 'periodic_decay:0.1,1e308,1': factor must be at most 1" in err
+
+    def test_decay_factor_of_one_runs(self, tmp_path):
+        assert main(["pca-bench", str(self.probe(tmp_path, schedule="periodic_decay:0.1,1,1"))]) == EXIT_OK
+
+    def test_one_by_one_stiefel_writes_every_file(self, tmp_path):
+        # St(1, 1) = {±1}: every subspace error is exactly 0, which a log
+        # scale cannot draw, so the chart shows empty axes with a note
+        assert main(["pca-bench", str(self.probe(tmp_path, n=1, p=1, d=1))]) == EXIT_OK
+        assert main(["pca-bench", str(self.probe(tmp_path, n=2, p=1, d=2))]) == EXIT_OK
+        files = sorted(f.name for f in (tmp_path / "out_1_1").iterdir())
+        assert files == sorted(f.name for f in (tmp_path / "out_2_1").iterdir())
+        assert "subspace_error.svg" in files
+        errors = {r.subspace_error for r in read_trace_csv(tmp_path / "out_1_1" / "m_0.csv")}
+        assert errors == {0.0}
+        assert "no positive values on a log scale" in (tmp_path / "out_1_1" / "subspace_error.svg").read_text()
+
+
 class TestRunVerify:
     def test_fast_level_passes(self):
         reports = run_verify("fast")

@@ -160,9 +160,12 @@ class TestStacks:
             else:
                 assert np.array_equal(d[k], lmo(norm, s[k]))
 
-    def test_lmo_stack_needs_the_exact_sign(self, rng):
-        with pytest.raises(ConfigurationError, match="polar input must be a 2-D matrix"):
-            lmo(NormKind.SPECTRAL, rng.standard_normal((3, 6, 2)), PolarMode(8))
+    def test_lmo_stack_takes_the_iterative_sign(self, rng):
+        s = rng.standard_normal((3, 6, 2))
+        s[1] = 0.0
+        d = lmo(NormKind.SPECTRAL, s, PolarMode(8))
+        assert not d[1].any()
+        assert all(np.array_equal(d[k], lmo(NormKind.SPECTRAL, s[k], PolarMode(8))) for k in (0, 2))
 
     @pytest.mark.parametrize("norm", BOTH)
     def test_lmo_stack_rejects_a_nonfinite_slice(self, norm, rng):

@@ -47,6 +47,7 @@ from mcsd.optimizers import (
     step,
     stochastic_bound_schedule,
 )
+from mcsd.trace import TraceRecord
 from tests.conftest import haar
 
 
@@ -138,6 +139,12 @@ class TestSchedules:
             StepSchedule(kind="periodic_decay", base=0.1, factor=0.5, period=0)
         with pytest.raises(ConfigurationError, match="unknown schedule kind 'cosine'"):
             StepSchedule(kind="cosine", base=0.1)
+
+    def test_periodic_decay_factor_at_most_one(self):
+        # a larger factor grows α_t until factor ** (t // period) overflows
+        with pytest.raises(ConfigurationError, match="factor must be at most 1, got 2.0"):
+            periodic_decay_schedule(0.1, 2.0, 1)
+        assert periodic_decay_schedule(0.1, 1.0, 1).alpha(10**6) == 0.1
 
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 0.0, math.inf])
     @pytest.mark.parametrize("kind, name", [("constant", "step_size"), ("periodic_decay", "alpha0")])
@@ -763,6 +770,84 @@ class TestRunSeeds:
         method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
         with pytest.raises(ConfigurationError, match="at least one RNG stream"):
             run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=35), [], small_instance, 3)
+
+
+class HoldAt:
+    """Wraps an instance: the gradient is zero at the matrix `at`, so a run
+    there holds, of a single point or of a stack."""
+
+    def __init__(self, inst, at):
+        self.inst, self.at = inst, at
+
+    def evaluate(self, x):
+        values, g = self.inst.evaluate(x)
+        for x_i, g_i in zip(x.reshape((-1,) + x.shape[-2:]), g.reshape((-1,) + g.shape[-2:])):
+            if np.array_equal(x_i, self.at):
+                g_i[...] = 0.0
+        return values, g
+
+
+class TestStackEqualsItsRuns:
+    """run_trace of a stack of 3 runs gives each run the trace of its own
+    run_trace, for every deterministic method: the single step loop relies
+    on the runs of a stack being independent."""
+
+    METHODS = {
+        "rgd": (Rgd(), EXACT),
+        "spel-exact": (Mcsd(NormKind.SPECTRAL), EXACT),
+        "spel-iterative8": (Mcsd(NormKind.SPECTRAL), PolarMode(iters=8)),
+        "mm": (ManifoldMuon(), PolarMode(iters=8)),
+    }
+
+    # 200x5 is on msign_exact's Gram route, which a stack takes slice by slice
+    @pytest.mark.parametrize("shape", [(50, 3), (200, 5)])
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_stack_of_three_equals_three_runs(self, name, shape):
+        method, mode = self.METHODS[name]
+        n, p = shape
+        inst = make_brockett(n, p, 4 * n, data_seed=5)
+        points = [haar(n, p, seed=40 + i) for i in range(3)]
+        objective = HoldAt(inst, points[1].x)  # the middle run holds throughout
+        schedule = periodic_decay_schedule(0.1, 0.5, 5)
+
+        def trace(x):
+            run = OptimizerRun(method=method, schedule=schedule, x=x, polar_mode=mode)
+            return run, run_trace(run, objective, 12, subspace_fn=lambda w: subspace_error(inst, w))
+
+        stack, traces = trace(StiefelPoint(np.stack([x.x for x in points]), points[0].manifold))
+        singles = [trace(x) for x in points]
+        assert [fields(tr) for tr in traces] == [fields(tr) for _, tr in singles]
+        assert stack.fallback_count == sum(run.fallback_count for run, _ in singles)
+        assert len({r.objective for r in traces[1]}) == 1
+        assert len({r.objective for r in traces[0]}) == 13
+
+
+class TestWhatProfilersRead:
+    """perfbench names its step spans by wrapping the module attribute
+    `optimizers.step` and reading the run's method, and reads the step-loop
+    time from records[-1].elapsed_s of what `bench.run_trace` returns."""
+
+    def test_each_step_of_a_run_passes_through_the_module_step(self, small_instance, monkeypatch):
+        from mcsd import bench
+
+        methods = []
+        original = optimizers.step
+
+        def spy(run, objective):
+            methods.append(run.method)
+            return original(run, objective)
+
+        monkeypatch.setattr(optimizers, "step", spy)
+        run = OptimizerRun(method=ManifoldMuon(), schedule=constant_schedule(0.05), x=haar(50, 3, seed=42))
+        records = bench.run_trace(run, small_instance, 7)
+        assert bench.run_trace is run_trace
+        assert type(records) is list and all(type(r) is TraceRecord for r in records)
+        assert methods == [run.method] * 7
+        assert records[-1].elapsed_s > 0.0
+        # the stochastic check's stack steps stay outside the wrapped name
+        stochastic = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        run_seeds(stochastic, constant_schedule(0.05), haar(50, 3, seed=43), seed_rngs(3), small_instance, 4)
+        assert len(methods) == 7
 
 
 class TestEvaluationCount:

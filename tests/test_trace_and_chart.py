@@ -111,6 +111,11 @@ class TestSvgChart:
         with pytest.raises(ValueError):
             line_chart([Series("a", [], [])])
 
+    def test_no_positive_values_draws_empty_axes(self):
+        svg = line_chart([Series("a", [0, 1, 2], [0.0, 0.0, 0.0])], title="t")
+        assert "no positive values on a log scale" in svg and "<polyline" not in svg
+        assert svg.count('stroke="#333"') >= 2  # the frame and the x ticks
+
     def test_nan_points_dropped(self):
         svg = line_chart([Series("a", [0, 1, 2], [1.0, math.nan, 2.0])])
         assert "<polyline" in svg and "nan" not in svg

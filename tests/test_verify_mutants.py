@@ -20,7 +20,6 @@ import mcsd.optimizers
 import mcsd.verify
 from mcsd import NormKind, StiefelManifold, make_brockett, norm_equiv_constant, smoothness_constants
 from mcsd.errors import FeasibilityError
-from mcsd.manifolds import StiefelPoint
 from mcsd.objectives import BrockettInstance
 from mcsd.optimizers import StochasticMcsd
 
@@ -49,9 +48,13 @@ def mapped_stochastic_grad(fn):
 
 
 def dropped_momentum(monkeypatch):
-    # the one momentum update, which run_trace's step and run_seeds both call
-    exact = StochasticMcsd.next_momentum
-    monkeypatch.setattr(StochasticMcsd, "next_momentum", lambda self, m, g: exact(self, None, g))  # m = g
+    exact = StochasticMcsd.direction
+
+    def direction(self, run, objective):
+        run.momentum = None  # every step restarts from m = g
+        return exact(self, run, objective)
+
+    monkeypatch.setattr(StochasticMcsd, "direction", direction)
 
 
 def skipped_tangent_component(monkeypatch):
@@ -59,7 +62,7 @@ def skipped_tangent_component(monkeypatch):
 
 
 def skipped_retraction(monkeypatch):
-    monkeypatch.setattr(mcsd.optimizers, "project", lambda m, y: StiefelPoint(y, m))
+    monkeypatch.setattr(mcsd.optimizers, "msign_exact", lambda y: y)
 
 
 def shrunken_lipschitz(monkeypatch):
