@@ -7,12 +7,7 @@ family, four optimizers over a common stepping interface, run-time
 verification of the descent and convergence bounds, and a benchmark CLI.
 """
 
-from .errors import (
-    ConfigurationError,
-    FeasibilityError,
-    NumericError,
-    ZeroGradient,
-)
+from .errors import ConfigurationError, FeasibilityError, NumericError
 from .linalg import (
     EXACT,
     PolarMode,

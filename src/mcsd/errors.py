@@ -14,11 +14,3 @@ class NumericError(RuntimeError):
 
 class FeasibilityError(NumericError):
     """An iterate violates the manifold constraint beyond tolerance."""
-
-
-class ZeroGradient(Exception):
-    """Signal raised by the LMO when its input is numerically zero.
-
-    At zero every unit-ball element is optimal, so there is no canonical
-    direction. Optimizers catch this and hold position.
-    """

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, ZeroGradient
+from .errors import NumericError
 from .linalg import EXACT, PolarMode, as_2d, as_matrix, frob_norm
 
 
@@ -30,17 +30,16 @@ def zero_tolerance(n: int, p: int) -> float:
 def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     """Minimizer of ⟨s, d⟩ over the unit ball of `norm`.
 
-    Raises ZeroGradient when ‖s‖_F is below zero_tolerance: every unit-ball
-    element is then optimal and callers decide what that means (optimizers
-    treat it as converged / hold position). The spectral oracle is −msign(s),
+    Total: when ‖s‖_F is at most zero_tolerance every unit-ball element is
+    optimal, and the zero direction is returned (optimizers then hold
+    position, since P_M(x + α·0) = x). The spectral oracle is −msign(s),
     which takes sign(0) = 0 on the null singular values of a rank-deficient
     s. `polar_mode` picks how msign(s) is computed: exactly, or by the
     paper's fast iterative sign.
 
     A stack (k, n, p) gives each matrix's minimizer, with the bits of its own
-    call, from one call per operation under either sign. A matrix below
-    zero_tolerance gets the zero direction, so a zero slice of the result
-    stands for ZeroGradient.
+    call, from one call per operation under either sign, and a matrix below
+    zero_tolerance its zero slice.
     """
     s = as_2d(s, "lmo input", stack=True)
     if s.ndim == 3:
@@ -49,7 +48,7 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     if not math.isfinite(fro):
         as_matrix(s, "lmo input")
     if fro <= zero_tolerance(*s.shape):
-        raise ZeroGradient
+        return np.zeros(s.shape)
     if norm is NormKind.FROBENIUS:
         return -s / fro
     return -polar_mode.apply(s)

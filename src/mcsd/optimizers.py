@@ -36,7 +36,7 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ZeroGradient
+from .errors import ConfigurationError, NumericError
 from .linalg import (
     EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, msign_exact, sym_unchecked,
 )
@@ -160,9 +160,9 @@ def _require_positive(**named) -> None:
 
 
 # A method's choice for one step: the direction, of the run or of each run of
-# a stack (None holds every run, a zero slice its run), the inner-iteration
-# count and the number of runs whose direction fell back.
-Direction = tuple[np.ndarray | None, int, int]
+# a stack (zero, or a zero slice, holds its run), the inner-iteration count
+# and the number of runs whose direction fell back.
+Direction = tuple[np.ndarray, int, int]
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class Mcsd:
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """LMO(∇_M f(x)); a zero gradient holds."""
-        return _lmo_or_hold(self.norm, _true_grad(run, objective), run.polar_mode), 0, False
+        return lmo(self.norm, _true_grad(run, objective), run.polar_mode), 0, 0
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ class StochasticMcsd:
         ], x.shape)
         _raise_for_nonfinite(run, g)
         run.momentum = g if run.momentum is None else self.beta * run.momentum + (1.0 - self.beta) * g
-        return _lmo_or_hold(self.norm, tangent_component(x, run.momentum), run.polar_mode), 0, False
+        return lmo(self.norm, tangent_component(x, run.momentum), run.polar_mode), 0, 0
 
 
 @dataclass(frozen=True)
@@ -234,25 +234,16 @@ class ManifoldMuon:
         """d from the tangent-constrained inner solver, run by run; a zero
         gradient holds."""
         g = _true_grad(run, objective)
-        d, moved, fallbacks = np.zeros_like(g), False, 0
+        d, fallbacks = np.zeros_like(g), 0
         for x, g_m, d_m in zip(_each(run, run.x), _each(run, g), _each(run, d)):
             if frob_norm(g_m) > zero_tolerance(*g_m.shape):
                 result = manifold_muon_direction(x, g_m, self.inner_iters, self.inner_lr, run.polar_mode)
                 d_m[...] = result.direction
-                moved, fallbacks = True, fallbacks + result.fallback
-        return d if moved else None, self.inner_iters, fallbacks
+                fallbacks += result.fallback
+        return d, self.inner_iters, fallbacks
 
 
 Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
-
-
-def _lmo_or_hold(norm: NormKind, s: np.ndarray, polar_mode: PolarMode) -> np.ndarray | None:
-    """lmo(norm, s), or None where s is one run's zero (a stack's zero slice
-    gets the zero direction)."""
-    try:
-        return lmo(norm, s, polar_mode)
-    except ZeroGradient:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +308,8 @@ def _at(run: OptimizerRun, i: int | None) -> str:
 @dataclass(frozen=True)
 class StepInfo:
     """What a single step did: its size, inner work, and special outcomes
-    (held: the method gave no direction, so every run held; fallback: a
-    run's direction fell back)."""
+    (held: no run moved, as every direction was zero; fallback: a run's
+    direction fell back)."""
 
     alpha: float
     inner_iters: int = 0
@@ -328,11 +319,13 @@ class StepInfo:
 
 def step(run: OptimizerRun, objective) -> StepInfo:
     """x ← P_M(x + α·d) with d from the run's method, of one run or of every
-    run of a stack in one call per operation; a run whose direction is zero
-    (or None) holds. The new StiefelPoint certifies each run's feasibility. A
-    NumericError of P_M (a FeasibilityError, as from a rank-deficient
-    x + α·d, whose polar factor is a partial isometry) is re-raised as its
-    type, naming the iteration, and in a stack the run at fault.
+    run of a stack in one call per operation. The one hold rule: a run whose
+    direction is zero holds, as P_M(x + α·0) = x, and when no run moves the
+    run keeps its StiefelPoint. The new StiefelPoint certifies each run's
+    feasibility. A NumericError of P_M (a FeasibilityError, as from a
+    rank-deficient x + α·d, whose polar factor is a partial isometry) is
+    re-raised as its type, naming the iteration, and in a stack the run at
+    fault.
 
     For a method whose direction uses the true gradient, a step that moves
     then evaluates the objective at the new x, so each step holds exactly
@@ -342,7 +335,8 @@ def step(run: OptimizerRun, objective) -> StepInfo:
     alpha = run.schedule.alpha(run.t)
     d, inner_iters, fallbacks = run.method.direction(run, objective)
     run.fallback_count += fallbacks
-    if d is not None:
+    moved = d.any()
+    if moved:
         x = run.x.x
         try:
             y = msign_exact(x + alpha * d)
@@ -353,9 +347,9 @@ def step(run: OptimizerRun, objective) -> StepInfo:
         except NumericError as exc:
             raise type(exc)(f"{_at(run, exc.index)}: {exc}") from exc
     run.t += 1
-    if d is not None and run.method.uses_true_gradient:
+    if moved and run.method.uses_true_gradient:
         _evaluation(run, objective)
-    return StepInfo(alpha=alpha, inner_iters=inner_iters, held=d is None, fallback=fallbacks > 0)
+    return StepInfo(alpha=alpha, inner_iters=inner_iters, held=not moved, fallback=fallbacks > 0)
 
 
 # `step` as defined here, for run_seeds: a wrapper installed on the module
@@ -434,7 +428,8 @@ def manifold_muon_direction(
     g_m is first divided by max|g_m| (Λ in proportion), which keeps the
     Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100, or
     Y rank-deficient, as at n == p with p odd), Y is formed and msign_exact
-    takes over for that iteration. A zero g_m raises ZeroGradient.
+    takes over for that iteration. A zero g_m gets the zero direction, with
+    no fallback.
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
@@ -444,7 +439,7 @@ def manifold_muon_direction(
         raise ConfigurationError(f"gradient shape {g_m.shape} does not match point shape {xm.shape}")
     scale = max_abs(g_m, "Riemannian gradient")
     if scale == 0.0:
-        raise ZeroGradient
+        return MuonDirectionResult(np.zeros(g_m.shape), False)
     g = g_m / scale
     gram_g = g.T @ g
     a = xm.T @ g

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, FeasibilityError
 from .linalg import frob_inner, frob_norm, msign_exact
 from .lmo import NormKind, lmo
-from .manifolds import FEAS_TOL, feasibility_violation, tangent_component
+from .manifolds import StiefelManifold, StiefelPoint, tangent_component
 from .objectives import BrockettInstance, brockett_grad_unchecked, smoothness_constants, value_from_grad
 from .optimizers import STEP_RADIUS, StepSchedule
 from .trace import TraceRecord
@@ -133,14 +133,15 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     DESCENT_CHUNK at a time with stacked calls, each of which gives every
     sample the bits its own call would: lhs and rhs are those of
     random_point, np.linalg.norm(·, 2), evaluate, msign_exact,
-    riemannian_grad and value called sample by sample. Every x is certified
-    within FEAS_TOL, so a rank-deficient y (probability 0), whose factor is a
-    partial isometry, raises FeasibilityError naming the sample.
+    riemannian_grad and value called sample by sample. Each chunk's x is one
+    StiefelPoint, so a rank-deficient y (probability 0), whose factor is a
+    partial isometry, raises its FeasibilityError, naming the sample.
     """
     if samples < 1:
         raise ConfigurationError("samples must be at least 1")
     lip = smoothness_constants(inst).composed_lipschitz
     shape = (inst.n, inst.p)
+    manifold = StiefelManifold(*shape)
 
     worst = _WorstRow()
     curvature = -math.inf
@@ -153,7 +154,10 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             y[k] = rng.standard_normal(shape)
             d[k] = rng.standard_normal(shape)
             rho[k] = STEP_RADIUS * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, STEP_RADIUS]
-        x = msign_exact(y)
+        try:
+            x = StiefelPoint(msign_exact(y), manifold).x
+        except FeasibilityError as exc:
+            raise FeasibilityError(f"descent-lemma sample {start + exc.index}: {exc}") from exc
         d *= (rho / np.linalg.svd(d, compute_uv=False)[:, 0])[:, None, None]
         egrad = brockett_grad_unchecked(inst, x)
         rgrad = tangent_component(x, egrad)
@@ -161,11 +165,6 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
         wgrad = brockett_grad_unchecked(inst, w)
         squares = d * d
         for k in range(size):
-            violation = feasibility_violation(x[k])
-            if not violation <= FEAS_TOL:
-                raise FeasibilityError(
-                    f"descent-lemma sample {start + k}: |x'x - I|_F = {violation:.3e} > {FEAS_TOL:.1e}"
-                )
             fx = value_from_grad(egrad[k], x[k])
             lhs = value_from_grad(wgrad[k], w[k])
             slope = frob_inner(rgrad[k], d[k])

@@ -16,6 +16,7 @@ from mcsd import (
     read_trace_csv,
 )
 from mcsd.bench import (
+    MAX_DATA_ENTRIES,
     default_pca_config,
     load_config,
     run_pca_bench,
@@ -694,6 +695,20 @@ class TestEdgeConfigs:
         errors = {r.subspace_error for r in read_trace_csv(tmp_path / "out_1_1" / "m_0.csv")}
         assert errors == {0.0}
         assert "no positive values on a log scale" in (tmp_path / "out_1_1" / "subspace_error.svg").read_text()
+
+    @pytest.mark.parametrize("d", [10**20, 5 * 10**10])
+    def test_data_too_large_to_build_is_config_error(self, tmp_path, capsys, monkeypatch, d):
+        # numpy raised "Maximum allowed dimension exceeded" at 1e20 and tried
+        # to allocate 7.28 TiB at 5e10; the reader must reject both unbuilt
+        def unbuilt(*args):
+            raise AssertionError("the instance must not be built")
+
+        monkeypatch.setattr(bench, "make_brockett", unbuilt)
+        assert main(["pca-bench", str(self.probe(tmp_path, d=d))]) == EXIT_CONFIG_ERROR
+        assert f"[instance] d = '{d}': n·d exceeds 1e+08 data entries" in capsys.readouterr().err
+
+    def test_data_at_the_cap_is_read(self, tmp_path):
+        assert load_config(self.probe(tmp_path, d=MAX_DATA_ENTRIES // 20)).d == 5 * 10**6
 
 
 class TestRunVerify:

@@ -96,6 +96,28 @@ class TestModuleGlobals:
         assert {method for method, _ in seen} == {spec.method for spec in cfg.methods}
         assert len({x0 for _, x0 in seen}) == cfg.repeats
 
+    def test_each_repeat_shares_one_read_only_initial_point(self, monkeypatch, tmp_path):
+        points, starts = [], []
+        original_points, original_trace = bench.initial_points, bench.run_trace
+
+        def initial_points(*args):
+            points.extend(original_points(*args))
+            return points
+
+        def traced(run, *args, **kwargs):
+            starts.append(run.x)
+            return original_trace(run, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "initial_points", initial_points)
+        monkeypatch.setattr(bench, "run_trace", traced)
+        cfg = bench.load_config(tiny_config(tmp_path, steps=2, repeats=2))
+        _, results = bench.execute_runs(cfg)
+        # (method, repeat) order: run i starts from its repeat's point object itself
+        assert len(points) == cfg.repeats and len(starts) == len(cfg.methods) * cfg.repeats
+        assert all(x0 is points[i % cfg.repeats] for i, x0 in enumerate(starts))
+        assert not any(x0.x.flags.writeable for x0 in points)
+        assert [r.init_hash for r in results] == [bench.matrix_hash(x0.x) for x0 in starts]
+
     def test_verify_goes_through_bench(self, monkeypatch, capsys):
         verify_calls = spy(monkeypatch, bench, "run_verify")
         trace_calls = spy(monkeypatch, bench, "run_trace")

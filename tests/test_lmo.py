@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsd import (
+    EXACT,
     ConfigurationError,
     NormKind,
     NumericError,
     PolarMode,
-    ZeroGradient,
     dual_norm,
     frob_inner,
     lmo,
@@ -41,10 +41,10 @@ class TestLmo:
         assert np.linalg.norm(d + s) < 1e-10
         assert abs(frob_inner(s, d) + 3.0) < 1e-10
 
-    def test_zero_input_signals(self):
+    def test_zero_input_gives_the_zero_direction(self):
         for norm in BOTH:
-            with pytest.raises(ZeroGradient):
-                lmo(norm, np.zeros((4, 2)))
+            d = lmo(norm, np.zeros((4, 2)))
+            assert d.shape == (4, 2) and not d.any()
 
     def test_output_on_unit_sphere(self, rng):
         for norm in BOTH:
@@ -154,8 +154,7 @@ class TestStacks:
         d = lmo(norm, s)
         for k in range(6):
             if k in (1, 4):
-                with pytest.raises(ZeroGradient):
-                    lmo(norm, s[k])
+                assert not lmo(norm, s[k]).any()
                 assert not d[k].any()
             else:
                 assert np.array_equal(d[k], lmo(norm, s[k]))
@@ -238,12 +237,46 @@ def test_property_frobenius_scale_safe(seed, exponent, shape):
     fro = 10.0**exponent * np.linalg.norm(base)
     assert abs(dual_norm(NormKind.FROBENIUS, s) - fro) <= 1e-12 * fro
     if fro <= zero_tolerance(*shape):
-        with pytest.raises(ZeroGradient):
-            lmo(NormKind.FROBENIUS, s)
+        assert not lmo(NormKind.FROBENIUS, s).any()
         return
     d = lmo(NormKind.FROBENIUS, s)
     assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
     assert np.linalg.norm(d + base / np.linalg.norm(base)) <= 1e-12
+
+
+# Slice scales: zero, below zero_tolerance, far below and above it, and a
+# hair (a relative 1e-6) below and above it in Frobenius norm.
+SCALES = [0.0, 1e-16, 1e-150, 1.0, 1e150, "below", "above"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.sampled_from(BOTH),
+    st.sampled_from([EXACT, PolarMode(8)]),
+    st.lists(st.sampled_from(SCALES), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_lmo_is_total(shape, norm, mode, scales, seed):
+    # lmo(s) is exactly zero if and only if ‖s‖_F <= zero_tolerance, else a
+    # unit-ball element; a stack equals its per-slice calls bit for bit
+    tol = zero_tolerance(*shape)
+    rng = np.random.default_rng(seed)
+    s = np.empty((len(scales),) + shape)
+    fro = []
+    for k, scale in enumerate(scales):
+        base = rng.standard_normal(shape)
+        if isinstance(scale, str):
+            scale = tol * (1.0 - 1e-6 if scale == "below" else 1.0 + 1e-6) / np.linalg.norm(base)
+        s[k] = scale * base
+        fro.append(scale * np.linalg.norm(base))
+    stacked = lmo(norm, s, mode)
+    for k in range(len(scales)):
+        d = lmo(norm, s[k], mode)
+        assert np.array_equal(stacked[k], d)
+        assert d.shape == shape and (not d.any()) == (fro[k] <= tol)
+        if fro[k] > tol:
+            assert ball_norm(norm, d) <= 1.0 + 1e-12
 
 
 def test_frobenius_lmo_at_overflowing_scale():

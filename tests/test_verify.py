@@ -156,14 +156,17 @@ class TestDescentLemma:
             return out
 
         monkeypatch.setattr(mcsd.verify, "msign_exact", stretched)
-        with pytest.raises(FeasibilityError, match=f"descent-lemma sample {DESCENT_CHUNK + 3}: "):
+        message = f"descent-lemma sample {DESCENT_CHUNK + 3}: matrix violates the orthonormality constraint: "
+        with pytest.raises(FeasibilityError, match=message):
             check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("sample", [0, DESCENT_CHUNK + 2])
     def test_rank_deficient_draw_is_a_feasibility_error_naming_the_sample(self, small_instance, sample):
         # each sample draws y, then its direction: y of sample k is draw 2k;
         # sign(0) = 0 makes x = 0, with |x'x - I|_F = sqrt(3)
-        with pytest.raises(FeasibilityError, match=rf"descent-lemma sample {sample}: \|x'x - I\|_F = 1\.732e\+00"):
+        message = (rf"descent-lemma sample {sample}: matrix violates the orthonormality constraint: "
+                   r"\|x'x - I\|_F = 1\.732e\+00")
+        with pytest.raises(FeasibilityError, match=message):
             check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=ZeroDraw(7, 2 * sample))
 
     def test_sampled_inequality_holds(self, small_instance):
