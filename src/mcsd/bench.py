@@ -9,8 +9,9 @@ one run after another. A run that fails numerically is recorded as aborted
 with the trace it reached, and the other runs go on.
 
 The two commands (pca-bench, rgd-sweep) share one pipeline: execute the
-runs, write one CSV per run, gather per-method statistics, and let the
-command's reducer build its summary and name the field it charts.
+runs, write one CSV per run, gather per-method statistics, let the
+command's reducer build its summary, and chart each repeat-0 run's
+subspace error under the command's file name and title.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ DEFAULT_OUTPUT_DIR = "bench-out"
 # 10⁸ float64 entries (800 MB) at most.
 MAX_DATA_ENTRIES = 10**8
 
+# Largest `inner_iters`, and k of `iterative:k`, a config may ask for: 1000
+# times the stock 10 and 8. Each count loops in Python, so 10²⁰ would hang.
+MAX_INNER_ITERS = 10_000
+
 
 @dataclass(frozen=True)
 class MethodSpec:
@@ -97,18 +102,6 @@ class RunResult:
     @property
     def aborted(self) -> bool:
         return bool(self.abort_message)
-
-    @property
-    def initial_subspace_error(self) -> float:
-        return self.records[0].subspace_error
-
-    @property
-    def final_subspace_error(self) -> float:
-        return self.records[-1].subspace_error
-
-    @property
-    def step_wall_s(self) -> float:
-        return self.records[-1].elapsed_s
 
 
 def default_pca_config(output_dir) -> BenchConfig:
@@ -214,6 +207,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _iteration_count(text: str) -> int:
+    """An int parser that rejects values above MAX_INNER_ITERS; the classes
+    check the lower bound."""
+    value = int(text)
+    if value > MAX_INNER_ITERS:
+        raise ValueError(f"must be at most {MAX_INNER_ITERS}")
+    return value
+
+
 def _method_label(section: str) -> str:
     """The output label of [method:<label>]: other characters than letters,
     digits and _-. become _."""
@@ -229,7 +231,7 @@ def _parse_polar_mode(text: str) -> PolarMode:
         return EXACT
     head, colon, iters = text.partition(":")
     if head == "iterative":
-        return PolarMode(iters=int(iters) if colon else 8)
+        return PolarMode(iters=_iteration_count(iters) if colon else 8)
     raise ConfigurationError("unknown polar_mode (use 'exact', 'iterative' or 'iterative:<k>')")
 
 
@@ -288,7 +290,7 @@ _METHOD_KINDS = {
     "rgd": (Rgd, {}),
     "mcsd": (Mcsd, _NORM),
     "stochastic_mcsd": (StochasticMcsd, {**_NORM, "beta": (float, "0.9"), "noise": (_parse_noise, "gaussian:0.0")}),
-    "manifold_muon": (ManifoldMuon, {"inner_iters": (int, "10"), "inner_lr": (float, "0.1")}),
+    "manifold_muon": (ManifoldMuon, {"inner_iters": (_iteration_count, "10"), "inner_lr": (float, "0.1")}),
 }
 
 
@@ -363,8 +365,8 @@ def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
     stats = {}
     for spec in cfg.methods:
         runs = [r for r in results if r.label == spec.label]
-        finals = [r.final_subspace_error for r in runs if not r.aborted]
-        walls = [r.step_wall_s for r in runs if not r.aborted]
+        finals = [r.records[-1].subspace_error for r in runs if not r.aborted]
+        walls = [r.records[-1].elapsed_s for r in runs if not r.aborted]
         stats[spec.label] = {
             "schedule": spec.schedule.describe(),
             "final_subspace_error": finals,
@@ -380,33 +382,23 @@ def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
     return stats
 
 
-@dataclass(frozen=True)
-class _Chart:
-    """A log-scale chart of each run's subspace error against the iteration."""
-
-    file: str
-    title: str
-
-
-def _bench(cfg: BenchConfig, reduce) -> dict:
-    """Execute every run, write one CSV per run, and let `reduce(results,
-    stats)` return the summary and the chart of repeat 0; writes both. The
-    output directory is made first, so an unusable one fails before any run."""
+def _bench(cfg: BenchConfig, reduce, chart_file: str, title: str) -> dict:
+    """Execute every run, write one CSV per run, let `reduce(results, stats)`
+    return the summary, and write it and `chart_file`, a log-scale chart of
+    each repeat-0 run's subspace error against the iteration. The output
+    directory is made first, so an unusable one fails before any run."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _, results = execute_runs(cfg)
     for res in results:
         write_trace_csv(cfg.output_dir / f"{res.label}_{res.repeat}.csv", res.records)
-    summary, chart = reduce(results, _method_stats(cfg, results))
+    summary = reduce(results, _method_stats(cfg, results))
     series = [
         Series(label=res.label, xs=[r.iter for r in res.records], ys=[r.subspace_error for r in res.records])
         for res in results
         if res.repeat == 0 and res.records
     ]
     if series:
-        write_chart(
-            cfg.output_dir / chart.file, series,
-            title=chart.title, x_label="iteration", y_label="subspace error",
-        )
+        write_chart(cfg.output_dir / chart_file, series, title=title, x_label="iteration", y_label="subspace error")
     _write_summary(cfg.output_dir, summary)
     return summary
 
@@ -454,8 +446,8 @@ def run_pca_bench(cfg: BenchConfig) -> dict:
     """
 
     def reduce(results, stats):
-        initial = [r.initial_subspace_error for r in results if r.repeat == 0 and r.records]
-        summary = {
+        initial = [r.records[0].subspace_error for r in results if r.repeat == 0 and r.records]
+        return {
             "instance": _instance(cfg),
             "steps": cfg.steps,
             "repeats": cfg.repeats,
@@ -467,10 +459,8 @@ def run_pca_bench(cfg: BenchConfig) -> dict:
             "aborted": any(r.aborted for r in results),
             "max_violation": max((rec.orth_violation for res in results for rec in res.records), default=0.0),
         }
-        title = f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}"
-        return summary, _Chart("subspace_error.svg", title)
 
-    return _bench(cfg, reduce)
+    return _bench(cfg, reduce, "subspace_error.svg", f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}")
 
 
 def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
@@ -496,7 +486,7 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
             for label in alpha_of
             if stats[label]["final_subspace_error"]
         }
-        summary = {
+        return {
             "instance": _instance(cfg),
             "steps": cfg.steps,
             "polar_mode": cfg.polar_mode.describe(),
@@ -507,10 +497,9 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
             "methods": stats,
             "aborted": any(r.aborted for r in results),
         }
-        title = f"RGD constant-step sweep, St({cfg.n},{cfg.p})"
-        return summary, _Chart("rgd_sweep.svg", title)
 
-    return _bench(replace(cfg, methods=sweep_methods, repeats=1), reduce)
+    title = f"RGD constant-step sweep, St({cfg.n},{cfg.p})"
+    return _bench(replace(cfg, methods=sweep_methods, repeats=1), reduce, "rgd_sweep.svg", title)
 
 
 # ---------------------------------------------------------------------------

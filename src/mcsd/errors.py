@@ -9,7 +9,9 @@ class NumericError(RuntimeError):
     """A numeric routine failed: non-convergence, overflow. `index` is the
     matrix of a stack (k, n, p) at fault, where one is."""
 
-    index: int | None = None
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class FeasibilityError(NumericError):

@@ -112,15 +112,11 @@ def svd(y):
     the bits its own call would. Raises NumericError if the underlying
     eigen-solver fails to converge.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim not in (2, 3) or 0 in y.shape:
-        raise ConfigurationError(f"svd input must be a matrix or a stack of them, got shape {y.shape}")
     # The one finiteness scan no reduction covers: given an inf entry,
     # np.linalg.svd with vectors does not return (a 50x3 input ran past 15 s
     # on numpy 2.4 with OpenBLAS), where the values-only SVD returns NaN.
     # Without this scan a non-finite input hangs instead of raising.
-    if not np.isfinite(y).all():
-        raise ConfigurationError("svd input contains non-finite entries")
+    y = as_matrix(y, "svd input")
     try:
         return np.linalg.svd(y, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -55,11 +55,9 @@ class StiefelPoint:
         violation = feasibility_violation(x)
         for index, v in enumerate(violation if x.ndim == 3 else (violation,)):
             if not v <= FEAS_TOL:
-                exc = FeasibilityError(
-                    f"matrix violates the orthonormality constraint: |x'x - I|_F = {v:.3e} > {FEAS_TOL:.1e}"
+                raise FeasibilityError(
+                    f"matrix violates the orthonormality constraint: |x'x - I|_F = {v:.3e} > {FEAS_TOL:.1e}", index
                 )
-                exc.index = index
-                raise exc
         x = x.copy()
         x.flags.writeable = False
         self.x = x

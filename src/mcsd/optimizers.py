@@ -8,8 +8,9 @@ solve). Each method supplies only `direction(run, objective)`; the single
 `step` and `run_trace` are the one step loop, for one run or for a stack of
 k runs that share a method, schedule and polar mode, stepped with one call
 per operation over the stack. The objective is evaluated once per iterate:
-the value and the Riemannian gradient at x are cached on the run, where the
-next direction and the trace's metric record both read them.
+the value and the Riemannian gradient at x are checked and cached on the
+run, where the next direction and the trace's metric record both read
+them; the loop names the iteration of any NumericError (`_named`).
 
 * MCSD picks the direction with a norm-ball LMO applied to the Riemannian
   gradient; the spectral-norm case on the Stiefel manifold is SPEL,
@@ -170,13 +171,13 @@ class Mcsd:
     """Deterministic LMO steepest descent under the chosen norm."""
 
     # The direction consumes the true gradient, so `step` evaluates each new
-    # iterate ahead, inside the step.
-    uses_true_gradient: ClassVar[bool] = True
+    # iterate ahead, inside the step, where its check fires.
+    evaluates_ahead: ClassVar[bool] = True
     norm: NormKind = NormKind.SPECTRAL
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """LMO(∇_M f(x)); a zero gradient holds."""
-        return lmo(self.norm, _true_grad(run, objective), run.polar_mode), 0, 0
+        return lmo(self.norm, _evaluation(run, objective).grad, run.polar_mode), 0, 0
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ class Rgd(Mcsd):
 class StochasticMcsd:
     """Stochastic MCSD with heavy-ball momentum."""
 
-    uses_true_gradient: ClassVar[bool] = False
+    evaluates_ahead: ClassVar[bool] = False
     norm: NormKind
     beta: float
     noise: NoiseConfig
@@ -207,11 +208,10 @@ class StochasticMcsd:
         if run.rng is None:
             raise ConfigurationError("stochastic runs need an RNG stream")
         x = run.x.x
-        g = np.reshape([
+        g = _finite_gradient(np.reshape([
             _as_gradient(objective.stochastic_grad(x_i, rng, self.noise), x_i)
             for x_i, rng in zip(_each(run, x), _each(run, run.rng))
-        ], x.shape)
-        _raise_for_nonfinite(run, g)
+        ], x.shape))
         run.momentum = g if run.momentum is None else self.beta * run.momentum + (1.0 - self.beta) * g
         return lmo(self.norm, tangent_component(x, run.momentum), run.polar_mode), 0, 0
 
@@ -221,7 +221,7 @@ class ManifoldMuon:
     """Tangent-constrained spectral LMO with a dual-ascent inner solver."""
 
     norm: ClassVar[NormKind] = NormKind.SPECTRAL
-    uses_true_gradient: ClassVar[bool] = True
+    evaluates_ahead: ClassVar[bool] = True
     inner_iters: int = 10
     inner_lr: float = 0.1
 
@@ -233,7 +233,7 @@ class ManifoldMuon:
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """d from the tangent-constrained inner solver, run by run; a zero
         gradient holds."""
-        g = _true_grad(run, objective)
+        g = _evaluation(run, objective).grad
         d, fallbacks = np.zeros_like(g), 0
         for x, g_m, d_m in zip(_each(run, run.x), _each(run, g), _each(run, d)):
             if frob_norm(g_m) > zero_tolerance(*g_m.shape):
@@ -253,15 +253,13 @@ Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
 @dataclass(frozen=True)
 class Evaluation:
     """The value and the Riemannian gradient of one objective at a point, or
-    the values and the gradients at a stack of points. A Euclidean gradient
-    with a non-finite entry is kept as grad, with finite False, and its first
-    use raises NumericError (see _true_grad)."""
+    the values and the gradients at a stack of points, all finite: a
+    non-finite one raises where it is evaluated (see _evaluation)."""
 
     point: StiefelPoint
     objective: object
     value: float | list[float]
     grad: np.ndarray
-    finite: bool
 
 
 @dataclass
@@ -300,9 +298,11 @@ def _each(run: OptimizerRun, a):
     return a if run.stacked else (a,)
 
 
-def _at(run: OptimizerRun, i: int | None) -> str:
-    """Where an error arose: the iteration, and run i of a stack where known."""
-    return f"iteration {run.t}" if i is None or not run.stacked else f"iteration {run.t}, seed {i}"
+def _named(run: OptimizerRun, exc: NumericError) -> NumericError:
+    """exc, of its type, prefixed with where it arose: `iteration t: `, or in
+    a stack `iteration t, seed i: ` when it names run i (its `index`)."""
+    at = f"iteration {run.t}" if exc.index is None or not run.stacked else f"iteration {run.t}, seed {exc.index}"
+    return type(exc)(f"{at}: {exc}", exc.index)
 
 
 @dataclass(frozen=True)
@@ -322,33 +322,34 @@ def step(run: OptimizerRun, objective) -> StepInfo:
     run of a stack in one call per operation. The one hold rule: a run whose
     direction is zero holds, as P_M(x + α·0) = x, and when no run moves the
     run keeps its StiefelPoint. The new StiefelPoint certifies each run's
-    feasibility. A NumericError of P_M (a FeasibilityError, as from a
-    rank-deficient x + α·d, whose polar factor is a partial isometry) is
-    re-raised as its type, naming the iteration, and in a stack the run at
-    fault.
+    feasibility. For a method that `evaluates_ahead`, a step that moves then
+    evaluates the objective at the new x, so each step holds exactly one
+    evaluation.
 
-    For a method whose direction uses the true gradient, a step that moves
-    then evaluates the objective at the new x, so each step holds exactly
-    one evaluation. A non-finite gradient found there raises at its first
-    use: the next step, or the trace's record of the new iterate.
+    Any NumericError of the step (a non-finite gradient or value, a failed
+    factorization in the direction, a FeasibilityError of P_M, as from a
+    rank-deficient x + α·d, whose polar factor is a partial isometry) is
+    re-raised as its type, naming the iteration at which it arose (t, or
+    t + 1 for the evaluation at the new x, with run.t == t + 1), and in a
+    stack the run at fault.
     """
-    alpha = run.schedule.alpha(run.t)
-    d, inner_iters, fallbacks = run.method.direction(run, objective)
-    run.fallback_count += fallbacks
-    moved = d.any()
-    if moved:
-        x = run.x.x
-        try:
+    try:
+        alpha = run.schedule.alpha(run.t)
+        d, inner_iters, fallbacks = run.method.direction(run, objective)
+        run.fallback_count += fallbacks
+        moved = d.any()
+        if moved:
+            x = run.x.x
             y = msign_exact(x + alpha * d)
             if x.ndim == 3:  # a zero slice holds its run
                 held = ~d.any(axis=(1, 2))
                 y[held] = x[held]
             run.x = StiefelPoint(y, run.manifold)
-        except NumericError as exc:
-            raise type(exc)(f"{_at(run, exc.index)}: {exc}") from exc
-    run.t += 1
-    if moved and run.method.uses_true_gradient:
-        _evaluation(run, objective)
+        run.t += 1
+        if moved and run.method.evaluates_ahead:
+            _evaluation(run, objective)
+    except NumericError as exc:
+        raise _named(run, exc) from exc
     return StepInfo(alpha=alpha, inner_iters=inner_iters, held=not moved, fallback=fallbacks > 0)
 
 
@@ -364,34 +365,29 @@ def _as_gradient(g, x: np.ndarray) -> np.ndarray:
     return g
 
 
-def _raise_for_nonfinite(run: OptimizerRun, g: np.ndarray) -> None:
-    """NumericError naming the iteration, and in a stack the first run whose
-    gradient it is, if the gradient g has a non-finite entry."""
-    finite = np.isfinite(g).all(axis=(-2, -1))
-    if not finite.all():
-        raise NumericError(f"{_at(run, int(np.argmin(finite)))}: the objective's gradient has non-finite entries")
+def _finite_gradient(g: np.ndarray) -> np.ndarray:
+    """g; a non-finite entry raises NumericError, whose `index` is the first
+    run of a stack at fault."""
+    if not np.isfinite(g).all():
+        index = int(np.argmin(np.isfinite(g).all(axis=(-2, -1))))
+        raise NumericError("the objective's gradient has non-finite entries", index)
+    return g
 
 
 def _evaluation(run: OptimizerRun, objective) -> Evaluation:
     """The objective at run.x: the cached evaluation if it is of this point
-    and objective, else a new one (one `evaluate` call), which is cached."""
+    and objective, else a new one (one `evaluate` call), which is cached. A
+    non-finite gradient, then a value that is not finite, raises
+    NumericError here, whose `index` is the first run of a stack at fault."""
     ev = run.evaluation
     if ev is None or ev.point is not run.x or ev.objective is not objective:
         x = run.x.x
         value, g = objective.evaluate(x)
-        g = _as_gradient(g, x)
-        finite = bool(np.isfinite(g).all())
-        ev = run.evaluation = Evaluation(run.x, objective, value, tangent_component(x, g) if finite else g, finite)
+        g = _finite_gradient(_as_gradient(g, x))
+        if not (np.isfinite(value).all() if x.ndim == 3 else math.isfinite(value)):
+            raise NumericError("the objective value is not finite", int(np.argmin(np.isfinite(value))))
+        ev = run.evaluation = Evaluation(run.x, objective, value, tangent_component(x, g))
     return ev
-
-
-def _true_grad(run: OptimizerRun, objective) -> np.ndarray:
-    """∇_M f at run.x from the run's evaluation; a non-finite Euclidean
-    gradient raises NumericError naming the iteration (and the run)."""
-    ev = _evaluation(run, objective)
-    if not ev.finite:
-        _raise_for_nonfinite(run, ev.grad)
-    return ev.grad
 
 
 @dataclass(frozen=True)
@@ -497,7 +493,8 @@ def run_trace(
     evaluate the objective themselves.
 
     A NumericError from a step or a metric record (a feasibility abort, a
-    non-finite value or gradient) carries the records accumulated so far,
+    non-finite value or gradient, a failed factorization) names its
+    iteration, as `step` does, and carries the records accumulated so far,
     shaped as the return value, in its `records` attribute, so callers can
     flush a partial trace.
     """
@@ -513,7 +510,10 @@ def _trace(run: OptimizerRun, objective, steps: int, subspace_fn, step_fn):
     try:
         for t in range(steps + 1):
             alpha = run.schedule.alpha(run.t) if t < steps else 0.0
-            records = _records(run, objective, subspace_fn, t, elapsed, alpha)
+            try:
+                records = _records(run, objective, subspace_fn, t, elapsed, alpha)
+            except NumericError as exc:
+                raise _named(run, exc) from exc
             for trace, rec in zip(traces, records):
                 trace.append(rec)
             if t == steps:
@@ -531,15 +531,11 @@ def _trace(run: OptimizerRun, objective, steps: int, subspace_fn, step_fn):
 
 def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, step_size: float) -> list[TraceRecord]:
     """The record of the current iterate of each run, from the run's
-    evaluation; an objective value that is not finite raises NumericError
-    naming the iteration (and the run)."""
-    g = _true_grad(run, objective)
-    columns = (run.x.x, run.evaluation.value, run.x.violation, dual_norm(run.method.norm, g))
-    records = []
-    for i, (x, value, violation, dual) in enumerate(zip(*columns) if run.stacked else (columns,)):
-        if not math.isfinite(value):
-            raise NumericError(f"{_at(run, i)}: the objective value is not finite")
-        records.append(TraceRecord(
+    evaluation."""
+    ev = _evaluation(run, objective)
+    columns = (run.x.x, ev.value, run.x.violation, dual_norm(run.method.norm, ev.grad))
+    return [
+        TraceRecord(
             iter=t,
             objective=float(value),
             subspace_error=subspace_fn(x) if subspace_fn is not None else math.nan,
@@ -548,8 +544,9 @@ def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, 
             step_size=step_size,
             inner_iters=0,
             elapsed_s=elapsed,
-        ))
-    return records
+        )
+        for x, value, violation, dual in (zip(*columns) if run.stacked else (columns,))
+    ]
 
 
 def run_seeds(

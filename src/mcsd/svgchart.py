@@ -42,14 +42,15 @@ def line_chart(
     a note."""
     if not any(len(s.xs) for s in series):
         raise ValueError("no points to chart")
-    points = []
-    for s in series:
-        for x, y in zip(s.xs, s.ys):
-            if math.isfinite(x) and math.isfinite(y) and y > 0:
-                points.append((x, y))
+    # each series' drawable points, (x, log10 y)
+    drawn = [
+        [(x, math.log10(y)) for x, y in zip(s.xs, s.ys) if math.isfinite(x) and math.isfinite(y) and y > 0]
+        for s in series
+    ]
+    points = [p for pts in drawn for p in pts]
 
     xs = [p[0] for p in points] or [0.0]
-    ys = [math.log10(p[1]) for p in points] or [0.0]
+    ys = [p[1] for p in points] or [0.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -116,16 +117,11 @@ def line_chart(
             f'<text x="16" y="{yc:.1f}" text-anchor="middle" transform="rotate(-90 16 {yc:.1f})">{_esc(y_label)}</text>'
         )
 
-    for i, s in enumerate(series):
+    for i, (s, pts) in enumerate(zip(series, drawn)):
         color = PALETTE[i % len(PALETTE)]
-        coords = []
-        for x, y in zip(s.xs, s.ys):
-            if math.isfinite(x) and math.isfinite(y) and y > 0:
-                coords.append(f"{px(x):.2f},{py(math.log10(y)):.2f}")
-        if coords:
-            out.append(
-                f'<polyline points="{" ".join(coords)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
+        if pts:
+            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+            out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_TOP + 14 + 16 * i
         lx = MARGIN_LEFT + plot_w - 150
         out.append(

@@ -3,6 +3,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcsd import (
@@ -17,6 +18,7 @@ from mcsd import (
 )
 from mcsd.bench import (
     MAX_DATA_ENTRIES,
+    MAX_INNER_ITERS,
     default_pca_config,
     load_config,
     run_pca_bench,
@@ -201,6 +203,26 @@ class TestConfigParsing:
         assert main(["pca-bench", str(path)]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == f"configuration error: [method:x] {message}\n"
 
+    @pytest.mark.parametrize(
+        "old, new, section, key",
+        [
+            ("inner_iters = 10", "inner_iters = {count}", "method:mm", "inner_iters"),
+            ("polar_mode = iterative:8", "polar_mode = iterative:{count}", "run", "polar_mode"),
+        ],
+        ids=["inner_iters", "polar_mode"],
+    )
+    def test_inner_iteration_count_is_capped(self, tmp_path, old, new, section, key):
+        # an uncapped count of 10^20 loops for hours in the first step
+        path = tiny_config(tmp_path)
+        text = path.read_text()
+        path.write_text(text.replace(old, new.format(count=MAX_INNER_ITERS)))
+        load_config(path)
+        huge = 10**20
+        path.write_text(text.replace(old, new.format(count=huge)))
+        value = new.format(count=huge).split(" = ")[1]
+        with pytest.raises(ConfigurationError, match=rf"^\[{section}\] {key} = '{value}': must be at most 10000$"):
+            load_config(path)
+
     def test_colliding_labels_rejected(self, tmp_path):
         # "a b" and "a_b" both sanitize to a_b: one run's CSVs would overwrite
         # the other's and the summary would merge them
@@ -368,6 +390,37 @@ class TestNumericAbort:
         err = capsys.readouterr().err.splitlines()
         label = aborted_run[0]
         assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {label!r}: {message}"]
+
+    @pytest.mark.parametrize(
+        "name, selects, nth, message",
+        [
+            # the direction: each of Manifold Muon's 10 inner iterations per step
+            # diagonalises a 3x3 Gram matrix, so the 31st is the first at x_3
+            ("eigh", lambda a, kwargs: a.shape == (3, 3), 31,
+             "iteration 3: eigendecomposition of the 3x3 Gram matrix failed: forced"),
+            # a record: each iterate's dual norm is one values-only SVD
+            ("svd", lambda a, kwargs: not kwargs.get("compute_uv", True), 5,
+             "iteration 4: SVD of the 20x3 dual-norm input failed: forced"),
+        ],
+        ids=["direction", "record"],
+    )
+    def test_lapack_failure_names_the_iteration(self, tmp_path, capsys, monkeypatch, name, selects, nth, message):
+        original, calls = getattr(np.linalg, name), itertools.count(1)
+
+        def call(a, **kwargs):
+            if selects(a, kwargs) and next(calls) == nth:
+                raise np.linalg.LinAlgError("forced")
+            return original(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+        path = tmp_path / "mm.ini"
+        path.write_text(
+            f"[instance]\nn = 20\np = 3\nd = 40\n\n[run]\nsteps = 5\nrepeats = 1\noutput_dir = {tmp_path}\n\n"
+            "[method:mm]\nkind = manifold_muon\nschedule = constant:0.1\n"
+        )
+        assert main(["pca-bench", str(path)]) == EXIT_NUMERIC_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method 'mm': {message}"]
 
     def test_abort_at_the_initial_point(self, tmp_path, nan_at):
         nan_at(0)  # x_0 of the first run: its trace is empty

@@ -18,6 +18,10 @@ CLI block and the `cli` module docstring list.
 Every exception class that `mcsd.errors` defines is raised somewhere in the
 package: a type nothing raises is dead code, and an `except` clause for it
 guards against nothing.
+
+The `iteration t: ` prefix of a step's or a trace record's NumericError is
+formatted in one function, `optimizers._named`; a raising site states only
+what failed.
 """
 
 import ast
@@ -162,6 +166,59 @@ def test_the_scan_finds_unraised_error_classes():
         "def h(exc):\n    raise type(exc)('again') from exc\n# raise Stale\n",
     ]
     assert unraised_error_classes(errors, sources) == ["RankError", "Stale"]
+
+
+def formats_iteration(node) -> bool:
+    """Whether `node` is an f-string that formats `iteration {...}`, or a
+    str.format template that does."""
+    if isinstance(node, ast.JoinedStr):
+        return any(
+            isinstance(a, ast.Constant) and a.value.endswith("iteration ") and isinstance(b, ast.FormattedValue)
+            for a, b in zip(node.values, node.values[1:])
+        )
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and "iteration {" in node.value
+
+
+def iteration_prefix_sites(source: str, filename: str) -> list[str]:
+    """One line per string in `source` that formats `iteration {...}`, with
+    the function that holds it."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if formats_iteration(child):
+                sites.append(f"{filename}:{child.lineno} formats the iteration prefix in {where}")
+            else:
+                visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source, filename=filename), "the module body")
+    return sites
+
+
+def test_the_iteration_prefix_is_formatted_in_one_function():
+    modules = sorted(PACKAGE.glob("*.py"))
+    sites = [line for path in modules for line in iteration_prefix_sites(path.read_text(), path.name)]
+    assert sites
+    assert [line for line in sites if not (line.startswith("optimizers.py:") and line.endswith(" in _named"))] == []
+
+
+def test_the_scan_finds_iteration_prefix_sites():
+    source = (
+        "def _named(run, exc):\n"
+        "    at = f'iteration {run.t}' if exc.index is None else f'iteration {run.t}, seed {exc.index}'\n"
+        "    return type(exc)(f'{at}: {exc}')\n"
+        "def _records(run):\n"
+        "    raise ValueError(f'iteration {run.t}: the objective value is not finite')\n"
+        "TEMPLATE = 'iteration {}: failed'\n"
+        "def note(t):\n"
+        "    return f'{t} iterations, iteration count {t}'\n"
+    )
+    assert iteration_prefix_sites(source, "m.py") == [
+        "m.py:2 formats the iteration prefix in _named",
+        "m.py:2 formats the iteration prefix in _named",
+        "m.py:5 formats the iteration prefix in _records",
+        "m.py:6 formats the iteration prefix in the module body",
+    ]
 
 
 def constant_rows(readme: str) -> list[tuple[str, str, str]]:

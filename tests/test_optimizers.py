@@ -512,7 +512,7 @@ class TestDispatchAndState:
 class RankOneDirection:
     """Stub method whose direction −x + u·vᵀ makes x + 1·d the rank-1 u·vᵀ."""
 
-    uses_true_gradient = False
+    evaluates_ahead = False
     norm = NormKind.SPECTRAL
 
     def direction(self, run, objective):
@@ -520,11 +520,22 @@ class RankOneDirection:
         return -run.x.x + np.outer(np.arange(1.0, n + 1), np.ones(p)), 0, False
 
 
+def failing_at(run, t, fn):
+    """fn, raising LinAlgError instead while run.t == t."""
+
+    def call(*args, **kwargs):
+        if run.t == t:
+            raise np.linalg.LinAlgError("forced")
+        return fn(*args, **kwargs)
+
+    return call
+
+
 class AlternateFallback:
     """Stub method that reports a fallback on every even step and moves along
     the negated tangent gradient."""
 
-    uses_true_gradient = True
+    evaluates_ahead = True
     norm = NormKind.FROBENIUS
 
     def direction(self, run, objective):
@@ -548,6 +559,27 @@ class TestRetraction:
         with pytest.raises(FeasibilityError, match=r"^iteration 0: .*\|x'x - I\|_F = 1\.414e\+00") as excinfo:
             run_trace(run, small_instance, 5)
         assert len(excinfo.value.records) == 1
+
+    def test_direction_failure_names_the_iteration(self, small_instance, monkeypatch):
+        # Manifold Muon's inner eigendecompositions fail at x_3: the step from
+        # it raises after x_3's record
+        run = OptimizerRun(method=ManifoldMuon(), schedule=constant_schedule(0.05), x=haar(50, 3, seed=23))
+        monkeypatch.setattr(np.linalg, "eigh", failing_at(run, 3, np.linalg.eigh))
+        message = r"^iteration 3: eigendecomposition of the 3x3 Gram matrix failed: forced$"
+        with pytest.raises(NumericError, match=message) as excinfo:
+            run_trace(run, small_instance, 5)
+        assert [r.iter for r in excinfo.value.records] == [0, 1, 2, 3]
+
+    def test_record_failure_names_the_iteration(self, small_instance, monkeypatch):
+        # the values-only SVD of the dual norm fails in the record of x_4
+        run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.05), x=haar(50, 3, seed=23))
+        svd = np.linalg.svd
+        failing = failing_at(run, 4, svd)
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: (svd if kw.get("compute_uv", True) else failing)(a, **kw))
+        message = r"^iteration 4: SVD of the 50x3 dual-norm input failed: forced$"
+        with pytest.raises(NumericError, match=message) as excinfo:
+            run_trace(run, small_instance, 5)
+        assert [r.iter for r in excinfo.value.records] == [0, 1, 2, 3]
 
     @settings(max_examples=60, deadline=None)
     @given(
