@@ -8,7 +8,8 @@ decreasing eigenvalue.
 
 The optimizers read an objective through `evaluate(x)`, f(x) and ∇f(x) from
 one evaluation (of a stack (k, n, p), the k values and gradients), and
-stochastic MCSD through `stochastic_grad(x, rng, noise_cfg)` of one matrix.
+stochastic MCSD through `stochastic_grad(x, rng, noise_cfg)`, of one matrix
+with its generator or of a stack with one generator per matrix.
 """
 
 from __future__ import annotations
@@ -104,20 +105,32 @@ class BrockettInstance:
         g = self.euclid_grad(x)
         return value_from_grad(g, x), g
 
-    def stochastic_grad(self, x, rng: np.random.Generator, noise_cfg: NoiseConfig) -> np.ndarray:
-        """Unbiased stochastic estimate of the Euclidean gradient.
+    def stochastic_grad(self, x, rng, noise_cfg: NoiseConfig) -> np.ndarray:
+        """Unbiased stochastic estimate of the Euclidean gradient, of a matrix
+        with its generator `rng`, or of each matrix of a stack (k, n, p) with
+        its own of a sequence of k generators.
 
         Gaussian: exact gradient plus iid N(0, sigma_entry²) entries.
         Minibatch: the gradient of the objective restricted to a uniform
         column sample, rescaled by d/batch so its expectation is the full
-        gradient. A non-finite entry of x makes ‖g‖_F non-finite, so x is
-        scanned for one only then, and raises ConfigurationError.
+        gradient. Each matrix of a stack draws from its own generator only,
+        and gets the bits, and leaves its generator in the state, of its own
+        call. One ‖g‖_F certifies the whole result: a non-finite entry of x
+        makes it non-finite, so x is scanned for one only then, and raises
+        ConfigurationError.
         """
-        x = as_2d(x, "gradient input")
+        x = as_2d(x, "gradient input", stack=True)
+        stack = x.reshape(-1, *x.shape[-2:])  # a matrix as a stack of one
+        rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
+        if len(rngs) != len(stack):
+            raise ConfigurationError(f"{len(stack)} gradient inputs need as many generators, got {len(rngs)}")
         if noise_cfg.kind == "gaussian":
             g = brockett_grad_unchecked(self, x)
             if noise_cfg.sigma_entry > 0.0:
-                g += noise_cfg.sigma_entry * rng.standard_normal(x.shape)
+                noise = np.empty(stack.shape)
+                for r, buf in zip(rngs, noise):
+                    r.standard_normal(out=buf)  # the draws of r.standard_normal(buf.shape)
+                g += noise_cfg.sigma_entry * noise.reshape(g.shape)
         elif noise_cfg.kind == "minibatch":
             batch = noise_cfg.batch_size
             if not (1 <= batch <= self.d):
@@ -125,10 +138,12 @@ class BrockettInstance:
             if batch == self.d:
                 g = brockett_grad_unchecked(self, x)
             else:
-                idx = rng.choice(self.d, size=batch, replace=False)
-                xb = self.samples[:, idx]
-                with np.errstate(invalid="ignore"):  # inf − inf from a non-finite x, reported below
-                    g = -(self.d / batch) * (xb @ (xb.T @ x)) * self.dmat[None, :]
+                g = np.empty(stack.shape)
+                for r, x_i, g_i in zip(rngs, stack, g):
+                    xb = self.samples[:, r.choice(self.d, size=batch, replace=False)]
+                    with np.errstate(invalid="ignore"):  # inf − inf from a non-finite x, reported below
+                        g_i[...] = -(self.d / batch) * (xb @ (xb.T @ x_i)) * self.dmat[None, :]
+                g = g.reshape(x.shape)
         else:
             raise ConfigurationError(f"unknown noise kind {noise_cfg.kind!r}")
         if not math.isfinite(frob_norm(g)) and not np.isfinite(x).all():

@@ -202,16 +202,13 @@ class StochasticMcsd:
             raise ConfigurationError(f"beta must lie in [0, 1), got {self.beta}")
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
-        """Sample a gradient (one stochastic_grad call per run, each with its
-        own stream), update the momentum (m₀ = g₀) and take the LMO of its
-        tangent projection; a zero projection holds."""
+        """Sample a gradient (one stochastic_grad call, of a stack with each
+        run's own stream), update the momentum (m₀ = g₀) and take the LMO of
+        its tangent projection; a zero projection holds."""
         if run.rng is None:
             raise ConfigurationError("stochastic runs need an RNG stream")
         x = run.x.x
-        g = _finite_gradient(np.reshape([
-            _as_gradient(objective.stochastic_grad(x_i, rng, self.noise), x_i)
-            for x_i, rng in zip(_each(run, x), _each(run, run.rng))
-        ], x.shape))
+        g = _finite_gradient(_as_gradient(objective.stochastic_grad(x, run.rng, self.noise), x))
         run.momentum = g if run.momentum is None else self.beta * run.momentum + (1.0 - self.beta) * g
         return lmo(self.norm, tangent_component(x, run.momentum), run.polar_mode), 0, 0
 
@@ -417,10 +414,11 @@ def manifold_muon_direction(
     The ascent runs on p×p matrices. msign(Y) = Y·H for the p×p factor H
     that gram_polar_factor computes from YᵀY alone. The first iteration runs at
     Λ = 0, where YᵀY = g_mᵀg_m and xᵀd = −A·H with A = xᵀg_m; its
-    eigenvalues also give ‖g_m‖₂. Each later iteration forms
-    P = A + BΛ once, with B = xᵀx, and uses it twice:
-    YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and Q = P·H = −xᵀd, so that
-    Λ ← Λ + (lr/2)(Q + Qᵀ). Only the final d is formed as an n×p matrix.
+    eigenvalues also give ‖g_m‖₂. Each later iteration first ascends,
+    Λ ← Λ + (lr/2)(Q + Qᵀ) from the previous Q = P·H = −xᵀd (so the last Q
+    updates nothing), then forms P = A + BΛ once, with B = xᵀx, and uses it
+    twice: YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and the next Q. Only the final d is
+    formed as an n×p matrix.
     g_m is first divided by max|g_m| (Λ in proportion), which keeps the
     Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100, or
     Y rank-deficient, as at n == p with p odd), Y is formed and msign_exact
@@ -447,6 +445,7 @@ def manifold_muon_direction(
     p_lam = a
     for k in range(inner_iters):
         if k:
+            lam = lam + half_lr * (q + q.T)
             p_lam = a + b @ lam
             h = gram_polar_factor(gram_g + (lam @ a).T + lam @ p_lam, polar_mode.iters)[1]
         if h is None:
@@ -454,11 +453,10 @@ def manifold_muon_direction(
             q = xm.T @ msign_y
         else:
             q = p_lam @ h
-        lam_d, lam = lam, lam + half_lr * (q + q.T)
 
     neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
-    d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam_d @ h - neg_tangency)
+    d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam @ h - neg_tangency)
     d = d / max(1.0, math.sqrt(max(float(np.linalg.eigvalsh(d.T @ d)[-1]), 0.0)))  # ‖d‖₂ ≤ 1
 
     g_fro = scale * math.sqrt(float(np.trace(gram_g)))

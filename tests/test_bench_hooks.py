@@ -18,6 +18,7 @@ import pytest
 
 from mcsd import NoiseConfig, NormKind, bench, cli, optimizers
 from mcsd.optimizers import ManifoldMuon, Mcsd, OptimizerRun, Rgd, StochasticMcsd, constant_schedule, run_trace
+from mcsd.trace import TraceRecord
 from tests.conftest import haar
 from tests.test_bench_cli import tiny_config
 
@@ -123,6 +124,32 @@ class TestModuleGlobals:
         trace_calls = spy(monkeypatch, bench, "run_trace")
         assert cli.main(["verify", "--level", "fast"]) == cli.EXIT_OK
         assert len(verify_calls) == 1 and trace_calls
+
+
+class TestTracedCommands:
+    """Each command run under perfbench's tracing: every `run_trace` return is
+    one run's flat list of records, as the span hook that reads
+    `records[-1].elapsed_s` needs, and the step spans cover the program's own
+    step-loop time to within perfbench's tolerance."""
+
+    # perfbench/run.py's STEP_AGREEMENT_TOL; importing run.py would set BLAS variables
+    STEP_AGREEMENT_TOL = 0.1
+
+    @pytest.mark.parametrize("command", ["pca-bench", "verify"])
+    def test_returns_are_flat_and_step_spans_agree(self, spans, tmp_path, command):
+        if command == "pca-bench":
+            argv = ["pca-bench", str(tiny_config(tmp_path, steps=4)), "--output-dir", str(tmp_path / "out")]
+        else:
+            argv = ["verify", "--level", "full"]
+        rec, returns = spans.Recorder(), []
+        # the spy wraps the traced run_trace and is removed before the tracing is
+        with spans.Instrumented(rec), pytest.MonkeyPatch.context() as mp:
+            traced = bench.run_trace
+            mp.setattr(bench, "run_trace", lambda *args, **kw: returns.append(traced(*args, **kw)) or returns[-1])
+            assert cli.main(argv) == cli.EXIT_OK
+        assert returns and all(isinstance(r, TraceRecord) for records in returns for r in records)
+        agreement = spans.layer_metrics(rec)["optimizers.step_wall_agreement"]
+        assert abs(agreement - 1.0) <= self.STEP_AGREEMENT_TOL
 
 
 class TestCommandLayout:

@@ -400,6 +400,31 @@ class TestStochasticGrad:
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - exact) <= 3 * se + 1e-12)
 
+    STACK_NOISES = {
+        "gaussian": NoiseConfig.additive_gaussian(0.5),
+        "noiseless": NoiseConfig.additive_gaussian(0.0),
+        "minibatch": NoiseConfig.minibatch(5),
+        "full-batch": NoiseConfig.minibatch(30),
+    }
+
+    @pytest.mark.parametrize("noise", list(STACK_NOISES))
+    def test_stack_equals_per_matrix_calls(self, tiny, noise):
+        cfg = self.STACK_NOISES[noise]
+        x = np.stack([haar(10, 2, seed=40 + i).x for i in range(4)])
+        stacked, single = ([np.random.default_rng(50 + i) for i in range(4)] for _ in range(2))
+        for _ in range(2):  # the second draw starts from the states the first left
+            g = tiny.stochastic_grad(x, stacked, cfg)
+            expected = np.stack([tiny.stochastic_grad(x_i, r, cfg) for x_i, r in zip(x, single)])
+            assert g.shape == x.shape and g.tobytes() == expected.tobytes()
+            assert [r.bit_generator.state for r in stacked] == [r.bit_generator.state for r in single]
+
+    def test_stack_needs_one_generator_per_matrix(self, tiny):
+        x = np.stack([haar(10, 2, seed=44 + i).x for i in range(3)])
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        for wrong in (rngs[:2], rngs + [np.random.default_rng(3)], rngs[0]):
+            with pytest.raises(ConfigurationError, match="3 gradient inputs need as many generators, got"):
+                tiny.stochastic_grad(x, wrong, NoiseConfig.additive_gaussian(0.5))
+
     def test_batch_bounds_checked(self, tiny, rng):
         w = haar(10, 2, seed=22).x
         with pytest.raises(ConfigurationError):

@@ -699,7 +699,8 @@ def fields(records):
 class SeedStub:
     """Wraps an instance: seed `seed`'s sampled gradients at the given
     iterations are filled with `value` (0 or NaN), all others are the
-    instance's draws."""
+    instance's draws. Of a stack, only the slice whose generator is the
+    seed's is filled."""
 
     def __init__(self, inst, seed, iterations, value):
         self.inst, self.seed, self.iterations, self.value = inst, seed, iterations, value
@@ -710,10 +711,12 @@ class SeedStub:
 
     def stochastic_grad(self, x, rng, noise):
         g = self.inst.stochastic_grad(x, rng, noise)
-        if rng.bit_generator.seed_seq.spawn_key == (self.seed,):
-            if self.drawn in self.iterations:
-                g = np.full_like(g, self.value)
-            self.drawn += 1
+        stacked = g.ndim == 3
+        for g_i, r in zip(g if stacked else (g,), rng if stacked else (rng,)):
+            if r.bit_generator.seed_seq.spawn_key == (self.seed,):
+                if self.drawn in self.iterations:
+                    g_i[...] = self.value
+                self.drawn += 1
         return g
 
 
@@ -794,6 +797,12 @@ class TestRunSeeds:
         for trace in traces:
             assert [r.elapsed_s for r in trace] == [t * 0.25 / 4 for t in range(11)]
         assert sum(trace[-1].elapsed_s for trace in traces) == step_loop_s
+
+    def test_one_sampled_gradient_call_per_step(self, small_instance):
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        recorder = RecordingObjective(small_instance)
+        run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=37), seed_rngs(20), recorder, 12)
+        assert [g.shape for g in recorder.drawn] == [(20, 50, 3)] * 12
 
     def test_needs_stochastic_mcsd_and_a_seed(self, small_instance):
         with pytest.raises(ConfigurationError, match="steps stochastic MCSD, got Mcsd"):

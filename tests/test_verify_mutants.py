@@ -84,7 +84,8 @@ MUTANTS = {
     "lmo-x0.1": (scaled_lmo(0.1), {"lmo_net_spectral", "lmo_net_frobenius"}),
     "sign-flipped-stochastic-grad": (mapped_stochastic_grad(lambda g: -g), set()),
     # every entry offset by the sample's mean absolute entry
-    "biased-stochastic-grad": (mapped_stochastic_grad(lambda g: g + np.abs(g).mean()), set()),
+    "biased-stochastic-grad": (
+        mapped_stochastic_grad(lambda g: g + np.abs(g).mean(axis=(-2, -1), keepdims=True)), set()),
     "dropped-momentum": (dropped_momentum, set()),
     "skipped-tangent-projection": (skipped_tangent_component, {"per_step_descent", "telescoped_descent"}),
     "skipped-retraction": (skipped_retraction, FeasibilityError),
