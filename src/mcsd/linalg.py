@@ -13,12 +13,16 @@ the short one, the matrix is not tiny and κ(Y) < 100, and the SVD
 otherwise. The iterative route takes for m the k-step cubic Newton-Schulz
 polynomial, evaluated on the spectrum. The retraction onto St(n, p) always
 takes the exact route; the iterative one serves only a direction's sign.
+`factorize` is that kernel's one factorization of Y, kept as a `Spectrum`
+from which msign(Y), the nuclear norm ‖Y‖_* and Manifold Muon's first inner
+iteration are all read, so that a run factors each gradient once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,24 +127,98 @@ def svd(y):
         raise NumericError(f"SVD of a {y.shape[-2]}x{y.shape[-1]} matrix failed: {exc}") from exc
 
 
-def _gram_polar(y: np.ndarray, iters: int | None) -> np.ndarray | None:
-    """x·H for the p×p factor H that gram_polar_factor builds from xᵀx.
+def nuclear_norm(y, name: str = "nuclear-norm input"):
+    """Σσ of a matrix (a float), or of each matrix of a stack (k, n, p) (an
+    array, each with its own call's bits), from the values-only SVD.
 
-    x is y divided by max|y|, so that xᵀx neither overflows nor underflows,
-    and transposed when y is wide, so that xᵀx is the smaller Gram matrix.
-    That reduction is also the input's finiteness check. A zero y gives
-    zeros. Returns None where the exact route (iters None) declines the input.
+    The norm is the finiteness check: NaN and ±inf make it non-finite (or
+    the SVD raise), and only then is the input scanned for ConfigurationError.
     """
-    scale = max_abs(y, "polar input")
+    y = as_2d(y, name, stack=True)
+    try:
+        total = np.linalg.svd(y, compute_uv=False).sum(axis=-1)
+    except np.linalg.LinAlgError as exc:
+        as_matrix(y, name)
+        raise NumericError(f"SVD of the {y.shape[-2]}x{y.shape[-1]} {name} failed: {exc}") from exc
+    if not np.isfinite(total).all():
+        as_matrix(y, name)
+    return float(total) if y.ndim == 2 else total
+
+
+class Spectrum(NamedTuple):
+    """One factorization of a matrix y (see factorize), which its polar
+    factor, its nuclear norm and Manifold Muon's first inner iteration read.
+
+    `scale` is max|y| (None on the SVD route); a zero y is not factored. On
+    the Gram route x is y/scale, transposed when y is wide, gram = xᵀx has
+    the ascending eigenvalues w, and h is gram_polar_factor's H, with
+    msign(y) = x·H, or None where the exact route declines. `usv` is the
+    thin SVD of y where the exact route takes it.
+    """
+
+    y: np.ndarray
+    scale: float | None
+    x: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    w: np.ndarray | None = None
+    h: np.ndarray | None = None
+    usv: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def conditioned(self) -> bool:
+        """Whether the Gram is factored and κ(y) < 100 (GRAM_EIG_RATIO)."""
+        return self.w is not None and bool(self.w[0] > GRAM_EIG_RATIO * self.w[-1])
+
+    def sign(self) -> np.ndarray:
+        """msign(y), as msign_exact or msign_iterative gives it; zeros for a
+        zero y."""
+        if self.scale == 0.0:
+            return np.zeros(self.y.shape)
+        if self.usv is not None:
+            return _svd_sign(*self.usv)
+        out = self.x @ self.h
+        return out.T if self.y.shape[0] < self.y.shape[1] else out
+
+    def nuclear_norm(self) -> float:
+        """‖y‖_* = Σσ: scale·Σ√w where the Gram is conditioned, Σσ of the
+        thin SVD where there is one, else nuclear_norm's values-only SVD."""
+        if self.conditioned:
+            return self.scale * float(np.sqrt(self.w).sum())
+        if self.usv is not None:
+            return float(self.usv[1].sum())
+        return nuclear_norm(self.y)
+
+
+def factorize(y, iters: int | None = None, gram: bool = False, name: str = "polar input") -> Spectrum:
+    """The Spectrum of a matrix y under the polar mode `iters` (None exact,
+    else Newton-Schulz): one factorization, from which msign(y), ‖y‖_* and
+    Manifold Muon's first inner iteration are all read.
+
+    y is divided by max|y|, so that xᵀx neither overflows nor underflows,
+    and transposed when wide, so that xᵀx is the smaller Gram matrix; that
+    reduction is also the input's finiteness check. The iterative mode (and
+    `gram`, for Manifold Muon's inner solve) diagonalises the Gram matrix at
+    every shape. The exact mode does where the long side is at least twice
+    the short one and n·p² ≥ GRAM_MIN_WORK, and takes the thin SVD of y at
+    other shapes and where it declines the Gram (κ ≥ 100, rank deficiency
+    included).
+    """
+    y = as_2d(y, name)
+    if not (gram or iters is not None or _gram_shape(*y.shape)):
+        return Spectrum(y, None, usv=svd(y))
+    scale = max_abs(y, name)
     if scale == 0.0:
-        return np.zeros(y.shape)
-    transposed = y.shape[0] < y.shape[1]
-    x = (y.T if transposed else y) / scale
-    f = gram_polar_factor(x.T @ x, iters)[1]
-    if f is None:
-        return None
-    out = x @ f
-    return out.T if transposed else out
+        return Spectrum(y, scale)
+    x = (y.T if y.shape[0] < y.shape[1] else y) / scale
+    xtx = x.T @ x
+    w, h = gram_polar_factor(xtx, iters)
+    return Spectrum(y, scale, x, xtx, w, h, svd(y) if h is None else None)
+
+
+def _gram_shape(n: int, p: int) -> bool:
+    """Whether the exact route tries the Gram matrix at shape n×p."""
+    short, long = (n, p) if n < p else (p, n)
+    return long >= 2 * short and long * short * short >= GRAM_MIN_WORK
 
 
 def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -150,8 +228,8 @@ def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, 
     Exact (iters None): m = w^(-1/2), and H is None when
     w_min ≤ GRAM_EIG_RATIO·w_max (κ(y) ≥ 100, rank deficiency included),
     where the caller has to form y and call msign_exact. Iterative: the
-    `iters`-step Newton-Schulz multipliers, as in msign_iterative. The caller scales y so that gram
-    neither overflows nor underflows.
+    `iters`-step Newton-Schulz multipliers, as in msign_iterative. The caller
+    scales y so that gram neither overflows nor underflows.
     """
     try:
         w, v = np.linalg.eigh(gram)
@@ -167,29 +245,9 @@ def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, 
     return w, (v * mult) @ v.T
 
 
-def msign_exact(y) -> np.ndarray:
-    """Polar factor U·diag(keep)·Vᵀ of a matrix, or of each matrix of a
-    stack (k, n, p), where keep marks the singular values above
-    RANK_TOL_FACTOR times the largest: UVᵀ at full column rank, and the
-    partial isometry U_r·V_rᵀ (sign 0 on the null singular values) below it.
-
-    A matrix is computed from the Gram eigendecomposition when the long
-    side is at least twice the short one, n·p² ≥ GRAM_MIN_WORK and
-    κ < 100, and from the SVD otherwise. Each slice of a stack gets the bits
-    of its own call: at a shape that takes the SVD route, from one stacked
-    SVD at a fraction of the per-call cost, and at one that may take the
-    Gram route, which has no stacked form, from a call per slice.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim in (2, 3) and 0 not in y.shape:
-        short, long = sorted(y.shape[-2:])
-        if long >= 2 * short and long * short * short >= GRAM_MIN_WORK:
-            if y.ndim == 3:
-                return np.stack([msign_exact(m) for m in y])
-            out = _gram_polar(y, None)
-            if out is not None:
-                return out
-    u, s, vt = svd(y)
+def _svd_sign(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """U·diag(keep)·Vᵀ from a thin SVD (of a stack, each matrix's), keep
+    marking the singular values above RANK_TOL_FACTOR times the largest."""
     # Full rank takes u·vt unmasked: a single matrix by a scalar test, which
     # costs a fraction of the array one, and a stack because the masked copy
     # of u raised verify-full's peak RSS by 0.8 MiB.
@@ -197,6 +255,25 @@ def msign_exact(y) -> np.ndarray:
         return u @ vt
     keep = s > RANK_TOL_FACTOR * s[..., :1]
     return u @ vt if keep.all() else (u * keep[..., None, :]) @ vt
+
+
+def msign_exact(y) -> np.ndarray:
+    """Polar factor U·diag(keep)·Vᵀ of a matrix, or of each matrix of a
+    stack (k, n, p), where keep marks the singular values above
+    RANK_TOL_FACTOR times the largest: UVᵀ at full column rank, and the
+    partial isometry U_r·V_rᵀ (sign 0 on the null singular values) below it.
+
+    A matrix is factorize(y).sign(): from the Gram eigendecomposition when
+    the long side is at least twice the short one, n·p² ≥ GRAM_MIN_WORK and
+    κ < 100, and from the SVD otherwise. Each slice of a stack gets the bits
+    of its own call: at a shape that takes the SVD route, from one stacked
+    SVD at a fraction of the per-call cost, and at one that may take the
+    Gram route, which has no stacked form, from a call per slice.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim in (2, 3) and 0 not in y.shape and _gram_shape(*y.shape[-2:]):
+        return factorize(y).sign() if y.ndim == 2 else np.stack([factorize(m).sign() for m in y])
+    return _svd_sign(*svd(y))
 
 
 def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:
@@ -237,8 +314,8 @@ def msign_iterative(y, iters: int = 8) -> np.ndarray:
         raise ConfigurationError(f"iters must be >= 1, got {iters}")
     y = as_2d(y, "polar input", stack=True)
     if y.ndim == 3:
-        return np.stack([_gram_polar(m, iters) for m in y])
-    return _gram_polar(y, iters)
+        return np.stack([factorize(m, iters).sign() for m in y])
+    return factorize(y, iters).sign()
 
 
 @dataclass(frozen=True)

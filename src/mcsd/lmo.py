@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError
-from .linalg import EXACT, PolarMode, as_2d, as_matrix, frob_norm
+from .linalg import EXACT, PolarMode, Spectrum, as_2d, as_matrix, frob_norm, nuclear_norm
 
 
 class NormKind(enum.Enum):
@@ -27,7 +26,9 @@ def zero_tolerance(n: int, p: int) -> float:
     return 1e-14 * math.sqrt(n * p)
 
 
-def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
+def lmo(
+    norm: NormKind, s, polar_mode: PolarMode = EXACT, spectrum: Spectrum | list[Spectrum] | None = None
+) -> np.ndarray:
     """Minimizer of ⟨s, d⟩ over the unit ball of `norm`.
 
     Total: when ‖s‖_F is at most zero_tolerance every unit-ball element is
@@ -35,7 +36,10 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     position, since P_M(x + α·0) = x). The spectral oracle is −msign(s),
     which takes sign(0) = 0 on the null singular values of a rank-deficient
     s. `polar_mode` picks how msign(s) is computed: exactly, or by the
-    paper's fast iterative sign.
+    paper's fast iterative sign. Given `spectrum`, factorize(s,
+    polar_mode.iters) (of a stack, the list of each matrix's), the spectral
+    oracle reads msign(s) from it instead of factoring s again, with the
+    same bits.
 
     A stack (k, n, p) gives each matrix's minimizer, with the bits of its own
     call, from one call per operation under either sign, and a matrix below
@@ -43,7 +47,7 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
     """
     s = as_2d(s, "lmo input", stack=True)
     if s.ndim == 3:
-        return _lmo_stack(norm, s, polar_mode)
+        return _lmo_stack(norm, s, polar_mode, spectrum)
     fro = frob_norm(s)
     if not math.isfinite(fro):
         as_matrix(s, "lmo input")
@@ -51,10 +55,10 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT) -> np.ndarray:
         return np.zeros(s.shape)
     if norm is NormKind.FROBENIUS:
         return -s / fro
-    return -polar_mode.apply(s)
+    return -(polar_mode.apply(s) if spectrum is None else spectrum.sign())
 
 
-def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode) -> np.ndarray:
+def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode, spectrum: list[Spectrum] | None) -> np.ndarray:
     """lmo of each matrix of a stack, zero where the matrix counts as zero."""
     fro = np.array([frob_norm(m) for m in s])
     if not np.isfinite(fro).all():
@@ -62,8 +66,10 @@ def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode) -> np.ndarr
     zero = fro <= zero_tolerance(*s.shape[1:])
     if norm is NormKind.FROBENIUS:
         d = -s / np.where(zero, 1.0, fro)[:, None, None]
-    else:
+    elif spectrum is None:
         d = -polar_mode.apply(s)
+    else:
+        d = -np.stack([spec.sign() for spec in spectrum])
     d[zero] = 0.0
     return d
 
@@ -71,20 +77,15 @@ def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode) -> np.ndarr
 def dual_norm(norm: NormKind, s):
     """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm: a float,
     or for a stack (k, n, p) the array of each matrix's norm, with the bits
-    of its own call (one values-only stacked SVD for the nuclear norms)."""
+    of its own call. The nuclear norm is linalg.nuclear_norm's values-only
+    SVD; a run's metric record reads it from the gradient's Spectrum instead
+    (Spectrum.nuclear_norm)."""
+    if norm is NormKind.SPECTRAL:
+        return nuclear_norm(s, "dual-norm input")
     s = as_2d(s, "dual-norm input", stack=True)
-    # The norm is the finiteness check: NaN and ±inf make it non-finite (or
-    # the SVD raise), and only then is the input scanned.
-    if norm is NormKind.FROBENIUS:
-        total = frob_norm(s) if s.ndim == 2 else np.array([frob_norm(m) for m in s])
-    else:
-        try:
-            total = np.linalg.svd(s, compute_uv=False).sum(axis=-1)
-        except np.linalg.LinAlgError as exc:
-            as_matrix(s, "dual-norm input")
-            raise NumericError(f"SVD of the {s.shape[-2]}x{s.shape[-1]} dual-norm input failed: {exc}") from exc
-        if s.ndim == 2:
-            total = float(total)
+    # The norm is the finiteness check: NaN and ±inf make it non-finite, and
+    # only then is the input scanned.
+    total = frob_norm(s) if s.ndim == 2 else np.array([frob_norm(m) for m in s])
     if not (math.isfinite(total) if s.ndim == 2 else np.isfinite(total).all()):
         as_matrix(s, "dual-norm input")
     return total

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .linalg import as_2d, as_matrix, frob_inner, frob_norm
-from .manifolds import StiefelManifold, StiefelPoint
+from .manifolds import StiefelManifold, StiefelPoint, feasibility_violation
 
 
 @dataclass(frozen=True)
@@ -240,18 +240,19 @@ def subspace_error(inst: BrockettInstance, w) -> float:
 
     A rotation-invariant column-space distance. The identity holds for any
     n×p w (w* has orthonormal columns); the second term vanishes when w has
-    them too. A non-finite entry of w makes the norms non-finite, so w is
-    scanned for one only then, and raises ConfigurationError.
+    them too. Given a StiefelPoint, the second term is the `violation` its
+    constructor certified; given a matrix, feasibility_violation computes
+    it, with the same bits, and a non-finite entry raises ConfigurationError
+    there.
     """
-    w = as_2d(w, "subspace input")
+    if isinstance(w, StiefelPoint):
+        w, violation = w.x, w.violation
+    else:
+        w, violation = as_2d(w, "subspace input"), None
     ws = inst.w_star.x
     if w.shape != ws.shape:
         raise ConfigurationError(f"subspace input shape {w.shape} does not match the optimum's {ws.shape}")
-    off_range = frob_norm(w - ws @ (ws.T @ w))
-    gram = w.T @ w
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
-    err = math.hypot(math.sqrt(2.0) * off_range, frob_norm(gram))
-    if not math.isfinite(err) and not np.isfinite(w).all():
-        raise ConfigurationError("subspace input contains non-finite entries")
-    return err
+    if violation is None:
+        violation = feasibility_violation(w)
+    return math.hypot(math.sqrt(2.0) * frob_norm(w - ws @ (ws.T @ w)), violation)
 

@@ -10,7 +10,10 @@ k runs that share a method, schedule and polar mode, stepped with one call
 per operation over the stack. The objective is evaluated once per iterate:
 the value and the Riemannian gradient at x are checked and cached on the
 run, where the next direction and the trace's metric record both read
-them; the loop names the iteration of any NumericError (`_named`).
+them. For SPEL and Manifold Muon the evaluation also holds the gradient's
+one factorization (linalg.factorize): the direction reads its sign, the
+record its nuclear norm. The loop names the iteration of any NumericError
+(`_named`).
 
 * MCSD picks the direction with a norm-ball LMO applied to the Riemannian
   gradient; the spectral-norm case on the Stiefel manifold is SPEL,
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .linalg import (
-    EXACT, PolarMode, as_2d, frob_inner, frob_norm, gram_polar_factor, max_abs, msign_exact, sym_unchecked,
+    EXACT, PolarMode, Spectrum, as_2d, factorize, frob_inner, frob_norm, gram_polar_factor, msign_exact, sym_unchecked,
 )
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, tangent_component
@@ -176,8 +179,10 @@ class Mcsd:
     norm: NormKind = NormKind.SPECTRAL
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
-        """LMO(∇_M f(x)); a zero gradient holds."""
-        return lmo(self.norm, _evaluation(run, objective).grad, run.polar_mode), 0, 0
+        """LMO(∇_M f(x)), the spectral one from the evaluation's spectrum; a
+        zero gradient holds."""
+        ev = _evaluation(run, objective)
+        return lmo(self.norm, ev.grad, run.polar_mode, ev.spectrum), 0, 0
 
 
 @dataclass(frozen=True)
@@ -230,11 +235,12 @@ class ManifoldMuon:
     def direction(self, run: OptimizerRun, objective) -> Direction:
         """d from the tangent-constrained inner solver, run by run; a zero
         gradient holds."""
-        g = _evaluation(run, objective).grad
-        d, fallbacks = np.zeros_like(g), 0
-        for x, g_m, d_m in zip(_each(run, run.x), _each(run, g), _each(run, d)):
+        ev = _evaluation(run, objective)
+        d, fallbacks = np.zeros_like(ev.grad), 0
+        runs = zip(_each(run, run.x), _each(run, ev.grad), _each(run, ev.spectrum), _each(run, d))
+        for x, g_m, spec, d_m in runs:
             if frob_norm(g_m) > zero_tolerance(*g_m.shape):
-                result = manifold_muon_direction(x, g_m, self.inner_iters, self.inner_lr, run.polar_mode)
+                result = manifold_muon_direction(x, g_m, self.inner_iters, self.inner_lr, run.polar_mode, spec)
                 d_m[...] = result.direction
                 fallbacks += result.fallback
         return d, self.inner_iters, fallbacks
@@ -251,12 +257,19 @@ Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
 class Evaluation:
     """The value and the Riemannian gradient of one objective at a point, or
     the values and the gradients at a stack of points, all finite: a
-    non-finite one raises where it is evaluated (see _evaluation)."""
+    non-finite one raises where it is evaluated (see _evaluation).
+
+    For a spectral method that evaluates ahead (SPEL, Manifold Muon),
+    `spectrum` is the gradient's one factorization under the run's polar
+    mode (of a stack, the list of each run's), which the direction's sign
+    and the record's nuclear norm share; else None.
+    """
 
     point: StiefelPoint
     objective: object
     value: float | list[float]
     grad: np.ndarray
+    spectrum: Spectrum | list[Spectrum] | None = None
 
 
 @dataclass
@@ -373,17 +386,23 @@ def _finite_gradient(g: np.ndarray) -> np.ndarray:
 
 def _evaluation(run: OptimizerRun, objective) -> Evaluation:
     """The objective at run.x: the cached evaluation if it is of this point
-    and objective, else a new one (one `evaluate` call), which is cached. A
-    non-finite gradient, then a value that is not finite, raises
+    and objective, else a new one (one `evaluate` call and, for a spectral
+    method that evaluates ahead, the gradient's factorization), which is cached.
+    A non-finite gradient, then a value that is not finite, raises
     NumericError here, whose `index` is the first run of a stack at fault."""
     ev = run.evaluation
     if ev is None or ev.point is not run.x or ev.objective is not objective:
         x = run.x.x
         value, g = objective.evaluate(x)
-        g = _finite_gradient(_as_gradient(g, x))
+        g = tangent_component(x, _finite_gradient(_as_gradient(g, x)))
         if not (np.isfinite(value).all() if x.ndim == 3 else math.isfinite(value)):
             raise NumericError("the objective value is not finite", int(np.argmin(np.isfinite(value))))
-        ev = run.evaluation = Evaluation(run.x, objective, value, tangent_component(x, g))
+        spectrum = None
+        if run.method.norm is NormKind.SPECTRAL and run.method.evaluates_ahead:
+            # Manifold Muon's inner solve diagonalises the Gram matrix at every shape
+            args = (run.polar_mode.iters, isinstance(run.method, ManifoldMuon))
+            spectrum = [factorize(m, *args) for m in g] if x.ndim == 3 else factorize(g, *args)
+        ev = run.evaluation = Evaluation(run.x, objective, value, g, spectrum)
     return ev
 
 
@@ -401,6 +420,7 @@ def manifold_muon_direction(
     inner_iters: int,
     inner_lr: float,
     polar_mode: PolarMode = EXACT,
+    spectrum: Spectrum | None = None,
 ) -> MuonDirectionResult:
     """Approximately minimize ⟨g_m, d⟩ over {‖d‖₂ ≤ 1} ∩ T_x.
 
@@ -413,17 +433,19 @@ def manifold_muon_direction(
 
     The ascent runs on p×p matrices. msign(Y) = Y·H for the p×p factor H
     that gram_polar_factor computes from YᵀY alone. The first iteration runs at
-    Λ = 0, where YᵀY = g_mᵀg_m and xᵀd = −A·H with A = xᵀg_m; its
-    eigenvalues also give ‖g_m‖₂. Each later iteration first ascends,
+    Λ = 0, where YᵀY = g_mᵀg_m and xᵀd = −A·H with A = xᵀg_m, so it reads
+    g_m's Spectrum: `spectrum`, as the step passes the evaluation's, which
+    must be factorize(g_m, polar_mode.iters, gram=True), or else that call's;
+    its eigenvalues also give ‖g_m‖₂. Each later iteration first ascends,
     Λ ← Λ + (lr/2)(Q + Qᵀ) from the previous Q = P·H = −xᵀd (so the last Q
     updates nothing), then forms P = A + BΛ once, with B = xᵀx, and uses it
     twice: YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and the next Q. Only the final d is
     formed as an n×p matrix.
     g_m is first divided by max|g_m| (Λ in proportion), which keeps the
     Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100, or
-    Y rank-deficient, as at n == p with p odd), Y is formed and msign_exact
-    takes over for that iteration. A zero g_m gets the zero direction, with
-    no fallback.
+    Y rank-deficient, as at n == p with p odd), the sign comes from the SVD:
+    the spectrum's at Λ = 0, and later msign_exact of Y, formed for it. A
+    zero g_m gets the zero direction, with no fallback.
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
@@ -431,15 +453,15 @@ def manifold_muon_direction(
     xm = x.x
     if g_m.shape != xm.shape:
         raise ConfigurationError(f"gradient shape {g_m.shape} does not match point shape {xm.shape}")
-    scale = max_abs(g_m, "Riemannian gradient")
+    if spectrum is None:
+        spectrum = factorize(g_m, polar_mode.iters, gram=True, name="Riemannian gradient")
+    scale = spectrum.scale
     if scale == 0.0:
         return MuonDirectionResult(np.zeros(g_m.shape), False)
-    g = g_m / scale
-    gram_g = g.T @ g
+    g, gram_g, w, h = spectrum.x, spectrum.gram, spectrum.w, spectrum.h
     a = xm.T @ g
     b = xm.T @ xm
     half_lr = 0.5 * inner_lr / scale
-    w, h = gram_polar_factor(gram_g, polar_mode.iters)
     g_spec = scale * math.sqrt(max(float(w[-1]), 0.0))
     lam = np.zeros_like(b)
     p_lam = a
@@ -449,7 +471,7 @@ def manifold_muon_direction(
             p_lam = a + b @ lam
             h = gram_polar_factor(gram_g + (lam @ a).T + lam @ p_lam, polar_mode.iters)[1]
         if h is None:
-            msign_y = msign_exact(g + xm @ lam if k else g)
+            msign_y = msign_exact(g + xm @ lam) if k else spectrum.sign()
             q = xm.T @ msign_y
         else:
             q = p_lam @ h
@@ -475,7 +497,7 @@ def run_trace(
     run: OptimizerRun,
     objective,
     steps: int,
-    subspace_fn: Callable[[np.ndarray], float] | None = None,
+    subspace_fn: Callable[[StiefelPoint], float] | None = None,
 ) -> list[TraceRecord] | list[list[TraceRecord]]:
     """Step `steps` times, recording metrics at every iterate x_0 … x_T: the
     run's list of records, or of a stack the list of each run's.
@@ -484,11 +506,14 @@ def run_trace(
     per-step costs of different methods compare cleanly; each run of a stack
     of k accrues 1/k of each step's time, and a single run (k = 1) the whole
     of it. A step whose method uses the true gradient evaluates the
-    objective at the new iterate inside that time; the record of the iterate
-    (objective value, subspace error, feasibility, dual norm of the true
-    Riemannian gradient) reads that evaluation and computes the rest outside
-    it. The records of x_0, and of every iterate of a stochastic method,
-    evaluate the objective themselves.
+    objective at the new iterate inside that time, and for SPEL and Manifold
+    Muon factors its gradient there, so each method's step time holds its
+    own factorization. The record of the iterate (objective value, subspace
+    error, feasibility, dual norm of the true Riemannian gradient) reads
+    that evaluation, the dual norm from the factorization where there is
+    one, and computes the rest outside the timer. The records of x_0, and of
+    every iterate of a stochastic method, evaluate the objective themselves.
+    `subspace_fn` receives the iterate's StiefelPoint.
 
     A NumericError from a step or a metric record (a feasibility abort, a
     non-finite value or gradient, a failed factorization) names its
@@ -529,9 +554,14 @@ def _trace(run: OptimizerRun, objective, steps: int, subspace_fn, step_fn):
 
 def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, step_size: float) -> list[TraceRecord]:
     """The record of the current iterate of each run, from the run's
-    evaluation."""
+    evaluation: the gradient's dual norm from its spectrum where the
+    evaluation has one (Spectrum.nuclear_norm), else from dual_norm."""
     ev = _evaluation(run, objective)
-    columns = (run.x.x, ev.value, run.x.violation, dual_norm(run.method.norm, ev.grad))
+    if ev.spectrum is None:
+        dual = dual_norm(run.method.norm, ev.grad)
+    else:
+        dual = [spec.nuclear_norm() for spec in ev.spectrum] if run.stacked else ev.spectrum.nuclear_norm()
+    columns = (run.x, ev.value, run.x.violation, dual)
     return [
         TraceRecord(
             iter=t,

@@ -392,19 +392,22 @@ class TestNumericAbort:
         assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {label!r}: {message}"]
 
     @pytest.mark.parametrize(
-        "name, selects, nth, message",
+        "kind, name, selects, nth, message",
         [
-            # the direction: each of Manifold Muon's 10 inner iterations per step
-            # diagonalises a 3x3 Gram matrix, so the 31st is the first at x_3
-            ("eigh", lambda a, kwargs: a.shape == (3, 3), 31,
+            # the direction: Manifold Muon diagonalises a 3x3 Gram matrix ten
+            # times per iterate (its gradient's spectrum, then nine inner
+            # iterations), so the 32nd is x_3's first inner iteration
+            ("manifold_muon", "eigh", lambda a, kwargs: a.shape == (3, 3), 32,
              "iteration 3: eigendecomposition of the 3x3 Gram matrix failed: forced"),
-            # a record: each iterate's dual norm is one values-only SVD
-            ("svd", lambda a, kwargs: not kwargs.get("compute_uv", True), 5,
+            # a record: a stochastic run's dual norm of each iterate's true
+            # gradient is one values-only SVD
+            ("stochastic_mcsd", "svd", lambda a, kwargs: not kwargs.get("compute_uv", True), 5,
              "iteration 4: SVD of the 20x3 dual-norm input failed: forced"),
         ],
         ids=["direction", "record"],
     )
-    def test_lapack_failure_names_the_iteration(self, tmp_path, capsys, monkeypatch, name, selects, nth, message):
+    def test_lapack_failure_names_the_iteration(self, tmp_path, capsys, monkeypatch, kind, name, selects, nth,
+                                                message):
         original, calls = getattr(np.linalg, name), itertools.count(1)
 
         def call(a, **kwargs):
@@ -413,14 +416,14 @@ class TestNumericAbort:
             return original(a, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, call)
-        path = tmp_path / "mm.ini"
+        path = tmp_path / f"{kind}.ini"
         path.write_text(
             f"[instance]\nn = 20\np = 3\nd = 40\n\n[run]\nsteps = 5\nrepeats = 1\noutput_dir = {tmp_path}\n\n"
-            "[method:mm]\nkind = manifold_muon\nschedule = constant:0.1\n"
+            f"[method:{kind}]\nkind = {kind}\nschedule = constant:0.1\n"
         )
         assert main(["pca-bench", str(path)]) == EXIT_NUMERIC_ERROR
         err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method 'mm': {message}"]
+        assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {kind!r}: {message}"]
 
     def test_abort_at_the_initial_point(self, tmp_path, nan_at):
         nan_at(0)  # x_0 of the first run: its trace is empty

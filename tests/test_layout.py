@@ -22,6 +22,9 @@ guards against nothing.
 The `iteration t: ` prefix of a step's or a trace record's NumericError is
 formatted in one function, `optimizers._named`; a raising site states only
 what failed.
+
+`lmo` calls no numpy.linalg function itself: the spectral oracle's sign and
+the nuclear norm come from linalg, whose factorize a run shares between them.
 """
 
 import ast
@@ -218,6 +221,46 @@ def test_the_scan_finds_iteration_prefix_sites():
         "m.py:2 formats the iteration prefix in _named",
         "m.py:5 formats the iteration prefix in _records",
         "m.py:6 formats the iteration prefix in the module body",
+    ]
+
+
+def numpy_linalg_uses(source: str, filename: str) -> list[str]:
+    """One line per call of a numpy.linalg function in `source` (as
+    `np.linalg.f(...)` or `numpy.linalg.f(...)`), and per import from it."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg" and isinstance(owner.value, ast.Name)
+                    and owner.value.id in ("np", "numpy")):
+                found.append(f"{filename}:{node.lineno} calls {owner.value.id}.linalg.{node.func.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            names = [a.name for a in node.names if node.module == "numpy.linalg" or a.name == "linalg"]
+            found += [f"{filename}:{node.lineno} imports {name} from {node.module}" for name in names]
+    return found
+
+
+def test_lmo_factors_through_linalg():
+    # the oracle's sign and the nuclear norm go through linalg's factorize
+    # and nuclear_norm, so that a run's one factorization can serve both
+    assert numpy_linalg_uses((PACKAGE / "lmo.py").read_text(), "lmo.py") == []
+
+
+def test_the_scan_finds_numpy_linalg_uses():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "from numpy import linalg, zeros\n"
+        "def f(s):\n"
+        "    total = np.linalg.svd(s, compute_uv=False).sum()\n"
+        "    except_ = np.linalg.LinAlgError\n"
+        "    return numpy.linalg.norm(s) + linalg.norm(s) + np.zeros(3).sum()\n"
+    )
+    assert numpy_linalg_uses(source, "m.py") == [
+        "m.py:2 imports svd from numpy.linalg",
+        "m.py:3 imports linalg from numpy",
+        "m.py:5 calls np.linalg.svd",
+        "m.py:7 calls numpy.linalg.norm",
     ]
 
 

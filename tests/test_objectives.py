@@ -10,6 +10,7 @@ from mcsd import (
     ConfigurationError,
     NoiseConfig,
     StiefelManifold,
+    StiefelPoint,
     make_brockett,
     msign_exact,
     random_point,
@@ -331,6 +332,18 @@ class TestSubspaceError:
 
     def test_nonzero_away_from_optimum(self, tiny):
         assert subspace_error(tiny, haar(10, 2, seed=15).x) > 0.1
+
+    @pytest.mark.parametrize("shape", [(10, 2), (200, 5), (1000, 50), (7, 7), (9, 1)])
+    def test_a_point_reads_its_certified_violation(self, shape, rng):
+        # the ‖wᵀw − I‖_F term is the point's `violation`, with the bits of
+        # forming wᵀw again, alone or as a slice of a stack
+        inst = make_brockett(shape[0], shape[1], shape[0] + 3, data_seed=16)
+        m = StiefelManifold(*shape)
+        point = random_point(m, rng)
+        assert point.violation > 0.0 or shape[1] == 1
+        assert subspace_error(inst, point) == subspace_error(inst, point.x)
+        stack = StiefelPoint(np.stack([random_point(m, rng).x for _ in range(3)]), m)
+        assert [subspace_error(inst, stack[k]) for k in range(3)] == [subspace_error(inst, w) for w in stack.x]
 
     def test_nonfinite_input_is_a_configuration_error(self, tiny):
         w = haar(10, 2, seed=15).x.copy()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -561,18 +562,24 @@ class TestRetraction:
         assert len(excinfo.value.records) == 1
 
     def test_direction_failure_names_the_iteration(self, small_instance, monkeypatch):
-        # Manifold Muon's inner eigendecompositions fail at x_3: the step from
-        # it raises after x_3's record
+        # Manifold Muon's inner eigendecompositions fail at x_3, after the
+        # first, x_3's gradient spectrum, which the step reaching x_3 computes:
+        # the step from x_3 raises after x_3's record
         run = OptimizerRun(method=ManifoldMuon(), schedule=constant_schedule(0.05), x=haar(50, 3, seed=23))
-        monkeypatch.setattr(np.linalg, "eigh", failing_at(run, 3, np.linalg.eigh))
+        eigh, at_x3 = np.linalg.eigh, itertools.count()
+        failing = failing_at(run, 3, eigh)
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (failing if run.t == 3 and next(at_x3) else eigh)(a))
         message = r"^iteration 3: eigendecomposition of the 3x3 Gram matrix failed: forced$"
         with pytest.raises(NumericError, match=message) as excinfo:
             run_trace(run, small_instance, 5)
         assert [r.iter for r in excinfo.value.records] == [0, 1, 2, 3]
 
     def test_record_failure_names_the_iteration(self, small_instance, monkeypatch):
-        # the values-only SVD of the dual norm fails in the record of x_4
-        run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.05), x=haar(50, 3, seed=23))
+        # the values-only SVD of the dual norm fails in the record of x_4 (a
+        # stochastic run's record factors the true gradient itself)
+        method = StochasticMcsd(NormKind.SPECTRAL, 0.9, NoiseConfig.additive_gaussian(0.1))
+        run = OptimizerRun(method=method, schedule=constant_schedule(0.05), x=haar(50, 3, seed=23),
+                           rng=np.random.default_rng(24))
         svd = np.linalg.svd
         failing = failing_at(run, 4, svd)
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: (svd if kw.get("compute_uv", True) else failing)(a, **kw))
