@@ -1,5 +1,8 @@
-"""Dense float64 matrix kernels: the Frobenius norm, SVD, the spectral norm
-and the polar factor, of a matrix or of each matrix of a stack.
+"""Dense float64 matrix kernels, of a matrix or of each matrix of a stack:
+the Frobenius norm and the package's one factorization layer. No other
+module calls numpy.linalg: `svd` (thin, or values only) and `eigh` (with
+vectors, or values only) are its one SVD and eigendecomposition, and each
+raises NumericError where LAPACK fails.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -13,9 +16,11 @@ the short one, the matrix is not tiny and κ(Y) < 100, and the SVD
 otherwise. The iterative route takes for m the k-step cubic Newton-Schulz
 polynomial, evaluated on the spectrum. The retraction onto St(n, p) always
 takes the exact route; the iterative one serves only a direction's sign.
-`factorize` is that kernel's one factorization of Y, kept as a `Spectrum`
-from which msign(Y), the nuclear norm ‖Y‖_* and Manifold Muon's first inner
-iteration are all read, so that a run factors each gradient once.
+`PolarMode.apply` is the one sign dispatch, under the names `msign_exact`
+and `msign_iterative`. `factorize` is the kernel's one factorization of Y,
+kept as a `Spectrum` from which msign(Y), the nuclear norm ‖Y‖_* and
+Manifold Muon's first inner iteration are all read, so that a run factors
+each gradient once.
 """
 
 from __future__ import annotations
@@ -108,41 +113,35 @@ def frob_norm(a: np.ndarray) -> float:
     return scale * math.sqrt(float(np.vdot(t, t)))
 
 
-def svd(y):
+def svd(y, name: str = "matrix", compute_uv: bool = True):
     """Thin SVD (u, s, vt), y = u @ diag(s) @ vt with s descending, of a
-    matrix or of each matrix of a stack (k, n, p).
+    matrix or of each matrix of a stack (k, n, p), or with `compute_uv`
+    False its singular values s alone: the package's one SVD.
 
     LAPACK factors each matrix of a stack on its own, so every slice gets
-    the bits its own call would. Raises NumericError if the underlying
-    eigen-solver fails to converge.
+    the bits its own call would. Raises ConfigurationError, naming the input
+    `name`, for a non-finite entry, and NumericError if LAPACK fails.
     """
     # The one finiteness scan no reduction covers: given an inf entry,
     # np.linalg.svd with vectors does not return (a 50x3 input ran past 15 s
-    # on numpy 2.4 with OpenBLAS), where the values-only SVD returns NaN.
-    # Without this scan a non-finite input hangs instead of raising.
-    y = as_matrix(y, "svd input")
+    # on numpy 2.4 with OpenBLAS). Without this scan a non-finite input hangs
+    # instead of raising; the values-only SVD, which returns NaN, shares it.
+    y = as_matrix(y, name)
     try:
-        return np.linalg.svd(y, full_matrices=False)
+        return np.linalg.svd(y, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD of a {y.shape[-2]}x{y.shape[-1]} matrix failed: {exc}") from exc
-
-
-def nuclear_norm(y, name: str = "nuclear-norm input"):
-    """Σσ of a matrix (a float), or of each matrix of a stack (k, n, p) (an
-    array, each with its own call's bits), from the values-only SVD.
-
-    The norm is the finiteness check: NaN and ±inf make it non-finite (or
-    the SVD raise), and only then is the input scanned for ConfigurationError.
-    """
-    y = as_2d(y, name, stack=True)
-    try:
-        total = np.linalg.svd(y, compute_uv=False).sum(axis=-1)
-    except np.linalg.LinAlgError as exc:
-        as_matrix(y, name)
         raise NumericError(f"SVD of the {y.shape[-2]}x{y.shape[-1]} {name} failed: {exc}") from exc
-    if not np.isfinite(total).all():
-        as_matrix(y, name)
-    return float(total) if y.ndim == 2 else total
+
+
+def eigh(a: np.ndarray, name: str, vectors: bool = True):
+    """Ascending eigenvalues w and orthonormal eigenvectors v, a = v·diag(w)·vᵀ,
+    of a symmetric matrix the caller built, or with `vectors` False w alone:
+    the package's one eigendecomposition. Raises NumericError, naming the
+    matrix `name`, if LAPACK fails."""
+    try:
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition of the {a.shape[0]}x{a.shape[1]} {name} failed: {exc}") from exc
 
 
 class Spectrum(NamedTuple):
@@ -181,12 +180,12 @@ class Spectrum(NamedTuple):
 
     def nuclear_norm(self) -> float:
         """‖y‖_* = Σσ: scale·Σ√w where the Gram is conditioned, Σσ of the
-        thin SVD where there is one, else nuclear_norm's values-only SVD."""
+        thin SVD where there is one, else of the values-only SVD."""
         if self.conditioned:
             return self.scale * float(np.sqrt(self.w).sum())
         if self.usv is not None:
             return float(self.usv[1].sum())
-        return nuclear_norm(self.y)
+        return float(svd(self.y, "nuclear-norm input", compute_uv=False).sum())
 
 
 def factorize(y, iters: int | None = None, gram: bool = False, name: str = "polar input") -> Spectrum:
@@ -231,11 +230,7 @@ def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, 
     `iters`-step Newton-Schulz multipliers, as in msign_iterative. The caller
     scales y so that gram neither overflows nor underflows.
     """
-    try:
-        w, v = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError as exc:
-        p = gram.shape[0]
-        raise NumericError(f"eigendecomposition of the {p}x{p} Gram matrix failed: {exc}") from exc
+    w, v = eigh(gram, "Gram matrix")
     if iters is not None:
         mult = _newton_schulz_multipliers(w, iters)
     elif w[0] <= GRAM_EIG_RATIO * w[-1]:
@@ -255,25 +250,6 @@ def _svd_sign(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
         return u @ vt
     keep = s > RANK_TOL_FACTOR * s[..., :1]
     return u @ vt if keep.all() else (u * keep[..., None, :]) @ vt
-
-
-def msign_exact(y) -> np.ndarray:
-    """Polar factor U·diag(keep)·Vᵀ of a matrix, or of each matrix of a
-    stack (k, n, p), where keep marks the singular values above
-    RANK_TOL_FACTOR times the largest: UVᵀ at full column rank, and the
-    partial isometry U_r·V_rᵀ (sign 0 on the null singular values) below it.
-
-    A matrix is factorize(y).sign(): from the Gram eigendecomposition when
-    the long side is at least twice the short one, n·p² ≥ GRAM_MIN_WORK and
-    κ < 100, and from the SVD otherwise. Each slice of a stack gets the bits
-    of its own call: at a shape that takes the SVD route, from one stacked
-    SVD at a fraction of the per-call cost, and at one that may take the
-    Gram route, which has no stacked form, from a call per slice.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim in (2, 3) and 0 not in y.shape and _gram_shape(*y.shape[-2:]):
-        return factorize(y).sign() if y.ndim == 2 else np.stack([factorize(m).sign() for m in y])
-    return _svd_sign(*svd(y))
 
 
 def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:
@@ -300,24 +276,6 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:
     return mults
 
 
-def msign_iterative(y, iters: int = 8) -> np.ndarray:
-    """Approximate polar factor: `iters` steps of cubic Newton-Schulz, of a
-    matrix or, by a call per slice, of each matrix of a stack (k, n, p).
-
-    The k-step polynomial is evaluated on the spectrum of the Gram matrix
-    (see _newton_schulz_multipliers), which in exact arithmetic is the
-    direct iteration on n×p iterates. With 8 iterations this matches
-    msign_exact to ~1e-6 Frobenius on well-conditioned inputs; a null
-    singular value stays at 0, and a zero y gives zeros.
-    """
-    if iters < 1:
-        raise ConfigurationError(f"iters must be >= 1, got {iters}")
-    y = as_2d(y, "polar input", stack=True)
-    if y.ndim == 3:
-        return np.stack([factorize(m, iters).sign() for m in y])
-    return factorize(y, iters).sign()
-
-
 @dataclass(frozen=True)
 class PolarMode:
     """Selects the matrix sign inside a direction (the spectral LMO, Manifold
@@ -332,12 +290,46 @@ class PolarMode:
             raise ConfigurationError(f"iters must be >= 1, got {self.iters}")
 
     def apply(self, y) -> np.ndarray:
-        if self.iters is None:
-            return msign_exact(y)
-        return msign_iterative(y, self.iters)
+        """msign(y) of a matrix, or of each matrix of a stack (k, n, p) with
+        the bits of its own call: the package's one sign dispatch.
+
+        The exact mode at a shape it factors by SVD takes one SVD, stacked
+        for a stack at a fraction of the per-call cost. Every other case is
+        factorize(m, iters).sign() of each matrix, as the Gram route has no
+        stacked form.
+        """
+        y = as_2d(y, "polar input", stack=True)
+        if self.iters is None and not _gram_shape(*y.shape[-2:]):
+            return _svd_sign(*svd(y))
+        if y.ndim == 2:
+            return factorize(y, self.iters).sign()
+        return np.stack([factorize(m, self.iters).sign() for m in y])
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"
 
 
 EXACT = PolarMode()
+
+
+def msign_exact(y) -> np.ndarray:
+    """Polar factor U·diag(keep)·Vᵀ of a matrix, or of each matrix of a
+    stack (k, n, p), where keep marks the singular values above
+    RANK_TOL_FACTOR times the largest: UVᵀ at full column rank, and the
+    partial isometry U_r·V_rᵀ (sign 0 on the null singular values) below it.
+    From the Gram eigendecomposition when the long side is at least twice
+    the short one, n·p² ≥ GRAM_MIN_WORK and κ < 100, and from the SVD
+    otherwise (see PolarMode.apply).
+    """
+    return EXACT.apply(y)
+
+
+def msign_iterative(y, iters: int = 8) -> np.ndarray:
+    """Approximate polar factor: `iters` steps of cubic Newton-Schulz, of a
+    matrix or of each matrix of a stack (k, n, p), evaluated on the spectrum
+    of the Gram matrix (see _newton_schulz_multipliers), which in exact
+    arithmetic is the direct iteration on n×p iterates. With 8 iterations
+    this matches msign_exact to ~1e-6 Frobenius on well-conditioned inputs;
+    a null singular value stays at 0, and a zero y gives zeros.
+    """
+    return PolarMode(iters).apply(y)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import EXACT, PolarMode, Spectrum, as_2d, as_matrix, frob_norm, nuclear_norm
+from .linalg import EXACT, PolarMode, Spectrum, as_2d, as_matrix, frob_norm, svd
 
 
 class NormKind(enum.Enum):
@@ -77,11 +77,12 @@ def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode, spectrum: l
 def dual_norm(norm: NormKind, s):
     """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm: a float,
     or for a stack (k, n, p) the array of each matrix's norm, with the bits
-    of its own call. The nuclear norm is linalg.nuclear_norm's values-only
-    SVD; a run's metric record reads it from the gradient's Spectrum instead
-    (Spectrum.nuclear_norm)."""
+    of its own call. The nuclear norm is the sum of linalg.svd's singular
+    values; a run's metric record reads it from the gradient's Spectrum
+    instead (Spectrum.nuclear_norm)."""
     if norm is NormKind.SPECTRAL:
-        return nuclear_norm(s, "dual-norm input")
+        sigma = svd(s, "dual-norm input", compute_uv=False)
+        return float(sigma.sum()) if sigma.ndim == 1 else sigma.sum(axis=-1)
     s = as_2d(s, "dual-norm input", stack=True)
     # The norm is the finiteness check: NaN and ±inf make it non-finite, and
     # only then is the input scanned.

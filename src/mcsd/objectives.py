@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import as_2d, as_matrix, frob_inner, frob_norm
+from .linalg import as_2d, as_matrix, eigh, frob_inner, frob_norm
 from .manifolds import StiefelManifold, StiefelPoint, feasibility_violation
 
 
@@ -186,7 +186,7 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
     c += c.T
     c *= 0.5
 
-    evals, evecs = np.linalg.eigh(c)
+    evals, evecs = eigh(c, "data Gram matrix")
     top = evecs[:, ::-1][:, :p].copy()
     for k in range(p):
         j = int(np.argmax(np.abs(top[:, k])))

@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .linalg import (
-    EXACT, PolarMode, Spectrum, as_2d, factorize, frob_inner, frob_norm, gram_polar_factor, msign_exact, sym_unchecked,
+    EXACT, PolarMode, Spectrum, as_2d, eigh, factorize, frob_inner, frob_norm, gram_polar_factor, msign_exact,
+    sym_unchecked,
 )
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, tangent_component
@@ -427,9 +428,10 @@ def manifold_muon_direction(
     Dual subgradient ascent on the symmetric multiplier Λ:
     d ← −msign(Y) with Y = g_m + xΛ, Λ ← Λ − lr·sym(xᵀd). The final d is
     then hard-projected (tangent projection followed by a spectral-norm
-    clip) so the returned direction is always feasible. It must beat the
-    always feasible direction −g_m/‖g_m‖₂ up to MUON_QUALITY_TOL·‖g_m‖_F;
-    otherwise that fallback is returned and flagged.
+    clip, ‖d‖₂ from linalg.eigh's values of dᵀd) so the returned direction
+    is always feasible. It must beat the always feasible direction
+    −g_m/‖g_m‖₂ up to MUON_QUALITY_TOL·‖g_m‖_F; otherwise that fallback is
+    returned and flagged.
 
     The ascent runs on p×p matrices. msign(Y) = Y·H for the p×p factor H
     that gram_polar_factor computes from YᵀY alone. The first iteration runs at
@@ -479,7 +481,8 @@ def manifold_muon_direction(
     neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
     d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam @ h - neg_tangency)
-    d = d / max(1.0, math.sqrt(max(float(np.linalg.eigvalsh(d.T @ d)[-1]), 0.0)))  # ‖d‖₂ ≤ 1
+    d_spec = math.sqrt(max(float(eigh(d.T @ d, "direction Gram matrix", vectors=False)[-1]), 0.0))
+    d = d / max(1.0, d_spec)  # ‖d‖₂ ≤ 1
 
     g_fro = scale * math.sqrt(float(np.trace(gram_g)))
     target = -(g_fro**2) / g_spec

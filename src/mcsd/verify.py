@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError
-from .linalg import frob_inner, frob_norm, msign_exact
+from .linalg import frob_inner, frob_norm, msign_exact, svd
 from .lmo import NormKind, lmo
 from .manifolds import StiefelManifold, StiefelPoint, tangent_component
 from .objectives import BrockettInstance, brockett_grad_unchecked, smoothness_constants, value_from_grad
@@ -132,7 +132,7 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     Gaussian direction and its radius in turn. The samples are then scored
     DESCENT_CHUNK at a time with stacked calls, each of which gives every
     sample the bits its own call would: lhs and rhs are those of
-    random_point, np.linalg.norm(·, 2), evaluate, msign_exact,
+    random_point, svd's largest singular value, evaluate, msign_exact,
     riemannian_grad and value called sample by sample. Each chunk's x is one
     StiefelPoint, so a rank-deficient y (probability 0), whose factor is a
     partial isometry, raises its FeasibilityError, naming the sample.
@@ -158,7 +158,7 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             x = StiefelPoint(msign_exact(y), manifold).x
         except FeasibilityError as exc:
             raise FeasibilityError(f"descent-lemma sample {start + exc.index}: {exc}") from exc
-        d *= (rho / np.linalg.svd(d, compute_uv=False)[:, 0])[:, None, None]
+        d *= (rho / svd(d, "descent-lemma direction", compute_uv=False)[:, 0])[:, None, None]
         egrad = brockett_grad_unchecked(inst, x)
         rgrad = tangent_component(x, egrad)
         w = msign_exact(x + d)
@@ -349,7 +349,7 @@ def _net_minima(
         elif dims == (2, 2):
             scale = _spectral_norms_2x2(g)
         else:
-            scale = np.linalg.svd(g, compute_uv=False)[:, 0]
+            scale = svd(g, "net direction", compute_uv=False)[:, 0]
         g /= scale[:, None, None]
         for k, s in enumerate(targets):
             best[k] = min(best[k], float(np.tensordot(g, s, axes=([1, 2], [0, 1])).min()))

@@ -392,22 +392,27 @@ class TestNumericAbort:
         assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {label!r}: {message}"]
 
     @pytest.mark.parametrize(
-        "kind, name, selects, nth, message",
+        "label, kind, name, selects, nth, message",
         [
             # the direction: Manifold Muon diagonalises a 3x3 Gram matrix ten
             # times per iterate (its gradient's spectrum, then nine inner
             # iterations), so the 32nd is x_3's first inner iteration
-            ("manifold_muon", "eigh", lambda a, kwargs: a.shape == (3, 3), 32,
+            ("manifold_muon", "manifold_muon", "eigh", lambda a, kwargs: a.shape == (3, 3), 32,
              "iteration 3: eigendecomposition of the 3x3 Gram matrix failed: forced"),
+            # the direction's clip: Manifold Muon takes ‖d‖₂ from the values
+            # of one 3x3 eigendecomposition per iterate, so the 4th is x_3's
+            ("mm", "manifold_muon", "eigvalsh", lambda a, kwargs: True, 4,
+             "iteration 3: eigendecomposition of the 3x3 direction Gram matrix failed: forced"),
             # a record: a stochastic run's dual norm of each iterate's true
             # gradient is one values-only SVD
-            ("stochastic_mcsd", "svd", lambda a, kwargs: not kwargs.get("compute_uv", True), 5,
+            ("stochastic_mcsd", "stochastic_mcsd", "svd", lambda a, kwargs: not kwargs.get("compute_uv", True), 5,
              "iteration 4: SVD of the 20x3 dual-norm input failed: forced"),
         ],
-        ids=["direction", "record"],
+        ids=["direction", "clip", "record"],
     )
-    def test_lapack_failure_names_the_iteration(self, tmp_path, capsys, monkeypatch, kind, name, selects, nth,
+    def test_lapack_failure_names_the_iteration(self, tmp_path, capsys, monkeypatch, label, kind, name, selects, nth,
                                                 message):
+        # the RGD run makes none of the selected calls, so it must finish and write its CSV
         original, calls = getattr(np.linalg, name), itertools.count(1)
 
         def call(a, **kwargs):
@@ -419,11 +424,34 @@ class TestNumericAbort:
         path = tmp_path / f"{kind}.ini"
         path.write_text(
             f"[instance]\nn = 20\np = 3\nd = 40\n\n[run]\nsteps = 5\nrepeats = 1\noutput_dir = {tmp_path}\n\n"
-            f"[method:{kind}]\nkind = {kind}\nschedule = constant:0.1\n"
+            f"[method:rgd]\nkind = rgd\nschedule = constant:0.1\n\n"
+            f"[method:{label}]\nkind = {kind}\nschedule = constant:0.1\n"
         )
         assert main(["pca-bench", str(path)]) == EXIT_NUMERIC_ERROR
         err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {kind!r}: {message}"]
+        assert [line for line in err if line.startswith("ABORT ")] == [f"ABORT method {label!r}: {message}"]
+        assert len(read_trace_csv(tmp_path / "rgd_0.csv")) == 6
+        assert (tmp_path / f"{label}_0.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [(["verify", "--level", "fast"], 50), (["pca-bench", "CONFIG"], 20)],
+        ids=["verify", "pca-bench"],
+    )
+    def test_lapack_failure_building_the_instance_exits_3(self, tmp_path, capsys, monkeypatch, argv, n):
+        # make_brockett's data Gram matrix is the only n×n matrix factored
+        original = np.linalg.eigh
+
+        def eigh(a):
+            if a.shape == (n, n):
+                raise np.linalg.LinAlgError("forced")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        argv = [str(tiny_config(tmp_path)) if arg == "CONFIG" else arg for arg in argv]
+        assert main(argv) == EXIT_NUMERIC_ERROR
+        message = f"numeric error: eigendecomposition of the {n}x{n} data Gram matrix failed: forced"
+        assert capsys.readouterr().err.splitlines() == [message]
 
     def test_abort_at_the_initial_point(self, tmp_path, nan_at):
         nan_at(0)  # x_0 of the first run: its trace is empty

@@ -23,8 +23,10 @@ The `iteration t: ` prefix of a step's or a trace record's NumericError is
 formatted in one function, `optimizers._named`; a raising site states only
 what failed.
 
-`lmo` calls no numpy.linalg function itself: the spectral oracle's sign and
-the nuclear norm come from linalg, whose factorize a run shares between them.
+No module but `linalg` calls a numpy.linalg function or imports from it:
+linalg's `svd` and `eigh` turn every LAPACK failure into NumericError, which
+the CLI maps to its exit code, and the spectral oracle's sign and the
+nuclear norm come from linalg's factorize, which a run shares between them.
 """
 
 import ast
@@ -241,9 +243,10 @@ def numpy_linalg_uses(source: str, filename: str) -> list[str]:
 
 
 def test_lmo_factors_through_linalg():
-    # the oracle's sign and the nuclear norm go through linalg's factorize
-    # and nuclear_norm, so that a run's one factorization can serve both
-    assert numpy_linalg_uses((PACKAGE / "lmo.py").read_text(), "lmo.py") == []
+    # every module, lmo among them, factors through linalg's svd and eigh
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"]
+    assert len(modules) > 5
+    assert [line for path in modules for line in numpy_linalg_uses(path.read_text(), path.name)] == []
 
 
 def test_the_scan_finds_numpy_linalg_uses():

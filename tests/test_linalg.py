@@ -16,7 +16,7 @@ from mcsd import (
     msign_iterative,
     svd,
 )
-from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK, frob_norm, gram_polar_factor, sym_unchecked
+from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK, factorize, frob_norm, gram_polar_factor, sym_unchecked
 from tests.conftest import haar
 
 def direct_polar_iteration(y, iters=8):
@@ -238,6 +238,48 @@ class TestMsignExactStack:
             msign_exact(np.ones(shape))
 
 
+# Both sides of the exact route's SVD/Gram choice: n·p² against GRAM_MIN_WORK
+# (45x7 and 40x7), the 2x aspect rule (20x10 and 19x10; 30x16 has the work
+# but not the aspect), wide input, n == p and p == 1 (12x1 and 2500x1).
+DISPATCH_SHAPES = [(200, 5), (5, 200), (45, 7), (40, 7), (20, 10), (19, 10), (30, 16), (50, 3), (6, 6), (40, 40),
+                   (12, 1), (1, 12), (2500, 1)]
+
+
+@st.composite
+def sign_stacks(draw):
+    """A stack (k, n, p), 1 <= k <= 4, of Gaussian, zero, rank-deficient
+    (rank min(n, p) − 1) and κ = 1e3 slices."""
+    k = draw(st.integers(1, 4))
+    n, p = draw(st.sampled_from(DISPATCH_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.standard_normal((k, n, p))
+    for m in y:
+        kind = draw(st.sampled_from(["gaussian", "zero", "rank_deficient", "ill_conditioned"]))
+        u, sigma, vt = np.linalg.svd(m, full_matrices=False)
+        if kind == "zero":
+            m[:] = 0.0
+        elif kind == "rank_deficient":
+            m[:] = (u[:, :-1] * sigma[:-1]) @ vt[:-1]
+        elif kind == "ill_conditioned":
+            m[:] = (u * np.geomspace(1e3, 1.0, len(sigma))) @ vt
+    return y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sign_stacks(), st.sampled_from([None, 1, 8]))
+def test_property_the_one_sign_dispatch(y, iters):
+    # each slice of a stack is its own matrix's factorize(m, iters).sign(),
+    # and msign_exact / msign_iterative are PolarMode.apply by name
+    mode = PolarMode(iters)
+    out = mode.apply(y)
+    assert out.shape == y.shape
+    assert all(np.array_equal(out[k], factorize(m, iters).sign()) for k, m in enumerate(y))
+    assert np.array_equal(mode.apply(y[0]), out[0])
+    named = msign_exact if iters is None else (lambda a: msign_iterative(a, iters))
+    assert np.array_equal(named(y), out)
+    assert np.array_equal(named(y[-1]), out[-1])
+
+
 class TestMsignIterative:
     def test_stiefel_fixed_point(self):
         # the mandatory pre-normalization rescales the input, so the exact
@@ -409,8 +451,10 @@ class TestPolarMode:
     @pytest.mark.parametrize("iters", [0, -1])
     def test_iters_validated_on_construction(self, iters):
         # PolarMode(iters=0) would run Manifold Muon's inner loop with H = c·I
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="iters must be >= 1"):
             PolarMode(iters=iters)
+        with pytest.raises(ConfigurationError, match="iters must be >= 1"):
+            msign_iterative(np.ones((4, 2)), iters)
 
 
 @settings(max_examples=25, deadline=None)
