@@ -2,7 +2,14 @@
 the Frobenius norm and the package's one factorization layer. No other
 module calls numpy.linalg: `svd` (thin, or values only) and `eigh` (with
 vectors, or values only) are its one SVD and eigendecomposition, and each
-raises NumericError where LAPACK fails.
+raises NumericError where LAPACK fails. `eigh` calls the LAPACK gufunc that
+numpy.linalg.eigh and eigvalsh wrap, with their bits, because at the p×p
+sizes of the Gram route and Manifold Muon's inner solve the wrapper costs
+more than LAPACK: for a 5×5 matrix, 11.5 µs for np.linalg.eigh against
+6.9 µs for `eigh` (5.5 µs of it the gufunc), and 7.6 against 4.7 µs
+without vectors. For the same reason products whose operands are 2-D by
+construction use ndarray.dot, matmul's bits for 0.55 µs against 1.16 µs
+at 5×5 (one OpenBLAS thread, Intel Xeon).
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -30,6 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConfigurationError, NumericError
 
@@ -46,10 +54,14 @@ PRENORM = 1.01
 # κ²·1e-16, about 1e-12 at the limit.
 GRAM_EIG_RATIO = 1e-4
 
-# The exact route also needs n·p² ≥ GRAM_MIN_WORK. Below it the SVD is
-# faster, because the Gram route makes more numpy calls per matrix (crossover
-# measured near 2e3 with single-threaded OpenBLAS: 50x3 favours the SVD,
-# 200x5 the Gram route).
+# The exact route also needs n·p² ≥ GRAM_MIN_WORK. It was set where the SVD
+# stopped being faster when the Gram route went through np.linalg.eigh
+# (crossover near 2e3 with single-threaded OpenBLAS). With the direct LAPACK
+# call the Gram route is faster at all three shapes timed, single matrices
+# on one OpenBLAS thread (Intel Xeon), Gram against SVD: 50x3 13.6–15.4 µs
+# against 16.7–18.2, 100x4 15.7–17.6 against 21.3–23.1, 200x5 20.8–21.8
+# against 30.8–37.6. The value stays, because lowering it moves the bits of
+# every retraction at the shapes it would newly admit (verify's 50x3).
 GRAM_MIN_WORK = 2000
 
 
@@ -135,13 +147,31 @@ def svd(y, name: str = "matrix", compute_uv: bool = True):
 
 def eigh(a: np.ndarray, name: str, vectors: bool = True):
     """Ascending eigenvalues w and orthonormal eigenvectors v, a = v·diag(w)·vᵀ,
-    of a symmetric matrix the caller built, or with `vectors` False w alone:
-    the package's one eigendecomposition. Raises NumericError, naming the
-    matrix `name`, if LAPACK fails."""
+    of a symmetric float64 matrix the caller built, or with `vectors` False w
+    alone: the package's one eigendecomposition. Raises NumericError, naming
+    the matrix `name`, if LAPACK fails."""
     try:
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        return _lapack_eigh(a, vectors)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of the {a.shape[0]}x{a.shape[1]} {name} failed: {exc}") from exc
+
+
+# LAPACK's symmetric eigensolver on the lower triangle, as numpy's
+# linalg.eigh and linalg.eigvalsh call it, with and without vectors.
+_EIGH_GUFUNCS = {True: (_umath_linalg.eigh_lo, "d->dd"), False: (_umath_linalg.eigvalsh_lo, "d->d")}
+
+
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _lapack_eigh(a: np.ndarray, vectors: bool):
+    """np.linalg.eigh(a) (w, v), or with `vectors` False np.linalg.eigvalsh(a),
+    bit for bit, from the gufunc those wrappers call (see the module
+    docstring). A failure to converge, which the gufunc flags as an invalid
+    value, raises numpy's LinAlgError."""
+    gufunc, signature = _EIGH_GUFUNCS[vectors]
+    try:
+        return gufunc(a, signature=signature)
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge") from None
 
 
 class Spectrum(NamedTuple):
@@ -175,8 +205,7 @@ class Spectrum(NamedTuple):
             return np.zeros(self.y.shape)
         if self.usv is not None:
             return _svd_sign(*self.usv)
-        out = self.x @ self.h
-        return out.T if self.y.shape[0] < self.y.shape[1] else out
+        return _oriented_like(self.y, self.x.dot(self.h))
 
     def nuclear_norm(self) -> float:
         """‖y‖_* = Σσ: scale·Σ√w where the Gram is conditioned, Σσ of the
@@ -209,9 +238,26 @@ def factorize(y, iters: int | None = None, gram: bool = False, name: str = "pola
     if scale == 0.0:
         return Spectrum(y, scale)
     x = (y.T if y.shape[0] < y.shape[1] else y) / scale
-    xtx = x.T @ x
+    xtx = x.T.dot(x)
     w, h = gram_polar_factor(xtx, iters)
     return Spectrum(y, scale, x, xtx, w, h, svd(y) if h is None else None)
+
+
+def _gram_sign(y: np.ndarray, iters: int | None) -> np.ndarray:
+    """factorize(y, iters).sign() of a matrix already validated, without the
+    Spectrum, for a caller that reads only the sign."""
+    scale = max_abs(y, "polar input")
+    if scale == 0.0:
+        return np.zeros(y.shape)
+    x = (y.T if y.shape[0] < y.shape[1] else y) / scale
+    h = gram_polar_factor(x.T.dot(x), iters)[1]
+    return _svd_sign(*svd(y)) if h is None else _oriented_like(y, x.dot(h))
+
+
+def _oriented_like(y: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The Gram route's x·H = msign(x) in y's orientation: transposed back
+    when y is wide."""
+    return sign.T if y.shape[0] < y.shape[1] else sign
 
 
 def _gram_shape(n: int, p: int) -> bool:
@@ -237,7 +283,7 @@ def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, 
         return w, None
     else:
         mult = w**-0.5
-    return w, (v * mult) @ v.T
+    return w, (v * mult).dot(v.T)
 
 
 def _svd_sign(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -252,7 +298,7 @@ def _svd_sign(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return u @ vt if keep.all() else (u * keep[..., None, :]) @ vt
 
 
-def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:
+def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
     """Multipliers m with x·V·diag(m)·Vᵀ = X_k, the k-th Newton-Schulz iterate.
 
     X_0 = x/(PRENORM·‖x‖_F) and X ← 1.5·X − 0.5·X(XᵀX) act on each singular
@@ -268,12 +314,12 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> list[float]:
     mults = []
     for u in (w * (mult0 * mult0)).tolist():
         m = mult0
-        for _ in range(iters):
+        for _ in range(iters - 1):
             f = 1.5 - 0.5 * u
             m *= f
             u = u * f * f
-        mults.append(m)
-    return mults
+        mults.append(m * (1.5 - 0.5 * u))
+    return np.array(mults)
 
 
 @dataclass(frozen=True)
@@ -296,14 +342,14 @@ class PolarMode:
         The exact mode at a shape it factors by SVD takes one SVD, stacked
         for a stack at a fraction of the per-call cost. Every other case is
         factorize(m, iters).sign() of each matrix, as the Gram route has no
-        stacked form.
+        stacked form, computed without building the Spectrum (_gram_sign).
         """
         y = as_2d(y, "polar input", stack=True)
         if self.iters is None and not _gram_shape(*y.shape[-2:]):
             return _svd_sign(*svd(y))
         if y.ndim == 2:
-            return factorize(y, self.iters).sign()
-        return np.stack([factorize(m, self.iters).sign() for m in y])
+            return _gram_sign(y, self.iters)
+        return np.stack([_gram_sign(m, self.iters) for m in y])
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"

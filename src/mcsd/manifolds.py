@@ -47,18 +47,17 @@ class StiefelPoint:
     __slots__ = ("x", "manifold", "violation")
 
     def __init__(self, x, manifold: StiefelManifold):
-        x = as_2d(x, "Stiefel point", stack=True)
+        violation = feasibility_violation(x)  # the one validation of x
+        x = np.array(x, dtype=np.float64, order="C")
         if x.shape[-2:] != (manifold.n, manifold.p):
             raise ConfigurationError(
                 f"point shape {x.shape} does not match St({manifold.n}, {manifold.p})"
             )
-        violation = feasibility_violation(x)
         for index, v in enumerate(violation if x.ndim == 3 else (violation,)):
             if not v <= FEAS_TOL:
                 raise FeasibilityError(
                     f"matrix violates the orthonormality constraint: |x'x - I|_F = {v:.3e} > {FEAS_TOL:.1e}", index
                 )
-        x = x.copy()
         x.flags.writeable = False
         self.x = x
         self.manifold = manifold
@@ -83,7 +82,7 @@ def feasibility_violation(x):
     x is scanned for one only when a result is not finite (it may also be
     an overflow); a non-finite entry raises ConfigurationError.
     """
-    x = as_2d(x, "matrix", stack=True)
+    x = as_2d(x, "Stiefel point", stack=True)
     g = x.swapaxes(-1, -2) @ x
     p = g.shape[-1]
     g.reshape(-1, p * p)[:, :: p + 1] -= 1.0

@@ -461,8 +461,10 @@ def manifold_muon_direction(
     if scale == 0.0:
         return MuonDirectionResult(np.zeros(g_m.shape), False)
     g, gram_g, w, h = spectrum.x, spectrum.gram, spectrum.w, spectrum.h
-    a = xm.T @ g
-    b = xm.T @ xm
+    # Every operand is 2-D: ndarray.dot gives matmul's bits with less
+    # per-call overhead, which dominates these p×p products.
+    a = xm.T.dot(g)
+    b = xm.T.dot(xm)
     half_lr = 0.5 * inner_lr / scale
     g_spec = scale * math.sqrt(max(float(w[-1]), 0.0))
     lam = np.zeros_like(b)
@@ -470,18 +472,18 @@ def manifold_muon_direction(
     for k in range(inner_iters):
         if k:
             lam = lam + half_lr * (q + q.T)
-            p_lam = a + b @ lam
-            h = gram_polar_factor(gram_g + (lam @ a).T + lam @ p_lam, polar_mode.iters)[1]
+            p_lam = a + b.dot(lam)
+            h = gram_polar_factor(gram_g + lam.dot(a).T + lam.dot(p_lam), polar_mode.iters)[1]
         if h is None:
-            msign_y = msign_exact(g + xm @ lam) if k else spectrum.sign()
-            q = xm.T @ msign_y
+            msign_y = msign_exact(g + xm.dot(lam)) if k else spectrum.sign()
+            q = xm.T.dot(msign_y)
         else:
-            q = p_lam @ h
+            q = p_lam.dot(h)
 
     neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
-    d = xm @ neg_tangency - msign_y if h is None else -(g @ h) - xm @ (lam @ h - neg_tangency)
-    d_spec = math.sqrt(max(float(eigh(d.T @ d, "direction Gram matrix", vectors=False)[-1]), 0.0))
+    d = xm.dot(neg_tangency) - msign_y if h is None else -g.dot(h) - xm.dot(lam.dot(h) - neg_tangency)
+    d_spec = math.sqrt(max(float(eigh(d.T.dot(d), "direction Gram matrix", vectors=False)[-1]), 0.0))
     d = d / max(1.0, d_spec)  # ‖d‖₂ ≤ 1
 
     g_fro = scale * math.sqrt(float(np.trace(gram_g)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcsd import StiefelManifold, make_brockett, msign_iterative, optimizers, random_point
+from mcsd import StiefelManifold, linalg, make_brockett, msign_iterative, optimizers, random_point
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,19 @@ def rng():
 
 def haar(n, p, seed=0):
     return random_point(StiefelManifold(n, p), np.random.default_rng(seed))
+
+
+def patch_lapack(monkeypatch, name, wrap):
+    """Replace the package's LAPACK call `name` by wrap(original): "svd" is
+    np.linalg.svd, called as svd(a, **kwargs); "eigh" and "eigvalsh" are
+    linalg's LAPACK seam with and without vectors, called as f(a). A failure
+    is np.linalg.LinAlgError, as LAPACK's own."""
+    if name == "svd":
+        monkeypatch.setattr(np.linalg, "svd", wrap(np.linalg.svd))
+        return
+    seam, vectors = linalg._lapack_eigh, name == "eigh"
+    replaced = wrap(lambda a: seam(a, vectors))
+    monkeypatch.setattr(linalg, "_lapack_eigh", lambda a, v: replaced(a) if v == vectors else seam(a, v))
 
 
 @pytest.fixture()

@@ -27,6 +27,7 @@ from mcsd.bench import (
 )
 from mcsd.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_NUMERIC_ERROR, EXIT_OK, main
 from mcsd.optimizers import ManifoldMuon, Mcsd, Rgd, StochasticMcsd
+from tests.conftest import patch_lapack
 
 TINY_INI = """
 [instance]
@@ -413,14 +414,17 @@ class TestNumericAbort:
     def test_lapack_failure_names_the_iteration(self, tmp_path, capsys, monkeypatch, label, kind, name, selects, nth,
                                                 message):
         # the RGD run makes none of the selected calls, so it must finish and write its CSV
-        original, calls = getattr(np.linalg, name), itertools.count(1)
+        calls = itertools.count(1)
 
-        def call(a, **kwargs):
-            if selects(a, kwargs) and next(calls) == nth:
-                raise np.linalg.LinAlgError("forced")
-            return original(a, **kwargs)
+        def wrap(original):
+            def call(a, **kwargs):
+                if selects(a, kwargs) and next(calls) == nth:
+                    raise np.linalg.LinAlgError("forced")
+                return original(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, call)
+            return call
+
+        patch_lapack(monkeypatch, name, wrap)
         path = tmp_path / f"{kind}.ini"
         path.write_text(
             f"[instance]\nn = 20\np = 3\nd = 40\n\n[run]\nsteps = 5\nrepeats = 1\noutput_dir = {tmp_path}\n\n"
@@ -440,14 +444,15 @@ class TestNumericAbort:
     )
     def test_lapack_failure_building_the_instance_exits_3(self, tmp_path, capsys, monkeypatch, argv, n):
         # make_brockett's data Gram matrix is the only n×n matrix factored
-        original = np.linalg.eigh
+        def wrap(original):
+            def eigh(a):
+                if a.shape == (n, n):
+                    raise np.linalg.LinAlgError("forced")
+                return original(a)
 
-        def eigh(a):
-            if a.shape == (n, n):
-                raise np.linalg.LinAlgError("forced")
-            return original(a)
+            return eigh
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        patch_lapack(monkeypatch, "eigh", wrap)
         argv = [str(tiny_config(tmp_path)) if arg == "CONFIG" else arg for arg in argv]
         assert main(argv) == EXIT_NUMERIC_ERROR
         message = f"numeric error: eigendecomposition of the {n}x{n} data Gram matrix failed: forced"

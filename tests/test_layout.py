@@ -27,6 +27,8 @@ No module but `linalg` calls a numpy.linalg function or imports from it:
 linalg's `svd` and `eigh` turn every LAPACK failure into NumericError, which
 the CLI maps to its exit code, and the spectral oracle's sign and the
 nuclear norm come from linalg's factorize, which a run shares between them.
+Nor does `linalg` itself call numpy's eigh or eigvalsh: its `eigh` has one
+path to LAPACK, the gufunc those wrappers call.
 """
 
 import ast
@@ -264,6 +266,32 @@ def test_the_scan_finds_numpy_linalg_uses():
         "m.py:3 imports linalg from numpy",
         "m.py:5 calls np.linalg.svd",
         "m.py:7 calls numpy.linalg.norm",
+    ]
+
+
+def numpy_eigensolver_uses(source: str, filename: str) -> list[str]:
+    """The lines of numpy_linalg_uses that call or import numpy.linalg's
+    eigh or eigvalsh."""
+    return [line for line in numpy_linalg_uses(source, filename) if re.search(r"\b(eigh|eigvalsh)( from|$)", line)]
+
+
+def test_linalg_has_one_eigendecomposition_path():
+    # linalg.eigh reaches LAPACK through its own seam, never numpy's wrappers
+    assert numpy_eigensolver_uses((PACKAGE / "linalg.py").read_text(), "linalg.py") == []
+
+
+def test_the_scan_finds_numpy_eigensolver_uses():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh, _umath_linalg\n"
+        "def f(a):\n"
+        "    w, v = np.linalg.eigh(a)\n"
+        "    return numpy.linalg.eigvalsh(a), np.linalg.svd(a), _umath_linalg.eigh_lo(a), np.linalg.eig(a)\n"
+    )
+    assert numpy_eigensolver_uses(source, "m.py") == [
+        "m.py:2 imports eigvalsh from numpy.linalg",
+        "m.py:4 calls np.linalg.eigh",
+        "m.py:5 calls numpy.linalg.eigvalsh",
     ]
 
 

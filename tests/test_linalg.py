@@ -16,8 +16,10 @@ from mcsd import (
     msign_iterative,
     svd,
 )
-from mcsd.linalg import GRAM_EIG_RATIO, GRAM_MIN_WORK, factorize, frob_norm, gram_polar_factor, sym_unchecked
-from tests.conftest import haar
+from mcsd.linalg import (
+    GRAM_EIG_RATIO, GRAM_MIN_WORK, eigh, factorize, frob_norm, gram_polar_factor, sym_unchecked,
+)
+from tests.conftest import haar, patch_lapack
 
 def direct_polar_iteration(y, iters=8):
     """Reference: cubic Newton-Schulz X ← 1.5·X − 0.5·X(XᵀX) applied to full
@@ -194,9 +196,25 @@ class TestMsignExact:
         def fail(_):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
+        patch_lapack(monkeypatch, "eigh", lambda original: fail)
         with pytest.raises(NumericError, match="Gram"):
             route(rng.standard_normal((200, 5)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda a: eigh(a, "Gram matrix"), lambda a: eigh(a, "Gram matrix", vectors=False),
+         lambda a: gram_polar_factor(a, None), lambda a: gram_polar_factor(a, 1), lambda a: gram_polar_factor(a, 8)],
+        ids=["eigh", "eigvalsh", "gram_exact", "gram_iterative1", "gram_iterative8"],
+    )
+    def test_lapack_nonconvergence_is_numeric_error(self, call):
+        # LAPACK itself fails on an all-NaN symmetric matrix, with no mock: the
+        # failure is numpy's LinAlgError message, and no RuntimeWarning escapes
+        message = "eigendecomposition of the 3x3 Gram matrix failed: Eigenvalues did not converge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as excinfo:
+                call(np.full((3, 3), np.nan))
+        assert str(excinfo.value) == message
 
 
 class TestMsignExactStack:

@@ -58,6 +58,12 @@ class TestManifoldAndPoint:
         with pytest.raises(ValueError):
             x.x[0, 0] = 1.0
 
+    def test_point_stores_a_c_ordered_copy(self):
+        # the layout of x.copy(): later products see the same operands
+        x = haar(50, 3, seed=1)
+        point = StiefelPoint(np.asfortranarray(x.x), x.manifold)
+        assert np.array_equal(point.x, x.x) and point.x.flags.c_contiguous and not point.x.flags.writeable
+
 
 class TestProject:
     def test_idempotent_on_manifold(self):

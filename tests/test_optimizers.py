@@ -48,7 +48,7 @@ from mcsd.optimizers import (
     stochastic_bound_schedule,
 )
 from mcsd.trace import TraceRecord
-from tests.conftest import haar
+from tests.conftest import haar, patch_lapack
 
 
 class ZeroObjective:
@@ -443,13 +443,14 @@ class TestManifoldMuonGramEquivalence:
         g = tangent_gradient(x, np.random.default_rng(15))
         calls = {"eigh": 0, "eigvalsh": 0}
         for name in calls:
-            original = getattr(np.linalg, name)
+            def wrap(original, _name=name):
+                def counted(a):
+                    calls[_name] += 1
+                    return original(a)
 
-            def counted(a, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(a)
+                return counted
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            patch_lapack(monkeypatch, name, wrap)
         res = manifold_muon_direction(x, g, inner_iters, 0.1, polar_mode=mode)
         assert not res.fallback
         assert calls == {"eigh": inner_iters, "eigvalsh": 1}
@@ -566,9 +567,13 @@ class TestRetraction:
         # first, x_3's gradient spectrum, which the step reaching x_3 computes:
         # the step from x_3 raises after x_3's record
         run = OptimizerRun(method=ManifoldMuon(), schedule=constant_schedule(0.05), x=haar(50, 3, seed=23))
-        eigh, at_x3 = np.linalg.eigh, itertools.count()
-        failing = failing_at(run, 3, eigh)
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: (failing if run.t == 3 and next(at_x3) else eigh)(a))
+        at_x3 = itertools.count()
+
+        def wrap(eigh):
+            failing = failing_at(run, 3, eigh)
+            return lambda a: (failing if run.t == 3 and next(at_x3) else eigh)(a)
+
+        patch_lapack(monkeypatch, "eigh", wrap)
         message = r"^iteration 3: eigendecomposition of the 3x3 Gram matrix failed: forced$"
         with pytest.raises(NumericError, match=message) as excinfo:
             run_trace(run, small_instance, 5)

@@ -11,7 +11,7 @@ from mcsd import EXACT, NormKind, PolarMode, StiefelPoint, dual_norm, lmo, make_
 from mcsd import optimizers
 from mcsd.linalg import factorize
 from mcsd.optimizers import ManifoldMuon, Mcsd, OptimizerRun, constant_schedule, run_trace
-from tests.conftest import haar
+from tests.conftest import haar, patch_lapack
 
 MODES = [EXACT, PolarMode(iters=1), PolarMode(iters=8)]
 MODE_IDS = ["exact", "iterative1", "iterative8"]
@@ -64,20 +64,21 @@ def test_property_spectrum_feeds_the_lmo_and_the_nuclear_norm(case, mode, gram):
 
 
 class LapackSpy:
-    """Records the input of every call of np.linalg's factorizations."""
+    """Records the input of every call of the package's LAPACK factorizations."""
 
     NAMES = ("eigh", "eigvalsh", "svd")
 
     def __init__(self, monkeypatch):
         self.calls = []
         for name in self.NAMES:
-            original = getattr(np.linalg, name)
+            def wrap(original, _name=name):
+                def spy(a, *args, **kwargs):
+                    self.calls.append((_name, np.array(a, copy=True), kwargs))
+                    return original(a, *args, **kwargs)
 
-            def spy(a, *args, _name=name, _original=original, **kwargs):
-                self.calls.append((_name, np.array(a, copy=True), kwargs))
-                return _original(a, *args, **kwargs)
+                return spy
 
-            monkeypatch.setattr(np.linalg, name, spy)
+            patch_lapack(monkeypatch, name, wrap)
 
 
 class RecordingInstance:
