@@ -57,11 +57,15 @@ GRAM_EIG_RATIO = 1e-4
 # The exact route also needs n·p² ≥ GRAM_MIN_WORK. It was set where the SVD
 # stopped being faster when the Gram route went through np.linalg.eigh
 # (crossover near 2e3 with single-threaded OpenBLAS). With the direct LAPACK
-# call the Gram route is faster at all three shapes timed, single matrices
-# on one OpenBLAS thread (Intel Xeon), Gram against SVD: 50x3 13.6–15.4 µs
-# against 16.7–18.2, 100x4 15.7–17.6 against 21.3–23.1, 200x5 20.8–21.8
-# against 30.8–37.6. The value stays, because lowering it moves the bits of
-# every retraction at the shapes it would newly admit (verify's 50x3).
+# call a single matrix's Gram route is faster at all three shapes timed (one
+# OpenBLAS thread, Intel Xeon), Gram against SVD: 50x3 13.6–15.4 µs against
+# 16.7–18.2, 100x4 15.7–17.6 against 21.3–23.1, 200x5 20.8–21.8 against
+# 30.8–37.6. The value stays for stacks: a stack takes its slices' route, and
+# the Gram route has no stacked form, so at 50x3 verify's 20-seed lockstep
+# stack would trade its one stacked SVD per sign (106–113 µs) for 20 Gram
+# signs (298–348 µs), and a 32-sample descent-lemma chunk 159–164 µs for
+# 479–498. Over a verify-full execution's 800 and 78 such signs that is about
+# 0.18 s more on some 0.40 s. Only a stacked Gram kernel can retire it.
 GRAM_MIN_WORK = 2000
 
 
@@ -205,7 +209,8 @@ class Spectrum(NamedTuple):
             return np.zeros(self.y.shape)
         if self.usv is not None:
             return _svd_sign(*self.usv)
-        return _oriented_like(self.y, self.x.dot(self.h))
+        sign = self.x.dot(self.h)  # msign(x), transposed back when y is wide
+        return sign.T if self.y.shape[0] < self.y.shape[1] else sign
 
     def nuclear_norm(self) -> float:
         """‖y‖_* = Σσ: scale·Σ√w where the Gram is conditioned, Σσ of the
@@ -243,23 +248,6 @@ def factorize(y, iters: int | None = None, gram: bool = False, name: str = "pola
     return Spectrum(y, scale, x, xtx, w, h, svd(y) if h is None else None)
 
 
-def _gram_sign(y: np.ndarray, iters: int | None) -> np.ndarray:
-    """factorize(y, iters).sign() of a matrix already validated, without the
-    Spectrum, for a caller that reads only the sign."""
-    scale = max_abs(y, "polar input")
-    if scale == 0.0:
-        return np.zeros(y.shape)
-    x = (y.T if y.shape[0] < y.shape[1] else y) / scale
-    h = gram_polar_factor(x.T.dot(x), iters)[1]
-    return _svd_sign(*svd(y)) if h is None else _oriented_like(y, x.dot(h))
-
-
-def _oriented_like(y: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The Gram route's x·H = msign(x) in y's orientation: transposed back
-    when y is wide."""
-    return sign.T if y.shape[0] < y.shape[1] else sign
-
-
 def _gram_shape(n: int, p: int) -> bool:
     """Whether the exact route tries the Gram matrix at shape n×p."""
     short, long = (n, p) if n < p else (p, n)
@@ -289,11 +277,8 @@ def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, 
 def _svd_sign(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """U·diag(keep)·Vᵀ from a thin SVD (of a stack, each matrix's), keep
     marking the singular values above RANK_TOL_FACTOR times the largest."""
-    # Full rank takes u·vt unmasked: a single matrix by a scalar test, which
-    # costs a fraction of the array one, and a stack because the masked copy
-    # of u raised verify-full's peak RSS by 0.8 MiB.
-    if s.ndim == 1 and s[-1] > RANK_TOL_FACTOR * s[0]:
-        return u @ vt
+    # Full rank takes u·vt unmasked: on a stack the masked copy of u raised
+    # verify-full's peak RSS by 0.8 MiB.
     keep = s > RANK_TOL_FACTOR * s[..., :1]
     return u @ vt if keep.all() else (u * keep[..., None, :]) @ vt
 
@@ -304,12 +289,21 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
     X_0 = x/(PRENORM·‖x‖_F) and X ← 1.5·X − 0.5·X(XᵀX) act on each singular
     value alone: with u = σ², each step is f = 1.5 − 0.5·u, m ← m·f,
     u ← u·f². The prescale starts every u in [0, 1), where u ↦ u·f² is
-    increasing and fixes 1, so the iterates never leave the unit ball. Each
-    eigenvalue's k steps run on Python floats: p is small at the shapes the
-    optimizers use, where numpy's per-call cost dominates. Eigenvalues below
-    zero are rounding and are clipped, so that u ≥ 0.
+    increasing and fixes 1, so u stays there. Each eigenvalue's k steps run
+    on Python floats: p is small at the shapes the optimizers use, where
+    numpy's per-call cost dominates.
+
+    An eigenvalue is known only up to rounding, about p·ε·w_max, and where
+    the true one is 0, x's component along its eigenvector is rounding-level,
+    not zero. Taken as computed (0, or far below that level), such an
+    eigenvalue gets a multiplier up to m₀·1.5ᵏ, which carries that component
+    out of the unit ball within 100 steps and to NaN by 1 800. So every
+    eigenvalue is raised to at least p·ε·w_max: its u then rises to 1 like
+    the others, its multiplier stays below (p·ε·w_max)^(-1/2), and the sign
+    stays in the unit ball at every k up to the rounding of H that this
+    multiplier scales, about √(ε/p).
     """
-    w = np.maximum(w, 0.0)
+    w = np.maximum(w, len(w) * math.ulp(1.0) * max(float(w[-1]), 0.0))  # ε = ulp(1)
     mult0 = 1.0 / (PRENORM * math.sqrt(float(w.sum())))
     mults = []
     for u in (w * (mult0 * mult0)).tolist():
@@ -342,14 +336,14 @@ class PolarMode:
         The exact mode at a shape it factors by SVD takes one SVD, stacked
         for a stack at a fraction of the per-call cost. Every other case is
         factorize(m, iters).sign() of each matrix, as the Gram route has no
-        stacked form, computed without building the Spectrum (_gram_sign).
+        stacked form.
         """
         y = as_2d(y, "polar input", stack=True)
         if self.iters is None and not _gram_shape(*y.shape[-2:]):
             return _svd_sign(*svd(y))
         if y.ndim == 2:
-            return _gram_sign(y, self.iters)
-        return np.stack([_gram_sign(m, self.iters) for m in y])
+            return factorize(y, self.iters).sign()
+        return np.stack([factorize(m, self.iters).sign() for m in y])
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"

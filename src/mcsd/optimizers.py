@@ -214,7 +214,7 @@ class StochasticMcsd:
         if run.rng is None:
             raise ConfigurationError("stochastic runs need an RNG stream")
         x = run.x.x
-        g = _finite_gradient(_as_gradient(objective.stochastic_grad(x, run.rng, self.noise), x))
+        g = _checked_gradient(objective.stochastic_grad(x, run.rng, self.noise), x)
         run.momentum = g if run.momentum is None else self.beta * run.momentum + (1.0 - self.beta) * g
         return lmo(self.norm, tangent_component(x, run.momentum), run.polar_mode), 0, 0
 
@@ -369,16 +369,13 @@ def step(run: OptimizerRun, objective) -> StepInfo:
 _STEP = step
 
 
-def _as_gradient(g, x: np.ndarray) -> np.ndarray:
+def _checked_gradient(g, x: np.ndarray) -> np.ndarray:
+    """g as a float64 array of x's shape, else ConfigurationError; a
+    non-finite entry raises NumericError, whose `index` is the first run of a
+    stack at fault."""
     g = np.asarray(g, dtype=np.float64)
     if g.shape != x.shape:
         raise ConfigurationError(f"gradient shape {g.shape} does not match point shape {x.shape}")
-    return g
-
-
-def _finite_gradient(g: np.ndarray) -> np.ndarray:
-    """g; a non-finite entry raises NumericError, whose `index` is the first
-    run of a stack at fault."""
     if not np.isfinite(g).all():
         index = int(np.argmin(np.isfinite(g).all(axis=(-2, -1))))
         raise NumericError("the objective's gradient has non-finite entries", index)
@@ -395,7 +392,7 @@ def _evaluation(run: OptimizerRun, objective) -> Evaluation:
     if ev is None or ev.point is not run.x or ev.objective is not objective:
         x = run.x.x
         value, g = objective.evaluate(x)
-        g = tangent_component(x, _finite_gradient(_as_gradient(g, x)))
+        g = tangent_component(x, _checked_gradient(g, x))
         if not (np.isfinite(value).all() if x.ndim == 3 else math.isfinite(value)):
             raise NumericError("the objective value is not finite", int(np.argmin(np.isfinite(value))))
         spectrum = None

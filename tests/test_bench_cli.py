@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -754,13 +755,14 @@ class TestEdgeConfigs:
     """Configs at the edges of the grammar end in a documented exit code."""
 
     PROBE = (
-        "[instance]\nn = {n}\np = {p}\nd = {d}\n\n[run]\nsteps = 5\nrepeats = 1\noutput_dir = {out}\n\n"
-        "[method:m]\nkind = mcsd\nschedule = {schedule}\n"
+        "[instance]\nn = {n}\np = {p}\nd = {d}\n\n[run]\nsteps = 5\nrepeats = 1\npolar_mode = {polar_mode}\n"
+        "output_dir = {out}\n\n[method:m]\nkind = mcsd\nschedule = {schedule}\n"
     )
 
-    def probe(self, tmp_path, n=20, p=3, d=40, schedule="constant:0.1"):
+    def probe(self, tmp_path, n=20, p=3, d=40, schedule="constant:0.1", polar_mode="iterative:8"):
         path = tmp_path / f"probe_{n}_{p}.ini"
-        path.write_text(self.PROBE.format(n=n, p=p, d=d, schedule=schedule, out=tmp_path / f"out_{n}_{p}"))
+        path.write_text(self.PROBE.format(n=n, p=p, d=d, schedule=schedule, polar_mode=polar_mode,
+                                          out=tmp_path / f"out_{n}_{p}"))
         return path
 
     def test_growing_decay_factor_is_config_error(self, tmp_path, capsys):
@@ -784,6 +786,17 @@ class TestEdgeConfigs:
         errors = {r.subspace_error for r in read_trace_csv(tmp_path / "out_1_1" / "m_0.csv")}
         assert errors == {0.0}
         assert "no positive values on a log scale" in (tmp_path / "out_1_1" / "subspace_error.svg").read_text()
+
+    def test_long_iterative_sign_of_a_rank_deficient_gradient_runs(self, tmp_path):
+        # every tangent gradient at St(3, 3) has rank 2; the iterative sign
+        # grew its null direction by 1.5 per step and reached NaN by k = 1 800,
+        # which ended the run with a numpy warning and exit 2
+        path = self.probe(tmp_path, n=3, p=3, d=40, polar_mode="iterative:2000")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pca-bench", str(path)]) == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert max(r.orth_violation for r in read_trace_csv(tmp_path / "out_3_3" / "m_0.csv")) < 1e-12
 
     @pytest.mark.parametrize("d", [10**20, 5 * 10**10])
     def test_data_too_large_to_build_is_config_error(self, tmp_path, capsys, monkeypatch, d):

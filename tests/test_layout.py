@@ -29,6 +29,11 @@ the CLI maps to its exit code, and the spectral oracle's sign and the
 nuclear norm come from linalg's factorize, which a run shares between them.
 Nor does `linalg` itself call numpy's eigh or eigvalsh: its `eigh` has one
 path to LAPACK, the gufunc those wrappers call.
+
+The Gram sign kernel `linalg.gram_polar_factor` has two callers:
+`linalg.factorize`, which every Gram sign goes through, and Manifold Muon's
+inner loop, which applies it to the Gram matrices it updates itself. A third
+would be a second copy of factorize's scaling, Gram and orientation steps.
 """
 
 import ast
@@ -292,6 +297,54 @@ def test_the_scan_finds_numpy_eigensolver_uses():
         "m.py:2 imports eigvalsh from numpy.linalg",
         "m.py:4 calls np.linalg.eigh",
         "m.py:5 calls numpy.linalg.eigvalsh",
+    ]
+
+
+def call_sites(source: str, filename: str, name: str) -> list[str]:
+    """One line per call of `name` in `source` (as `name(...)` or
+    `module.name(...)`), with the function that holds it."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    sites.append(f"{filename}:{child.lineno} calls {name} in {where}")
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(ast.parse(source, filename=filename), "the module body")
+    return sites
+
+
+def test_one_gram_sign_kernel():
+    modules = sorted(PACKAGE.glob("*.py"))
+    sites = [line for path in modules for line in call_sites(path.read_text(), path.name, "gram_polar_factor")]
+    assert [re.sub(r":\d+ ", " ", line) for line in sites] == [
+        "linalg.py calls gram_polar_factor in factorize",
+        "optimizers.py calls gram_polar_factor in manifold_muon_direction",
+    ]
+
+
+def test_the_scan_finds_gram_kernel_calls():
+    source = (
+        "from .linalg import gram_polar_factor\n"
+        "def factorize(y):\n"
+        "    return gram_polar_factor(y.T @ y, None)\n"
+        "def _gram_sign(y):\n"
+        "    h = linalg.gram_polar_factor(y.T @ y, 8)[1]\n"
+        "    return [gram_polar_factor(m.T @ m, 8) for m in y]\n"
+        "KERNEL = gram_polar_factor\n"
+        "def other(y):\n"
+        "    return gram_polar_factor_like(y), gram_polar_factor\n"
+        "WARM = gram_polar_factor(EYE, 1)\n"
+    )
+    assert call_sites(source, "m.py", "gram_polar_factor") == [
+        "m.py:3 calls gram_polar_factor in factorize",
+        "m.py:5 calls gram_polar_factor in _gram_sign",
+        "m.py:6 calls gram_polar_factor in _gram_sign",
+        "m.py:10 calls gram_polar_factor in the module body",
     ]
 
 

@@ -11,9 +11,11 @@ from mcsd import (
     ConfigurationError,
     NumericError,
     PolarMode,
+    StiefelManifold,
     frob_inner,
     msign_exact,
     msign_iterative,
+    random_point,
     svd,
 )
 from mcsd.linalg import (
@@ -47,10 +49,11 @@ def reference_inverse_sqrt(w):
 
 
 def reference_newton_schulz(iters):
-    """h for `iters` cubic Newton-Schulz steps, all eigenvalues per step."""
+    """h for `iters` cubic Newton-Schulz steps, all eigenvalues per step,
+    each eigenvalue raised to at least its rounding level p·ε·w_max."""
 
     def h(w):
-        w = np.maximum(w, 0.0)
+        w = np.maximum(w, len(w) * np.finfo(np.float64).eps * max(w[-1], 0.0))
         mult0 = 1.0 / (1.01 * np.sqrt(float(np.sum(w))))
         us = (w * (mult0 * mult0)).tolist()
         mults = [mult0] * len(us)
@@ -364,6 +367,22 @@ class TestSpectralEvaluation:
     def test_wide_matches_direct_iteration(self, rng):
         y = rng.standard_normal((3, 50))
         assert np.linalg.norm(msign_iterative(y) - direct_polar_iteration(y)) <= 1e-12
+
+    @pytest.mark.parametrize("iters", [8, 100, 2000, 10000])
+    def test_rank_deficient_sign_stays_in_the_unit_ball(self, iters):
+        # a tangent gradient at St(3, 3) has rank 2: its scaled Gram
+        # eigenvalues are -3.9e-16, 2.03 and 2.03, and the null one's
+        # multiplier grew as 1.5^k (singular values 28.9 at k = 100, NaN by
+        # k = 1 800) until eigenvalues were floored at p·ε·w_max. The floored
+        # multiplier, up to (p·ε·w_max)^(-1/2), scales the rounding of
+        # H = V·diag(m)·Vᵀ to about √(ε/p) ≈ 8.6e-9 (1.0e-9 here from k = 50)
+        rng = np.random.default_rng(0)
+        x = random_point(StiefelManifold(3, 3), rng).x
+        a = rng.standard_normal((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sign = msign_iterative(x @ (a - a.T), iters)
+        assert np.linalg.svd(sign, compute_uv=False).max() <= 1 + 1e-8
 
 
 class TestAgainstComposedKernel:
