@@ -15,19 +15,19 @@ The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
 The sign is total: it takes sign(0) = 0 on the null singular values, so a
 rank-deficient Y gives the partial isometry U_r·V_rᵀ and a zero Y gives 0.
-Both routes share one kernel: Y is scaled by max|Y| (and transposed if
-wide), the small Gram matrix G = YᵀY = V·diag(w)·Vᵀ is diagonalised once,
-and the result is Y·V·diag(m)·Vᵀ for multipliers m of the eigenvalues.
-The exact route takes m = w^(-1/2) when the long side is at least twice
-the short one, the matrix is not tiny and κ(Y) < 100, and the SVD
-otherwise. The iterative route takes for m the k-step cubic Newton-Schulz
-polynomial, evaluated on the spectrum. The retraction onto St(n, p) always
-takes the exact route; the iterative one serves only a direction's sign.
-`PolarMode.apply` is the one sign dispatch, under the names `msign_exact`
-and `msign_iterative`. `factorize` is the kernel's one factorization of Y,
-kept as a `Spectrum` from which msign(Y), the nuclear norm ‖Y‖_* and
-Manifold Muon's first inner iteration are all read, so that a run factors
-each gradient once.
+Both routes share one kernel, `factorize`, of a matrix or of a stack in
+one call per operation: Y is scaled by max|Y| (and transposed if wide),
+the small Gram matrix G = YᵀY = V·diag(w)·Vᵀ is diagonalised once, and the
+result is Y·V·diag(m)·Vᵀ for multipliers m of the eigenvalues. The exact
+route takes m = w^(-1/2) where κ(Y) < 100, at every shape, and the SVD of
+the matrices it declines (rank deficiency included). The iterative route
+takes for m the k-step cubic Newton-Schulz polynomial, evaluated on the
+spectrum. The retraction onto St(n, p) always takes the exact route; the
+iterative one serves only a direction's sign. `PolarMode.apply` is the one
+sign dispatch, under the names `msign_exact` and `msign_iterative`. The
+factorization is kept as a `Spectrum`, from which msign(Y), the nuclear
+norm ‖Y‖_* and Manifold Muon's first inner iteration are all read, so that
+a run factors each gradient once.
 """
 
 from __future__ import annotations
@@ -54,20 +54,6 @@ PRENORM = 1.01
 # κ²·1e-16, about 1e-12 at the limit.
 GRAM_EIG_RATIO = 1e-4
 
-# The exact route also needs n·p² ≥ GRAM_MIN_WORK. It was set where the SVD
-# stopped being faster when the Gram route went through np.linalg.eigh
-# (crossover near 2e3 with single-threaded OpenBLAS). With the direct LAPACK
-# call a single matrix's Gram route is faster at all three shapes timed (one
-# OpenBLAS thread, Intel Xeon), Gram against SVD: 50x3 13.6–15.4 µs against
-# 16.7–18.2, 100x4 15.7–17.6 against 21.3–23.1, 200x5 20.8–21.8 against
-# 30.8–37.6. The value stays for stacks: a stack takes its slices' route, and
-# the Gram route has no stacked form, so at 50x3 verify's 20-seed lockstep
-# stack would trade its one stacked SVD per sign (106–113 µs) for 20 Gram
-# signs (298–348 µs), and a 32-sample descent-lemma chunk 159–164 µs for
-# 479–498. Over a verify-full execution's 800 and 78 such signs that is about
-# 0.18 s more on some 0.40 s. Only a stacked Gram kernel can retire it.
-GRAM_MIN_WORK = 2000
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a float64 matrix, or a stack (k, n, p) of
@@ -90,15 +76,6 @@ def as_2d(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
         kind = "matrix or a stack of them" if stack else "2-D matrix"
         raise ConfigurationError(f"{name} must be a {kind}, got shape {m.shape}")
     return m
-
-
-def max_abs(a: np.ndarray, name: str = "matrix") -> float:
-    """max|a_ij|; raises ConfigurationError if an entry is NaN or ±inf."""
-    hi = float(a.max())
-    lo = float(a.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise ConfigurationError(f"{name} contains non-finite entries")
-    return max(hi, -lo)
 
 
 def sym_unchecked(a: np.ndarray) -> np.ndarray:
@@ -151,13 +128,14 @@ def svd(y, name: str = "matrix", compute_uv: bool = True):
 
 def eigh(a: np.ndarray, name: str, vectors: bool = True):
     """Ascending eigenvalues w and orthonormal eigenvectors v, a = v·diag(w)·vᵀ,
-    of a symmetric float64 matrix the caller built, or with `vectors` False w
-    alone: the package's one eigendecomposition. Raises NumericError, naming
-    the matrix `name`, if LAPACK fails."""
+    of a symmetric float64 matrix the caller built, or of each matrix of a
+    stack of them, or with `vectors` False w alone: the package's one
+    eigendecomposition. Raises NumericError, naming the matrix `name`, if
+    LAPACK fails."""
     try:
         return _lapack_eigh(a, vectors)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition of the {a.shape[0]}x{a.shape[1]} {name} failed: {exc}") from exc
+        raise NumericError(f"eigendecomposition of the {a.shape[-2]}x{a.shape[-1]} {name} failed: {exc}") from exc
 
 
 # LAPACK's symmetric eigensolver on the lower triangle, as numpy's
@@ -179,18 +157,19 @@ def _lapack_eigh(a: np.ndarray, vectors: bool):
 
 
 class Spectrum(NamedTuple):
-    """One factorization of a matrix y (see factorize), which its polar
+    """One factorization (see factorize) of a matrix y, or of each matrix of
+    a stack (k, n, p) along a leading axis of every field, which its polar
     factor, its nuclear norm and Manifold Muon's first inner iteration read.
 
-    `scale` is max|y| (None on the SVD route); a zero y is not factored. On
-    the Gram route x is y/scale, transposed when y is wide, gram = xᵀx has
-    the ascending eigenvalues w, and h is gram_polar_factor's H, with
-    msign(y) = x·H, or None where the exact route declines. `usv` is the
-    thin SVD of y where the exact route takes it.
+    `scale` is max|y|; a zero y is not factored. x is y/scale, transposed
+    when y is wide, gram = xᵀx has the ascending eigenvalues w, and h is
+    gram_polar_factor's H, with msign(y) = x·H, or None (of a stack, 0)
+    where the exact route declines; `usv` is then the thin SVD of y (of a
+    stack, the one SVD of its `declined` matrices).
     """
 
     y: np.ndarray
-    scale: float | None
+    scale: float | np.ndarray
     x: np.ndarray | None = None
     gram: np.ndarray | None = None
     w: np.ndarray | None = None
@@ -198,80 +177,122 @@ class Spectrum(NamedTuple):
     usv: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
-    def conditioned(self) -> bool:
-        """Whether the Gram is factored and κ(y) < 100 (GRAM_EIG_RATIO)."""
-        return self.w is not None and bool(self.w[0] > GRAM_EIG_RATIO * self.w[-1])
+    def conditioned(self):
+        """Whether the Gram is factored and κ(y) < 100 (GRAM_EIG_RATIO), of a
+        stack each matrix's."""
+        if self.w is None:
+            return False
+        conditioned = self.w[..., 0] > GRAM_EIG_RATIO * self.w[..., -1]
+        return conditioned if conditioned.ndim else bool(conditioned)
+
+    @property
+    def declined(self) -> np.ndarray:
+        """Of a stack, the nonzero matrices that are not conditioned: the SVD
+        gives their exact sign and, on either route, their nuclear norm."""
+        return (self.scale > 0.0) & ~self.conditioned
 
     def sign(self) -> np.ndarray:
-        """msign(y), as msign_exact or msign_iterative gives it; zeros for a
-        zero y."""
-        if self.scale == 0.0:
-            return np.zeros(self.y.shape)
-        if self.usv is not None:
-            return _svd_sign(*self.usv)
-        sign = self.x.dot(self.h)  # msign(x), transposed back when y is wide
-        return sign.T if self.y.shape[0] < self.y.shape[1] else sign
+        """msign(y), as msign_exact or msign_iterative gives it; 0 for a zero y."""
+        if self.y.ndim == 2 and (self.scale == 0.0 or self.usv is not None):
+            return np.zeros(self.y.shape) if self.usv is None else _svd_sign(*self.usv)
+        sign = self.x.dot(self.h) if self.y.ndim == 2 else self.x @ self.h  # msign(x); 0 where h is 0
+        sign = sign.swapaxes(-1, -2) if self.y.shape[-2] < self.y.shape[-1] else sign  # back when y is wide
+        if self.y.ndim == 3 and self.usv is not None:
+            sign[self.declined] = _svd_sign(*self.usv)
+        return sign
 
-    def nuclear_norm(self) -> float:
-        """‖y‖_* = Σσ: scale·Σ√w where the Gram is conditioned, Σσ of the
-        thin SVD where there is one, else of the values-only SVD."""
-        if self.conditioned:
-            return self.scale * float(np.sqrt(self.w).sum())
-        if self.usv is not None:
-            return float(self.usv[1].sum())
-        return float(svd(self.y, "nuclear-norm input", compute_uv=False).sum())
+    def nuclear_norm(self):
+        """‖y‖_* = Σσ, of a stack each matrix's: scale·Σ√w where the Gram is
+        conditioned, else Σσ of the thin SVD or of a values-only one; +0.0
+        for a zero y."""
+        if self.y.ndim == 2:
+            if self.conditioned:
+                return self.scale * float(np.sqrt(self.w).sum())
+            return float((self.usv[1] if self.usv else svd(self.y, "nuclear-norm input", compute_uv=False)).sum())
+        conditioned, declined = self.conditioned, self.declined
+        norm = np.zeros(len(self.y))
+        norm[conditioned] = self.scale[conditioned] * np.sqrt(self.w[conditioned]).sum(axis=-1)
+        if declined.any():
+            s = self.usv[1] if self.usv else svd(self.y[declined], "nuclear-norm input", compute_uv=False)
+            norm[declined] = s.sum(axis=-1)
+        return norm
+
+    def matrices(self) -> tuple[Spectrum, ...]:
+        """Each matrix's Spectrum, as factorize gives it of that matrix alone:
+        of a matrix, (self,)."""
+        if self.y.ndim == 2:
+            return (self,)
+        usv = iter(zip(*self.usv)) if self.usv else None
+        fields = zip(self.y, self.scale.tolist(), self.x, self.gram, self.w, self.h, self.declined.tolist())
+        return tuple(
+            Spectrum(y, 0.0) if scale == 0.0
+            else Spectrum(y, scale, x, gram, w, None, next(usv)) if usv and declined
+            else Spectrum(y, scale, x, gram, w, h)
+            for y, scale, x, gram, w, h, declined in fields
+        )
 
 
-def factorize(y, iters: int | None = None, gram: bool = False, name: str = "polar input") -> Spectrum:
-    """The Spectrum of a matrix y under the polar mode `iters` (None exact,
-    else Newton-Schulz): one factorization, from which msign(y), ‖y‖_* and
-    Manifold Muon's first inner iteration are all read.
+def factorize(y, iters: int | None = None, name: str = "polar input") -> Spectrum:
+    """The Spectrum of a matrix y, or of each matrix of a stack (k, n, p)
+    with the bits of its own call, under the polar mode `iters` (None exact,
+    else Newton-Schulz): msign(y), ‖y‖_* and Manifold Muon's first inner
+    iteration are all read from it.
 
-    y is divided by max|y|, so that xᵀx neither overflows nor underflows,
-    and transposed when wide, so that xᵀx is the smaller Gram matrix; that
-    reduction is also the input's finiteness check. The iterative mode (and
-    `gram`, for Manifold Muon's inner solve) diagonalises the Gram matrix at
-    every shape. The exact mode does where the long side is at least twice
-    the short one and n·p² ≥ GRAM_MIN_WORK, and takes the thin SVD of y at
-    other shapes and where it declines the Gram (κ ≥ 100, rank deficiency
-    included).
+    Each matrix is divided by its max|y|, so that xᵀx neither overflows nor
+    underflows (that reduction is also the finiteness check), and transposed
+    when wide, so that xᵀx is the smaller Gram matrix; a zero one is not
+    factored (of a stack, its x is 0). A stack takes one product xᵀx and one
+    `eigh` call, at every shape; the exact mode takes one thin SVD of the
+    matrices whose Gram it declines (κ ≥ 100, rank deficiency included).
     """
-    y = as_2d(y, name)
-    if not (gram or iters is not None or _gram_shape(*y.shape)):
-        return Spectrum(y, None, usv=svd(y))
-    scale = max_abs(y, name)
-    if scale == 0.0:
-        return Spectrum(y, scale)
-    x = (y.T if y.shape[0] < y.shape[1] else y) / scale
-    xtx = x.T.dot(x)
-    w, h = gram_polar_factor(xtx, iters)
-    return Spectrum(y, scale, x, xtx, w, h, svd(y) if h is None else None)
-
-
-def _gram_shape(n: int, p: int) -> bool:
-    """Whether the exact route tries the Gram matrix at shape n×p."""
-    short, long = (n, p) if n < p else (p, n)
-    return long >= 2 * short and long * short * short >= GRAM_MIN_WORK
+    y = as_2d(y, name, stack=True)
+    scale = max(float(y.max()), -float(y.min())) if y.ndim == 2 else np.abs(y).max(axis=(1, 2))
+    if not (math.isfinite(scale) if y.ndim == 2 else np.isfinite(scale).all()):  # NaN and ±inf propagate
+        raise ConfigurationError(f"{name} contains non-finite entries")
+    if y.ndim == 2:
+        if scale == 0.0:
+            return Spectrum(y, scale)
+        x = (y.T if y.shape[0] < y.shape[1] else y) / scale
+        xtx = x.T.dot(x)
+    else:
+        x = (y.swapaxes(1, 2) if y.shape[1] < y.shape[2] else y) / np.where(scale == 0.0, 1.0, scale)[:, None, None]
+        xtx = x.swapaxes(1, 2) @ x
+    spectrum = Spectrum(y, scale, x, xtx, *gram_polar_factor(xtx, iters))
+    if iters is None and (spectrum.h is None if y.ndim == 2 else spectrum.declined.any()):
+        return spectrum._replace(usv=svd(y if y.ndim == 2 else y[spectrum.declined]))
+    return spectrum
 
 
 def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, np.ndarray | None]:
     """The ascending eigenvalues w of `gram` = yᵀy = V·diag(w)·Vᵀ, and the
-    p×p factor H = V·diag(m)·Vᵀ with msign(y) ≈ y·H, from gram alone.
+    p×p factor H = V·diag(m)·Vᵀ with msign(y) ≈ y·H, from gram alone, or of
+    a stack of Gram matrices each one's, from one `eigh` call.
 
-    Exact (iters None): m = w^(-1/2), and H is None when
+    Exact (iters None): m = w^(-1/2), and H is None (of a stack, 0) when
     w_min ≤ GRAM_EIG_RATIO·w_max (κ(y) ≥ 100, rank deficiency included),
     where the caller has to form y and call msign_exact. Iterative: the
-    `iters`-step Newton-Schulz multipliers, as in msign_iterative. The caller
-    scales y so that gram neither overflows nor underflows.
+    `iters`-step Newton-Schulz multipliers, as in msign_iterative; of a
+    stack, H is 0 where gram is. The caller scales y so that gram neither
+    overflows nor underflows.
     """
     w, v = eigh(gram, "Gram matrix")
-    if iters is not None:
-        mult = _newton_schulz_multipliers(w, iters)
-    elif w[0] <= GRAM_EIG_RATIO * w[-1]:
-        return w, None
-    else:
-        mult = w**-0.5
-    return w, (v * mult).dot(v.T)
+    if w.ndim == 1:
+        if iters is not None:
+            mult = _newton_schulz_multipliers(w, iters)
+        elif w[0] <= GRAM_EIG_RATIO * w[-1]:
+            return w, None
+        else:
+            mult = w**-0.5
+        return w, (v * mult).dot(v.T)
+    if iters is None:
+        keep = (w[:, 0] > GRAM_EIG_RATIO * w[:, -1])[:, None]
+        mult = np.where(keep, w, 1.0) ** -0.5 * keep  # a declined w_min ≤ 0 never reaches the power
+    else:  # each matrix's multipliers, as its own call takes them
+        mult = np.zeros(w.shape)
+        for m, w_m in zip(mult, w):
+            if w_m[-1] > 0.0:
+                m[:] = _newton_schulz_multipliers(w_m, iters)
+    return w, (v * mult[:, None, :]) @ v.swapaxes(1, 2)
 
 
 def _svd_sign(u: np.ndarray, s: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -331,19 +352,8 @@ class PolarMode:
 
     def apply(self, y) -> np.ndarray:
         """msign(y) of a matrix, or of each matrix of a stack (k, n, p) with
-        the bits of its own call: the package's one sign dispatch.
-
-        The exact mode at a shape it factors by SVD takes one SVD, stacked
-        for a stack at a fraction of the per-call cost. Every other case is
-        factorize(m, iters).sign() of each matrix, as the Gram route has no
-        stacked form.
-        """
-        y = as_2d(y, "polar input", stack=True)
-        if self.iters is None and not _gram_shape(*y.shape[-2:]):
-            return _svd_sign(*svd(y))
-        if y.ndim == 2:
-            return factorize(y, self.iters).sign()
-        return np.stack([factorize(m, self.iters).sign() for m in y])
+        the bits of its own call: the package's one sign dispatch."""
+        return factorize(y, self.iters).sign()
 
     def describe(self) -> str:
         return "exact" if self.iters is None else f"iterative:{self.iters}"
@@ -357,9 +367,8 @@ def msign_exact(y) -> np.ndarray:
     stack (k, n, p), where keep marks the singular values above
     RANK_TOL_FACTOR times the largest: UVᵀ at full column rank, and the
     partial isometry U_r·V_rᵀ (sign 0 on the null singular values) below it.
-    From the Gram eigendecomposition when the long side is at least twice
-    the short one, n·p² ≥ GRAM_MIN_WORK and κ < 100, and from the SVD
-    otherwise (see PolarMode.apply).
+    From the Gram eigendecomposition where κ < 100, at every shape, and from
+    the SVD otherwise (see factorize).
     """
     return EXACT.apply(y)
 

@@ -26,9 +26,7 @@ def zero_tolerance(n: int, p: int) -> float:
     return 1e-14 * math.sqrt(n * p)
 
 
-def lmo(
-    norm: NormKind, s, polar_mode: PolarMode = EXACT, spectrum: Spectrum | list[Spectrum] | None = None
-) -> np.ndarray:
+def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT, spectrum: Spectrum | None = None) -> np.ndarray:
     """Minimizer of ⟨s, d⟩ over the unit ball of `norm`.
 
     Total: when ‖s‖_F is at most zero_tolerance every unit-ball element is
@@ -37,9 +35,8 @@ def lmo(
     which takes sign(0) = 0 on the null singular values of a rank-deficient
     s. `polar_mode` picks how msign(s) is computed: exactly, or by the
     paper's fast iterative sign. Given `spectrum`, factorize(s,
-    polar_mode.iters) (of a stack, the list of each matrix's), the spectral
-    oracle reads msign(s) from it instead of factoring s again, with the
-    same bits.
+    polar_mode.iters) of the matrix or of the stack, the spectral oracle
+    reads msign(s) from it instead of factoring s again, with the same bits.
 
     A stack (k, n, p) gives each matrix's minimizer, with the bits of its own
     call, from one call per operation under either sign, and a matrix below
@@ -58,7 +55,7 @@ def lmo(
     return -(polar_mode.apply(s) if spectrum is None else spectrum.sign())
 
 
-def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode, spectrum: list[Spectrum] | None) -> np.ndarray:
+def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode, spectrum: Spectrum | None) -> np.ndarray:
     """lmo of each matrix of a stack, zero where the matrix counts as zero."""
     fro = np.array([frob_norm(m) for m in s])
     if not np.isfinite(fro).all():
@@ -66,10 +63,8 @@ def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode, spectrum: l
     zero = fro <= zero_tolerance(*s.shape[1:])
     if norm is NormKind.FROBENIUS:
         d = -s / np.where(zero, 1.0, fro)[:, None, None]
-    elif spectrum is None:
-        d = -polar_mode.apply(s)
     else:
-        d = -np.stack([spec.sign() for spec in spectrum])
+        d = -(polar_mode.apply(s) if spectrum is None else spectrum.sign())
     d[zero] = 0.0
     return d
 

@@ -238,7 +238,7 @@ class ManifoldMuon:
         gradient holds."""
         ev = _evaluation(run, objective)
         d, fallbacks = np.zeros_like(ev.grad), 0
-        runs = zip(_each(run, run.x), _each(run, ev.grad), _each(run, ev.spectrum), _each(run, d))
+        runs = zip(_each(run, run.x), _each(run, ev.grad), ev.spectrum.matrices(), _each(run, d))
         for x, g_m, spec, d_m in runs:
             if frob_norm(g_m) > zero_tolerance(*g_m.shape):
                 result = manifold_muon_direction(x, g_m, self.inner_iters, self.inner_lr, run.polar_mode, spec)
@@ -262,15 +262,15 @@ class Evaluation:
 
     For a spectral method that evaluates ahead (SPEL, Manifold Muon),
     `spectrum` is the gradient's one factorization under the run's polar
-    mode (of a stack, the list of each run's), which the direction's sign
-    and the record's nuclear norm share; else None.
+    mode (of a stack, the stack's), which the direction's sign and the
+    record's nuclear norm share; else None.
     """
 
     point: StiefelPoint
     objective: object
     value: float | list[float]
     grad: np.ndarray
-    spectrum: Spectrum | list[Spectrum] | None = None
+    spectrum: Spectrum | None = None
 
 
 @dataclass
@@ -397,9 +397,7 @@ def _evaluation(run: OptimizerRun, objective) -> Evaluation:
             raise NumericError("the objective value is not finite", int(np.argmin(np.isfinite(value))))
         spectrum = None
         if run.method.norm is NormKind.SPECTRAL and run.method.evaluates_ahead:
-            # Manifold Muon's inner solve diagonalises the Gram matrix at every shape
-            args = (run.polar_mode.iters, isinstance(run.method, ManifoldMuon))
-            spectrum = [factorize(m, *args) for m in g] if x.ndim == 3 else factorize(g, *args)
+            spectrum = factorize(g, run.polar_mode.iters)
         ev = run.evaluation = Evaluation(run.x, objective, value, g, spectrum)
     return ev
 
@@ -433,13 +431,13 @@ def manifold_muon_direction(
     The ascent runs on p×p matrices. msign(Y) = Y·H for the p×p factor H
     that gram_polar_factor computes from YᵀY alone. The first iteration runs at
     Λ = 0, where YᵀY = g_mᵀg_m and xᵀd = −A·H with A = xᵀg_m, so it reads
-    g_m's Spectrum: `spectrum`, as the step passes the evaluation's, which
-    must be factorize(g_m, polar_mode.iters, gram=True), or else that call's;
-    its eigenvalues also give ‖g_m‖₂. Each later iteration first ascends,
-    Λ ← Λ + (lr/2)(Q + Qᵀ) from the previous Q = P·H = −xᵀd (so the last Q
-    updates nothing), then forms P = A + BΛ once, with B = xᵀx, and uses it
-    twice: YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and the next Q. Only the final d is
-    formed as an n×p matrix.
+    g_m's Spectrum: `spectrum`, as the step passes the evaluation's (of a
+    stack, its run's), which must be factorize(g_m, polar_mode.iters), or
+    else that call's; its eigenvalues also give ‖g_m‖₂. Each later
+    iteration first ascends, Λ ← Λ + (lr/2)(Q + Qᵀ) from the previous
+    Q = P·H = −xᵀd (so the last Q updates nothing), then forms P = A + BΛ
+    once, with B = xᵀx, and uses it twice: YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and
+    the next Q. Only the final d is formed as an n×p matrix.
     g_m is first divided by max|g_m| (Λ in proportion), which keeps the
     Gram matrices in range. Where the exact route declines (κ(Y) ≥ 100, or
     Y rank-deficient, as at n == p with p odd), the sign comes from the SVD:
@@ -453,7 +451,7 @@ def manifold_muon_direction(
     if g_m.shape != xm.shape:
         raise ConfigurationError(f"gradient shape {g_m.shape} does not match point shape {xm.shape}")
     if spectrum is None:
-        spectrum = factorize(g_m, polar_mode.iters, gram=True, name="Riemannian gradient")
+        spectrum = factorize(g_m, polar_mode.iters, name="Riemannian gradient")
     scale = spectrum.scale
     if scale == 0.0:
         return MuonDirectionResult(np.zeros(g_m.shape), False)
@@ -466,16 +464,15 @@ def manifold_muon_direction(
     g_spec = scale * math.sqrt(max(float(w[-1]), 0.0))
     lam = np.zeros_like(b)
     p_lam = a
+    msign_y = spectrum.sign() if h is None else None
     for k in range(inner_iters):
         if k:
             lam = lam + half_lr * (q + q.T)
             p_lam = a + b.dot(lam)
             h = gram_polar_factor(gram_g + lam.dot(a).T + lam.dot(p_lam), polar_mode.iters)[1]
-        if h is None:
-            msign_y = msign_exact(g + xm.dot(lam)) if k else spectrum.sign()
-            q = xm.T.dot(msign_y)
-        else:
-            q = p_lam.dot(h)
+            if h is None:
+                msign_y = msign_exact(g + xm.dot(lam))
+        q = xm.T.dot(msign_y) if h is None else p_lam.dot(h)
 
     neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
     # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
@@ -559,10 +556,7 @@ def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, 
     evaluation: the gradient's dual norm from its spectrum where the
     evaluation has one (Spectrum.nuclear_norm), else from dual_norm."""
     ev = _evaluation(run, objective)
-    if ev.spectrum is None:
-        dual = dual_norm(run.method.norm, ev.grad)
-    else:
-        dual = [spec.nuclear_norm() for spec in ev.spectrum] if run.stacked else ev.spectrum.nuclear_norm()
+    dual = dual_norm(run.method.norm, ev.grad) if ev.spectrum is None else ev.spectrum.nuclear_norm()
     columns = (run.x, ev.value, run.x.violation, dual)
     return [
         TraceRecord(

@@ -396,10 +396,12 @@ class TestNumericAbort:
     @pytest.mark.parametrize(
         "label, kind, name, selects, nth, message",
         [
-            # the direction: Manifold Muon diagonalises a 3x3 Gram matrix ten
-            # times per iterate (its gradient's spectrum, then nine inner
-            # iterations), so the 32nd is x_3's first inner iteration
-            ("manifold_muon", "manifold_muon", "eigh", lambda a, kwargs: a.shape == (3, 3), 32,
+            # the direction: the shared initial point's projection and the
+            # RGD run's five retractions each diagonalise one 3x3 Gram
+            # matrix, then Manifold Muon eleven per iterate (its gradient's
+            # spectrum, nine inner iterations and the retraction), so the
+            # 41st is x_3's first inner iteration
+            ("manifold_muon", "manifold_muon", "eigh", lambda a, kwargs: a.shape == (3, 3), 41,
              "iteration 3: eigendecomposition of the 3x3 Gram matrix failed: forced"),
             # the direction's clip: Manifold Muon takes ‖d‖₂ from the values
             # of one 3x3 eigendecomposition per iterate, so the 4th is x_3's
@@ -414,7 +416,7 @@ class TestNumericAbort:
     )
     def test_lapack_failure_names_the_iteration(self, tmp_path, capsys, monkeypatch, label, kind, name, selects, nth,
                                                 message):
-        # the RGD run makes none of the selected calls, so it must finish and write its CSV
+        # the RGD run, which runs first, makes none of the failing calls, so it must finish and write its CSV
         calls = itertools.count(1)
 
         def wrap(original):

@@ -34,6 +34,11 @@ The Gram sign kernel `linalg.gram_polar_factor` has two callers:
 `linalg.factorize`, which every Gram sign goes through, and Manifold Muon's
 inner loop, which applies it to the Gram matrices it updates itself. A third
 would be a second copy of factorize's scaling, Gram and orientation steps.
+
+`factorize` takes a stack in one call per operation, and its Spectrum
+reads a stack's signs and nuclear norms the same way, so no module but
+`linalg` calls `factorize(`, `.sign()` or `.nuclear_norm()` once per slice,
+in a loop or a comprehension.
 """
 
 import ast
@@ -345,6 +350,74 @@ def test_the_scan_finds_gram_kernel_calls():
         "m.py:5 calls gram_polar_factor in _gram_sign",
         "m.py:6 calls gram_polar_factor in _gram_sign",
         "m.py:10 calls gram_polar_factor in the module body",
+    ]
+
+
+def per_slice_factorizations(source: str, filename: str) -> list[str]:
+    """One line per call of `factorize(...)`, or of an argument-free
+    `.sign()` or `.nuclear_norm()`, that `source` makes in a loop body or a
+    comprehension, once per item (a loop's iterable and a comprehension's
+    first iterable are evaluated once)."""
+    found = []
+
+    def factorization(call: ast.Call) -> str | None:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "factorize" or (
+            name in ("sign", "nuclear_norm") and isinstance(func, ast.Attribute) and not call.args and not call.keywords
+        ):
+            return name
+        return None
+
+    def visit(node, where):
+        if where and isinstance(node, ast.Call) and factorization(node):
+            found.append(f"{filename}:{node.lineno} calls {factorization(node)} in a {where}")
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            visit(node.iter, where)
+            for child in [node.target, *node.body, *node.orelse]:
+                visit(child, "loop")
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            visit(node.generators[0].iter, where)
+            for child in ast.iter_child_nodes(node):
+                if child is not node.generators[0]:
+                    visit(child, "comprehension")
+            for child in ast.iter_child_nodes(node.generators[0]):
+                if child is not node.generators[0].iter:
+                    visit(child, "comprehension")
+        else:
+            for child in ast.iter_child_nodes(node):
+                visit(child, "loop" if isinstance(node, ast.While) else where)
+
+    visit(ast.parse(source, filename=filename), None)
+    return found
+
+
+def test_no_module_factors_a_stack_slice_by_slice():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"]
+    assert len(modules) > 5
+    assert [line for path in modules for line in per_slice_factorizations(path.read_text(), path.name)] == []
+
+
+def test_the_scan_finds_per_slice_factorizations():
+    source = (
+        "def f(g, spec, y):\n"
+        "    a = [factorize(m, 8) for m in g]\n"
+        "    b = np.stack([s.sign() for s in spec.matrices()])\n"
+        "    for m in y:\n"
+        "        total = linalg.factorize(m).nuclear_norm()\n"
+        "    c = [np.sign(m) for m in factorize(y).matrices()]\n"
+        "    d = factorize(y, 8).sign(), spec.nuclear_norm()\n"
+        "    while spec:\n"
+        "        spec = spec.sign()\n"
+        "    return {k: v.nuclear_norm() for k, v in spec}\n"
+    )
+    assert per_slice_factorizations(source, "m.py") == [
+        "m.py:2 calls factorize in a comprehension",
+        "m.py:3 calls sign in a comprehension",
+        "m.py:5 calls nuclear_norm in a loop",
+        "m.py:5 calls factorize in a loop",
+        "m.py:9 calls sign in a loop",
+        "m.py:10 calls nuclear_norm in a comprehension",
     ]
 
 

@@ -18,9 +18,7 @@ from mcsd import (
     random_point,
     svd,
 )
-from mcsd.linalg import (
-    GRAM_EIG_RATIO, GRAM_MIN_WORK, eigh, factorize, frob_norm, gram_polar_factor, sym_unchecked,
-)
+from mcsd.linalg import GRAM_EIG_RATIO, eigh, factorize, frob_norm, gram_polar_factor, sym_unchecked
 from tests.conftest import haar, patch_lapack
 
 def direct_polar_iteration(y, iters=8):
@@ -78,11 +76,9 @@ def reference_gram_polar(y, h):
 
 
 def reference_msign_exact(y):
-    short = min(y.shape)
-    if max(y.shape) >= 2 * short and y.size * short >= GRAM_MIN_WORK:
-        out = reference_gram_polar(y, reference_inverse_sqrt)
-        if out is not None:
-            return out
+    out = reference_gram_polar(y, reference_inverse_sqrt)
+    if out is not None:
+        return out
     u, _, vt = np.linalg.svd(y, full_matrices=False)
     return u @ vt
 
@@ -175,12 +171,10 @@ class TestMsignExact:
         y = np.ones((4, 2))
         assert np.allclose(msign_exact(y), np.full((4, 2), 0.5 / math.sqrt(2.0)), rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize(
-        "shape, kappa, svd_calls", [((200, 5), 99.0, 0), ((200, 5), 101.0, 1), ((50, 3), 2.0, 1)]
-    )
+    @pytest.mark.parametrize("shape", [(50, 3), (6, 6), (20, 10), (200, 5)])
+    @pytest.mark.parametrize("kappa, svd_calls", [(99.0, 0), (101.0, 1)])
     def test_route_selection_orthonormal(self, shape, kappa, svd_calls, monkeypatch):
-        # a tall input takes the Gram route at κ < 100 unless it is too small
-        # for the route to pay (50x3); κ > 100 takes the SVD
+        # κ < 100 takes the Gram route and κ > 100 the SVD, at every shape
         import mcsd.linalg as linalg
 
         n, p = shape
@@ -221,7 +215,6 @@ class TestMsignExact:
 
 
 class TestMsignExactStack:
-    # shapes on msign_exact's SVD route
     @pytest.mark.parametrize("shape", [(50, 3), (12, 4), (3, 5)])
     def test_each_slice_is_its_own_call_bit_for_bit(self, shape, rng):
         y = rng.standard_normal((9,) + shape)
@@ -237,14 +230,26 @@ class TestMsignExactStack:
         assert np.linalg.norm(out[bad] - u[:, :2] @ vt[:2]) <= 1e-10
         assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(7))
 
-    # shapes on or at the edge of the Gram route, which has no stacked form
-    @pytest.mark.parametrize("shape", [(200, 5), (5, 200), (40, 20)])
-    def test_gram_route_shapes_give_each_slice_its_own_call(self, shape, rng):
-        y = rng.standard_normal((4,) + shape)
-        y[1] = 0.0
-        y[2, :, 0] *= 1e3  # κ ≥ 100: its own call declines the Gram route
+    @pytest.mark.parametrize("shape", [(50, 3), (6, 6), (20, 10), (10, 20)])
+    def test_slices_on_both_sides_of_kappa_100_share_one_svd(self, shape, monkeypatch):
+        # κ = 99 and a zero slice stay on the stacked Gram route; the κ = 101
+        # slices leave it for one SVD of just those slices
+        import mcsd.linalg as linalg
+
+        n, p = max(shape), min(shape)
+        kappas = [99.0, 101.0, 0.0, 99.0, 101.0]
+        y = np.stack([with_spectrum(n, np.geomspace(max(kappa, 1.0), 1.0, p), seed=21 + i) * (kappa > 0)
+                      for i, kappa in enumerate(kappas)])
+        y = y if shape[0] >= shape[1] else y.swapaxes(1, 2)
+        calls = []
+        real_svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda y: calls.append(y) or real_svd(y))
         out = msign_exact(y)
-        assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(4))
+        assert [a.shape for a in calls] == [(2,) + shape]
+        assert np.array_equal(calls[0], y[[1, 4]])
+        monkeypatch.undo()
+        assert all(np.array_equal(out[k], msign_exact(y[k])) for k in range(len(y)))
+        assert not out[2].any()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, value, rng):
@@ -259,9 +264,8 @@ class TestMsignExactStack:
             msign_exact(np.ones(shape))
 
 
-# Both sides of the exact route's SVD/Gram choice: n·p² against GRAM_MIN_WORK
-# (45x7 and 40x7), the 2x aspect rule (20x10 and 19x10; 30x16 has the work
-# but not the aspect), wide input, n == p and p == 1 (12x1 and 2500x1).
+# Tall, wide and square shapes, near and far from square (20x10 and 19x10,
+# 30x16, 45x7 and 40x7), n == p and p == 1 (12x1 and 2500x1).
 DISPATCH_SHAPES = [(200, 5), (5, 200), (45, 7), (40, 7), (20, 10), (19, 10), (30, 16), (50, 3), (6, 6), (40, 40),
                    (12, 1), (1, 12), (2500, 1)]
 
@@ -286,15 +290,33 @@ def sign_stacks(draw):
     return y
 
 
+def same_spectrum(a, b) -> bool:
+    """Whether two Spectra of a matrix hold the same arrays, bit for bit."""
+    pairs = list(zip(a[1:-1], b[1:-1])) + list(zip(a.usv or (), b.usv or ()))
+    return (a.usv is None) == (b.usv is None) and all(
+        (u is None) == (v is None) and (u is None or np.array_equal(u, v)) for u, v in pairs
+    )
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(sign_stacks(), st.sampled_from([None, 1, 8]))
 def test_property_the_one_sign_dispatch(y, iters):
-    # each slice of a stack is its own matrix's factorize(m, iters).sign(),
-    # and msign_exact / msign_iterative are PolarMode.apply by name
+    # factorize of a stack gives each slice its own call's Spectrum, sign and
+    # nuclear norm, bit for bit, and a zero slice sign 0 and nuclear norm +0.0
+    # (never -0.0); msign_exact / msign_iterative are PolarMode.apply by name
     mode = PolarMode(iters)
-    out = mode.apply(y)
-    assert out.shape == y.shape
-    assert all(np.array_equal(out[k], factorize(m, iters).sign()) for k, m in enumerate(y))
+    spec = factorize(y, iters)
+    out, nuclear = spec.sign(), spec.nuclear_norm()
+    assert out.shape == y.shape and nuclear.shape == (len(y),)
+    for k, (m, slice_spec) in enumerate(zip(y, spec.matrices())):
+        own = factorize(m, iters)
+        assert same_spectrum(slice_spec, own)
+        assert np.array_equal(out[k], own.sign())
+        assert nuclear[k] == own.nuclear_norm()
+        assert math.copysign(1.0, nuclear[k]) == math.copysign(1.0, own.nuclear_norm()) == 1.0
+        if not m.any():
+            assert nuclear[k] == 0.0 and not out[k].any()
+    assert np.array_equal(mode.apply(y), out)
     assert np.array_equal(mode.apply(y[0]), out[0])
     named = msign_exact if iters is None else (lambda a: msign_iterative(a, iters))
     assert np.array_equal(named(y), out)

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsd import EXACT, NumericError, PolarMode, manifold_muon_direction
-from mcsd.linalg import GRAM_MIN_WORK, RANK_TOL_FACTOR, eigh, factorize, gram_polar_factor
+from mcsd.linalg import RANK_TOL_FACTOR, eigh, factorize, gram_polar_factor
 from mcsd.manifolds import tangent_component
 from mcsd.optimizers import MUON_QUALITY_TOL
 from tests.conftest import haar
 from tests.test_linalg import reference_gram_factor, reference_inverse_sqrt, reference_newton_schulz
 
-# p == 1, n == p, tall and wide, on both sides of the exact route's SVD/Gram choice
+# p == 1, n == p, tall and wide, near and far from square
 SHAPES = [(1, 1), (12, 1), (2500, 1), (1, 12), (3, 3), (6, 6), (50, 3), (200, 5), (5, 200), (45, 7), (12, 4)]
 SCALES = [1.0, 1e150, 1e-150]
 
@@ -46,12 +46,9 @@ def reference_svd_sign(y):
     return u @ vt if keep.all() else (u * keep) @ vt
 
 
-def reference_sign(y, iters=None, gram=False):
-    """factorize(y, iters, gram).sign() with `@` and np.linalg."""
+def reference_sign(y, iters=None):
+    """factorize(y, iters).sign() with `@` and np.linalg."""
     n, p = y.shape
-    short, long = min(n, p), max(n, p)
-    if iters is None and not gram and not (long >= 2 * short and long * short * short >= GRAM_MIN_WORK):
-        return reference_svd_sign(y)
     scale = np.abs(y).max()
     if scale == 0.0:
         return np.zeros(y.shape)
@@ -120,9 +117,9 @@ def test_gram_polar_factor_is_the_reference(y, iters):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(matrices(), st.sampled_from([None, 1, 8]), st.booleans())
-def test_factorize_sign_is_the_reference(y, iters, gram):
-    assert np.array_equal(factorize(y, iters, gram=gram).sign(), reference_sign(y, iters, gram))
+@given(matrices(), st.sampled_from([None, 1, 8]))
+def test_factorize_sign_is_the_reference(y, iters):
+    assert np.array_equal(factorize(y, iters).sign(), reference_sign(y, iters))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -579,6 +579,28 @@ class TestRetraction:
             run_trace(run, small_instance, 5)
         assert [r.iter for r in excinfo.value.records] == [0, 1, 2, 3]
 
+    def test_stacked_eigh_failure_names_the_iteration(self, small_instance, monkeypatch):
+        # each run_seeds step diagonalises one (20, 3, 3) stack of Gram
+        # matrices for the LMO's sign and one for the retraction, so the 5th
+        # is the LMO's at x_2; the error names one 3x3 Gram matrix
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        x0 = haar(50, 3, seed=38)
+        stacks = itertools.count(1)
+
+        def wrap(eigh):
+            def call(a):
+                if a.ndim == 3 and next(stacks) == 5:
+                    raise np.linalg.LinAlgError("forced")
+                return eigh(a)
+
+            return call
+
+        patch_lapack(monkeypatch, "eigh", wrap)
+        message = r"^iteration 2: eigendecomposition of the 3x3 Gram matrix failed: forced$"
+        with pytest.raises(NumericError, match=message) as excinfo:
+            run_seeds(method, constant_schedule(0.05), x0, seed_rngs(20), small_instance, 5)
+        assert [len(tr) for tr in excinfo.value.records] == [3] * 20
+
     def test_record_failure_names_the_iteration(self, small_instance, monkeypatch):
         # the values-only SVD of the dual norm fails in the record of x_4 (a
         # stochastic run's record factors the true gradient itself)
@@ -851,8 +873,9 @@ class TestStackEqualsItsRuns:
         "mm": (ManifoldMuon(), PolarMode(iters=8)),
     }
 
-    # 200x5 is on msign_exact's Gram route, which a stack takes slice by slice
-    @pytest.mark.parametrize("shape", [(50, 3), (200, 5)])
+    # at 5x5 (n == p, p odd) Manifold Muon's Y is rank-deficient, so a stack
+    # mixes slices on the Gram route and slices the SVD takes
+    @pytest.mark.parametrize("shape", [(50, 3), (200, 5), (5, 5)])
     @pytest.mark.parametrize("name", list(METHODS))
     def test_stack_of_three_equals_three_runs(self, name, shape):
         method, mode = self.METHODS[name]

@@ -40,12 +40,11 @@ def gradients(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(gradients(), st.sampled_from(MODES), st.booleans())
-def test_property_spectrum_feeds_the_lmo_and_the_nuclear_norm(case, mode, gram):
+@given(gradients(), st.sampled_from(MODES))
+def test_property_spectrum_feeds_the_lmo_and_the_nuclear_norm(case, mode):
     g, kind = case
-    spec = factorize(g, mode.iters, gram)
-    if not gram:  # the step factors a spectral direction's gradient without `gram`
-        assert np.array_equal(lmo(NormKind.SPECTRAL, g, mode, spec), lmo(NormKind.SPECTRAL, g, mode))
+    spec = factorize(g, mode.iters)
+    assert np.array_equal(lmo(NormKind.SPECTRAL, g, mode, spec), lmo(NormKind.SPECTRAL, g, mode))
     nuclear = spec.nuclear_norm()
     values = np.linalg.svd(g, compute_uv=False)
     if spec.conditioned:
@@ -154,7 +153,7 @@ class TestManifoldMuonFedTheSpectrum:
         rng = np.random.default_rng(8)
         complement = np.linalg.qr(np.hstack([x.x, rng.standard_normal((200, 5))]))[0][:, 5:]
         g = complement @ np.diag(np.geomspace(1e3, 1.0, 5)) @ np.linalg.qr(rng.standard_normal((5, 5)))[0]
-        spec = factorize(g, mode.iters, gram=True)
+        spec = factorize(g, mode.iters)
         assert spec.conditioned is False and (spec.usv is not None) == (mode.iters is None)
         fed = optimizers.manifold_muon_direction(x, g, 10, 0.1, mode, spec)
         one_shot = optimizers.manifold_muon_direction(x, g, 10, 0.1, mode)
