@@ -10,13 +10,20 @@ is compared instead, to rtol 1e-6 (atol 1e-8 for the quantities that
 converge to zero), and each verify line keeps its name and verdict exactly
 and its lhs, rhs and slack to the same tolerance.
 
-A change that moves the bits on purpose re-pins both goldens:
+golden/matrix.json pins, in process, a short run_trace of each method
+(rgd, spel, mm, smcsd with momentum) under each polar mode (exact,
+iterative:8) at St(200, 5), St(6, 6), St(5, 5) and St(50, 1), and one
+4-seed run_seeds stack: each cell holds the SHA-256 of its records minus
+elapsed_s and its final row, compared under another stamp to the same
+tolerance.
+
+A change that moves the bits on purpose re-pins all three goldens:
 
     PYTHONPATH=src python tests/test_golden_trace.py --repin
 
-which prints, per CSV, |Δ| of each final-row column against the old pin,
-and per verify line |Δ| of its lhs, rhs and slack, before it overwrites
-them.
+which prints, per CSV and per matrix cell, |Δ| of each final-row column
+against the old pin, and per verify line |Δ| of its lhs, rhs and slack,
+before it overwrites them.
 """
 
 from __future__ import annotations
@@ -29,13 +36,21 @@ import platform
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from mcsd import (
+    EXACT, ManifoldMuon, Mcsd, NoiseConfig, NormKind, OptimizerRun, PolarMode, Rgd, StiefelManifold, StochasticMcsd,
+    constant_schedule, make_brockett, random_point, run_seeds, run_trace, subspace_error,
+)
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden" / "pca_default.json"
 VERIFY_GOLDEN = GOLDEN.with_name("verify_full.json")
+MATRIX_GOLDEN = GOLDEN.with_name("matrix.json")
 
 # One BLAS thread, set in the child before numpy loads: with the default
 # thread count the BLAS reduction order, and so the hash, depends on the
@@ -168,6 +183,56 @@ def test_final_row_deltas_compare_each_column_of_csvs_in_both_pins():
     assert final_row_deltas(old, new) == {"a.csv": [0.0, 0.5, 0.25]}
 
 
+SMCSD = StochasticMcsd(NormKind.SPECTRAL, beta=0.9, noise=NoiseConfig.additive_gaussian(0.1))
+MATRIX_METHODS = {"rgd": Rgd(), "spel": Mcsd(NormKind.SPECTRAL), "mm": ManifoldMuon(), "smcsd": SMCSD}
+MATRIX_SHAPES = ((200, 5), (6, 6), (5, 5), (50, 1))
+MATRIX_STEPS = 20
+
+
+def matrix_traces() -> dict[str, list]:
+    """Each matrix cell's records: every method under each polar mode at
+    each shape from one Haar point, then the run_seeds stack of 4 smcsd
+    runs at St(200, 5), its traces in seed order."""
+    traces = {}
+    for n, p in MATRIX_SHAPES:
+        inst = make_brockett(n, p, 2 * n, data_seed=n + p)
+        x0 = random_point(StiefelManifold(n, p), np.random.default_rng(n * p))
+        for name, method in MATRIX_METHODS.items():
+            for mode in (EXACT, PolarMode(8)):
+                run = OptimizerRun(method, constant_schedule(0.05), x0, np.random.default_rng(p), mode)
+                traces[f"{name} {mode.describe()} St({n},{p})"] = run_trace(
+                    run, inst, MATRIX_STEPS, partial(subspace_error, inst))
+    inst = make_brockett(200, 5, 400, data_seed=205)
+    x0 = random_point(StiefelManifold(200, 5), np.random.default_rng(1000))
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    seeds = run_seeds(SMCSD, constant_schedule(0.05), x0, rngs, inst, MATRIX_STEPS)
+    traces["run_seeds smcsd exact 4xSt(200,5)"] = [rec for trace in seeds for rec in trace]
+    return traces
+
+
+def matrix_cells() -> dict[str, dict]:
+    """Per cell, the SHA-256 of its records minus elapsed_s and its final
+    row (every field but elapsed_s, as floats)."""
+    cells = {}
+    for name, records in matrix_traces().items():
+        rows = [[v for k, v in asdict(r).items() if k != "elapsed_s"] for r in records]
+        cells[name] = {"sha256": hashlib.sha256(repr(rows).encode()).hexdigest(),
+                       "final_row": [float(v) for v in rows[-1]]}
+    return cells
+
+
+def test_method_matrix_matches_golden():
+    golden = json.loads(MATRIX_GOLDEN.read_text())
+    cells = matrix_cells()
+    assert sorted(cells) == sorted(golden["cells"])
+    if environment_stamp() == golden["stamp"]:
+        assert [name for name, cell in cells.items() if cell["sha256"] != golden["cells"][name]["sha256"]] == []
+        return
+    for name, cell in cells.items():
+        np.testing.assert_allclose(cell["final_row"], golden["cells"][name]["final_row"], rtol=FINAL_ROW_RTOL,
+                                   atol=FINAL_ROW_ATOL, err_msg=name)
+
+
 def repin() -> None:
     """Re-pin both goldens, first printing per CSV how far each final-row
     column moved from the old pin and the largest move per column, then per
@@ -193,6 +258,16 @@ def repin() -> None:
     print("\n".join(verify_line_deltas(old_lines, lines)))
     VERIFY_GOLDEN.write_text(json.dumps({"stamp": environment_stamp(), "lines": lines}, indent=1) + "\n")
     print(f"pinned {len(lines) - 1} verify lines under {environment_stamp()}")
+
+    old_cells = json.loads(MATRIX_GOLDEN.read_text())["cells"] if MATRIX_GOLDEN.is_file() else {}
+    cells = matrix_cells()
+    deltas = final_row_deltas({k: c["final_row"] for k, c in old_cells.items()},
+                              {k: c["final_row"] for k, c in cells.items()})
+    for name in cells:
+        moved = ", ".join(f"{c} {d:.2g}" for c, d in zip(columns, deltas[name])) if name in deltas else "not pinned"
+        print(f"{name}: |Δ| {moved}")
+    MATRIX_GOLDEN.write_text(json.dumps({"stamp": environment_stamp(), "cells": cells}, indent=1) + "\n")
+    print(f"pinned {len(cells)} matrix cells under {environment_stamp()}")
 
 
 if __name__ == "__main__":
