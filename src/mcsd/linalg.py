@@ -1,15 +1,13 @@
 """Dense float64 matrix kernels, of a matrix or of each matrix of a stack:
-the Frobenius norm and the package's one factorization layer. No other
+the one input contract (`as_matrix`, and `frob_norms`, the norm that is
+also the finiteness check; no other module raises a non-finite input
+error), the Frobenius norm and the one factorization layer. No other
 module calls numpy.linalg: `svd` (thin, or values only) and `eigh` (with
 vectors, or values only) are its one SVD and eigendecomposition, and each
-raises NumericError where LAPACK fails. `eigh` calls the LAPACK gufunc that
-numpy.linalg.eigh and eigvalsh wrap, with their bits, because at the p×p
-sizes of the Gram route and Manifold Muon's inner solve the wrapper costs
-more than LAPACK: for a 5×5 matrix, 11.5 µs for np.linalg.eigh against
-6.9 µs for `eigh` (5.5 µs of it the gufunc), and 7.6 against 4.7 µs
-without vectors. For the same reason products whose operands are 2-D by
-construction use ndarray.dot, matmul's bits for 0.55 µs against 1.16 µs
-at 5×5 (one OpenBLAS thread, Intel Xeon).
+raises NumericError where LAPACK fails, naming the matrix of a stack at
+fault. `eigh` calls the LAPACK gufunc that numpy.linalg.eigh and eigvalsh
+wrap, and 2-D products use ndarray.dot, each with numpy's bits, because at
+the p×p sizes of the Gram route the wrappers cost more than the work.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -55,26 +53,16 @@ PRENORM = 1.01
 GRAM_EIG_RATIO = 1e-4
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a float64 matrix, or a stack (k, n, p) of
-    them, with finite entries."""
-    m = as_2d(a, name, stack=True)
-    if not np.isfinite(m).all():
-        raise ConfigurationError(f"{name} contains non-finite entries")
-    return m
-
-
-def as_2d(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """`a` as a non-empty 2-D float64 array (with `stack`, also a stack
-    (k, n, p) of them), without the finiteness scan.
-
-    For callers whose first reduction over the array (a norm or max|a|)
-    propagates NaN and inf and so doubles as the finiteness check.
-    """
+def as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
+    """`a` as a non-empty float64 matrix, or a stack (k, n, p) of them, and
+    with `finite` scanned for a non-finite entry (ConfigurationError). With
+    finite=False the caller's first reduction over a (a norm, as frob_norms,
+    or max|a|), which propagates NaN and inf, is the check."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim not in ((2, 3) if stack else (2,)) or 0 in m.shape:
-        kind = "matrix or a stack of them" if stack else "2-D matrix"
-        raise ConfigurationError(f"{name} must be a {kind}, got shape {m.shape}")
+    if m.ndim not in (2, 3) or 0 in m.shape:
+        raise ConfigurationError(f"{name} must be a matrix or a stack of them, got shape {m.shape}")
+    if finite and not np.isfinite(m).all():
+        raise ConfigurationError(f"{name} contains non-finite entries")
     return m
 
 
@@ -106,36 +94,64 @@ def frob_norm(a: np.ndarray) -> float:
     return scale * math.sqrt(float(np.vdot(t, t)))
 
 
+def frob_norms(a: np.ndarray, name: str, source: np.ndarray | None = None):
+    """frob_norm of a matrix, or the array of each matrix's of a stack, and
+    the finiteness check: only a non-finite norm scans `source` (the input a
+    came from; by default a), raising ConfigurationError on a non-finite entry."""
+    norms = frob_norm(a) if a.ndim == 2 else np.array([frob_norm(m) for m in a])
+    if not (math.isfinite(norms) if a.ndim == 2 else np.isfinite(norms).all()):
+        as_matrix(a if source is None else source, name)
+    return norms
+
+
 def svd(y, name: str = "matrix", compute_uv: bool = True):
     """Thin SVD (u, s, vt), y = u @ diag(s) @ vt with s descending, of a
     matrix or of each matrix of a stack (k, n, p), or with `compute_uv`
-    False its singular values s alone: the package's one SVD.
-
-    LAPACK factors each matrix of a stack on its own, so every slice gets
-    the bits its own call would. Raises ConfigurationError, naming the input
-    `name`, for a non-finite entry, and NumericError if LAPACK fails.
+    False its singular values s alone: the package's one SVD. LAPACK
+    factors each matrix of a stack on its own, so every slice gets the bits
+    its own call would. Raises ConfigurationError, naming the input `name`,
+    for a non-finite entry, and NumericError if LAPACK fails (see eigh).
     """
     # The one finiteness scan no reduction covers: given an inf entry,
     # np.linalg.svd with vectors does not return (a 50x3 input ran past 15 s
     # on numpy 2.4 with OpenBLAS). Without this scan a non-finite input hangs
     # instead of raising; the values-only SVD, which returns NaN, shares it.
     y = as_matrix(y, name)
-    try:
-        return np.linalg.svd(y, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD of the {y.shape[-2]}x{y.shape[-1]} {name} failed: {exc}") from exc
+    return _lapack(np.linalg.svd, y, "SVD", name, full_matrices=False, compute_uv=compute_uv)
 
 
 def eigh(a: np.ndarray, name: str, vectors: bool = True):
     """Ascending eigenvalues w and orthonormal eigenvectors v, a = v·diag(w)·vᵀ,
     of a symmetric float64 matrix the caller built, or of each matrix of a
     stack of them, or with `vectors` False w alone: the package's one
-    eigendecomposition. Raises NumericError, naming the matrix `name`, if
-    LAPACK fails."""
+    eigendecomposition. Raises NumericError, naming the matrix `name` (of a
+    stack, and the first that fails alone), if LAPACK fails."""
+    return _lapack(_lapack_eigh, a, "eigendecomposition", name, vectors)
+
+
+def _lapack(factor, a: np.ndarray, what: str, name: str, *args, **kwargs):
+    """factor(a, ...), raising NumericError where LAPACK fails; of a stack, its
+    `index` is the first matrix that fails alone (re-run on this path only)."""
     try:
-        return _lapack_eigh(a, vectors)
+        return factor(a, *args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition of the {a.shape[-2]}x{a.shape[-1]} {name} failed: {exc}") from exc
+        error = NumericError(f"{what} of the {a.shape[-2]}x{a.shape[-1]} {name} failed: {exc}")
+        for index in range(len(a) if a.ndim == 3 else 0):
+            try:
+                factor(a[index], *args, **kwargs)
+            except np.linalg.LinAlgError:
+                error.index = index
+                break
+        raise error from exc
+
+
+def _svd_of(y: np.ndarray, where: np.ndarray, *args, **kwargs):
+    """svd(y[where], ...), whose failure names its matrix's index in y."""
+    try:
+        return svd(y[where], *args, **kwargs)
+    except NumericError as exc:
+        exc.index = None if exc.index is None else int(np.flatnonzero(where)[exc.index])
+        raise
 
 
 # LAPACK's symmetric eigensolver on the lower triangle, as numpy's
@@ -213,7 +229,7 @@ class Spectrum(NamedTuple):
         norm = np.zeros(len(self.y))
         norm[conditioned] = self.scale[conditioned] * np.sqrt(self.w[conditioned]).sum(axis=-1)
         if declined.any():
-            s = self.usv[1] if self.usv else svd(self.y[declined], "nuclear-norm input", compute_uv=False)
+            s = self.usv[1] if self.usv else _svd_of(self.y, declined, "nuclear-norm input", compute_uv=False)
             norm[declined] = s.sum(axis=-1)
         return norm
 
@@ -245,10 +261,10 @@ def factorize(y, iters: int | None = None, name: str = "polar input") -> Spectru
     `eigh` call, at every shape; the exact mode takes one thin SVD of the
     matrices whose Gram it declines (κ ≥ 100, rank deficiency included).
     """
-    y = as_2d(y, name, stack=True)
+    y = as_matrix(y, name, finite=False)
     scale = max(float(y.max()), -float(y.min())) if y.ndim == 2 else np.abs(y).max(axis=(1, 2))
     if not (math.isfinite(scale) if y.ndim == 2 else np.isfinite(scale).all()):  # NaN and ±inf propagate
-        raise ConfigurationError(f"{name} contains non-finite entries")
+        as_matrix(y, name)
     if y.ndim == 2:
         if scale == 0.0:
             return Spectrum(y, scale)
@@ -259,7 +275,7 @@ def factorize(y, iters: int | None = None, name: str = "polar input") -> Spectru
         xtx = x.swapaxes(1, 2) @ x
     spectrum = Spectrum(y, scale, x, xtx, *gram_polar_factor(xtx, iters))
     if iters is None and (spectrum.h is None if y.ndim == 2 else spectrum.declined.any()):
-        return spectrum._replace(usv=svd(y if y.ndim == 2 else y[spectrum.declined]))
+        return spectrum._replace(usv=svd(y) if y.ndim == 2 else _svd_of(y, spectrum.declined))
     return spectrum
 
 

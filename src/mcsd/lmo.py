@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import EXACT, PolarMode, Spectrum, as_2d, as_matrix, frob_norm, svd
+from .linalg import EXACT, PolarMode, Spectrum, as_matrix, frob_norms, svd
 
 
 class NormKind(enum.Enum):
@@ -42,30 +42,15 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT, spectrum: Spectrum | N
     call, from one call per operation under either sign, and a matrix below
     zero_tolerance its zero slice.
     """
-    s = as_2d(s, "lmo input", stack=True)
-    if s.ndim == 3:
-        return _lmo_stack(norm, s, polar_mode, spectrum)
-    fro = frob_norm(s)
-    if not math.isfinite(fro):
-        as_matrix(s, "lmo input")
-    if fro <= zero_tolerance(*s.shape):
-        return np.zeros(s.shape)
+    s = as_matrix(s, "lmo input", finite=False)
+    fro = frob_norms(s, "lmo input")
+    zero = fro <= zero_tolerance(*s.shape[-2:])
     if norm is NormKind.FROBENIUS:
-        return -s / fro
-    return -(polar_mode.apply(s) if spectrum is None else spectrum.sign())
-
-
-def _lmo_stack(norm: NormKind, s: np.ndarray, polar_mode: PolarMode, spectrum: Spectrum | None) -> np.ndarray:
-    """lmo of each matrix of a stack, zero where the matrix counts as zero."""
-    fro = np.array([frob_norm(m) for m in s])
-    if not np.isfinite(fro).all():
-        as_matrix(s, "lmo input")
-    zero = fro <= zero_tolerance(*s.shape[1:])
-    if norm is NormKind.FROBENIUS:
-        d = -s / np.where(zero, 1.0, fro)[:, None, None]
+        d = -s / np.where(zero, 1.0, fro)[..., None, None]
     else:
         d = -(polar_mode.apply(s) if spectrum is None else spectrum.sign())
-    d[zero] = 0.0
+    if s.ndim == 3 or zero:  # on a matrix the masked write costs about as much as the rest of the call
+        d[zero] = 0.0
     return d
 
 
@@ -78,13 +63,7 @@ def dual_norm(norm: NormKind, s):
     if norm is NormKind.SPECTRAL:
         sigma = svd(s, "dual-norm input", compute_uv=False)
         return float(sigma.sum()) if sigma.ndim == 1 else sigma.sum(axis=-1)
-    s = as_2d(s, "dual-norm input", stack=True)
-    # The norm is the finiteness check: NaN and ±inf make it non-finite, and
-    # only then is the input scanned.
-    total = frob_norm(s) if s.ndim == 2 else np.array([frob_norm(m) for m in s])
-    if not (math.isfinite(total) if s.ndim == 2 else np.isfinite(total).all()):
-        as_matrix(s, "dual-norm input")
-    return total
+    return frob_norms(as_matrix(s, "dual-norm input", finite=False), "dual-norm input")
 
 
 def norm_equiv_constant(norm: NormKind, n: int, p: int) -> float:

@@ -7,13 +7,12 @@ full-column-rank ambient matrix onto St(n, p) is its polar factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError
-from .linalg import as_2d, as_matrix, frob_norm, msign_exact, sym_unchecked
+from .linalg import as_matrix, frob_norms, msign_exact, sym_unchecked
 
 # Every StiefelPoint satisfies ‖xᵀx − I‖_F ≤ FEAS_TOL.
 FEAS_TOL = 1e-8
@@ -76,27 +75,14 @@ class StiefelPoint:
 def feasibility_violation(x):
     """‖xᵀx − I_p‖_F, the orthonormality-constraint violation, of a matrix,
     or the list of each matrix's of a stack (k, n, p), with its own call's
-    bits, from one stacked product.
-
-    A non-finite entry of x makes a diagonal entry of xᵀx non-finite, so
-    x is scanned for one only when a result is not finite (it may also be
-    an overflow); a non-finite entry raises ConfigurationError.
-    """
-    x = as_2d(x, "Stiefel point", stack=True)
+    bits, from one stacked product. A non-finite entry of x makes xᵀx, and
+    so the norm, non-finite, and raises ConfigurationError (frob_norms)."""
+    x = as_matrix(x, "Stiefel point", finite=False)
     g = x.swapaxes(-1, -2) @ x
     p = g.shape[-1]
     g.reshape(-1, p * p)[:, :: p + 1] -= 1.0
-    if g.ndim == 3:
-        return [_violation(a, b) for a, b in zip(g, x)]
-    return _violation(g, x)
-
-
-def _violation(g: np.ndarray, x: np.ndarray) -> float:
-    """‖g‖_F for g = xᵀx − I, raising ConfigurationError for a non-finite x."""
-    violation = frob_norm(g)
-    if not math.isfinite(violation) and not np.isfinite(x).all():
-        raise ConfigurationError("matrix contains non-finite entries")
-    return violation
+    violation = frob_norms(g, "matrix", source=x)
+    return violation if x.ndim == 2 else violation.tolist()
 
 
 def project(m: StiefelManifold, y) -> StiefelPoint:
@@ -106,7 +92,7 @@ def project(m: StiefelManifold, y) -> StiefelPoint:
     of rank r has the partial isometry U_r·V_rᵀ for its factor, with
     ‖xᵀx − I‖_F = √(p − r), so StiefelPoint raises FeasibilityError.
     """
-    y = as_2d(y, "projection input")
+    y = as_matrix(y, "projection input", finite=False)
     if y.shape != (m.n, m.p):
         raise ConfigurationError(f"input shape {y.shape} does not match St({m.n}, {m.p})")
     return StiefelPoint(msign_exact(y), m)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .linalg import as_2d, as_matrix, eigh, frob_inner, frob_norm
+from .linalg import as_matrix, eigh, frob_inner, frob_norm
 from .manifolds import StiefelManifold, StiefelPoint, feasibility_violation
 
 
@@ -119,7 +119,7 @@ class BrockettInstance:
         makes it non-finite, so x is scanned for one only then, and raises
         ConfigurationError.
         """
-        x = as_2d(x, "gradient input", stack=True)
+        x = as_matrix(x, "gradient input", finite=False)
         stack = x.reshape(-1, *x.shape[-2:])  # a matrix as a stack of one
         rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
         if len(rngs) != len(stack):
@@ -146,8 +146,8 @@ class BrockettInstance:
                 g = g.reshape(x.shape)
         else:
             raise ConfigurationError(f"unknown noise kind {noise_cfg.kind!r}")
-        if not math.isfinite(frob_norm(g)) and not np.isfinite(x).all():
-            raise ConfigurationError("gradient input contains non-finite entries")
+        if not math.isfinite(frob_norm(g)):
+            as_matrix(x, "gradient input")
         return g
 
     def optimum_value(self) -> float:
@@ -245,14 +245,10 @@ def subspace_error(inst: BrockettInstance, w) -> float:
     it, with the same bits, and a non-finite entry raises ConfigurationError
     there.
     """
-    if isinstance(w, StiefelPoint):
-        w, violation = w.x, w.violation
-    else:
-        w, violation = as_2d(w, "subspace input"), None
+    x = w.x if isinstance(w, StiefelPoint) else as_matrix(w, "subspace input", finite=False)
     ws = inst.w_star.x
-    if w.shape != ws.shape:
-        raise ConfigurationError(f"subspace input shape {w.shape} does not match the optimum's {ws.shape}")
-    if violation is None:
-        violation = feasibility_violation(w)
-    return math.hypot(math.sqrt(2.0) * frob_norm(w - ws @ (ws.T @ w)), violation)
+    if x.shape != ws.shape:
+        raise ConfigurationError(f"subspace input shape {x.shape} does not match the optimum's {ws.shape}")
+    violation = w.violation if isinstance(w, StiefelPoint) else feasibility_violation(x)
+    return math.hypot(math.sqrt(2.0) * frob_norm(x - ws @ (ws.T @ x)), violation)
 

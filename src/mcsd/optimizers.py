@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .linalg import (
-    EXACT, PolarMode, Spectrum, as_2d, eigh, factorize, frob_inner, frob_norm, gram_polar_factor, msign_exact,
+    EXACT, PolarMode, Spectrum, as_matrix, eigh, factorize, frob_inner, frob_norm, gram_polar_factor, msign_exact,
     sym_unchecked,
 )
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
@@ -371,12 +371,12 @@ _STEP = step
 
 def _checked_gradient(g, x: np.ndarray) -> np.ndarray:
     """g as a float64 array of x's shape, else ConfigurationError; a
-    non-finite entry raises NumericError, whose `index` is the first run of a
-    stack at fault."""
+    non-finite entry, which ‖g‖_F reveals before any scan, raises
+    NumericError, whose `index` is the first run of a stack at fault."""
     g = np.asarray(g, dtype=np.float64)
     if g.shape != x.shape:
         raise ConfigurationError(f"gradient shape {g.shape} does not match point shape {x.shape}")
-    if not np.isfinite(g).all():
+    if not math.isfinite(frob_norm(g)) and not np.isfinite(g).all():
         index = int(np.argmin(np.isfinite(g).all(axis=(-2, -1))))
         raise NumericError("the objective's gradient has non-finite entries", index)
     return g
@@ -446,7 +446,7 @@ def manifold_muon_direction(
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
-    g_m = as_2d(g_m, "Riemannian gradient")
+    g_m = as_matrix(g_m, "Riemannian gradient", finite=False)
     xm = x.x
     if g_m.shape != xm.shape:
         raise ConfigurationError(f"gradient shape {g_m.shape} does not match point shape {xm.shape}")

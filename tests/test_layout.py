@@ -39,6 +39,11 @@ would be a second copy of factorize's scaling, Gram and orientation steps.
 reads a stack's signs and nuclear norms the same way, so no module but
 `linalg` calls `factorize(`, `.sign()` or `.nuclear_norm()` once per slice,
 in a loop or a comprehension.
+
+One input contract: `linalg.as_matrix` is the one validator of a matrix or
+a stack (no module defines a second, `as_2d`), and only `linalg` spells the
+"contains non-finite entries" error, which `as_matrix` raises and
+`frob_norms` reaches when a norm is not finite.
 """
 
 import ast
@@ -419,6 +424,38 @@ def test_the_scan_finds_per_slice_factorizations():
         "m.py:9 calls sign in a loop",
         "m.py:10 calls nuclear_norm in a comprehension",
     ]
+
+
+def input_contract_breaches(source: str, filename: str) -> list[str]:
+    """One line per line of `source` outside linalg.py that spells the
+    non-finite input error, and per definition of `as_2d`."""
+    found = [] if filename == "linalg.py" else [
+        f"{filename}:{lineno} spells the non-finite input error"
+        for lineno, line in enumerate(source.splitlines(), 1) if "contains non-finite entries" in line
+    ]
+    tree = ast.parse(source, filename=filename)
+    return found + [f"{filename}:{node.lineno} defines as_2d" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "as_2d"]
+
+
+def test_one_input_contract():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in input_contract_breaches(path.read_text(), path.name)] == []
+
+
+def test_the_scan_finds_input_contract_breaches():
+    source = (
+        "def as_2d(a):\n"
+        "    raise ConfigurationError(f'{name} contains non-finite entries')\n"
+        "def f(x):\n"
+        "    return as_matrix(x, 'x', finite=False)\n"
+    )
+    assert input_contract_breaches(source, "m.py") == [
+        "m.py:2 spells the non-finite input error",
+        "m.py:1 defines as_2d",
+    ]
+    assert input_contract_breaches(source, "linalg.py") == ["linalg.py:1 defines as_2d"]
 
 
 def constant_rows(readme: str) -> list[tuple[str, str, str]]:

@@ -18,7 +18,7 @@ from mcsd import (
     random_point,
     svd,
 )
-from mcsd.linalg import GRAM_EIG_RATIO, eigh, factorize, frob_norm, gram_polar_factor, sym_unchecked
+from mcsd.linalg import GRAM_EIG_RATIO, eigh, factorize, frob_norm, frob_norms, gram_polar_factor, sym_unchecked
 from tests.conftest import haar, patch_lapack
 
 def direct_polar_iteration(y, iters=8):
@@ -212,6 +212,41 @@ class TestMsignExact:
             with pytest.raises(NumericError) as excinfo:
                 call(np.full((3, 3), np.nan))
         assert str(excinfo.value) == message
+
+    def test_stacked_failure_names_the_first_matrix_that_fails_alone(self, monkeypatch):
+        # LAPACK fails on the all-NaN matrices 2 and 3 of a stack: the error
+        # names 2; a stack that fails only as a whole names none
+        a = np.stack([np.eye(3)] * 4)
+        a[2:] = np.nan
+        with pytest.raises(NumericError, match="^eigendecomposition of the 3x3 Gram matrix failed") as excinfo:
+            eigh(a, "Gram matrix")
+        assert excinfo.value.index == 2
+
+        # the exact sign's one SVD of the declined (κ = 101) matrices 1 and 3
+        # names matrix 3 by its place in the stack, not among those two
+        y = np.stack([with_spectrum(50, np.geomspace(kappa, 1.0, 3), seed=11 + k)
+                      for k, kappa in enumerate([99.0, 101.0, 99.0, 101.0])])
+
+        def fails_on_matrix_3(original):
+            def call(m, **kwargs):
+                if any(np.array_equal(a, y[3]) for a in m.reshape(-1, 50, 3)):
+                    raise np.linalg.LinAlgError("forced")
+                return original(m, **kwargs)
+
+            return call
+
+        patch_lapack(monkeypatch, "svd", fails_on_matrix_3)
+        with pytest.raises(NumericError, match="^SVD of the 50x3 matrix failed: forced$") as excinfo:
+            msign_exact(y)
+        assert excinfo.value.index == 3
+
+        def whole_stacks_fail(original):
+            return lambda m: original(m) if m.ndim == 2 else original(np.full(m.shape, np.nan))
+
+        patch_lapack(monkeypatch, "eigh", whole_stacks_fail)
+        with pytest.raises(NumericError) as excinfo:
+            eigh(np.stack([np.eye(3)] * 4), "Gram matrix")
+        assert excinfo.value.index is None
 
 
 class TestMsignExactStack:
@@ -462,7 +497,11 @@ class TestFrobNorm:
             a = a[::3, 1::2]
         elif layout == "stack":
             a = a.reshape(20, 20, 10)[3]
-        assert frob_norm(a) == float(np.linalg.norm(a))
+        assert frob_norm(a) == float(np.linalg.norm(a)) == frob_norms(a, "a")
+        # each matrix of a stack, and a finite stack whose norms overflow
+        stack = np.stack([a, -2.0 * a, 0.0 * a])
+        assert frob_norms(stack, "a").tolist() == [float(np.linalg.norm(m)) for m in stack]
+        assert frob_norms(np.full((2,) + a.shape, 1e308), "a").tolist() == [math.inf, math.inf]
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-300])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])

@@ -22,6 +22,7 @@ from mcsd import (
     project,
     riemannian_grad,
 )
+from mcsd.linalg import frob_norms
 from mcsd.optimizers import (
     ManifoldMuon,
     Mcsd,
@@ -54,6 +55,8 @@ CALLS = {
     "riemannian_grad": (lambda a: riemannian_grad(POINT, a), "gaussian"),
     "StiefelPoint": (lambda a: StiefelPoint(a, MANIFOLD), "point"),
     "feasibility_violation": (lambda a: feasibility_violation(a), "point"),
+    "frob_norms": (lambda a: frob_norms(a, "norm input"), "gaussian"),
+    "frob_norms_stack": (lambda a: frob_norms(a.reshape(8, 25, 5), "norm input"), "gaussian"),  # slice 0 or 7
     "manifold_muon_direction_exact": (lambda a: manifold_muon_direction(POINT, a, 10, 0.1), "gaussian"),
     "manifold_muon_direction_iterative": (
         lambda a: manifold_muon_direction(POINT, a, 10, 0.1, polar_mode=ITERATIVE),

@@ -533,6 +533,25 @@ def failing_at(run, t, fn):
     return call
 
 
+def failing_slice(nth, index):
+    """A patch_lapack wrap: the matrix at `index` of the `nth` stacked
+    (3-D) call, picked by its content, then fails in every call that holds
+    it, alone or in a stack; every other input factors as LAPACK does."""
+    stacks, picked = itertools.count(1), []
+
+    def wrap(factor):
+        def call(a, **kwargs):
+            if a.ndim == 3 and next(stacks) == nth:
+                picked.append(a[index].copy())
+            if picked and any(np.array_equal(m, picked[0]) for m in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("forced")
+            return factor(a, **kwargs)
+
+        return call
+
+    return wrap
+
+
 class AlternateFallback:
     """Stub method that reports a fallback on every even step and moves along
     the negated tangent gradient."""
@@ -582,23 +601,24 @@ class TestRetraction:
     def test_stacked_eigh_failure_names_the_iteration(self, small_instance, monkeypatch):
         # each run_seeds step diagonalises one (20, 3, 3) stack of Gram
         # matrices for the LMO's sign and one for the retraction, so the 5th
-        # is the LMO's at x_2; the error names one 3x3 Gram matrix
+        # is the LMO's at x_2; seed 7's matrix there fails, alone or in a
+        # stack, so the error names one 3x3 Gram matrix and its seed
         method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
-        x0 = haar(50, 3, seed=38)
-        stacks = itertools.count(1)
-
-        def wrap(eigh):
-            def call(a):
-                if a.ndim == 3 and next(stacks) == 5:
-                    raise np.linalg.LinAlgError("forced")
-                return eigh(a)
-
-            return call
-
-        patch_lapack(monkeypatch, "eigh", wrap)
-        message = r"^iteration 2: eigendecomposition of the 3x3 Gram matrix failed: forced$"
+        patch_lapack(monkeypatch, "eigh", failing_slice(5, 7))
+        message = r"^iteration 2, seed 7: eigendecomposition of the 3x3 Gram matrix failed: forced$"
         with pytest.raises(NumericError, match=message) as excinfo:
-            run_seeds(method, constant_schedule(0.05), x0, seed_rngs(20), small_instance, 5)
+            run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=38), seed_rngs(20), small_instance, 5)
+        assert [len(tr) for tr in excinfo.value.records] == [3] * 20
+
+    def test_stacked_svd_failure_names_the_iteration(self, small_instance, monkeypatch):
+        # each record of a stochastic stack takes one values-only SVD of the
+        # (20, 50, 3) true gradients for their nuclear norms, so the 4th is
+        # x_3's; seed 11's gradient there fails, alone or in a stack
+        method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
+        patch_lapack(monkeypatch, "svd", failing_slice(4, 11))
+        message = r"^iteration 3, seed 11: SVD of the 50x3 dual-norm input failed: forced$"
+        with pytest.raises(NumericError, match=message) as excinfo:
+            run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=38), seed_rngs(20), small_instance, 5)
         assert [len(tr) for tr in excinfo.value.records] == [3] * 20
 
     def test_record_failure_names_the_iteration(self, small_instance, monkeypatch):
