@@ -1,13 +1,16 @@
 """Dense float64 matrix kernels, of a matrix or of each matrix of a stack:
 the one input contract (`as_matrix`, and `frob_norms`, the norm that is
 also the finiteness check; no other module raises a non-finite input
-error), the Frobenius norm and the one factorization layer. No other
-module calls numpy.linalg: `svd` (thin, or values only) and `eigh` (with
-vectors, or values only) are its one SVD and eigendecomposition, and each
-raises NumericError where LAPACK fails, naming the matrix of a stack at
-fault. `eigh` calls the LAPACK gufunc that numpy.linalg.eigh and eigvalsh
-wrap, and 2-D products use ndarray.dot, each with numpy's bits, because at
-the p×p sizes of the Gram route the wrappers cost more than the work.
+error), the Frobenius norm and inner product and the one factorization
+layer. A C-contiguous stack's Frobenius reductions are one batched BLAS
+dot product (`frob_inners`, which `frob_norms` takes), each slice with the
+bits of its own call. No other module calls numpy.linalg: `svd` (thin, or
+values only) and `eigh` (with vectors, or values only) are its one SVD and
+eigendecomposition, and each raises NumericError where LAPACK fails,
+naming the matrix of a stack at fault. `eigh` calls the LAPACK gufunc
+that numpy.linalg.eigh and eigvalsh wrap, and 2-D products use
+ndarray.dot, each with numpy's bits, because at the p×p sizes of the Gram
+route the wrappers cost more than the work.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -77,6 +80,17 @@ def frob_inner(a, b) -> float:
     return float(np.vdot(a, b))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # cheaper than a with block; np.vdot warns on neither
+def frob_inners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """frob_inner of each pair of matrices of two stacks (k, n, p), bit for
+    bit: of C-contiguous stacks one batched product (k, 1, np) @ (k, np, 1),
+    which runs on each pair the BLAS dot that np.vdot runs, else pair by pair."""
+    k = len(a)
+    if a.flags.c_contiguous and b.flags.c_contiguous:
+        return (a.reshape(k, 1, -1) @ b.reshape(k, -1, 1)).reshape(k)
+    return np.array([frob_inner(a_i, b_i) for a_i, b_i in zip(a, b)])
+
+
 def frob_norm(a: np.ndarray) -> float:
     """‖a‖_F: one BLAS dot over the memory-order ravel, np.linalg.norm(a) bit
     for bit in any layout, recomputed with a divided by max|a| only when Σa²
@@ -98,7 +112,15 @@ def frob_norms(a: np.ndarray, name: str, source: np.ndarray | None = None):
     """frob_norm of a matrix, or the array of each matrix's of a stack, and
     the finiteness check: only a non-finite norm scans `source` (the input a
     came from; by default a), raising ConfigurationError on a non-finite entry."""
-    norms = frob_norm(a) if a.ndim == 2 else np.array([frob_norm(m) for m in a])
+    if a.ndim == 2:
+        norms = frob_norm(a)
+    elif a.flags.c_contiguous:  # each slice's one dot, as frob_norm takes it, in one product
+        sq = frob_inners(a, a)
+        norms = np.sqrt(sq)
+        for i in np.flatnonzero(~((sq >= 1e-290) & (sq <= 1e300))).tolist():  # frob_norm's range; NaN fails it
+            norms[i] = frob_norm(a[i])
+    else:  # each slice's memory order
+        norms = np.array([frob_norm(m) for m in a])
     if not (math.isfinite(norms) if a.ndim == 2 else np.isfinite(norms).all()):
         as_matrix(a if source is None else source, name)
     return norms

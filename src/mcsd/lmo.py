@@ -46,7 +46,8 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT, spectrum: Spectrum | N
     fro = frob_norms(s, "lmo input")
     zero = fro <= zero_tolerance(*s.shape[-2:])
     if norm is NormKind.FROBENIUS:
-        d = -s / np.where(zero, 1.0, fro)[..., None, None]
+        # a matrix divides by the float: the same IEEE quotient, 2 µs cheaper at 200x5
+        d = -s / (np.where(zero, 1.0, fro)[:, None, None] if s.ndim == 3 else 1.0 if zero else fro)
     else:
         d = -(polar_mode.apply(s) if spectrum is None else spectrum.sign())
     if s.ndim == 3 or zero:  # on a matrix the masked write costs about as much as the rest of the call

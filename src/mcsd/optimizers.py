@@ -33,6 +33,7 @@ convergence bounds (which also pins the momentum β = 1 − T^(−1/2)).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,8 +43,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .linalg import (
-    EXACT, PolarMode, Spectrum, as_matrix, eigh, factorize, frob_inner, frob_norm, gram_polar_factor, msign_exact,
-    sym_unchecked,
+    EXACT, PolarMode, Spectrum, as_matrix, eigh, factorize, frob_inner, frob_norm, frob_norms, gram_polar_factor,
+    msign_exact, sym_unchecked,
 )
 from .lmo import NormKind, dual_norm, lmo, zero_tolerance
 from .manifolds import StiefelPoint, tangent_component
@@ -238,9 +239,10 @@ class ManifoldMuon:
         gradient holds."""
         ev = _evaluation(run, objective)
         d, fallbacks = np.zeros_like(ev.grad), 0
-        runs = zip(_each(run, run.x), _each(run, ev.grad), ev.spectrum.matrices(), _each(run, d))
-        for x, g_m, spec, d_m in runs:
-            if frob_norm(g_m) > zero_tolerance(*g_m.shape):
+        moves = frob_norms(ev.grad, "Riemannian gradient") > zero_tolerance(*ev.grad.shape[-2:])
+        runs = zip(_each(run, run.x), _each(run, ev.grad), ev.spectrum.matrices(), _each(run, d), _each(run, moves))
+        for x, g_m, spec, d_m, move in runs:
+            if move:
                 result = manifold_muon_direction(x, g_m, self.inner_iters, self.inner_lr, run.polar_mode, spec)
                 d_m[...] = result.direction
                 fallbacks += result.fallback
@@ -557,7 +559,8 @@ def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, 
     evaluation has one (Spectrum.nuclear_norm), else from dual_norm."""
     ev = _evaluation(run, objective)
     dual = dual_norm(run.method.norm, ev.grad) if ev.spectrum is None else ev.spectrum.nuclear_norm()
-    columns = (run.x, ev.value, run.x.violation, dual)
+    points = run.x if subspace_fn is not None else itertools.repeat(None)  # a stack is indexed only for subspace_fn
+    columns = (points, ev.value, run.x.violation, dual)
     return [
         TraceRecord(
             iter=t,

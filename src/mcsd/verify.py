@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError
-from .linalg import frob_inner, frob_norm, msign_exact, svd
+from .linalg import frob_inners, frob_norms, msign_exact, svd
 from .lmo import NormKind, lmo
 from .manifolds import StiefelManifold, StiefelPoint, tangent_component
 from .objectives import BrockettInstance, brockett_grad_unchecked, smoothness_constants, value_from_grad
@@ -133,7 +133,9 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     DESCENT_CHUNK at a time with stacked calls, each of which gives every
     sample the bits its own call would: lhs and rhs are those of
     random_point, svd's largest singular value, evaluate, msign_exact,
-    riemannian_grad and value called sample by sample. Each chunk's x is one
+    riemannian_grad and value called sample by sample. The per-sample
+    reductions are stacked too: f(x), f(P_M(x+d)) and ⟨∇_M f(x), d⟩ are each
+    one frob_inners product, and ‖d‖_F² one row sum. Each chunk's x is one
     StiefelPoint, so a rank-deficient y (probability 0), whose factor is a
     partial isometry, raises its FeasibilityError, naming the sample.
     """
@@ -163,12 +165,11 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
         rgrad = tangent_component(x, egrad)
         w = msign_exact(x + d)
         wgrad = brockett_grad_unchecked(inst, w)
-        squares = d * d
-        for k in range(size):
-            fx = value_from_grad(egrad[k], x[k])
-            lhs = value_from_grad(wgrad[k], w[k])
-            slope = frob_inner(rgrad[k], d[k])
-            sq = float(squares[k].sum())
+        rows = zip(
+            value_from_grad(egrad, x), value_from_grad(wgrad, w), frob_inners(rgrad, d).tolist(),
+            (d * d).reshape(size, -1).sum(axis=1).tolist(),
+        )
+        for k, (fx, lhs, slope, sq) in enumerate(rows):
             rhs = fx + slope + 0.5 * lip * sq
             curvature = max(curvature, 2.0 * (lhs - fx - slope) / sq)
             worst.offer(lhs, rhs, DESCENT_SLACK, start + k, x[k], d[k])
@@ -304,7 +305,8 @@ def brute_force_lmo_check(
     minimum + LMO_NET_TOL·‖s‖_F for each s. The net minimum is an upper bound on the
     true optimum, so this certifies the oracle is at least as good as brute
     force. Each input is held to its own slack, and the report is the input
-    with the largest lhs − rhs − slack.
+    with the largest lhs − rhs − slack. The inputs are one stack, whose LMO,
+    inner products and norms give each input its own call's bits.
     """
     if dims[0] > 3 or dims[1] > 3:
         raise ConfigurationError("net oracle is only tractable for dims up to 3x3")
@@ -313,11 +315,13 @@ def brute_force_lmo_check(
     if inputs < 1:
         raise ConfigurationError(f"the check needs at least one input, got {inputs}")
 
-    targets = [rng.standard_normal(dims) for _ in range(inputs)]
+    targets = rng.standard_normal((inputs, *dims))  # the draws of one matrix at a time
     net_minima = _net_minima(norm, tuple(dims), targets, net_size, rng)
+    values = frob_inners(targets, lmo(norm, targets)).tolist()
+    slacks = (LMO_NET_TOL * frob_norms(targets, "lmo input")).tolist()
     worst = _WorstRow()
-    for k, (s, net_min) in enumerate(zip(targets, net_minima)):
-        worst.offer(frob_inner(s, lmo(norm, s)), net_min, LMO_NET_TOL * frob_norm(s), k)
+    for k, row in enumerate(zip(values, net_minima, slacks)):
+        worst.offer(*row, k)
 
     lhs, rhs, slack, idx = worst.row
     return BoundReport(
@@ -331,7 +335,7 @@ def brute_force_lmo_check(
 
 
 def _net_minima(
-    norm: NormKind, dims: tuple[int, int], targets: list[np.ndarray], net_size: int, rng: np.random.Generator
+    norm: NormKind, dims: tuple[int, int], targets: np.ndarray, net_size: int, rng: np.random.Generator
 ) -> list[float]:
     """min ⟨s, d⟩ for each s in `targets` over one net of `net_size` directions
     d with norm(d) = 1, drawn, normalized in place and scored NET_CHUNK at a

@@ -36,9 +36,10 @@ inner loop, which applies it to the Gram matrices it updates itself. A third
 would be a second copy of factorize's scaling, Gram and orientation steps.
 
 `factorize` takes a stack in one call per operation, and its Spectrum
-reads a stack's signs and nuclear norms the same way, so no module but
-`linalg` calls `factorize(`, `.sign()` or `.nuclear_norm()` once per slice,
-in a loop or a comprehension.
+reads a stack's signs and nuclear norms the same way, as `frob_norms` and
+`frob_inners` take a stack's Frobenius norms and inner products, so no
+module but `linalg` calls `factorize(`, `.sign()`, `.nuclear_norm()`,
+`frob_norm(` or `frob_inner(` once per slice, in a loop or a comprehension.
 
 One input contract: `linalg.as_matrix` is the one validator of a matrix or
 a stack (no module defines a second, `as_2d`), and only `linalg` spells the
@@ -358,25 +359,25 @@ def test_the_scan_finds_gram_kernel_calls():
     ]
 
 
-def per_slice_factorizations(source: str, filename: str) -> list[str]:
-    """One line per call of `factorize(...)`, or of an argument-free
-    `.sign()` or `.nuclear_norm()`, that `source` makes in a loop body or a
-    comprehension, once per item (a loop's iterable and a comprehension's
-    first iterable are evaluated once)."""
+def per_slice_calls(source: str, filename: str) -> list[str]:
+    """One line per call of `factorize(...)`, `frob_norm(...)` or
+    `frob_inner(...)`, or of an argument-free `.sign()` or `.nuclear_norm()`,
+    that `source` makes in a loop body or a comprehension, once per item (a
+    loop's iterable and a comprehension's first iterable are evaluated once)."""
     found = []
 
-    def factorization(call: ast.Call) -> str | None:
+    def per_slice(call: ast.Call) -> str | None:
         func = call.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "factorize" or (
+        if name in ("factorize", "frob_norm", "frob_inner") or (
             name in ("sign", "nuclear_norm") and isinstance(func, ast.Attribute) and not call.args and not call.keywords
         ):
             return name
         return None
 
     def visit(node, where):
-        if where and isinstance(node, ast.Call) and factorization(node):
-            found.append(f"{filename}:{node.lineno} calls {factorization(node)} in a {where}")
+        if where and isinstance(node, ast.Call) and per_slice(node):
+            found.append(f"{filename}:{node.lineno} calls {per_slice(node)} in a {where}")
         if isinstance(node, (ast.For, ast.AsyncFor)):
             visit(node.iter, where)
             for child in [node.target, *node.body, *node.orelse]:
@@ -400,7 +401,7 @@ def per_slice_factorizations(source: str, filename: str) -> list[str]:
 def test_no_module_factors_a_stack_slice_by_slice():
     modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "linalg.py"]
     assert len(modules) > 5
-    assert [line for path in modules for line in per_slice_factorizations(path.read_text(), path.name)] == []
+    assert [line for path in modules for line in per_slice_calls(path.read_text(), path.name)] == []
 
 
 def test_the_scan_finds_per_slice_factorizations():
@@ -416,13 +417,33 @@ def test_the_scan_finds_per_slice_factorizations():
         "        spec = spec.sign()\n"
         "    return {k: v.nuclear_norm() for k, v in spec}\n"
     )
-    assert per_slice_factorizations(source, "m.py") == [
+    assert per_slice_calls(source, "m.py") == [
         "m.py:2 calls factorize in a comprehension",
         "m.py:3 calls sign in a comprehension",
         "m.py:5 calls nuclear_norm in a loop",
         "m.py:5 calls factorize in a loop",
         "m.py:9 calls sign in a loop",
         "m.py:10 calls nuclear_norm in a comprehension",
+    ]
+
+
+def test_the_scan_finds_per_slice_frobenius_reductions():
+    source = (
+        "def f(g, w, d):\n"
+        "    a = [0.5 * frob_inner(a, b) for a, b in zip(g, w)]\n"
+        "    for k in range(len(d)):\n"
+        "        moves = linalg.frob_norm(d[k]) > 0.0\n"
+        "    b = frob_norm(g), frob_inner(g, w), frob_norms(g, 'g'), frob_inners(g, w)\n"
+        "    c = [frob_norms(m, 'm') for m in frob_inner(g, w)]\n"
+        "    while d:\n"
+        "        d = frob_inner(d, d)\n"
+        "    return {k: frob_norm(v) for k, v in g}\n"
+    )
+    assert per_slice_calls(source, "m.py") == [
+        "m.py:2 calls frob_inner in a comprehension",
+        "m.py:4 calls frob_norm in a loop",
+        "m.py:8 calls frob_inner in a loop",
+        "m.py:9 calls frob_norm in a comprehension",
     ]
 
 

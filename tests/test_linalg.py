@@ -18,7 +18,10 @@ from mcsd import (
     random_point,
     svd,
 )
-from mcsd.linalg import GRAM_EIG_RATIO, eigh, factorize, frob_norm, frob_norms, gram_polar_factor, sym_unchecked
+from mcsd.linalg import (
+    GRAM_EIG_RATIO, eigh, factorize, frob_inners, frob_norm, frob_norms, gram_polar_factor, sym_unchecked,
+)
+from mcsd.objectives import value_from_grad
 from tests.conftest import haar, patch_lapack
 
 def direct_polar_iteration(y, iters=8):
@@ -531,6 +534,49 @@ class TestFrobNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not math.isfinite(frob_norm(a))
+
+
+@st.composite
+def frobenius_stacks(draw):
+    """Two stacks (k, n, p), 1 <= k <= 32 and 1 <= n·p <= 2000, of Gaussian
+    entries at one scale in [1e-200, 1e200] (1e200 overflows Σa², 1e-170 takes
+    frob_norm's rescale), in one layout: "C", "F" (each slice), "strided"
+    (each slice) or "stack" (every other matrix of a C-contiguous stack)."""
+    k, n, p = draw(st.integers(1, 32)), draw(st.integers(1, 250)), draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1e200, 1e-170]) | st.floats(-200.0, 200.0).map(lambda e: 10.0**e))
+    layout = draw(st.sampled_from(["C", "F", "strided", "stack"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "F":
+        a, b = scale * rng.standard_normal((2, k, p, n))
+        return a.swapaxes(1, 2), b.swapaxes(1, 2), layout
+    if layout == "strided":
+        a, b = scale * rng.standard_normal((2, k, 2 * n, 2 * p))
+        return a[:, ::2, 1::2], b[:, ::2, 1::2], layout
+    a, b = scale * rng.standard_normal((2, 2 * k if layout == "stack" else k, n, p))
+    return (a[::2], b[::2], layout) if layout == "stack" else (a, b, layout)
+
+
+def bits(values) -> list[int]:
+    """The IEEE bits of each float, so that NaN compares equal to itself."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(frobenius_stacks())
+def test_property_stacked_frobenius_reductions_keep_each_slices_bits(stacks):
+    # frob_inners is np.vdot of each pair (of C-contiguous stacks, of the
+    # ravelled pair) and frob_norms each slice's frob_norm
+    # in every layout, and value_from_grad each pair's float, bit for bit and
+    # without a RuntimeWarning at 1e200 (overflow) or 1e-170 (rescale)
+    a, b, layout = stacks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inners, norms, values = frob_inners(a, b), frob_norms(a, "a"), value_from_grad(a, b)
+    if layout == "C":
+        assert bits(inners) == bits([np.vdot(a_i.ravel(), b_i.ravel()) for a_i, b_i in zip(a, b)])
+    assert bits(inners) == bits([frob_inner(a_i, b_i) for a_i, b_i in zip(a, b)])
+    assert bits(norms) == bits([frob_norm(m) for m in a])
+    assert bits(values) == bits([value_from_grad(a_i, b_i) for a_i, b_i in zip(a, b)])
 
 
 class TestPolarMode:

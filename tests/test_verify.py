@@ -467,7 +467,7 @@ class TestBruteForceLmo:
 
         norm, dims, seed, net_size = NormKind.SPECTRAL, (2, 2), 101, 10**5
         rng = np.random.default_rng(seed)
-        targets = [rng.standard_normal(dims) for _ in range(5)]
+        targets = rng.standard_normal((5, *dims))
         nets = mcsd.verify._net_minima(norm, dims, targets, net_size, rng)
         sizes = [np.linalg.norm(s) for s in targets]
         big, small = int(np.argmax(sizes)), int(np.argmin(sizes))
@@ -476,11 +476,12 @@ class TestBruteForceLmo:
 
         exact = mcsd.verify.lmo
 
-        def stub(norm, s):
-            k = next(k for k, t in enumerate(targets) if np.array_equal(s, t))
-            if k not in want:
-                return exact(norm, s)
-            return exact(norm, s) * (-(want[k] + nets[k]) / dual_norm(norm, s))
+        def stub(norm, s):  # the check takes the LMO of its stack of inputs in one call
+            assert np.array_equal(s, targets)
+            d = exact(norm, s)
+            for k, gap in want.items():
+                d[k] *= -(gap + nets[k]) / dual_norm(norm, s[k])
+            return d
 
         monkeypatch.setattr(mcsd.verify, "lmo", stub)
         report = brute_force_lmo_check(norm, dims, net_size=net_size, rng=np.random.default_rng(seed), inputs=5)
