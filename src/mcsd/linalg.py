@@ -2,15 +2,15 @@
 the one input contract (`as_matrix`, and `frob_norms`, the norm that is
 also the finiteness check; no other module raises a non-finite input
 error), the Frobenius norm and inner product and the one factorization
-layer. A C-contiguous stack's Frobenius reductions are one batched BLAS
-dot product (`frob_inners`, which `frob_norms` takes), each slice with the
-bits of its own call. No other module calls numpy.linalg: `svd` (thin, or
-values only) and `eigh` (with vectors, or values only) are its one SVD and
-eigendecomposition, and each raises NumericError where LAPACK fails,
-naming the matrix of a stack at fault. `eigh` calls the LAPACK gufunc
-that numpy.linalg.eigh and eigvalsh wrap, and 2-D products use
-ndarray.dot, each with numpy's bits, because at the p×p sizes of the Gram
-route the wrappers cost more than the work.
+layer. A stack's Frobenius inner products are one batched BLAS dot
+product (`frob_inners`, which `frob_norms` takes of a C-contiguous stack),
+each slice with the bits of its own call. No other module calls
+numpy.linalg: `svd` (thin, or values only) and `eigh` (with vectors, or
+values only) are its one SVD and eigendecomposition, and each raises
+NumericError where LAPACK fails, naming the matrix of a stack at fault.
+`eigh` calls the LAPACK gufunc that numpy.linalg.eigh and eigvalsh wrap,
+and 2-D products use ndarray.dot, each with numpy's bits, because at the
+p×p sizes of the Gram route the wrappers cost more than the work.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -55,6 +55,11 @@ PRENORM = 1.01
 # κ²·1e-16, about 1e-12 at the limit.
 GRAM_EIG_RATIO = 1e-4
 
+# frob_norm takes √Σa² from one dot product only while Σa² lies in
+# [SQUARE_MIN, SQUARE_MAX]; outside it (overflow, or precision lost to
+# underflow) it recomputes with a divided by max|a|.
+SQUARE_MIN, SQUARE_MAX = 1e-290, 1e300
+
 
 def as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
     """`a` as a non-empty float64 matrix, or a stack (k, n, p) of them, and
@@ -81,25 +86,25 @@ def frob_inner(a, b) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # cheaper than a with block; np.vdot warns on neither
-def frob_inners(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def frob_inners(a, b) -> np.ndarray:
     """frob_inner of each pair of matrices of two stacks (k, n, p), bit for
-    bit: of C-contiguous stacks one batched product (k, 1, np) @ (k, np, 1),
-    which runs on each pair the BLAS dot that np.vdot runs, else pair by pair."""
+    bit: one batched product (k, 1, np) @ (k, np, 1), which runs on each pair
+    the BLAS dot that np.vdot runs (over a view with each slice's stride
+    where its C-order ravel has one, else over a C-ordered copy)."""
+    a, b = np.asarray(a), np.asarray(b)
     k = len(a)
-    if a.flags.c_contiguous and b.flags.c_contiguous:
-        return (a.reshape(k, 1, -1) @ b.reshape(k, -1, 1)).reshape(k)
-    return np.array([frob_inner(a_i, b_i) for a_i, b_i in zip(a, b)])
+    return (a.reshape(k, 1, -1) @ b.reshape(k, -1, 1)).reshape(k)
 
 
 def frob_norm(a: np.ndarray) -> float:
     """‖a‖_F: one BLAS dot over the memory-order ravel, np.linalg.norm(a) bit
     for bit in any layout, recomputed with a divided by max|a| only when Σa²
-    leaves [1e-290, 1e300] (overflow, or precision lost to underflow). A NaN
-    or ±inf entry gives a non-finite result and no warning (np.vdot, unlike
-    ndarray.dot, does not warn on overflow)."""
+    leaves [SQUARE_MIN, SQUARE_MAX]. A NaN or ±inf entry gives a non-finite
+    result and no warning (np.vdot, unlike ndarray.dot, does not warn on
+    overflow)."""
     v = a.ravel(order="K")
     sq = float(np.vdot(v, v))
-    if 1e-290 <= sq <= 1e300:
+    if SQUARE_MIN <= sq <= SQUARE_MAX:
         return math.sqrt(sq)
     scale = max(float(a.max()), -float(a.min()))
     if scale == 0.0 or not math.isfinite(scale):
@@ -117,7 +122,7 @@ def frob_norms(a: np.ndarray, name: str, source: np.ndarray | None = None):
     elif a.flags.c_contiguous:  # each slice's one dot, as frob_norm takes it, in one product
         sq = frob_inners(a, a)
         norms = np.sqrt(sq)
-        for i in np.flatnonzero(~((sq >= 1e-290) & (sq <= 1e300))).tolist():  # frob_norm's range; NaN fails it
+        for i in np.flatnonzero(~((sq >= SQUARE_MIN) & (sq <= SQUARE_MAX))).tolist():  # NaN fails the range too
             norms[i] = frob_norm(a[i])
     else:  # each slice's memory order
         norms = np.array([frob_norm(m) for m in a])

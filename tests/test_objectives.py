@@ -219,6 +219,9 @@ class TestValueAndGrad:
         assert values == tiny.value(ws) == [tiny.value(w) for w in ws]
         for w, g in zip(ws, grads):
             assert np.array_equal(g, tiny.euclid_grad(w))
+        # a stack given as nested lists is converted once, as value converts it
+        listed_values, listed_grads = tiny.evaluate(ws.tolist())
+        assert listed_values == values and np.array_equal(listed_grads, grads)
 
     def test_evaluate_of_a_stack_scans_it_once(self, tiny, rng, monkeypatch):
         import mcsd.objectives
