@@ -261,10 +261,8 @@ class Spectrum(NamedTuple):
         return norm
 
     def matrices(self) -> tuple[Spectrum, ...]:
-        """Each matrix's Spectrum, as factorize gives it of that matrix alone:
-        of a matrix, (self,)."""
-        if self.y.ndim == 2:
-            return (self,)
+        """Each matrix's Spectrum of a stack, as factorize gives it of that
+        matrix alone."""
         usv = iter(zip(*self.usv)) if self.usv else None
         fields = zip(self.y, self.scale.tolist(), self.x, self.gram, self.w, self.h, self.declined.tolist())
         return tuple(
@@ -353,9 +351,12 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
     X_0 = x/(PRENORM·‖x‖_F) and X ← 1.5·X − 0.5·X(XᵀX) act on each singular
     value alone: with u = σ², each step is f = 1.5 − 0.5·u, m ← m·f,
     u ← u·f². The prescale starts every u in [0, 1), where u ↦ u·f² is
-    increasing and fixes 1, so u stays there. Each eigenvalue's k steps run
-    on Python floats: p is small at the shapes the optimizers use, where
-    numpy's per-call cost dominates.
+    increasing and fixes 1, so u stays there. The recurrence runs on Python
+    floats, each operation the IEEE one numpy would apply per element, and
+    the floor below takes np.maximum only where it binds: p is small at the
+    shapes the optimizers use, where numpy's per-call cost dominates
+    (Manifold Muon calls this nine times a step). Σw alone stays numpy's
+    sum, which is pairwise from p = 8 on, where Python's `sum` is not.
 
     An eigenvalue is known only up to rounding, about p·ε·w_max, and where
     the true one is 0, x's component along its eigenvector is rounding-level,
@@ -367,10 +368,16 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
     stays in the unit ball at every k up to the rounding of H that this
     multiplier scales, about √(ε/p).
     """
-    w = np.maximum(w, len(w) * math.ulp(1.0) * max(float(w[-1]), 0.0))  # ε = ulp(1)
+    values = w.tolist()
+    floor = len(values) * math.ulp(1.0) * max(values[-1], 0.0)  # ε = ulp(1)
+    if values[0] < floor:  # w ascends, so the floor binds nowhere when it spares w[0]
+        w = np.maximum(w, floor)
+        values = w.tolist()
     mult0 = 1.0 / (PRENORM * math.sqrt(float(w.sum())))
+    u0 = mult0 * mult0
     mults = []
-    for u in (w * (mult0 * mult0)).tolist():
+    for u in values:
+        u *= u0
         m = mult0
         for _ in range(iters - 1):
             f = 1.5 - 0.5 * u

@@ -235,13 +235,18 @@ class ManifoldMuon:
         _require_positive(inner_lr=self.inner_lr)
 
     def direction(self, run: OptimizerRun, objective) -> Direction:
-        """d from the tangent-constrained inner solver, run by run; a zero
-        gradient holds."""
+        """d from the tangent-constrained inner solver, run by run (a single
+        run's is the solver's own result); a zero gradient holds."""
         ev = _evaluation(run, objective)
-        d, fallbacks = np.zeros_like(ev.grad), 0
         moves = frob_norms(ev.grad, "Riemannian gradient") > zero_tolerance(*ev.grad.shape[-2:])
-        runs = zip(_each(run, run.x), _each(run, ev.grad), ev.spectrum.matrices(), _each(run, d), _each(run, moves))
-        for x, g_m, spec, d_m, move in runs:
+        if not run.stacked:
+            if not moves:
+                return np.zeros_like(ev.grad), self.inner_iters, 0
+            result = manifold_muon_direction(run.x, ev.grad, self.inner_iters, self.inner_lr, run.polar_mode,
+                                             ev.spectrum)
+            return result.direction, self.inner_iters, int(result.fallback)
+        d, fallbacks = np.zeros_like(ev.grad), 0
+        for x, g_m, spec, d_m, move in zip(run.x, ev.grad, ev.spectrum.matrices(), d, moves):
             if move:
                 result = manifold_muon_direction(x, g_m, self.inner_iters, self.inner_lr, run.polar_mode, spec)
                 d_m[...] = result.direction
@@ -304,11 +309,6 @@ class OptimizerRun:
     @property
     def stacked(self) -> bool:
         return self.x.x.ndim == 3
-
-
-def _each(run: OptimizerRun, a):
-    """`a` run by run: a stack (or list) as it is, one run's `a` as (a,)."""
-    return a if run.stacked else (a,)
 
 
 def _named(run: OptimizerRun, exc: NumericError) -> NumericError:
@@ -412,6 +412,7 @@ class MuonDirectionResult:
     fallback: bool
 
 
+@np.errstate(over="raise", invalid="raise")  # one scope per solve: the ascent's overflow raises where it arises
 def manifold_muon_direction(
     x: StiefelPoint,
     g_m: np.ndarray,
@@ -445,6 +446,13 @@ def manifold_muon_direction(
     Y rank-deficient, as at n == p with p odd), the sign comes from the SVD:
     the spectrum's at Λ = 0, and later msign_exact of Y, formed for it. A
     zero g_m gets the zero direction, with no fallback.
+
+    An overflow or invalid operation of the ascent or of the final d, or a
+    failed factorization while Λ or the inner Gram matrix is not finite, is
+    the ascent's divergence (as from an inner_lr too large for the
+    gradient's scale): NumericError naming Manifold Muon's dual ascent and
+    the inner iteration k (from 0). A factorization that fails on finite
+    input raises its own error.
     """
     if inner_iters < 1:
         raise ConfigurationError("inner_iters must be at least 1")
@@ -464,22 +472,30 @@ def manifold_muon_direction(
     b = xm.T.dot(xm)
     half_lr = 0.5 * inner_lr / scale
     g_spec = scale * math.sqrt(max(float(w[-1]), 0.0))
-    lam = np.zeros_like(b)
-    p_lam = a
+    lam, p_lam, gram = np.zeros_like(b), a, gram_g
     msign_y = spectrum.sign() if h is None else None
-    for k in range(inner_iters):
-        if k:
-            lam = lam + half_lr * (q + q.T)
-            p_lam = a + b.dot(lam)
-            h = gram_polar_factor(gram_g + lam.dot(a).T + lam.dot(p_lam), polar_mode.iters)[1]
-            if h is None:
-                msign_y = msign_exact(g + xm.dot(lam))
-        q = xm.T.dot(msign_y) if h is None else p_lam.dot(h)
+    try:
+        for k in range(inner_iters):
+            if k:
+                lam = lam + half_lr * (q + q.T)
+                p_lam = a + b.dot(lam)
+                gram = gram_g + lam.dot(a).T + lam.dot(p_lam)
+                h = gram_polar_factor(gram, polar_mode.iters)[1]
+                if h is None:
+                    msign_y = msign_exact(g + xm.dot(lam))
+            q = xm.T.dot(msign_y) if h is None else p_lam.dot(h)
 
-    neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
-    # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
-    d = xm.dot(neg_tangency) - msign_y if h is None else -g.dot(h) - xm.dot(lam.dot(h) - neg_tangency)
-    d_spec = math.sqrt(max(float(eigh(d.T.dot(d), "direction Gram matrix", vectors=False)[-1]), 0.0))
+        neg_tangency = sym_unchecked(q)  # −sym(xᵀd)
+        # d − x·sym(xᵀd), with d = −(g + xΛ)·H on the p×p route
+        d = xm.dot(neg_tangency) - msign_y if h is None else -g.dot(h) - xm.dot(lam.dot(h) - neg_tangency)
+        d_spec = math.sqrt(max(float(eigh(d.T.dot(d), "direction Gram matrix", vectors=False)[-1]), 0.0))
+    except (FloatingPointError, NumericError) as exc:
+        if isinstance(exc, NumericError) and np.isfinite(lam).all() and np.isfinite(gram).all():
+            raise  # a factorization that fails on finite input
+        raise NumericError(
+            f"Manifold Muon's dual ascent diverged at inner iteration #{k}: "
+            "the multiplier or a matrix formed from it is not finite"
+        ) from exc
     d = d / max(1.0, d_spec)  # ‖d‖₂ ≤ 1
 
     g_fro = scale * math.sqrt(float(np.trace(gram_g)))

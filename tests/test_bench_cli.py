@@ -440,6 +440,24 @@ class TestNumericAbort:
         assert len(read_trace_csv(tmp_path / "rgd_0.csv")) == 6
         assert (tmp_path / f"{label}_0.csv").is_file()
 
+    @pytest.mark.filterwarnings("error")  # as under python -W error: numpy's overflow warning would raise
+    @pytest.mark.parametrize("polar_mode", ["exact", "iterative:8"])
+    def test_diverging_dual_ascent_is_named(self, tmp_path, capsys, polar_mode):
+        # inner_lr = 1e300 overflows Manifold Muon's multiplier at its first ascent
+        path = tmp_path / "mm.ini"
+        path.write_text(
+            f"[instance]\nn = 20\np = 3\nd = 40\n\n[run]\nsteps = 3\nrepeats = 1\npolar_mode = {polar_mode}\n"
+            f"output_dir = {tmp_path}\n\n[method:rgd]\nkind = rgd\nschedule = constant:0.1\n\n"
+            f"[method:mm]\nkind = manifold_muon\ninner_lr = 1e300\nschedule = constant:0.1\n"
+        )
+        assert main(["pca-bench", str(path)]) == EXIT_NUMERIC_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("ABORT ")] == [
+            "ABORT method 'mm': iteration 0: Manifold Muon's dual ascent diverged at inner iteration #1: "
+            "the multiplier or a matrix formed from it is not finite"
+        ]
+        assert len(read_trace_csv(tmp_path / "rgd_0.csv")) == 4
+
     @pytest.mark.parametrize(
         "argv, n",
         [(["verify", "--level", "fast"], 50), (["pca-bench", "CONFIG"], 20)],

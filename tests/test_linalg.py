@@ -19,7 +19,8 @@ from mcsd import (
     svd,
 )
 from mcsd.linalg import (
-    GRAM_EIG_RATIO, eigh, factorize, frob_inners, frob_norm, frob_norms, gram_polar_factor, sym_unchecked,
+    GRAM_EIG_RATIO, PRENORM, _newton_schulz_multipliers, eigh, factorize, frob_inners, frob_norm, frob_norms,
+    gram_polar_factor, sym_unchecked,
 )
 from mcsd.objectives import value_from_grad
 from tests.conftest import haar, patch_lapack
@@ -394,6 +395,58 @@ class TestMsignIterative:
         # sign(0) = 0 on both routes: (200, 5) is the exact Gram route's shape
         out = route(np.zeros(shape))
         assert out.shape == shape and not out.any()
+
+
+def array_newton_schulz_multipliers(w, iters):
+    """_newton_schulz_multipliers in its array form: the floor by np.maximum
+    and w·m₀² by a numpy product, then each eigenvalue's steps on floats."""
+    w = np.maximum(w, len(w) * math.ulp(1.0) * max(float(w[-1]), 0.0))  # ε = ulp(1)
+    mult0 = 1.0 / (PRENORM * math.sqrt(float(w.sum())))
+    mults = []
+    for u in (w * (mult0 * mult0)).tolist():
+        m = mult0
+        for _ in range(iters - 1):
+            f = 1.5 - 0.5 * u
+            m *= f
+            u = u * f * f
+        mults.append(m * (1.5 - 0.5 * u))
+    return np.array(mults)
+
+
+@st.composite
+def gram_spectra(draw):
+    """Ascending eigenvalues w of a p×p Gram matrix, 1 <= p <= 64, w_max > 0:
+    a run of `low` values below or at the rounding floor p·ε·w_max (exact
+    zeros of either sign, rounding-level negatives, tiny positives, or the
+    floor itself), then distinct or equal values up to w_max."""
+    p = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w_max = draw(st.sampled_from([1.0, 3.7e-7, 2.0**-900, 1e300]))
+    floor = p * math.ulp(1.0) * w_max
+    low = draw(st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["zero", "negative_zero", "negative", "tiny", "floor"]))
+    small = {
+        "zero": np.zeros(low),
+        "negative_zero": np.full(low, -0.0),
+        "negative": -floor * rng.random(low),
+        "tiny": floor * rng.random(low) * 1e-3,
+        "floor": np.full(low, floor),
+    }[kind]
+    high = p - low
+    if draw(st.booleans()):
+        rest = np.full(high, w_max)  # equal eigenvalues
+    else:
+        rest = w_max * rng.uniform(draw(st.sampled_from([0.0, 0.5, 1.0 - 1e-12])), 1.0, high)
+        rest[-1] = w_max
+    return np.sort(np.concatenate([small, rest]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gram_spectra(), st.integers(1, 60))
+def test_property_newton_schulz_multipliers_keep_the_array_forms_bits(w, iters):
+    # the Python-float recurrence takes the same IEEE operations as the
+    # array form, element by element, and numpy's own (pairwise) Σw
+    assert _newton_schulz_multipliers(w, iters).tobytes() == array_newton_schulz_multipliers(w, iters).tobytes()
 
 
 class TestSpectralEvaluation:

@@ -30,6 +30,7 @@ from mcsd import (
 )
 from mcsd import optimizers
 from mcsd.linalg import sym_unchecked
+from mcsd.manifolds import tangent_component
 from mcsd.optimizers import (
     STEP_RADIUS,
     ManifoldMuon,
@@ -363,6 +364,19 @@ class TestManifoldMuonDirection:
         res = manifold_muon_direction(x, g, inner_iters=3, inner_lr=1e9)
         assert res.fallback
         assert np.allclose(res.direction, -g / np.linalg.norm(g, 2))
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning would raise
+    @pytest.mark.parametrize("mode", [EXACT, PolarMode(8)], ids=["exact", "iterative_8"])
+    def test_diverging_ascent_is_named(self, mode):
+        # x is the polar factor of the same Gaussian draw, so g, its tangent
+        # part, is rounding-level: max|g| ≈ 1.4e-165 makes the scaled dual
+        # step 0.5·inner_lr/max|g| overflow the multiplier at the first
+        # ascent, where LAPACK would then fail on the non-finite Gram matrix
+        x = haar(3, 3, seed=0)
+        g = tangent_component(x.x, np.random.default_rng(0).standard_normal((3, 3)) * 1e-150)
+        message = r"^Manifold Muon's dual ascent diverged at inner iteration #1: "
+        with pytest.raises(NumericError, match=message):
+            manifold_muon_direction(x, g, inner_iters=10, inner_lr=0.1, polar_mode=mode)
 
 
 def reference_muon_direction(x, g_m, inner_iters, inner_lr, polar_mode=EXACT):

@@ -1,7 +1,11 @@
+import csv
+import dataclasses
 import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsd import CSV_COLUMNS, ConfigurationError, TraceRecord, read_trace_csv, write_trace_csv
 from mcsd.svgchart import Series, line_chart, write_chart
@@ -21,6 +25,40 @@ def make_records(count):
         )
         for t in range(count)
     ]
+
+
+def csv_writer_trace(path, records):
+    """write_trace_csv in its csv.writer form: one writerow per record of
+    each field's format() with "d" for an int column and ".17g" else."""
+    specs = ["d" if f.type is int else ".17g" for f in dataclasses.fields(TraceRecord)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for r in records:
+            writer.writerow([format(v, spec) for v, spec in zip(dataclasses.astuple(r), specs)])
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]
+fields_of_a_record = st.tuples(
+    st.integers(-(2**63), 2**63),
+    *[st.sampled_from(SPECIAL_FLOATS) | st.floats() for _ in range(5)],
+    st.integers(-(2**40), 2**40),
+    st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(fields_of_a_record, max_size=6))
+def test_property_trace_csv_is_csv_writers_bytes_and_round_trips(tmp_path_factory, rows):
+    # elapsed_s, which the golden traces skip, is a column like the others here
+    records = [TraceRecord(*row) for row in rows]
+    out = tmp_path_factory.getbasetemp() / "trace_bytes"
+    out.mkdir(exist_ok=True)
+    write_trace_csv(out / "written.csv", records)
+    csv_writer_trace(out / "reference.csv", records)
+    assert (out / "written.csv").read_bytes() == (out / "reference.csv").read_bytes()
+    back = read_trace_csv(out / "written.csv")
+    assert [[repr(v) for v in dataclasses.astuple(r)] for r in back] == [[repr(v) for v in row] for row in rows]
 
 
 class TestTraceCsv:
