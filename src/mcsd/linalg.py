@@ -28,7 +28,9 @@ iterative one serves only a direction's sign. `PolarMode.apply` is the one
 sign dispatch, under the names `msign_exact` and `msign_iterative`. The
 factorization is kept as a `Spectrum`, from which msign(Y), the nuclear
 norm ‖Y‖_* and Manifold Muon's first inner iteration are all read, so that
-a run factors each gradient once.
+a run factors each gradient once. `gram_eigenvalues` takes the same scaled
+Gram matrix with its eigenvalues alone, for a nuclear norm or a largest
+singular value where no sign is wanted.
 """
 
 from __future__ import annotations
@@ -208,7 +210,8 @@ class Spectrum(NamedTuple):
     when y is wide, gram = xᵀx has the ascending eigenvalues w, and h is
     gram_polar_factor's H, with msign(y) = x·H, or None (of a stack, 0)
     where the exact route declines; `usv` is then the thin SVD of y (of a
-    stack, the one SVD of its `declined` matrices).
+    stack, the one SVD of its `declined` matrices). gram_eigenvalues gives
+    w alone, for nuclear_norm, not sign.
     """
 
     y: np.ndarray
@@ -247,12 +250,19 @@ class Spectrum(NamedTuple):
     def nuclear_norm(self):
         """‖y‖_* = Σσ, of a stack each matrix's: scale·Σ√w where the Gram is
         conditioned, else Σσ of the thin SVD or of a values-only one; +0.0
-        for a zero y."""
+        for a zero y. The package's one nuclear-norm rule; κ < 100 bounds
+        the cross product's κ²-amplified rounding (Golub & Van Loan, Matrix
+        Computations, §8.6) to about 1e-14 relative."""
         if self.y.ndim == 2:
             if self.conditioned:
                 return self.scale * float(np.sqrt(self.w).sum())
+            if self.scale == 0.0:
+                return 0.0
             return float((self.usv[1] if self.usv else svd(self.y, "nuclear-norm input", compute_uv=False)).sum())
-        conditioned, declined = self.conditioned, self.declined
+        conditioned = self.conditioned
+        if conditioned.all():
+            return self.scale * np.sqrt(self.w).sum(axis=-1)
+        declined = self.declined
         norm = np.zeros(len(self.y))
         norm[conditioned] = self.scale[conditioned] * np.sqrt(self.w[conditioned]).sum(axis=-1)
         if declined.any():
@@ -279,29 +289,48 @@ def factorize(y, iters: int | None = None, name: str = "polar input") -> Spectru
     else Newton-Schulz): msign(y), ‖y‖_* and Manifold Muon's first inner
     iteration are all read from it.
 
-    Each matrix is divided by its max|y|, so that xᵀx neither overflows nor
-    underflows (that reduction is also the finiteness check), and transposed
-    when wide, so that xᵀx is the smaller Gram matrix; a zero one is not
-    factored (of a stack, its x is 0). A stack takes one product xᵀx and one
-    `eigh` call, at every shape; the exact mode takes one thin SVD of the
-    matrices whose Gram it declines (κ ≥ 100, rank deficiency included).
+    y is scaled and transposed by _scaled_gram. A stack takes one product
+    xᵀx and one `eigh` call, at every shape; the exact mode takes one thin
+    SVD of the matrices whose Gram it declines (κ ≥ 100, rank deficiency
+    included).
     """
-    y = as_matrix(y, name, finite=False)
-    scale = max(float(y.max()), -float(y.min())) if y.ndim == 2 else np.abs(y).max(axis=(1, 2))
-    if not (math.isfinite(scale) if y.ndim == 2 else np.isfinite(scale).all()):  # NaN and ±inf propagate
-        as_matrix(y, name)
-    if y.ndim == 2:
-        if scale == 0.0:
-            return Spectrum(y, scale)
-        x = (y.T if y.shape[0] < y.shape[1] else y) / scale
-        xtx = x.T.dot(x)
-    else:
-        x = (y.swapaxes(1, 2) if y.shape[1] < y.shape[2] else y) / np.where(scale == 0.0, 1.0, scale)[:, None, None]
-        xtx = x.swapaxes(1, 2) @ x
+    y, scale, x, xtx = _scaled_gram(y, name)
+    if x is None:
+        return Spectrum(y, scale)
     spectrum = Spectrum(y, scale, x, xtx, *gram_polar_factor(xtx, iters))
     if iters is None and (spectrum.h is None if y.ndim == 2 else spectrum.declined.any()):
         return spectrum._replace(usv=svd(y) if y.ndim == 2 else _svd_of(y, spectrum.declined))
     return spectrum
+
+
+def gram_eigenvalues(y, name: str) -> Spectrum:
+    """factorize's Spectrum of y (of a stack, each matrix's with the bits of
+    its own call) with w alone, from one values-only `eigh`: no H, no SVD.
+    From p = 3 on, LAPACK's values-only w can differ from factorize's in the
+    last bits."""
+    y, scale, x, xtx = _scaled_gram(y, name)
+    if x is None:
+        return Spectrum(y, scale)
+    return Spectrum(y, scale, x, xtx, eigh(xtx, f"Gram matrix of the {name}", vectors=False))
+
+
+def _scaled_gram(y, name: str):
+    """(y, scale, x, xᵀx): y checked, scale = max|y| (of a stack, each
+    matrix's), which keeps xᵀx from over- or underflowing and, as NaN and
+    ±inf propagate, is the finiteness check, and x = y/scale, transposed
+    when wide so that xᵀx is the smaller Gram; x is None for a zero matrix
+    (of a stack, a zero matrix's x is 0)."""
+    y = as_matrix(y, name, finite=False)
+    scale = max(float(y.max()), -float(y.min())) if y.ndim == 2 else np.abs(y).max(axis=(1, 2))
+    if not (math.isfinite(scale) if y.ndim == 2 else np.isfinite(scale).all()):
+        as_matrix(y, name)
+    if y.ndim == 2:
+        if scale == 0.0:
+            return y, scale, None, None
+        x = (y.T if y.shape[0] < y.shape[1] else y) / scale
+        return y, scale, x, x.T.dot(x)
+    x = (y.swapaxes(1, 2) if y.shape[1] < y.shape[2] else y) / np.where(scale == 0.0, 1.0, scale)[:, None, None]
+    return y, scale, x, x.swapaxes(1, 2) @ x
 
 
 def gram_polar_factor(gram: np.ndarray, iters: int | None) -> tuple[np.ndarray, np.ndarray | None]:

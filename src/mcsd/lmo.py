@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .linalg import EXACT, PolarMode, Spectrum, as_matrix, frob_norms, svd
+from .linalg import EXACT, PolarMode, Spectrum, as_matrix, frob_norms, gram_eigenvalues
 
 
 class NormKind(enum.Enum):
@@ -58,12 +58,12 @@ def lmo(norm: NormKind, s, polar_mode: PolarMode = EXACT, spectrum: Spectrum | N
 def dual_norm(norm: NormKind, s):
     """Dual norm ‖s‖_* = sup{⟨s, d⟩ : ‖d‖ ≤ 1} of the chosen norm: a float,
     or for a stack (k, n, p) the array of each matrix's norm, with the bits
-    of its own call. The nuclear norm is the sum of linalg.svd's singular
-    values; a run's metric record reads it from the gradient's Spectrum
-    instead (Spectrum.nuclear_norm)."""
+    of its own call. The nuclear norm takes Spectrum.nuclear_norm's rule
+    from one values-only eigendecomposition of the small Gram matrix
+    (linalg.gram_eigenvalues): scale·Σ√w where κ < 100, and linalg.svd's
+    singular values only where that Gram is declined."""
     if norm is NormKind.SPECTRAL:
-        sigma = svd(s, "dual-norm input", compute_uv=False)
-        return float(sigma.sum()) if sigma.ndim == 1 else sigma.sum(axis=-1)
+        return gram_eigenvalues(s, "dual-norm input").nuclear_norm()
     return frob_norms(as_matrix(s, "dual-norm input", finite=False), "dual-norm input")
 
 

@@ -572,24 +572,17 @@ def _trace(run: OptimizerRun, objective, steps: int, subspace_fn, step_fn):
 def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, step_size: float) -> list[TraceRecord]:
     """The record of the current iterate of each run, from the run's
     evaluation: the gradient's dual norm from its spectrum where the
-    evaluation has one (Spectrum.nuclear_norm), else from dual_norm."""
+    evaluation has one (Spectrum.nuclear_norm), else from dual_norm. A
+    stack's records are built from its columns, one list each."""
     ev = _evaluation(run, objective)
     dual = dual_norm(run.method.norm, ev.grad) if ev.spectrum is None else ev.spectrum.nuclear_norm()
-    points = run.x if subspace_fn is not None else itertools.repeat(None)  # a stack is indexed only for subspace_fn
-    columns = (points, ev.value, run.x.violation, dual)
-    return [
-        TraceRecord(
-            iter=t,
-            objective=float(value),
-            subspace_error=subspace_fn(x) if subspace_fn is not None else math.nan,
-            orth_violation=violation,
-            grad_dual_norm=float(dual),
-            step_size=step_size,
-            inner_iters=0,
-            elapsed_s=elapsed,
-        )
-        for x, value, violation, dual in (zip(*columns) if run.stacked else (columns,))
-    ]
+    if not run.stacked:
+        error = subspace_fn(run.x) if subspace_fn is not None else math.nan
+        return [TraceRecord(t, float(ev.value), error, run.x.violation, float(dual), step_size, 0, elapsed)]
+    errors = map(subspace_fn, run.x) if subspace_fn is not None else itertools.repeat(math.nan)
+    columns = zip(map(float, ev.value), errors, run.x.violation, dual.tolist())
+    return [TraceRecord(t, value, error, violation, norm, step_size, 0, elapsed)
+            for value, error, violation, norm in columns]
 
 
 def run_seeds(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FeasibilityError
-from .linalg import frob_inners, frob_norms, msign_exact, svd
+from .linalg import frob_inners, frob_norms, gram_eigenvalues, msign_exact, svd
 from .lmo import NormKind, lmo
 from .manifolds import StiefelManifold, StiefelPoint, tangent_component
 from .objectives import BrockettInstance, brockett_grad_unchecked, smoothness_constants, value_from_grad
@@ -37,7 +37,7 @@ RATE_SLACK = 1e-6
 # check_descent_lemma scores its samples this many at a time. On the 50x3
 # verify instance a chunk array is 37.5 KiB and the check's working set
 # 0.5 MiB, below the brute-force nets' (1.1–1.8 MiB); at most 64 keeps it
-# there. Below 32 the stacked SVD's per-call cost is no longer amortized,
+# there. Below 32 the stacked calls' per-call cost is no longer amortized,
 # and above it the per-matrix cost stops falling. Each sample is scored on
 # its own, so lhs and rhs are the same floats at any chunk size.
 DESCENT_CHUNK = 32
@@ -132,8 +132,9 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     Gaussian direction and its radius in turn. The samples are then scored
     DESCENT_CHUNK at a time with stacked calls, each of which gives every
     sample the bits its own call would: lhs and rhs are those of
-    random_point, svd's largest singular value, evaluate, msign_exact,
-    riemannian_grad and value called sample by sample. The per-sample
+    random_point, the largest singular value scale·√w_max of
+    gram_eigenvalues, evaluate, msign_exact, riemannian_grad and value
+    called sample by sample. The per-sample
     reductions are stacked too: f(x), f(P_M(x+d)) and ⟨∇_M f(x), d⟩ are each
     one frob_inners product, and ‖d‖_F² one row sum. Each chunk's x is one
     StiefelPoint, so a rank-deficient y (probability 0), whose factor is a
@@ -160,7 +161,8 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             x = StiefelPoint(msign_exact(y), manifold).x
         except FeasibilityError as exc:
             raise FeasibilityError(f"descent-lemma sample {start + exc.index}: {exc}") from exc
-        d *= (rho / svd(d, "descent-lemma direction", compute_uv=False)[:, 0])[:, None, None]
+        spectrum = gram_eigenvalues(d, "descent-lemma direction")
+        d *= (rho / (spectrum.scale * np.sqrt(spectrum.w[:, -1])))[:, None, None]  # ‖d‖₂ = scale·√w_max
         egrad = brockett_grad_unchecked(inst, x)
         rgrad = tangent_component(x, egrad)
         w = msign_exact(x + d)
@@ -269,8 +271,9 @@ def check_min_grad_rate(
     else:
         if len(traces) < 20:
             raise ConfigurationError(f"stochastic rate check needs >= 20 seeds, got {len(traces)}")
-        argmins = [min(range(horizon), key=lambda t: tr[t].grad_dual_norm) for tr in traces]
-        minima = np.array([tr[t].grad_dual_norm for tr, t in zip(traces, argmins)])
+        columns = [[r.grad_dual_norm for r in tr[:horizon]] for tr in traces]
+        minima = np.array([min(column) for column in columns])
+        argmins = [column.index(m) for column, m in zip(columns, minima.tolist())]  # the first of equal minima
         lhs = float(minima.mean())
         rhs = 4.0 * norm_equiv * (math.sqrt(lipschitz * gap) + sigma) * horizon**-0.25
         slack = 3.0 * float(minima.std(ddof=1)) / math.sqrt(len(minima))

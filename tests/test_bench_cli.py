@@ -408,9 +408,10 @@ class TestNumericAbort:
             ("mm", "manifold_muon", "eigvalsh", lambda a, kwargs: True, 4,
              "iteration 3: eigendecomposition of the 3x3 direction Gram matrix failed: forced"),
             # a record: a stochastic run's dual norm of each iterate's true
-            # gradient is one values-only SVD
-            ("stochastic_mcsd", "stochastic_mcsd", "svd", lambda a, kwargs: not kwargs.get("compute_uv", True), 5,
-             "iteration 4: SVD of the 20x3 dual-norm input failed: forced"),
+            # gradient is one values-only eigendecomposition of its 3x3 Gram
+            # matrix, the run's only one, so the 5th is x_4's
+            ("stochastic_mcsd", "stochastic_mcsd", "eigvalsh", lambda a, kwargs: True, 5,
+             "iteration 4: eigendecomposition of the 3x3 Gram matrix of the dual-norm input failed: forced"),
         ],
         ids=["direction", "clip", "record"],
     )
@@ -457,6 +458,23 @@ class TestNumericAbort:
             "the multiplier or a matrix formed from it is not finite"
         ]
         assert len(read_trace_csv(tmp_path / "rgd_0.csv")) == 4
+
+    @pytest.mark.filterwarnings("error")  # as under python -W error: numpy's overflow warning would raise
+    def test_gaussian_noise_overflow_names_the_noise(self, tmp_path, capsys):
+        # σ = 1e308 takes σ·z past the float range wherever |z| > 1.8: a
+        # numeric error of the run (it depends on the draws), named by its noise
+        path = tmp_path / "sto.ini"
+        path.write_text(
+            f"[instance]\nn = 20\np = 3\nd = 40\n\n[run]\nsteps = 5\nrepeats = 1\noutput_dir = {tmp_path}\n\n"
+            f"[method:sto]\nkind = stochastic_mcsd\nnoise = gaussian:1e308\nschedule = constant:0.1\n"
+        )
+        assert main(["pca-bench", str(path)]) == EXIT_NUMERIC_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("ABORT ")] == [
+            "ABORT method 'sto': iteration 0: the stochastic gradient under noise gaussian:1e+308 "
+            "has non-finite entries"
+        ]
+        assert read_trace_csv(tmp_path / "sto_0.csv")[0].iter == 0
 
     @pytest.mark.parametrize(
         "argv, n",

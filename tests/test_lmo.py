@@ -129,13 +129,22 @@ class TestDualNorm:
     def test_spectral_dual_of_diagonal(self):
         assert abs(dual_norm(NormKind.SPECTRAL, np.diag([2.0, 3.0])) - 5.0) < 1e-12
 
-    def test_spectral_svd_failure_on_finite_input_is_numeric_error(self, rng, monkeypatch):
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_spectral_svd_failure_on_finite_input_is_numeric_error(self, rng, monkeypatch, stacked):
+        # κ = 1e3: the Gram route declines the matrix, whose nuclear norm then
+        # takes the values-only SVD; of a stack, only slice 1 is declined
+        u = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        s = (u * [1.0, 0.1, 1e-3]) @ np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        if stacked:
+            s = np.stack([rng.standard_normal((6, 3)), s, rng.standard_normal((6, 3))])
+
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(NumericError, match="dual-norm input failed"):
-            dual_norm(NormKind.SPECTRAL, rng.standard_normal((6, 3)))
+        with pytest.raises(NumericError, match="^SVD of the 6x3 nuclear-norm input failed") as excinfo:
+            dual_norm(NormKind.SPECTRAL, s)
+        assert excinfo.value.index == (1 if stacked else None)
 
     def test_frobenius_self_dual(self, rng):
         s = rng.standard_normal((4, 4))

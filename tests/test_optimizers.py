@@ -624,27 +624,28 @@ class TestRetraction:
             run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=38), seed_rngs(20), small_instance, 5)
         assert [len(tr) for tr in excinfo.value.records] == [3] * 20
 
-    def test_stacked_svd_failure_names_the_iteration(self, small_instance, monkeypatch):
-        # each record of a stochastic stack takes one values-only SVD of the
-        # (20, 50, 3) true gradients for their nuclear norms, so the 4th is
-        # x_3's; seed 11's gradient there fails, alone or in a stack
+    def test_stacked_record_failure_names_the_iteration(self, small_instance, monkeypatch):
+        # each record of a stochastic stack takes one values-only
+        # eigendecomposition of the (20, 3, 3) Gram matrices of the true
+        # gradients for their nuclear norms, the stack's only one, so the 4th
+        # is x_3's; seed 11's matrix there fails, alone or in a stack
         method = StochasticMcsd(NormKind.SPECTRAL, beta=0.8, noise=NoiseConfig.additive_gaussian(0.3))
-        patch_lapack(monkeypatch, "svd", failing_slice(4, 11))
-        message = r"^iteration 3, seed 11: SVD of the 50x3 dual-norm input failed: forced$"
+        patch_lapack(monkeypatch, "eigvalsh", failing_slice(4, 11))
+        message = (r"^iteration 3, seed 11: eigendecomposition of the 3x3 Gram matrix of the dual-norm input "
+                   r"failed: forced$")
         with pytest.raises(NumericError, match=message) as excinfo:
             run_seeds(method, constant_schedule(0.05), haar(50, 3, seed=38), seed_rngs(20), small_instance, 5)
         assert [len(tr) for tr in excinfo.value.records] == [3] * 20
 
     def test_record_failure_names_the_iteration(self, small_instance, monkeypatch):
-        # the values-only SVD of the dual norm fails in the record of x_4 (a
-        # stochastic run's record factors the true gradient itself)
+        # the values-only eigendecomposition of the dual norm's Gram matrix
+        # fails in the record of x_4 (a stochastic run's record factors the
+        # true gradient itself, and takes the run's only values-only one)
         method = StochasticMcsd(NormKind.SPECTRAL, 0.9, NoiseConfig.additive_gaussian(0.1))
         run = OptimizerRun(method=method, schedule=constant_schedule(0.05), x=haar(50, 3, seed=23),
                            rng=np.random.default_rng(24))
-        svd = np.linalg.svd
-        failing = failing_at(run, 4, svd)
-        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: (svd if kw.get("compute_uv", True) else failing)(a, **kw))
-        message = r"^iteration 4: SVD of the 50x3 dual-norm input failed: forced$"
+        patch_lapack(monkeypatch, "eigvalsh", lambda eigvalsh: failing_at(run, 4, eigvalsh))
+        message = r"^iteration 4: eigendecomposition of the 3x3 Gram matrix of the dual-norm input failed: forced$"
         with pytest.raises(NumericError, match=message) as excinfo:
             run_trace(run, small_instance, 5)
         assert [r.iter for r in excinfo.value.records] == [0, 1, 2, 3]

@@ -302,6 +302,24 @@ class TestMinGradRate:
         with pytest.raises(ConfigurationError):
             check_min_grad_rate([records] * 5, gap, lip, n_const, sched)
 
+    def test_stochastic_minima_are_each_seeds_first(self):
+        # duals drawn from five values, so most seeds hold equal minima: the
+        # detail names the first, as min over t with the dual as key does
+        horizon = 12
+        sched = stochastic_bound_schedule(1.0, 10.0, 1.0, horizon)
+        rng = np.random.default_rng(5)
+        duals = rng.choice([0.5, 0.25, 1.0, 2.0, 0.125], size=(20, horizon + 1)).tolist()
+        traces = [[TraceRecord(t, 0.0, 0.0, 0.0, dual, 0.1, 0, 0.0) for t, dual in enumerate(row)] for row in duals]
+        report = check_min_grad_rate(traces, 1.0, 10.0, 1.0, sched)
+        argmins = [min(range(horizon), key=lambda t: row[t]) for row in duals]
+        minima = np.array([row[t] for row, t in zip(duals, argmins)])
+        assert any(row[:horizon].count(min(row[:horizon])) > 1 for row in duals)
+        assert (report.lhs, report.slack) == (float(minima.mean()), 3.0 * float(minima.std(ddof=1)) / math.sqrt(20))
+        assert report.detail == (
+            f"20 seeds, per-seed minima in [{minima.min():.4g}, {minima.max():.4g}], "
+            f"attained at t = {', '.join(map(str, argmins))}"
+        )
+
     def test_noiseless_runs_satisfy_both_bounds(self, small_instance):
         # a sigma = 0 stochastic run obeys its rate bound, and the
         # deterministic prescription at the same horizon is tighter
