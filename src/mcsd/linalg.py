@@ -211,7 +211,7 @@ class Spectrum(NamedTuple):
     gram_polar_factor's H, with msign(y) = x·H, or None (of a stack, 0)
     where the exact route declines; `usv` is then the thin SVD of y (of a
     stack, the one SVD of its `declined` matrices). gram_eigenvalues gives
-    w alone, for nuclear_norm, not sign.
+    w alone (h and usv None), for nuclear_norm and spectral_norm only.
     """
 
     y: np.ndarray
@@ -247,28 +247,35 @@ class Spectrum(NamedTuple):
             sign[self.declined] = _svd_sign(*self.usv)
         return sign
 
-    def nuclear_norm(self):
+    def nuclear_norm(self, name: str = "nuclear-norm input"):
         """‖y‖_* = Σσ, of a stack each matrix's: scale·Σ√w where the Gram is
-        conditioned, else Σσ of the thin SVD or of a values-only one; +0.0
-        for a zero y. The package's one nuclear-norm rule; κ < 100 bounds
-        the cross product's κ²-amplified rounding (Golub & Van Loan, Matrix
-        Computations, §8.6) to about 1e-14 relative."""
+        conditioned, else Σσ of the thin SVD or of a values-only one, which
+        names y `name` if it fails; +0.0 for a zero y. The package's one
+        nuclear-norm rule; κ < 100 bounds the cross product's κ²-amplified
+        rounding (Golub & Van Loan, Matrix Computations, §8.6) to about
+        1e-14 relative."""
         if self.y.ndim == 2:
             if self.conditioned:
                 return self.scale * float(np.sqrt(self.w).sum())
             if self.scale == 0.0:
                 return 0.0
-            return float((self.usv[1] if self.usv else svd(self.y, "nuclear-norm input", compute_uv=False)).sum())
+            return float((self.usv[1] if self.usv else svd(self.y, name, compute_uv=False)).sum())
         conditioned = self.conditioned
-        if conditioned.all():
-            return self.scale * np.sqrt(self.w).sum(axis=-1)
-        declined = self.declined
-        norm = np.zeros(len(self.y))
-        norm[conditioned] = self.scale[conditioned] * np.sqrt(self.w[conditioned]).sum(axis=-1)
-        if declined.any():
-            s = self.usv[1] if self.usv else _svd_of(self.y, declined, "nuclear-norm input", compute_uv=False)
-            norm[declined] = s.sum(axis=-1)
+        norm = self.scale * np.sqrt(self.w, out=np.zeros(self.w.shape), where=conditioned[:, None]).sum(axis=-1)
+        if not conditioned.all():  # a declined or a zero matrix
+            declined = self.declined
+            if declined.any():
+                s = self.usv[1] if self.usv else _svd_of(self.y, declined, name, compute_uv=False)
+                norm[declined] = s.sum(axis=-1)
         return norm
+
+    def spectral_norm(self):
+        """‖y‖₂ = σ_max = scale·√w_max, of a stack each matrix's; 0.0 for a
+        zero y. w_max carries an absolute error of a few ulps of itself at
+        any κ, so no matrix is declined."""
+        if self.y.ndim == 2:
+            return 0.0 if self.scale == 0.0 else self.scale * math.sqrt(float(self.w[-1]))
+        return self.scale * np.sqrt(self.w[:, -1])
 
     def matrices(self) -> tuple[Spectrum, ...]:
         """Each matrix's Spectrum of a stack, as factorize gives it of that

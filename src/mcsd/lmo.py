@@ -63,7 +63,7 @@ def dual_norm(norm: NormKind, s):
     (linalg.gram_eigenvalues): scale·Σ√w where κ < 100, and linalg.svd's
     singular values only where that Gram is declined."""
     if norm is NormKind.SPECTRAL:
-        return gram_eigenvalues(s, "dual-norm input").nuclear_norm()
+        return gram_eigenvalues(s, "dual-norm input").nuclear_norm("dual-norm input")
     return frob_norms(as_matrix(s, "dual-norm input", finite=False), "dual-norm input")
 
 

@@ -117,9 +117,10 @@ class BrockettInstance:
         and gets the bits, and leaves its generator in the state, of its own
         call. One ‖g‖_F certifies the whole result: a non-finite entry of x
         makes it non-finite, so x is scanned for one only then, and raises
-        ConfigurationError; a finite x whose Gaussian-noise gradient is not
-        finite (σ·z past the float range, which depends on the draws) raises
-        NumericError naming the noise scale, with no numpy warning.
+        ConfigurationError; where the noise term σ·z itself leaves the float
+        range (which depends on the draws), NumericError names the noise
+        scale, with no numpy warning. Any other non-finite gradient of a
+        finite x is returned for the caller to report.
         """
         x = as_matrix(x, "gradient input", finite=False)
         stack = x.reshape(-1, *x.shape[-2:])  # a matrix as a stack of one
@@ -132,8 +133,9 @@ class BrockettInstance:
                 noise = np.empty(stack.shape)
                 for r, buf in zip(rngs, noise):
                     r.standard_normal(out=buf)  # the draws of r.standard_normal(buf.shape)
-                with np.errstate(over="ignore"):  # σ·z past the float range, named below
-                    g += noise_cfg.sigma_entry * noise.reshape(g.shape)
+                with np.errstate(over="ignore", invalid="ignore"):  # σ·z past the float range, named below
+                    noise *= noise_cfg.sigma_entry
+                    g += noise.reshape(g.shape)
         elif noise_cfg.kind == "minibatch":
             batch = noise_cfg.batch_size
             if not (1 <= batch <= self.d):
@@ -152,9 +154,11 @@ class BrockettInstance:
         if not math.isfinite(frob_norm(g)):
             as_matrix(x, "gradient input")
             if noise_cfg.kind == "gaussian" and noise_cfg.sigma_entry > 0.0:
-                index = int(np.argmin(np.isfinite(g).all(axis=(-2, -1)))) if g.ndim == 3 else None
-                noise = f"gaussian:{noise_cfg.sigma_entry:g}"
-                raise NumericError(f"the stochastic gradient under noise {noise} has non-finite entries", index)
+                overflowed = ~np.isfinite(noise).all(axis=(1, 2))  # of each matrix's σ·z
+                if overflowed.any():
+                    index = int(np.argmax(overflowed)) if g.ndim == 3 else None
+                    name = f"gaussian:{noise_cfg.sigma_entry:g}"
+                    raise NumericError(f"the stochastic gradient under noise {name} has non-finite entries", index)
         return g
 
     def optimum_value(self) -> float:

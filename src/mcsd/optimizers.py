@@ -436,7 +436,7 @@ def manifold_muon_direction(
     Λ = 0, where YᵀY = g_mᵀg_m and xᵀd = −A·H with A = xᵀg_m, so it reads
     g_m's Spectrum: `spectrum`, as the step passes the evaluation's (of a
     stack, its run's), which must be factorize(g_m, polar_mode.iters), or
-    else that call's; its eigenvalues also give ‖g_m‖₂. Each later
+    else that call's; its spectral_norm gives ‖g_m‖₂. Each later
     iteration first ascends, Λ ← Λ + (lr/2)(Q + Qᵀ) from the previous
     Q = P·H = −xᵀd (so the last Q updates nothing), then forms P = A + BΛ
     once, with B = xᵀx, and uses it twice: YᵀY = g_mᵀg_m + (ΛA)ᵀ + ΛP and
@@ -465,13 +465,13 @@ def manifold_muon_direction(
     scale = spectrum.scale
     if scale == 0.0:
         return MuonDirectionResult(np.zeros(g_m.shape), False)
-    g, gram_g, w, h = spectrum.x, spectrum.gram, spectrum.w, spectrum.h
+    g, gram_g, h = spectrum.x, spectrum.gram, spectrum.h
     # Every operand is 2-D: ndarray.dot gives matmul's bits with less
     # per-call overhead, which dominates these p×p products.
     a = xm.T.dot(g)
     b = xm.T.dot(xm)
     half_lr = 0.5 * inner_lr / scale
-    g_spec = scale * math.sqrt(max(float(w[-1]), 0.0))
+    g_spec = spectrum.spectral_norm()
     lam, p_lam, gram = np.zeros_like(b), a, gram_g
     msign_y = spectrum.sign() if h is None else None
     try:
@@ -572,17 +572,19 @@ def _trace(run: OptimizerRun, objective, steps: int, subspace_fn, step_fn):
 def _records(run: OptimizerRun, objective, subspace_fn, t: int, elapsed: float, step_size: float) -> list[TraceRecord]:
     """The record of the current iterate of each run, from the run's
     evaluation: the gradient's dual norm from its spectrum where the
-    evaluation has one (Spectrum.nuclear_norm), else from dual_norm. A
-    stack's records are built from its columns, one list each."""
+    evaluation has one (Spectrum.nuclear_norm), else from dual_norm. The
+    records are zipped from columns, a single run's of one entry each."""
     ev = _evaluation(run, objective)
     dual = dual_norm(run.method.norm, ev.grad) if ev.spectrum is None else ev.spectrum.nuclear_norm()
-    if not run.stacked:
-        error = subspace_fn(run.x) if subspace_fn is not None else math.nan
-        return [TraceRecord(t, float(ev.value), error, run.x.violation, float(dual), step_size, 0, elapsed)]
-    errors = map(subspace_fn, run.x) if subspace_fn is not None else itertools.repeat(math.nan)
-    columns = zip(map(float, ev.value), errors, run.x.violation, dual.tolist())
-    return [TraceRecord(t, value, error, violation, norm, step_size, 0, elapsed)
-            for value, error, violation, norm in columns]
+    if run.stacked:
+        points, values, violations, duals = run.x, map(float, ev.value), run.x.violation, dual.tolist()
+    else:
+        points, values, violations, duals = (run.x,), [float(ev.value)], [run.x.violation], [float(dual)]
+    errors = map(subspace_fn, points) if subspace_fn is not None else itertools.repeat(math.nan)
+    return [
+        TraceRecord(t, value, error, violation, norm, step_size, 0, elapsed)
+        for value, error, violation, norm in zip(values, errors, violations, duals)
+    ]
 
 
 def run_seeds(

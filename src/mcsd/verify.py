@@ -132,9 +132,8 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     Gaussian direction and its radius in turn. The samples are then scored
     DESCENT_CHUNK at a time with stacked calls, each of which gives every
     sample the bits its own call would: lhs and rhs are those of
-    random_point, the largest singular value scale·√w_max of
-    gram_eigenvalues, evaluate, msign_exact, riemannian_grad and value
-    called sample by sample. The per-sample
+    random_point, gram_eigenvalues' spectral norm, evaluate, msign_exact,
+    riemannian_grad and value called sample by sample. The per-sample
     reductions are stacked too: f(x), f(P_M(x+d)) and ⟨∇_M f(x), d⟩ are each
     one frob_inners product, and ‖d‖_F² one row sum. Each chunk's x is one
     StiefelPoint, so a rank-deficient y (probability 0), whose factor is a
@@ -161,8 +160,7 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             x = StiefelPoint(msign_exact(y), manifold).x
         except FeasibilityError as exc:
             raise FeasibilityError(f"descent-lemma sample {start + exc.index}: {exc}") from exc
-        spectrum = gram_eigenvalues(d, "descent-lemma direction")
-        d *= (rho / (spectrum.scale * np.sqrt(spectrum.w[:, -1])))[:, None, None]  # ‖d‖₂ = scale·√w_max
+        d *= (rho / gram_eigenvalues(d, "descent-lemma direction").spectral_norm())[:, None, None]
         egrad = brockett_grad_unchecked(inst, x)
         rgrad = tangent_component(x, egrad)
         w = msign_exact(x + d)

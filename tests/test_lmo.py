@@ -142,7 +142,7 @@ class TestDualNorm:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(NumericError, match="^SVD of the 6x3 nuclear-norm input failed") as excinfo:
+        with pytest.raises(NumericError, match="^SVD of the 6x3 dual-norm input failed") as excinfo:
             dual_norm(NormKind.SPECTRAL, s)
         assert excinfo.value.index == (1 if stacked else None)
 

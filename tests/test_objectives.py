@@ -9,6 +9,7 @@ import pytest
 from mcsd import (
     ConfigurationError,
     NoiseConfig,
+    NumericError,
     StiefelManifold,
     StiefelPoint,
     make_brockett,
@@ -444,6 +445,28 @@ class TestStochasticGrad:
         for wrong in (rngs[:2], rngs + [np.random.default_rng(3)], rngs[0]):
             with pytest.raises(ConfigurationError, match="3 gradient inputs need as many generators, got"):
                 tiny.stochastic_grad(x, wrong, NoiseConfig.additive_gaussian(0.5))
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning would raise
+    def test_gaussian_overflow_names_the_noise(self, tiny):
+        # σ = 1e308 takes σ·z past the float range wherever |z| > 1.797...;
+        # the error names the first matrix whose noise term overflowed
+        x = np.stack([haar(10, 2, seed=60 + i).x for i in range(3)])
+        rngs = [np.random.default_rng(70 + i) for i in range(3)]
+        draws = [np.random.default_rng(70 + i).standard_normal((10, 2)) for i in range(3)]
+        first = next(i for i, z in enumerate(draws) if (np.abs(z) > np.finfo(float).max / 1e308).any())
+        with pytest.raises(NumericError, match=r"^the stochastic gradient under noise gaussian:1e\+308 ") as excinfo:
+            tiny.stochastic_grad(x, rngs, NoiseConfig.additive_gaussian(1e308))
+        assert excinfo.value.index == first
+
+    def test_overflowing_gradient_is_not_blamed_on_the_noise(self, tiny):
+        # a finite x far off the manifold overflows the noiseless gradient C x D
+        # (numpy warns there); σ·z is finite, so the non-finite gradient is
+        # returned as at σ = 0, for the caller to report
+        x = np.full((10, 2), 1e307)
+        for sigma in (0.5, 0.0):
+            with pytest.warns(RuntimeWarning, match="^overflow encountered"):
+                g = tiny.stochastic_grad(x, np.random.default_rng(0), NoiseConfig.additive_gaussian(sigma))
+            assert not np.isfinite(g).all()
 
     def test_batch_bounds_checked(self, tiny, rng):
         w = haar(10, 2, seed=22).x

@@ -11,7 +11,7 @@ from mcsd import (
     EXACT, ConfigurationError, NoiseConfig, NormKind, PolarMode, StiefelPoint, StochasticMcsd, dual_norm, lmo,
     make_brockett, optimizers, riemannian_grad,
 )
-from mcsd.linalg import factorize
+from mcsd.linalg import factorize, gram_eigenvalues
 from mcsd.optimizers import ManifoldMuon, Mcsd, OptimizerRun, constant_schedule, run_trace
 from tests.conftest import haar, patch_lapack
 
@@ -90,13 +90,18 @@ def dual_norm_stacks(draw):
 def test_property_dual_norm_takes_the_one_nuclear_norm_rule(stack, mode, bad):
     # LAPACK's values-only and vectors eigensolvers round w differently from
     # p = 3 on, so the Gram figure is factorize's bit for bit only at p <= 2
-    # or where both take the values-only SVD; elsewhere both are Σσ to 1e-12
+    # or where both take the values-only SVD; elsewhere both are Σσ to 1e-12.
+    # The same Gram eigenvalues give each matrix's σ_max to 1e-12 at any κ.
     norms = dual_norm(NormKind.SPECTRAL, stack)
-    assert norms.shape == (len(stack),)
-    for norm, s in zip(norms.tolist(), stack):
+    spectral = gram_eigenvalues(stack, "input").spectral_norm()
+    assert norms.shape == spectral.shape == (len(stack),)
+    for norm, largest, s in zip(norms.tolist(), spectral.tolist(), stack):
         assert norm == dual_norm(NormKind.SPECTRAL, s)
-        sigma = float(np.linalg.svd(s, compute_uv=False).sum())
+        assert largest == gram_eigenvalues(s, "input").spectral_norm()
+        values = np.linalg.svd(s, compute_uv=False)
+        sigma = float(values.sum())
         assert abs(norm - sigma) <= 1e-12 * sigma
+        assert abs(largest - values[0]) <= 1e-12 * values[0]
         spec = factorize(s, mode.iters)
         if (spec.conditioned and min(s.shape) <= 2) or (not spec.conditioned and spec.usv is None):
             assert norm == spec.nuclear_norm()
