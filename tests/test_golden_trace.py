@@ -12,10 +12,11 @@ and its lhs, rhs and slack to the same tolerance.
 
 golden/matrix.json pins, in process, a short run_trace of each method
 (rgd, spel, mm, smcsd with momentum) under each polar mode (exact,
-iterative:8) at St(200, 5), St(6, 6), St(5, 5) and St(50, 1), and one
-4-seed run_seeds stack: each cell holds the SHA-256 of its records minus
-elapsed_s and its final row, compared under another stamp to the same
-tolerance.
+iterative:8) at St(200, 5), St(6, 6), St(5, 5) and St(50, 1), a few steps
+of rgd, spel and mm under each mode at the large benchmark's St(1000, 50)
+with d = 2000, and one 4-seed run_seeds stack: each cell holds the SHA-256
+of its records minus elapsed_s and its final row, compared under another
+stamp to the same tolerance.
 
 A change that moves the bits on purpose re-pins all three goldens:
 
@@ -72,10 +73,15 @@ def environment_stamp() -> str:
     return f"numpy {np.__version__}; {blas['name']} {blas['version']}; {platform.machine()}; simd {simd}"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A child Python under PINNED_ENV, with the package on its path."""
     env = {**os.environ, **PINNED_ENV}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "mcsd.cli", *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return run_python("-m", "mcsd.cli", *args)
 
 
 def run_default_bench(out_dir: Path) -> None:
@@ -187,21 +193,25 @@ SMCSD = StochasticMcsd(NormKind.SPECTRAL, beta=0.9, noise=NoiseConfig.additive_g
 MATRIX_METHODS = {"rgd": Rgd(), "spel": Mcsd(NormKind.SPECTRAL), "mm": ManifoldMuon(), "smcsd": SMCSD}
 MATRIX_SHAPES = ((200, 5), (6, 6), (5, 5), (50, 1))
 MATRIX_STEPS = 20
+# The large benchmark's shape, whose instance build dominates these cells.
+LARGE_SHAPE, LARGE_METHODS, LARGE_STEPS = (1000, 50), ("rgd", "spel", "mm"), 3
 
 
 def matrix_traces() -> dict[str, list]:
     """Each matrix cell's records: every method under each polar mode at
-    each shape from one Haar point, then the run_seeds stack of 4 smcsd
-    runs at St(200, 5), its traces in seed order."""
+    each shape from one Haar point, then rgd, spel and mm at LARGE_SHAPE,
+    then the run_seeds stack of 4 smcsd runs at St(200, 5), its traces in
+    seed order."""
     traces = {}
-    for n, p in MATRIX_SHAPES:
+    grid = [((n, p), tuple(MATRIX_METHODS), MATRIX_STEPS) for n, p in MATRIX_SHAPES]
+    for (n, p), names, steps in [*grid, (LARGE_SHAPE, LARGE_METHODS, LARGE_STEPS)]:
         inst = make_brockett(n, p, 2 * n, data_seed=n + p)
         x0 = random_point(StiefelManifold(n, p), np.random.default_rng(n * p))
-        for name, method in MATRIX_METHODS.items():
+        for name in names:
             for mode in (EXACT, PolarMode(8)):
-                run = OptimizerRun(method, constant_schedule(0.05), x0, np.random.default_rng(p), mode)
+                run = OptimizerRun(MATRIX_METHODS[name], constant_schedule(0.05), x0, np.random.default_rng(p), mode)
                 traces[f"{name} {mode.describe()} St({n},{p})"] = run_trace(
-                    run, inst, MATRIX_STEPS, partial(subspace_error, inst))
+                    run, inst, steps, partial(subspace_error, inst))
     inst = make_brockett(200, 5, 400, data_seed=205)
     x0 = random_point(StiefelManifold(200, 5), np.random.default_rng(1000))
     rngs = [np.random.default_rng(seed) for seed in range(4)]
@@ -212,7 +222,16 @@ def matrix_traces() -> dict[str, list]:
 
 def matrix_cells() -> dict[str, dict]:
     """Per cell, the SHA-256 of its records minus elapsed_s and its final
-    row (every field but elapsed_s, as floats)."""
+    row (every field but elapsed_s, as floats), computed in a child under
+    PINNED_ENV, as the CLI goldens are: at St(1000, 50) the BLAS splits its
+    work by the thread count, which moves the bits."""
+    proc = run_python(__file__, "--cells")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def matrix_cells_here() -> dict[str, dict]:
+    """matrix_cells, in this process."""
     cells = {}
     for name, records in matrix_traces().items():
         rows = [[v for k, v in asdict(r).items() if k != "elapsed_s"] for r in records]
@@ -271,6 +290,9 @@ def repin() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--repin"]:
+    if sys.argv[1:] == ["--cells"]:
+        print(json.dumps(matrix_cells_here()))
+    elif sys.argv[1:] == ["--repin"]:
+        repin()
+    else:
         sys.exit("usage: python tests/test_golden_trace.py --repin")
-    repin()

@@ -135,9 +135,10 @@ class TestRiemannianGrad:
         with pytest.raises(ConfigurationError):
             riemannian_grad(x, np.ones((3, 7)))
 
-    def test_stack_is_each_pair_bit_for_bit(self, rng):
-        xs = batched_haar(5, 7, 3, rng)
-        gs = rng.standard_normal((5, 7, 3))
+    @pytest.mark.parametrize("shape", [(7, 3), (200, 5), (1000, 50)])
+    def test_stack_is_each_pair_bit_for_bit(self, shape, rng):
+        xs = batched_haar(5, *shape, rng)
+        gs = rng.standard_normal((5, *shape))
         stacked = tangent_component(xs, gs)
         assert all(np.array_equal(stacked[k], tangent_component(xs[k], gs[k])) for k in range(5))
 
@@ -173,7 +174,7 @@ class TestFeasibilityViolation:
     def test_zero_matrix(self):
         assert abs(feasibility_violation(np.zeros((6, 2))) - np.sqrt(2)) < 1e-15
 
-    @pytest.mark.parametrize("shape", [(50, 3), (7, 1), (5, 5)])
+    @pytest.mark.parametrize("shape", [(50, 3), (7, 1), (5, 5), (200, 5), (1000, 50)])
     def test_stack_slices_are_their_own_calls(self, shape):
         xs = np.stack([haar(*shape, seed=s).x for s in range(4)])
         xs[2] *= 1.5
