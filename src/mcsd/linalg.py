@@ -9,8 +9,8 @@ numpy.linalg: `svd` (thin, or values only) and `eigh` (with vectors, or
 values only) are its one SVD and eigendecomposition, and each raises
 NumericError where LAPACK fails, naming the matrix of a stack at fault.
 `eigh` calls the LAPACK gufunc that numpy.linalg.eigh and eigvalsh wrap,
-and 2-D products use ndarray.dot, each with numpy's bits, because at the
-p×p sizes of the Gram route the wrappers cost more than the work.
+and the step's 2-D products use ndarray.dot, with matmul's bits (a stack's
+use matmul), as at small sizes the wrappers cost more than the work.
 
 The polar factor (``msign``) of a full-column-rank matrix Y is the nearest
 matrix with orthonormal columns, Y(YᵀY)^(-1/2) = UVᵀ for the SVD Y = UΣVᵀ.
@@ -328,7 +328,7 @@ def _scaled_gram(y, name: str):
     when wide so that xᵀx is the smaller Gram; x is None for a zero matrix
     (of a stack, a zero matrix's x is 0)."""
     y = as_matrix(y, name, finite=False)
-    scale = max(float(y.max()), -float(y.min())) if y.ndim == 2 else np.abs(y).max(axis=(1, 2))
+    scale = float(np.abs(y).max()) if y.ndim == 2 else np.abs(y).max(axis=(1, 2))
     if not (math.isfinite(scale) if y.ndim == 2 else np.isfinite(scale).all()):
         as_matrix(y, name)
     if y.ndim == 2:
@@ -391,8 +391,8 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
     floats, each operation the IEEE one numpy would apply per element, and
     the floor below takes np.maximum only where it binds: p is small at the
     shapes the optimizers use, where numpy's per-call cost dominates
-    (Manifold Muon calls this nine times a step). Σw alone stays numpy's
-    sum, which is pairwise from p = 8 on, where Python's `sum` is not.
+    (Manifold Muon calls this nine times a step). Σw alone is numpy's sum
+    (np.add.reduce), pairwise from p = 8 on, where Python's `sum` is not.
 
     An eigenvalue is known only up to rounding, about p·ε·w_max, and where
     the true one is 0, x's component along its eigenvector is rounding-level,
@@ -409,7 +409,7 @@ def _newton_schulz_multipliers(w: np.ndarray, iters: int) -> np.ndarray:
     if values[0] < floor:  # w ascends, so the floor binds nowhere when it spares w[0]
         w = np.maximum(w, floor)
         values = w.tolist()
-    mult0 = 1.0 / (PRENORM * math.sqrt(float(w.sum())))
+    mult0 = 1.0 / (PRENORM * math.sqrt(float(np.add.reduce(w))))
     u0 = mult0 * mult0
     mults = []
     for u in values:

@@ -78,7 +78,7 @@ def feasibility_violation(x):
     bits, from one stacked product. A non-finite entry of x makes xᵀx, and
     so the norm, non-finite, and raises ConfigurationError (frob_norms)."""
     x = as_matrix(x, "Stiefel point", finite=False)
-    g = x.swapaxes(-1, -2) @ x
+    g = x.T.dot(x) if x.ndim == 2 else x.swapaxes(-1, -2) @ x
     p = g.shape[-1]
     g.reshape(-1, p * p)[:, :: p + 1] -= 1.0
     violation = frob_norms(g, "matrix", source=x)
@@ -113,6 +113,8 @@ def riemannian_grad(x: StiefelPoint, g) -> np.ndarray:
 def tangent_component(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g − x·sym(xᵀg) for arrays the caller has already checked, or for each
     pair of matrices of two stacks of them on leading axes."""
+    if x.ndim == 2:  # ndarray.dot, as the step's 2-D products take (see linalg)
+        return g - x.dot(sym_unchecked(x.T.dot(g)))
     return g - x @ sym_unchecked(x.swapaxes(-1, -2) @ g)
 
 

@@ -222,7 +222,7 @@ def value_from_grad(g: np.ndarray, w: np.ndarray):
 def brockett_grad_unchecked(inst: BrockettInstance, w: np.ndarray) -> np.ndarray:
     """−C w D for a w its caller has already scanned for finiteness, or for
     each matrix of a stack of them on leading axes."""
-    g = inst.c @ w
+    g = inst.c.dot(w) if w.ndim == 2 else inst.c @ w
     g *= -inst.dmat  # (−a)·b = −(a·b) exactly: the bits of −(C w)·D
     return g
 
@@ -260,5 +260,5 @@ def subspace_error(inst: BrockettInstance, w) -> float:
     if x.shape != ws.shape:
         raise ConfigurationError(f"subspace input shape {x.shape} does not match the optimum's {ws.shape}")
     violation = w.violation if isinstance(w, StiefelPoint) else feasibility_violation(x)
-    return math.hypot(math.sqrt(2.0) * frob_norm(x - ws @ (ws.T @ x)), violation)
+    return math.hypot(math.sqrt(2.0) * frob_norm(x - ws.dot(ws.T.dot(x))), violation)
 

@@ -37,7 +37,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Union
+from typing import Callable, ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -261,11 +261,10 @@ Method = Union[Mcsd, Rgd, StochasticMcsd, ManifoldMuon]
 # Run state and the step
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """The value and the Riemannian gradient of one objective at a point, or
-    the values and the gradients at a stack of points, all finite: a
-    non-finite one raises where it is evaluated (see _evaluation).
+    of each point of a stack, all finite (a non-finite one raises where it
+    is evaluated, see _evaluation), as the NamedTuple each step builds.
 
     For a spectral method that evaluates ahead (SPEL, Manifold Muon),
     `spectrum` is the gradient's one factorization under the run's polar
@@ -318,11 +317,10 @@ def _named(run: OptimizerRun, exc: NumericError) -> NumericError:
     return type(exc)(f"{at}: {exc}", exc.index)
 
 
-@dataclass(frozen=True)
-class StepInfo:
-    """What a single step did: its size, inner work, and special outcomes
-    (held: no run moved, as every direction was zero; fallback: a run's
-    direction fell back)."""
+class StepInfo(NamedTuple):
+    """What a single step did, as the NamedTuple each step returns: its size,
+    inner work, and special outcomes (held: no run moved, as every direction
+    was zero; fallback: a run's direction fell back)."""
 
     alpha: float
     inner_iters: int = 0
@@ -404,9 +402,8 @@ def _evaluation(run: OptimizerRun, objective) -> Evaluation:
     return ev
 
 
-@dataclass(frozen=True)
-class MuonDirectionResult:
-    """Outcome of the tangent-constrained LMO inner solve."""
+class MuonDirectionResult(NamedTuple):
+    """Outcome of the tangent-constrained LMO inner solve, a NamedTuple."""
 
     direction: np.ndarray
     fallback: bool
@@ -466,8 +463,7 @@ def manifold_muon_direction(
     if scale == 0.0:
         return MuonDirectionResult(np.zeros(g_m.shape), False)
     g, gram_g, h = spectrum.x, spectrum.gram, spectrum.h
-    # Every operand is 2-D: ndarray.dot gives matmul's bits with less
-    # per-call overhead, which dominates these p×p products.
+    # Every operand is 2-D, so every product takes ndarray.dot (see linalg).
     a = xm.T.dot(g)
     b = xm.T.dot(xm)
     half_lr = 0.5 * inner_lr / scale
@@ -498,7 +494,7 @@ def manifold_muon_direction(
         ) from exc
     d = d / max(1.0, d_spec)  # ‖d‖₂ ≤ 1
 
-    g_fro = scale * math.sqrt(float(np.trace(gram_g)))
+    g_fro = scale * math.sqrt(float(gram_g.trace()))
     target = -(g_fro**2) / g_spec
     value = scale * frob_inner(g, d)
     if value <= target + MUON_QUALITY_TOL * g_fro:
