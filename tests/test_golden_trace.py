@@ -10,13 +10,13 @@ is compared instead, to rtol 1e-6 (atol 1e-8 for the quantities that
 converge to zero), and each verify line keeps its name and verdict exactly
 and its lhs, rhs and slack to the same tolerance.
 
-golden/matrix.json pins, in process, a short run_trace of each method
-(rgd, spel, mm, smcsd with momentum) under each polar mode (exact,
-iterative:8) at St(200, 5), St(6, 6), St(5, 5) and St(50, 1), a few steps
-of rgd, spel and mm under each mode at the large benchmark's St(1000, 50)
-with d = 2000, and one 4-seed run_seeds stack: each cell holds the SHA-256
-of its records minus elapsed_s and its final row, compared under another
-stamp to the same tolerance.
+golden/matrix.json pins, in one child process with one BLAS thread, a
+short run_trace of each method (rgd, spel, mm, smcsd with momentum) under
+each polar mode (exact, iterative:8) at St(200, 5), St(6, 6), St(5, 5) and
+St(50, 1), a few steps of rgd, spel and mm under each mode at the large
+benchmark's St(1000, 50) with d = 2000, and one 4-seed run_seeds stack:
+each cell holds the SHA-256 of its records minus elapsed_s and its final
+row, compared under another stamp to the same tolerance.
 
 A change that moves the bits on purpose re-pins all three goldens:
 
