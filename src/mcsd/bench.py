@@ -5,8 +5,9 @@ method within a repeat starts from the same Haar-random initial point
 (that repeat's one read-only StiefelPoint), each run owns an independent RNG
 stream, and wall time is accounted around the step loop only, so per-method
 timings are comparable. The (method, repeat) grid runs in this process,
-one run after another. A run that fails numerically is recorded as aborted
-with the trace it reached, and the other runs go on.
+one run after another, each repeat's methods in turn. A run that fails
+numerically is recorded as aborted with the trace it reached, and the other
+runs go on.
 
 The two commands (pca-bench, rgd-sweep) share one pipeline: execute the
 runs, write one CSV per run, gather per-method statistics, let the
@@ -23,6 +24,7 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +71,7 @@ MAX_DATA_ENTRIES = 10**8
 MAX_INNER_ITERS = 10_000
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(NamedTuple):
     label: str
     method: Method
     schedule: StepSchedule
@@ -90,8 +91,7 @@ class BenchConfig:
     repeats: int
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     label: str
     repeat: int
     init_hash: str
@@ -346,18 +346,21 @@ def _run_task(cfg: BenchConfig, inst: BrockettInstance, index: int, repeat: int,
 
 
 def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
-    """Run every (method, repeat) pair; returns results ordered by (method, repeat)."""
+    """Run every (method, repeat) pair in (repeat, method) order, so that a
+    change of host speed falls on every method alike; returns the results
+    ordered by (method, repeat). Each run's RNG stream is keyed by its pair,
+    so the order moves no bit."""
     inst = make_brockett(cfg.n, cfg.p, cfg.d, cfg.data_seed)
     manifold = StiefelManifold(cfg.n, cfg.p)
     points = initial_points(cfg, manifold)
     hashes = [matrix_hash(x0.x) for x0 in points]
 
-    results = [
-        _run_task(cfg, inst, index, repeat, points[repeat], hashes[repeat])
-        for index in range(len(cfg.methods))
+    done = {
+        (index, repeat): _run_task(cfg, inst, index, repeat, points[repeat], hashes[repeat])
         for repeat in range(cfg.repeats)
-    ]
-    return inst, results
+        for index in range(len(cfg.methods))
+    }
+    return inst, [done[key] for key in sorted(done)]
 
 
 def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
@@ -564,8 +567,7 @@ def _timed(check, *args, **kwargs) -> BoundReport:
     """check(*args, **kwargs), with its wall time in the report's `seconds`."""
     start = time.perf_counter()
     report = check(*args, **kwargs)
-    report.seconds = time.perf_counter() - start
-    return report
+    return report._replace(seconds=time.perf_counter() - start)
 
 
 def _stochastic_rate_report(inst, manifold, lipschitz, norm_equiv):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .linalg import as_matrix, eigh, frob_inner, frob_inners, frob_norm
 from .manifolds import StiefelManifold, StiefelPoint, feasibility_violation
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(NamedTuple):
     """Stochastic-gradient model: additive Gaussian entries or a column minibatch."""
 
     kind: str  # "gaussian" | "minibatch"
@@ -46,8 +46,7 @@ class NoiseConfig:
         return cls(kind="minibatch", batch_size=batch_size)
 
 
-@dataclass(frozen=True)
-class SmoothnessConstants:
+class SmoothnessConstants(NamedTuple):
     """Certified bounds for the gradient on the manifold.
 
     grad_lipschitz bounds ‖∇f(u) − ∇f(v)‖_F / ‖u − v‖_F; grad_norm_bound

@@ -557,8 +557,9 @@ def _trace(run: OptimizerRun, objective, steps: int, subspace_fn, step_fn):
             tic = time.perf_counter()
             info = step_fn(run, objective)
             elapsed += (time.perf_counter() - tic) / k
-            for rec in records:
-                rec.inner_iters = info.inner_iters
+            if info.inner_iters:
+                for trace in traces:
+                    trace[-1] = trace[-1]._replace(inner_iters=info.inner_iters)
     except NumericError as exc:
         exc.records = out
         raise

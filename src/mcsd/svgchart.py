@@ -6,9 +6,8 @@ Deliberately dependency-free; output is deterministic for fixed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
@@ -24,8 +23,7 @@ HEIGHT = 480
 X_TICKS = 6
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     label: str
     xs: Sequence[float]
     ys: Sequence[float]

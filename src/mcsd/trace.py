@@ -9,15 +9,15 @@ so traces round-trip bit-faithfully.
 """
 
 import csv
-from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigurationError
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace row, a NamedTuple: built once, never assigned."""
+
     iter: int
     objective: float
     subspace_error: float
@@ -28,15 +28,14 @@ class TraceRecord:
     elapsed_s: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+CSV_COLUMNS = TraceRecord._fields
 # int or float, which also parse the CSV text; this module evaluates its
 # annotations (no `from __future__ import annotations`), so these are classes
-_TYPES = tuple(f.type for f in fields(TraceRecord))
+_TYPES = tuple(TraceRecord.__annotations__.values())
 # One row, in csv.writer's excel dialect: comma-separated, CRLF-terminated,
 # and unquoted, as no formatted number holds a comma, quote or line break.
 _HEADER = ",".join(CSV_COLUMNS) + "\r\n"
 _ROW = ",".join("%d" if t is int else "%.17g" for t in _TYPES) + "\r\n"
-_values = attrgetter(*CSV_COLUMNS)
 
 
 def write_trace_csv(path, records: list[TraceRecord]) -> None:
@@ -46,7 +45,7 @@ def write_trace_csv(path, records: list[TraceRecord]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(_HEADER)
-        fh.writelines(_ROW % _values(r) for r in records)
+        fh.writelines(_ROW % r for r in records)
 
 
 def read_trace_csv(path) -> list[TraceRecord]:

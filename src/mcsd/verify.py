@@ -11,7 +11,7 @@ their (seed, config) inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,7 @@ LMO_NET_TOL = 1e-2
 # and scored on its own, so the net minima do not depend on this value.
 NET_CHUNK = 16_384
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """One verified inequality lhs ≤ rhs + slack.
 
     `passed` is derived from the three numbers and from nothing else, so the
@@ -67,7 +66,7 @@ class BoundReport:
     lhs: float
     rhs: float
     slack: float
-    constants: dict[str, float] = field(default_factory=dict)
+    constants: dict[str, float]
     detail: str = ""
     witness: tuple | None = None
     seconds: float | None = None  # wall time of the check, set by run_verify
@@ -186,9 +185,7 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             f"largest observed curvature {curvature:.6g} against L = {lip:.6g}"
         ),
     )
-    if not report.passed:
-        report.witness = (x_w, d_w)
-    return report
+    return report if report.passed else report._replace(witness=(x_w, d_w))
 
 
 def audit_deterministic_bound(records: list[TraceRecord], lipschitz: float, norm_equiv: float) -> BoundReport:

@@ -368,12 +368,12 @@ class TestNumericAbort:
     @pytest.mark.parametrize(
         "argv, aborted_run",
         [
-            (["pca-bench"], ("rgd", 1)),
+            (["pca-bench"], ("spel", 0)),
             (["rgd-sweep", "--steps", "0.01", "0.001"], ("rgd_0.001", 0)),
         ],
     )
     def test_one_failing_run(self, tmp_path, capsys, nan_at, argv, aborted_run):
-        nan_at(9)  # x_3 of the second run
+        nan_at(9)  # x_3 of the second run, in (repeat, method) order
         out = tmp_path / "out"
         assert main([argv[0], str(tiny_config(tmp_path)), *argv[1:]]) == EXIT_NUMERIC_ERROR
         summary = json.loads((out / "summary.json").read_text())
@@ -542,7 +542,7 @@ class TestPcaBench:
         from dataclasses import replace
 
         cfg = load_config(tiny_config(tmp_path, steps=4))
-        broken = replace(cfg.methods[2], method=ManifoldMuon(inner_iters=3, inner_lr=1e9))
+        broken = cfg.methods[2]._replace(method=ManifoldMuon(inner_iters=3, inner_lr=1e9))
         cfg = replace(cfg, methods=(*cfg.methods[:2], broken))
         summary = run_pca_bench(cfg)
         counts = {label: st["fallback_count"] for label, st in summary["methods"].items()}
@@ -734,7 +734,7 @@ class TestExitCodes:
         running the battery."""
 
         def install(*passed):
-            made = [BoundReport(f"check_{k}", 1.0 if ok else 3.0, 2.0, 0.0) for k, ok in enumerate(passed)]
+            made = [BoundReport(f"check_{k}", 1.0 if ok else 3.0, 2.0, 0.0, {}) for k, ok in enumerate(passed)]
             calls = []
             monkeypatch.setattr(bench, "run_verify", lambda level: calls.append(level) or made)
             return calls

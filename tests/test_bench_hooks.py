@@ -113,11 +113,13 @@ class TestModuleGlobals:
         monkeypatch.setattr(bench, "run_trace", traced)
         cfg = bench.load_config(tiny_config(tmp_path, steps=2, repeats=2))
         _, results = bench.execute_runs(cfg)
-        # (method, repeat) order: run i starts from its repeat's point object itself
+        # (repeat, method) order: run i starts from its repeat's point object itself
         assert len(points) == cfg.repeats and len(starts) == len(cfg.methods) * cfg.repeats
-        assert all(x0 is points[i % cfg.repeats] for i, x0 in enumerate(starts))
+        assert all(x0 is points[i // len(cfg.methods)] for i, x0 in enumerate(starts))
         assert not any(x0.x.flags.writeable for x0 in points)
-        assert [r.init_hash for r in results] == [bench.matrix_hash(x0.x) for x0 in starts]
+        # the results come back in (method, repeat) order
+        assert [(r.label, r.repeat) for r in results] == [(s.label, k) for s in cfg.methods for k in range(cfg.repeats)]
+        assert [r.init_hash for r in results] == [bench.matrix_hash(points[r.repeat].x) for r in results]
 
     def test_verify_goes_through_bench(self, monkeypatch, capsys):
         verify_calls = spy(monkeypatch, bench, "run_verify")

@@ -37,7 +37,6 @@ import platform
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -234,7 +233,7 @@ def matrix_cells_here() -> dict[str, dict]:
     """matrix_cells, in this process."""
     cells = {}
     for name, records in matrix_traces().items():
-        rows = [[v for k, v in asdict(r).items() if k != "elapsed_s"] for r in records]
+        rows = [[v for k, v in r._asdict().items() if k != "elapsed_s"] for r in records]
         cells[name] = {"sha256": hashlib.sha256(repr(rows).encode()).hexdigest(),
                        "final_row": [float(v) for v in rows[-1]]}
     return cells

@@ -45,6 +45,15 @@ One input contract: `linalg.as_matrix` is the one validator of a matrix or
 a stack (no module defines a second, `as_2d`), and only `linalg` spells the
 "contains non-finite entries" error, which `as_matrix` raises and
 `frob_norms` reaches when a norm is not finite.
+
+A record is a NamedTuple, built once and never assigned. A `@dataclass` in
+src/mcsd validates its fields in `__post_init__`, or holds run state that
+it assigns after construction (it is not frozen, and a field takes no
+`__init__` argument), or is one of three types that a NamedTuple cannot
+serve: `Rgd` subclasses `Mcsd` and fixes its norm in a field that
+`__init__` does not take, and a NamedTuple can be neither subclassed with
+a field nor given one; perfbench copies `BenchConfig` with
+`dataclasses.replace`.
 """
 
 import ast
@@ -615,3 +624,76 @@ def test_the_subcommand_scans_read_their_sources():
     assert readme_subcommands(readme) == ["pca-bench", "verify"]
     doc = "Entry point.\n\nSubcommands: pca-bench, rgd-sweep,\north-violation. Exit codes: 0.\n"
     assert docstring_subcommands(doc) == ["pca-bench", "rgd-sweep", "orth-violation"]
+
+
+# The dataclasses that a NamedTuple cannot serve (see the module docstring)
+RECORD_EXEMPT = frozenset({"Mcsd", "Rgd", "BenchConfig"})
+
+
+def dataclass_frozen(node: ast.ClassDef) -> bool | None:
+    """Whether node's @dataclass decorator freezes it, or None if node has none."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            keywords = deco.keywords if isinstance(deco, ast.Call) else []
+            return any(kw.arg == "frozen" and ast.literal_eval(kw.value) for kw in keywords)
+    return None
+
+
+def plain_records(source: str, filename: str) -> list[str]:
+    """One line per @dataclass of `source` outside RECORD_EXEMPT that defines
+    no `__post_init__` and is frozen or has no field with init=False."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.ClassDef) or node.name in RECORD_EXEMPT:
+            continue
+        frozen = dataclass_frozen(node)
+        if frozen is None:
+            continue
+        validates = any(isinstance(s, ast.FunctionDef) and s.name == "__post_init__" for s in node.body)
+        run_state = not frozen and any(
+            kw.arg == "init" and ast.literal_eval(kw.value) is False
+            for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.value, ast.Call)
+            for kw in s.value.keywords
+        )
+        if not (validates or run_state):
+            found.append(f"{filename}:{node.lineno} {node.name} is a plain record, not a NamedTuple")
+    return found
+
+
+def test_records_are_named_tuples():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in plain_records(path.read_text(), path.name)] == []
+
+
+def test_the_scan_finds_plain_records():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    label: str\n"
+        "@dataclasses.dataclass\n"
+        "class Row:\n"
+        "    value: float = field(default=0.0, repr=False)\n"
+        "@dataclass(frozen=True)\n"
+        "class Checked:\n"
+        "    n: int\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "@dataclass\n"
+        "class Run:\n"
+        "    t: int = field(default=0, init=False)\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    t: int = field(default=0, init=False)\n"
+        "@dataclass(frozen=True)\n"
+        "class BenchConfig:\n"
+        "    n: int\n"
+        "class Record(NamedTuple):\n"
+        "    n: int\n"
+    )
+    assert plain_records(source, "m.py") == [
+        "m.py:2 Spec is a plain record, not a NamedTuple",
+        "m.py:5 Row is a plain record, not a NamedTuple",
+        "m.py:16 Frozen is a plain record, not a NamedTuple",
+    ]

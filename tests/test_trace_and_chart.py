@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import math
 
@@ -30,12 +29,12 @@ def make_records(count):
 def csv_writer_trace(path, records):
     """write_trace_csv in its csv.writer form: one writerow per record of
     each field's format() with "d" for an int column and ".17g" else."""
-    specs = ["d" if f.type is int else ".17g" for f in dataclasses.fields(TraceRecord)]
+    specs = ["d" if t is int else ".17g" for t in TraceRecord.__annotations__.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([format(v, spec) for v, spec in zip(dataclasses.astuple(r), specs)])
+            writer.writerow([format(v, spec) for v, spec in zip(r, specs)])
 
 
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]
@@ -58,7 +57,7 @@ def test_property_trace_csv_is_csv_writers_bytes_and_round_trips(tmp_path_factor
     csv_writer_trace(out / "reference.csv", records)
     assert (out / "written.csv").read_bytes() == (out / "reference.csv").read_bytes()
     back = read_trace_csv(out / "written.csv")
-    assert [[repr(v) for v in dataclasses.astuple(r)] for r in back] == [[repr(v) for v in row] for row in rows]
+    assert [[repr(v) for v in r] for r in back] == [[repr(v) for v in row] for row in rows]
 
 
 class TestTraceCsv:
@@ -103,7 +102,7 @@ class TestTraceCsv:
 
     def test_seventeen_digit_precision(self, tmp_path):
         records = make_records(1)
-        records[0].objective = -1.0 / 3.0
+        records[0] = records[0]._replace(objective=-1.0 / 3.0)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, records)
         assert read_trace_csv(path)[0].objective == -1.0 / 3.0

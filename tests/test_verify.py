@@ -77,14 +77,12 @@ def reference_descent_lemma(inst, samples, rng, lip):
 
 
 def scaled_lipschitz(monkeypatch, scale):
-    import dataclasses
-
     import mcsd.verify
 
     exact = mcsd.verify.smoothness_constants
     monkeypatch.setattr(
         mcsd.verify, "smoothness_constants",
-        lambda inst: dataclasses.replace(exact(inst), composed_lipschitz=scale * exact(inst).composed_lipschitz),
+        lambda inst: exact(inst)._replace(composed_lipschitz=scale * exact(inst).composed_lipschitz),
     )
 
 
@@ -237,16 +235,15 @@ class TestTelescopedAudit:
 
     def test_corrupted_trace_fails_loudly(self, bound_run):
         records, gap, lip, n_const, schedule = bound_run
-        corrupted = [TraceRecord(**vars(r)) for r in records]
-        corrupted[3].grad_dual_norm = float("nan")
+        corrupted = list(records)
+        corrupted[3] = corrupted[3]._replace(grad_dual_norm=float("nan"))
         with pytest.raises(ConfigurationError):
             audit_deterministic_bound(corrupted, lip, n_const)
 
     def test_tampered_objective_detected(self, bound_run):
         records, gap, lip, n_const, schedule = bound_run
-        tampered = [TraceRecord(**vars(r)) for r in records]
-        for r in tampered[:100]:
-            r.grad_dual_norm *= 50.0  # inflate the claimed descent mass
+        # inflate the claimed descent mass
+        tampered = [r._replace(grad_dual_norm=50.0 * r.grad_dual_norm) for r in records[:100]] + records[100:]
         report = audit_deterministic_bound(tampered, lip, n_const)
         assert not report.passed
 

@@ -10,8 +10,6 @@ shown to reach the lockstep driver (`run_seeds`) that the stochastic rate
 check steps its seeds with.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -70,7 +68,7 @@ def shrunken_lipschitz(monkeypatch):
 
     def shrunken(inst):
         consts = exact(inst)
-        return dataclasses.replace(consts, composed_lipschitz=0.1 * consts.composed_lipschitz)
+        return consts._replace(composed_lipschitz=0.1 * consts.composed_lipschitz)
 
     for module in (mcsd.bench, mcsd.verify):
         monkeypatch.setattr(module, "smoothness_constants", shrunken)
