@@ -345,7 +345,7 @@ def _run_task(cfg: BenchConfig, inst: BrockettInstance, index: int, repeat: int,
     return RunResult(spec.label, repeat, init_hash, records, message, run.fallback_count)
 
 
-def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
+def execute_runs(cfg: BenchConfig) -> list[RunResult]:
     """Run every (method, repeat) pair in (repeat, method) order, so that a
     change of host speed falls on every method alike; returns the results
     ordered by (method, repeat). Each run's RNG stream is keyed by its pair,
@@ -360,7 +360,7 @@ def execute_runs(cfg: BenchConfig) -> tuple[BrockettInstance, list[RunResult]]:
         for repeat in range(cfg.repeats)
         for index in range(len(cfg.methods))
     }
-    return inst, [done[key] for key in sorted(done)]
+    return [done[key] for key in sorted(done)]
 
 
 def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
@@ -391,7 +391,7 @@ def _bench(cfg: BenchConfig, reduce, chart_file: str, title: str) -> dict:
     each repeat-0 run's subspace error against the iteration. The output
     directory is made first, so an unusable one fails before any run."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _, results = execute_runs(cfg)
+    results = execute_runs(cfg)
     for res in results:
         write_trace_csv(cfg.output_dir / f"{res.label}_{res.repeat}.csv", res.records)
     summary = reduce(results, _method_stats(cfg, results))

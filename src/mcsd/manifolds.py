@@ -86,15 +86,12 @@ def feasibility_violation(x):
 
 
 def project(m: StiefelManifold, y) -> StiefelPoint:
-    """Euclidean projection of a full-column-rank matrix onto St(n, p): its
-    exact polar factor (msign_exact) at every shape, whose max|y| reduction
-    (or SVD input check) also rejects non-finite input. A rank-deficient y
-    of rank r has the partial isometry U_r·V_rᵀ for its factor, with
-    ‖xᵀx − I‖_F = √(p − r), so StiefelPoint raises FeasibilityError.
-    """
-    y = as_matrix(y, "projection input", finite=False)
-    if y.shape != (m.n, m.p):
-        raise ConfigurationError(f"input shape {y.shape} does not match St({m.n}, {m.p})")
+    """Euclidean projection P_M onto St(n, p) of a full-column-rank matrix,
+    or of each matrix of a stack (k, n, p): its exact polar factor (whose
+    max|y| reduction rejects non-finite input), certified by StiefelPoint
+    (which rejects another shape). The factor of a rank-r y is the partial
+    isometry U_r·V_rᵀ, with ‖xᵀx − I‖_F = √(p − r), so StiefelPoint raises
+    FeasibilityError, whose `index` is the matrix's place in a stack."""
     return StiefelPoint(msign_exact(y), m)
 
 

@@ -91,18 +91,18 @@ class BrockettInstance:
     def value(self, x: np.ndarray):
         """−½ tr(xᵀ C x D), or the list of each matrix's of a stack (k, n, p)."""
         x = as_matrix(x, "objective input")
-        return value_from_grad(brockett_grad_unchecked(self, x), x)
+        return _value_from_grad(_brockett_grad(self, x), x)
 
     def euclid_grad(self, x: np.ndarray) -> np.ndarray:
         """Euclidean gradient −C x D, of a matrix or of each matrix of a stack
         (k, n, p) from one broadcast product."""
-        return brockett_grad_unchecked(self, as_matrix(x, "gradient input"))
+        return _brockett_grad(self, as_matrix(x, "gradient input"))
 
     def evaluate(self, x: np.ndarray):
         """(f(x), ∇f(x)) from one product C·x, the value read off the gradient
         as value(x) does; of a stack, the list of values and the gradients."""
         g = self.euclid_grad(x)
-        return value_from_grad(g, x), g
+        return _value_from_grad(g, x), g
 
     def stochastic_grad(self, x, rng, noise_cfg: NoiseConfig) -> np.ndarray:
         """Unbiased stochastic estimate of the Euclidean gradient, of a matrix
@@ -127,7 +127,7 @@ class BrockettInstance:
         if len(rngs) != len(stack):
             raise ConfigurationError(f"{len(stack)} gradient inputs need as many generators, got {len(rngs)}")
         if noise_cfg.kind == "gaussian":
-            g = brockett_grad_unchecked(self, x)
+            g = _brockett_grad(self, x)
             if noise_cfg.sigma_entry > 0.0:
                 noise = np.empty(stack.shape)
                 for r, buf in zip(rngs, noise):
@@ -140,7 +140,7 @@ class BrockettInstance:
             if not (1 <= batch <= self.d):
                 raise ConfigurationError(f"batch_size {batch} outside [1, {self.d}]")
             if batch == self.d:
-                g = brockett_grad_unchecked(self, x)
+                g = _brockett_grad(self, x)
             else:
                 g = np.empty(stack.shape)
                 for r, x_i, g_i in zip(rngs, stack, g):
@@ -211,14 +211,14 @@ def make_brockett(n: int, p: int, d: int, data_seed: int) -> BrockettInstance:
     )
 
 
-def value_from_grad(g: np.ndarray, w: np.ndarray):
+def _value_from_grad(g: np.ndarray, w: np.ndarray):
     """f(w) = ½⟨∇f(w), w⟩ for the quadratic f(w) = −½ tr(wᵀ C w D), or the
     list of each matrix's value of a stack, each with its own call's bits,
     from one frob_inners product."""
     return (0.5 * frob_inners(g, w)).tolist() if g.ndim == 3 else 0.5 * frob_inner(g, w)
 
 
-def brockett_grad_unchecked(inst: BrockettInstance, w: np.ndarray) -> np.ndarray:
+def _brockett_grad(inst: BrockettInstance, w: np.ndarray) -> np.ndarray:
     """−C w D for a w its caller has already scanned for finiteness, or for
     each matrix of a stack of them on leading axes."""
     g = inst.c.dot(w) if w.ndim == 2 else inst.c @ w

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigurationError, FeasibilityError
 from .linalg import frob_inners, frob_norms, gram_eigenvalues, msign_exact, svd
 from .lmo import NormKind, lmo
-from .manifolds import StiefelManifold, StiefelPoint, tangent_component
-from .objectives import BrockettInstance, brockett_grad_unchecked, smoothness_constants, value_from_grad
+from .manifolds import StiefelManifold, project, tangent_component
+from .objectives import BrockettInstance, smoothness_constants
 from .optimizers import STEP_RADIUS, StepSchedule
 from .trace import TraceRecord
 
@@ -127,16 +127,15 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
     2·(f(P_M(x+d)) − f(x) − ⟨∇_M f(x), d⟩)/‖d‖_F²; a violation beyond
     DESCENT_SLACK fails the report and carries the witness (x, d).
 
-    Each sample draws its Gaussian y (x is the polar factor of y), its
-    Gaussian direction and its radius in turn. The samples are then scored
-    DESCENT_CHUNK at a time with stacked calls, each of which gives every
-    sample the bits its own call would: lhs and rhs are those of
-    random_point, gram_eigenvalues' spectral norm, evaluate, msign_exact,
-    riemannian_grad and value called sample by sample. The per-sample
-    reductions are stacked too: f(x), f(P_M(x+d)) and ⟨∇_M f(x), d⟩ are each
-    one frob_inners product, and ‖d‖_F² one row sum. Each chunk's x is one
-    StiefelPoint, so a rank-deficient y (probability 0), whose factor is a
-    partial isometry, raises its FeasibilityError, naming the sample.
+    Each sample draws its Gaussian y (x = P_M(y)), its Gaussian direction
+    and its radius in turn. The samples are then scored DESCENT_CHUNK at a
+    time, each call taking a chunk's stack and giving every sample the bits
+    its own call would: x is project's, ‖d‖₂ gram_eigenvalues', f(x) and
+    ∇f(x) evaluate's, f(P_M(x+d)) value's of msign_exact(x + d), and
+    ⟨∇_M f(x), d⟩ one frob_inners product of tangent_component(x, ∇f(x))
+    with d; ‖d‖_F² is one row sum. A rank-deficient y (probability 0), whose
+    factor is a partial isometry, raises project's FeasibilityError, naming
+    the sample.
     """
     if samples < 1:
         raise ConfigurationError("samples must be at least 1")
@@ -156,16 +155,13 @@ def check_descent_lemma(inst: BrockettInstance, samples: int, rng: np.random.Gen
             d[k] = rng.standard_normal(shape)
             rho[k] = STEP_RADIUS * (1.0 - rng.uniform(0.0, 1.0))  # uniform in (0, STEP_RADIUS]
         try:
-            x = StiefelPoint(msign_exact(y), manifold).x
+            x = project(manifold, y).x
         except FeasibilityError as exc:
             raise FeasibilityError(f"descent-lemma sample {start + exc.index}: {exc}") from exc
         d *= (rho / gram_eigenvalues(d, "descent-lemma direction").spectral_norm())[:, None, None]
-        egrad = brockett_grad_unchecked(inst, x)
-        rgrad = tangent_component(x, egrad)
-        w = msign_exact(x + d)
-        wgrad = brockett_grad_unchecked(inst, w)
+        values, egrad = inst.evaluate(x)
         rows = zip(
-            value_from_grad(egrad, x), value_from_grad(wgrad, w), frob_inners(rgrad, d).tolist(),
+            values, inst.value(msign_exact(x + d)), frob_inners(tangent_component(x, egrad), d).tolist(),
             (d * d).reshape(size, -1).sum(axis=1).tolist(),
         )
         for k, (fx, lhs, slope, sq) in enumerate(rows):

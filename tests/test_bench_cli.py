@@ -272,10 +272,13 @@ class TestConfigParsing:
             ("[run]", "[DEFAULT]", "DEFAULT", None),
             ("data_seed = 3", "data_seed = 3\nsteps = 9", "instance", "steps"),
             ("kind = mcsd", "kind = sgd", "method:spel", "kind"),
+            ("norm = spectral", "norm = nuclear", "method:spel", "norm"),
+            ("kind = mcsd", "kind = stochastic_mcsd\nnoise = uniform:1", "method:spel", "noise"),
+            ("[method:spel]", "[method:]", "method:", None),
         ],
         ids=["non_integer", "fractional_integer", "bad_polar_iters", "misspelled_run_key",
              "misspelled_method_key", "unknown_section", "default_section", "key_in_wrong_section",
-             "unknown_kind"],
+             "unknown_kind", "unknown_norm", "unknown_noise", "empty_label"],
     )
     def test_bad_key_or_section_named(self, tmp_path, capsys, old, new, section, key):
         # unchecked, each of these runs with a default in place of the intended

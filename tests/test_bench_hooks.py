@@ -112,7 +112,7 @@ class TestModuleGlobals:
         monkeypatch.setattr(bench, "initial_points", initial_points)
         monkeypatch.setattr(bench, "run_trace", traced)
         cfg = bench.load_config(tiny_config(tmp_path, steps=2, repeats=2))
-        _, results = bench.execute_runs(cfg)
+        results = bench.execute_runs(cfg)
         # (repeat, method) order: run i starts from its repeat's point object itself
         assert len(points) == cfg.repeats and len(starts) == len(cfg.methods) * cfg.repeats
         assert all(x0 is points[i // len(cfg.methods)] for i, x0 in enumerate(starts))

@@ -46,6 +46,15 @@ a stack (no module defines a second, `as_2d`), and only `linalg` spells the
 "contains non-finite entries" error, which `as_matrix` raises and
 `frob_norms` reaches when a norm is not finite.
 
+One entry point for the objective and for the projection, so that what
+`verify` certifies is the code a run calls: outside `objectives`, no module
+forms f or ∇f from a BrockettInstance's arrays (reads its `c` or `dmat`, or
+calls the gradient or value helper behind `evaluate`), and outside
+`manifolds`, a polar factor becomes a StiefelPoint only through `project`.
+Three other sites build a StiefelPoint: `optimizers.step`, whose held runs
+keep their point in a stack's factor, `optimizers.run_seeds`, which stacks
+a certified x0, and `make_brockett`, whose w* holds eigenvectors.
+
 A record is a NamedTuple, built once and never assigned. A `@dataclass` in
 src/mcsd validates its fields in `__post_init__`, or holds run state that
 it assigns after construction (it is not frozen, and a field takes no
@@ -486,6 +495,70 @@ def test_the_scan_finds_input_contract_breaches():
         "m.py:1 defines as_2d",
     ]
     assert input_contract_breaches(source, "linalg.py") == ["linalg.py:1 defines as_2d"]
+
+
+# (module, function) of each StiefelPoint construction outside manifolds
+POINT_SITES = frozenset({("optimizers.py", "step"), ("optimizers.py", "run_seeds"),
+                         ("objectives.py", "make_brockett")})
+OBJECTIVE_ARRAYS = frozenset({"c", "dmat"})
+OBJECTIVE_HELPERS = frozenset({"brockett_grad_unchecked", "value_from_grad", "_brockett_grad", "_value_from_grad"})
+
+
+def second_spellings(source: str, filename: str) -> list[str]:
+    """One line per read of a BrockettInstance's `c` or `dmat` and per call
+    of the objective's gradient or value helper outside objectives.py, and
+    per StiefelPoint construction outside manifolds.py and POINT_SITES."""
+    found = []
+    if filename != "objectives.py":
+        reads = [node for node in ast.walk(ast.parse(source, filename=filename))
+                 if isinstance(node, ast.Attribute) and node.attr in OBJECTIVE_ARRAYS]
+        found += [f"{filename}:{node.lineno} reads .{node.attr}"
+                  for node in sorted(reads, key=lambda node: (node.lineno, node.col_offset))]
+        found += [line for name in sorted(OBJECTIVE_HELPERS) for line in call_sites(source, filename, name)]
+    if filename != "manifolds.py":
+        found += [line for line in call_sites(source, filename, "StiefelPoint")
+                  if (filename, line.rsplit(" in ", 1)[1]) not in POINT_SITES]
+    return found
+
+
+def test_one_entry_point_for_the_objective_and_the_projection():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in second_spellings(path.read_text(), path.name)] == []
+
+
+def test_the_scan_finds_second_spellings():
+    # the descent-lemma sampler as it formed P_M, f and ∇f itself
+    source = (
+        "from .objectives import brockett_grad_unchecked, value_from_grad\n"
+        "def check_descent_lemma(inst, y, d, manifold):\n"
+        "    x = StiefelPoint(msign_exact(y), manifold).x\n"
+        "    egrad = brockett_grad_unchecked(inst, x)\n"
+        "    w = msign_exact(x + d)\n"
+        "    return value_from_grad(egrad, x), value_from_grad(objectives._brockett_grad(inst, w), w)\n"
+        "def curvature(inst, x):\n"
+        "    inst.c[0, 0] = 1.0\n"
+        "    return -(inst.c @ x) * inst.dmat, inst.evaluate(x), inst.value(x)\n"
+        "def step(run, y):\n"
+        "    run.x = StiefelPoint(y, run.manifold)\n"
+    )
+    assert second_spellings(source, "verify.py") == [
+        "verify.py:8 reads .c",
+        "verify.py:9 reads .c",
+        "verify.py:9 reads .dmat",
+        "verify.py:6 calls _brockett_grad in check_descent_lemma",
+        "verify.py:4 calls brockett_grad_unchecked in check_descent_lemma",
+        "verify.py:6 calls value_from_grad in check_descent_lemma",
+        "verify.py:6 calls value_from_grad in check_descent_lemma",
+        "verify.py:3 calls StiefelPoint in check_descent_lemma",
+        "verify.py:11 calls StiefelPoint in step",
+    ]
+    assert second_spellings(source, "optimizers.py")[-1] == "optimizers.py:3 calls StiefelPoint in check_descent_lemma"
+    assert second_spellings(source, "objectives.py") == [
+        "objectives.py:3 calls StiefelPoint in check_descent_lemma",
+        "objectives.py:11 calls StiefelPoint in step",
+    ]
+    assert second_spellings(source, "manifolds.py")[-1] == "manifolds.py:6 calls value_from_grad in check_descent_lemma"
 
 
 def constant_rows(readme: str) -> list[tuple[str, str, str]]:

@@ -22,7 +22,6 @@ from mcsd.linalg import (
     GRAM_EIG_RATIO, PRENORM, _newton_schulz_multipliers, eigh, factorize, frob_inners, frob_norm, frob_norms,
     gram_polar_factor, sym_unchecked,
 )
-from mcsd.objectives import value_from_grad
 from tests.conftest import haar, patch_lapack
 
 def direct_polar_iteration(y, iters=8):
@@ -618,18 +617,18 @@ def bits(values) -> list[int]:
 @given(frobenius_stacks())
 def test_property_stacked_frobenius_reductions_keep_each_slices_bits(stacks):
     # frob_inners is np.vdot of each pair (of C-contiguous stacks, of the
-    # ravelled pair) and frob_norms each slice's frob_norm
-    # in every layout, and value_from_grad each pair's float, bit for bit and
-    # without a RuntimeWarning at 1e200 (overflow) or 1e-170 (rescale)
+    # ravelled pair) and frob_norms each slice's frob_norm in every layout,
+    # bit for bit and without a RuntimeWarning at 1e200 (overflow) or 1e-170
+    # (rescale); test_objectives checks a stack's objective values per slice
+    # in the same four layouts
     a, b, layout = stacks
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inners, norms, values = frob_inners(a, b), frob_norms(a, "a"), value_from_grad(a, b)
+        inners, norms = frob_inners(a, b), frob_norms(a, "a")
     if layout == "C":
         assert bits(inners) == bits([np.vdot(a_i.ravel(), b_i.ravel()) for a_i, b_i in zip(a, b)])
     assert bits(inners) == bits([frob_inner(a_i, b_i) for a_i, b_i in zip(a, b)])
     assert bits(norms) == bits([frob_norm(m) for m in a])
-    assert bits(values) == bits([value_from_grad(a_i, b_i) for a_i, b_i in zip(a, b)])
 
 
 class TestPolarMode:

@@ -41,6 +41,7 @@ class TestManifoldAndPoint:
         m = StiefelManifold(5, 2)
         with pytest.raises(ConfigurationError):
             StiefelPoint(np.eye(4, 2), m)
+        assert repr(StiefelPoint(np.eye(5, 2), m)) == "StiefelPoint(St(5, 2))"
 
     @pytest.mark.parametrize("layout", ["C", "F"])
     def test_violation_is_the_gram_residual_norm_bit_for_bit(self, layout, rng):
@@ -92,6 +93,38 @@ class TestProject:
         y = np.outer(rng.standard_normal(6), rng.standard_normal(3))
         with pytest.raises(FeasibilityError, match=r"\|x'x - I\|_F = 1\.414e\+00"):
             project(StiefelManifold(6, 3), y)
+        # in a stack, the error's index is the matrix's place
+        stack = rng.standard_normal((4, 6, 3))
+        stack[2] = y
+        with pytest.raises(FeasibilityError, match=r"\|x'x - I\|_F = 1\.414e\+00") as raised:
+            project(StiefelManifold(6, 3), stack)
+        assert raised.value.index == 2
+
+    def test_stack_is_each_matrix_bit_for_bit(self, rng):
+        m = StiefelManifold(9, 4)
+        y = rng.standard_normal((5, 9, 4))
+        stack = project(m, y)
+        for k, y_k in enumerate(y):
+            point = project(m, y_k)
+            assert np.array_equal(stack.x[k], point.x)
+            assert stack.violation[k] == point.violation
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            (np.eye(5, 2), r"point shape \(5, 2\) does not match St\(6, 2\)"),
+            (np.eye(2, 6), r"point shape \(2, 6\) does not match St\(6, 2\)"),
+            (np.stack([np.eye(5, 2)] * 3), r"point shape \(3, 5, 2\) does not match St\(6, 2\)"),
+            (np.ones(6), "must be a matrix or a stack of them, got shape \\(6,\\)"),
+            (np.where(np.eye(6, 2) == 1.0, np.nan, 0.0), "contains non-finite entries"),
+        ],
+        ids=["rows", "wide", "stack", "1-D", "non-finite"],
+    )
+    def test_input_contract(self, y, message):
+        # the input checks are msign_exact's (a matrix or a stack, finite) and
+        # StiefelPoint's (St(n, p)'s shape)
+        with pytest.raises(ConfigurationError, match=message):
+            project(StiefelManifold(6, 2), y)
 
     def test_double_projection_idempotent(self, rng):
         m = StiefelManifold(9, 4)

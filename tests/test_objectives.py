@@ -19,7 +19,6 @@ from mcsd import (
     subspace_error,
 )
 from mcsd.linalg import sym_unchecked
-from mcsd.objectives import brockett_grad_unchecked
 from tests.conftest import haar
 
 
@@ -209,13 +208,21 @@ class TestValueAndGrad:
 
     def test_grad_of_a_stack_is_each_matrix_bit_for_bit(self, tiny, rng):
         ws = rng.standard_normal((6, 10, 2))
-        stacked = brockett_grad_unchecked(tiny, ws)
+        stacked = tiny.euclid_grad(ws)
         for w, g in zip(ws, stacked):
             assert np.array_equal(g, tiny.euclid_grad(w))
             assert np.array_equal(g, -(tiny.c @ w) * tiny.dmat[None, :])
 
-    def test_evaluate_of_a_stack_is_each_matrix_bit_for_bit(self, tiny, rng):
-        ws = rng.standard_normal((6, 10, 2))
+    # the layouts of tests/test_linalg.py's frobenius_stacks: C, each slice F
+    # or strided, and every other matrix of a C-contiguous stack
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "stack"])
+    def test_evaluate_of_a_stack_is_each_matrix_bit_for_bit(self, tiny, rng, layout):
+        ws = {
+            "C": lambda: rng.standard_normal((6, 10, 2)),
+            "F": lambda: rng.standard_normal((6, 2, 10)).swapaxes(1, 2),
+            "strided": lambda: rng.standard_normal((6, 20, 4))[:, ::2, 1::2],
+            "stack": lambda: rng.standard_normal((12, 10, 2))[::2],
+        }[layout]()
         values, grads = tiny.evaluate(ws)
         assert values == tiny.value(ws) == [tiny.value(w) for w in ws]
         for w, g in zip(ws, grads):
@@ -358,6 +365,8 @@ class TestSubspaceError:
         w[-1, -1] = np.nan
         with pytest.raises(ConfigurationError, match="non-finite"):
             subspace_error(tiny, w)
+        with pytest.raises(ConfigurationError, match=r"shape \(10, 1\) does not match the optimum's \(10, 2\)"):
+            subspace_error(tiny, w[:, :1])
 
     @NO_LONGDOUBLE
     @pytest.mark.parametrize("err", [1.0, 1e-3, 1e-6, 1e-9])
@@ -481,6 +490,10 @@ class TestStochasticGrad:
                 NoiseConfig.additive_gaussian(sigma)
         with pytest.raises(ConfigurationError):
             NoiseConfig.minibatch(0)
+        # a record built directly skips the constructors; the sampler names its kind
+        with pytest.raises(ConfigurationError, match="unknown noise kind 'uniform'"):
+            make_brockett(10, 2, 30, data_seed=5).stochastic_grad(np.eye(10, 2), np.random.default_rng(0),
+                                                                  NoiseConfig("uniform"))
 
 
 class TestGlobalOptimumWitness:

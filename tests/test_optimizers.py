@@ -91,6 +91,7 @@ class TestSchedules:
         s = deterministic_bound_schedule(gap=1.0, lipschitz=1.0, norm_equiv=1.0, horizon=50)
         assert abs(s.alpha(0) - math.sqrt(2.0 / 50.0)) < 1e-15
         assert abs(s.alpha(0) - 0.2) < 1e-15
+        assert s.describe() == "deterministic_bound:T=50"
 
     def test_deterministic_bound_minimum_horizon(self):
         with pytest.raises(ConfigurationError, match="minimum"):
@@ -101,6 +102,9 @@ class TestSchedules:
         assert abs(s.momentum_beta - 0.5) < 1e-15
         expected = math.sqrt(2 * 0.01 / (1.0 * 4 * (8 * 2 - 7)))
         assert abs(s.alpha(0) - expected) < 1e-15
+        assert s.describe() == "stochastic_bound:T=4"
+        with pytest.raises(ConfigurationError, match="schedule kind 'constant' does not define a momentum parameter"):
+            constant_schedule(0.01).momentum_beta
 
     def test_stochastic_bound_minimum_horizon(self):
         with pytest.raises(ConfigurationError):
@@ -504,6 +508,8 @@ class TestManifoldMuonStep:
         x = haar(20, 3, seed=16)
         with pytest.raises(ConfigurationError, match="inner_iters must be at least 1"):
             manifold_muon_direction(x, np.ones((20, 3)), 0, 0.1)
+        with pytest.raises(ConfigurationError, match=r"gradient shape \(20, 2\) does not match point shape \(20, 3\)"):
+            manifold_muon_direction(x, np.ones((20, 2)), 10, 0.1)
 
 
 class TestDispatchAndState:
@@ -512,6 +518,17 @@ class TestDispatchAndState:
             run = OptimizerRun(method=method, schedule=constant_schedule(0.01), x=haar(50, 3, seed=15))
             info = step(run, small_instance)
             assert run.t == 1 and info.alpha == 0.01
+
+    def test_a_wrongly_shaped_gradient_is_a_configuration_error(self, small_instance):
+        class Transposed:  # evaluate returns the gradient's transpose
+            def evaluate(self, x):
+                value, g = small_instance.evaluate(x)
+                return value, g.T
+
+        run = OptimizerRun(method=Mcsd(NormKind.SPECTRAL), schedule=constant_schedule(0.01), x=haar(50, 3, seed=15))
+        with pytest.raises(ConfigurationError, match=r"gradient shape \(3, 50\) does not match point shape \(50, 3\)"):
+            step(run, Transposed())
+        assert run.t == 0
 
     def test_method_norms(self):
         assert Rgd().norm is NormKind.FROBENIUS

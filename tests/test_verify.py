@@ -141,19 +141,19 @@ class TestDescentLemma:
         assert peak <= 2**20
 
     def test_infeasible_point_is_a_feasibility_error_naming_the_sample(self, monkeypatch, small_instance):
-        import mcsd.verify
+        import mcsd.manifolds
 
-        exact = mcsd.verify.msign_exact
+        exact = mcsd.manifolds.msign_exact
         calls = []
 
-        def stretched(y):  # the second chunk's points, sample 3 off the manifold
+        def stretched(y):  # project's second call, the second chunk's points, sample 3 off the manifold
             out = exact(y)
             calls.append(y)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 out[3] *= 1.0 + 1e-6
             return out
 
-        monkeypatch.setattr(mcsd.verify, "msign_exact", stretched)
+        monkeypatch.setattr(mcsd.manifolds, "msign_exact", stretched)
         message = f"descent-lemma sample {DESCENT_CHUNK + 3}: matrix violates the orthonormality constraint: "
         with pytest.raises(FeasibilityError, match=message):
             check_descent_lemma(small_instance, samples=2 * DESCENT_CHUNK, rng=np.random.default_rng(0))
@@ -189,6 +189,8 @@ class TestDescentLemma:
         a = check_descent_lemma(small_instance, samples=50, rng=np.random.default_rng(3))
         b = check_descent_lemma(small_instance, samples=50, rng=np.random.default_rng(3))
         assert a.lhs == b.lhs and a.rhs == b.rhs
+        with pytest.raises(ConfigurationError, match="samples must be at least 1"):
+            check_descent_lemma(small_instance, samples=0, rng=np.random.default_rng(3))
 
     def test_violation_reported_with_witness(self, small_instance):
         # an undersized smoothness constant must produce a failing report
@@ -292,6 +294,8 @@ class TestMinGradRate:
         records, gap, lip, n_const, schedule = bound_run
         with pytest.raises(ConfigurationError):
             check_min_grad_rate([records[:50]], gap, lip, n_const, schedule)
+        with pytest.raises(ConfigurationError, match="deterministic rate check takes exactly one trace"):
+            check_min_grad_rate([records, records], gap, lip, n_const, schedule)
 
     def test_stochastic_needs_twenty_seeds(self, bound_run):
         records, gap, lip, n_const, _ = bound_run
