@@ -10,9 +10,9 @@ numerically is recorded as aborted with the trace it reached, and the other
 runs go on.
 
 The two commands (pca-bench, rgd-sweep) share one pipeline: execute the
-runs, write one CSV per run, gather per-method statistics, let the
-command's reducer build its summary, and chart each repeat-0 run's
-subspace error under the command's file name and title.
+runs, write one CSV per run, gather per-method statistics, build one
+summary to which the command appends its own keys, and chart each repeat-0
+run's subspace error under the command's file name and title.
 """
 
 from __future__ import annotations
@@ -79,16 +79,18 @@ class MethodSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """One benchmark; each default is the config grammar's for a key left out."""
+
     n: int
     p: int
     d: int
-    data_seed: int
     methods: tuple[MethodSpec, ...]
-    steps: int
-    init_seed: int
-    polar_mode: PolarMode
-    output_dir: Path
-    repeats: int
+    data_seed: int = 7
+    steps: int = 300
+    init_seed: int = 11
+    polar_mode: PolarMode = PolarMode(iters=8)
+    output_dir: Path = Path(DEFAULT_OUTPUT_DIR)
+    repeats: int = 3
 
 
 class RunResult(NamedTuple):
@@ -111,17 +113,13 @@ def default_pca_config(output_dir) -> BenchConfig:
     the shared decay schedule."""
     decay = periodic_decay_schedule(0.1, 0.5, 30)
     return BenchConfig(
-        n=200, p=5, d=1000, data_seed=7,
+        n=200, p=5, d=1000,
         methods=(
             MethodSpec("rgd", Rgd(), constant_schedule(0.001)),
-            MethodSpec("spel", Mcsd(norm=NormKind.SPECTRAL), decay),
-            MethodSpec("mm", ManifoldMuon(inner_iters=10, inner_lr=0.1), decay),
+            MethodSpec("spel", Mcsd(), decay),
+            MethodSpec("mm", ManifoldMuon(), decay),
         ),
-        steps=300,
-        init_seed=11,
-        polar_mode=PolarMode(iters=8),
         output_dir=Path(output_dir),
-        repeats=3,
     )
 
 
@@ -147,7 +145,7 @@ def load_config(path) -> BenchConfig:
     for name in ("instance", "run"):
         if not parser.has_section(name):
             raise ConfigurationError(f"config {path} has no [{name}] section")
-    instance = _read(parser["instance"], _INSTANCE_KEYS)
+    instance = _read(parser["instance"], _INSTANCE_KEYS, required=("n", "p", "d"))
     for low, high in (("p", "n"), ("n", "d")):
         if instance[low] > instance[high]:
             raise _key_error(parser["instance"], low, f"exceeds {high} = {instance[high]}")
@@ -177,18 +175,20 @@ def _key_error(section, key: str, reason) -> ConfigurationError:
     return ConfigurationError(f"[{section.name}] {key} = {section.get(key, raw=True)!r}: {reason}")
 
 
-def _read(section, keys: dict) -> dict:
-    """Parse one config section by `keys`, a table of key -> (parser, default
-    text) in which a default of None marks a required key. A key outside the
-    table is rejected, and every error names the section and the key."""
+def _read(section, keys: dict, required=()) -> dict:
+    """Parse the keys that one config section gives by `keys`, a table of
+    key -> parser, in table order; a key left out takes its field's default,
+    except one of `required`. A key outside the table is rejected, and every
+    error names the section and the key."""
     values = {}
-    for key, (parse, default) in keys.items():
-        if default is None and key not in section:
+    for key, parse in keys.items():
+        if key in section:
+            try:
+                values[key] = parse(section[key])
+            except (configparser.Error, ConfigurationError, ValueError) as exc:
+                raise _key_error(section, key, exc) from None
+        elif key in required:
             raise ConfigurationError(f"[{section.name}] has no key {key!r}")
-        try:
-            values[key] = parse(section.get(key, default))
-        except (configparser.Error, ConfigurationError, ValueError) as exc:
-            raise _key_error(section, key, exc) from None
     for key in section:
         if key not in keys:
             raise _key_error(section, key, f"unknown key (use {', '.join(keys)})")
@@ -270,36 +270,37 @@ def _parse_kind(text: str) -> str:
     return text.lower()
 
 
-# Key tables for _read: key -> (parser, default text), None for a required
-# key. Each key is the name of the field it sets.
-_INSTANCE_KEYS = {
-    "n": (_int_at_least(1), None),
-    "p": (_int_at_least(1), None),
-    "d": (_int_at_least(1), None),
-    "data_seed": (_int_at_least(0), "7"),
-}
+def _parse_output_dir(text: str) -> Path:
+    if not text:
+        raise ValueError("must not be empty")
+    return Path(text)
+
+
+# Key tables for _read: key -> parser. Each key is the name of the field it
+# sets, and a key left out takes that field's default.
+_INSTANCE_KEYS = {"n": _int_at_least(1), "p": _int_at_least(1), "d": _int_at_least(1), "data_seed": _int_at_least(0)}
 _RUN_KEYS = {
-    "steps": (_int_at_least(0), "300"),
-    "init_seed": (_int_at_least(0), "11"),
-    "repeats": (_int_at_least(1), "3"),
-    "polar_mode": (_parse_polar_mode, "iterative:8"),
-    "output_dir": (Path, DEFAULT_OUTPUT_DIR),
+    "steps": _int_at_least(0),
+    "init_seed": _int_at_least(0),
+    "repeats": _int_at_least(1),
+    "polar_mode": _parse_polar_mode,
+    "output_dir": _parse_output_dir,
 }
-_NORM = {"norm": (_parse_norm, "spectral")}
+_NORM = {"norm": _parse_norm}
 _METHOD_KINDS = {
     "rgd": (Rgd, {}),
     "mcsd": (Mcsd, _NORM),
-    "stochastic_mcsd": (StochasticMcsd, {**_NORM, "beta": (float, "0.9"), "noise": (_parse_noise, "gaussian:0.0")}),
-    "manifold_muon": (ManifoldMuon, {"inner_iters": (_iteration_count, "10"), "inner_lr": (float, "0.1")}),
+    "stochastic_mcsd": (StochasticMcsd, {**_NORM, "beta": float, "noise": _parse_noise}),
+    "manifold_muon": (ManifoldMuon, {"inner_iters": _iteration_count, "inner_lr": float}),
 }
 
 
 def _parse_method(label: str, section, d: int) -> MethodSpec:
     """A [method:*] section: `kind` picks the class and the keys it takes."""
     method_class, keys = _METHOD_KINDS.get(section.get("kind", "", raw=True).lower(), (None, {}))
-    values = _read(section, {"kind": (_parse_kind, None), "schedule": (_parse_schedule, None), **keys})
+    values = _read(section, {"kind": _parse_kind, "schedule": _parse_schedule, **keys}, required=("kind", "schedule"))
     try:
-        method = method_class(**{key: values[key] for key in keys})
+        method = method_class(**{key: value for key, value in values.items() if key in keys})
     except ConfigurationError as exc:
         # a class check names its field first: "<key> must ..."
         key, _, reason = str(exc).partition(" ")
@@ -385,16 +386,36 @@ def _method_stats(cfg: BenchConfig, results: list[RunResult]) -> dict:
     return stats
 
 
-def _bench(cfg: BenchConfig, reduce, chart_file: str, title: str) -> dict:
-    """Execute every run, write one CSV per run, let `reduce(results, stats)`
-    return the summary, and write it and `chart_file`, a log-scale chart of
-    each repeat-0 run's subspace error against the iteration. The output
-    directory is made first, so an unusable one fails before any run."""
+def _bench(cfg: BenchConfig, extra, chart_file: str, title: str) -> dict:
+    """Execute every run, write one CSV per run, build the summary, to which
+    `extra(stats)` appends the command's own keys, and write it and
+    `chart_file`, a log-scale chart of each repeat-0 run's subspace error
+    against the iteration. The output directory is made first, so an
+    unusable one fails before any run.
+
+    `max_violation` is the largest orthogonality violation over every
+    recorded iterate. Each one is certified within FEAS_TOL, and an iterate
+    beyond it aborts its run, so a breach shows as an aborted run.
+    """
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     results = execute_runs(cfg)
     for res in results:
         write_trace_csv(cfg.output_dir / f"{res.label}_{res.repeat}.csv", res.records)
-    summary = reduce(results, _method_stats(cfg, results))
+    stats = _method_stats(cfg, results)
+    initial = [r.records[0].subspace_error for r in results if r.repeat == 0 and r.records]
+    summary = {
+        "instance": {"n": cfg.n, "p": cfg.p, "d": cfg.d, "data_seed": cfg.data_seed},
+        "steps": cfg.steps,
+        "repeats": cfg.repeats,
+        "polar_mode": cfg.polar_mode.describe(),
+        "init_seed": cfg.init_seed,
+        "init_hashes": [next(r.init_hash for r in results if r.repeat == k) for k in range(cfg.repeats)],
+        "initial_subspace_error": initial[0] if initial else None,
+        "methods": stats,
+        "aborted": any(r.aborted for r in results),
+        "max_violation": max((rec.orth_violation for res in results for rec in res.records), default=0.0),
+        **extra(stats),
+    }
     series = [
         Series(label=res.label, xs=[r.iter for r in res.records], ys=[r.subspace_error for r in res.records])
         for res in results
@@ -425,9 +446,8 @@ def method_lines(summary: dict) -> list[str]:
 
 def _write_summary(output_dir: Path, summary: dict) -> None:
     (output_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=str) + "\n")
-    lines = [f"instance: {summary['instance']}", f"polar_mode: {summary['polar_mode']}", *method_lines(summary)]
-    if "max_violation" in summary:
-        lines.append(f"max_violation: {summary['max_violation']:.3e} (FEAS_TOL {FEAS_TOL:.0e})")
+    lines = [f"instance: {summary['instance']}", f"polar_mode: {summary['polar_mode']}", *method_lines(summary),
+             f"max_violation: {summary['max_violation']:.3e} (FEAS_TOL {FEAS_TOL:.0e})"]
     if summary.get("winner") is not None:
         lines.append(f"winner: {summary['winner']}")
     if summary.get("note"):
@@ -435,35 +455,10 @@ def _write_summary(output_dir: Path, summary: dict) -> None:
     (output_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
-def _instance(cfg: BenchConfig) -> dict:
-    return {"n": cfg.n, "p": cfg.p, "d": cfg.d, "data_seed": cfg.data_seed}
-
-
 def run_pca_bench(cfg: BenchConfig) -> dict:
     """Full comparison: per-run CSVs, a log-scale subspace-error chart, and a
-    summary keyed by method with per-repeat and aggregate figures.
-
-    `max_violation` is the largest orthogonality violation over every
-    recorded iterate. Each one is certified within FEAS_TOL, and an iterate
-    beyond it aborts its run, so a breach shows as an aborted run.
-    """
-
-    def reduce(results, stats):
-        initial = [r.records[0].subspace_error for r in results if r.repeat == 0 and r.records]
-        return {
-            "instance": _instance(cfg),
-            "steps": cfg.steps,
-            "repeats": cfg.repeats,
-            "polar_mode": cfg.polar_mode.describe(),
-            "init_seed": cfg.init_seed,
-            "init_hashes": [next(r.init_hash for r in results if r.repeat == k) for k in range(cfg.repeats)],
-            "initial_subspace_error": initial[0] if initial else None,
-            "methods": stats,
-            "aborted": any(r.aborted for r in results),
-            "max_violation": max((rec.orth_violation for res in results for rec in res.records), default=0.0),
-        }
-
-    return _bench(cfg, reduce, "subspace_error.svg", f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}")
+    summary keyed by method with per-repeat and aggregate figures."""
+    return _bench(cfg, lambda stats: {}, "subspace_error.svg", f"Subspace error, St({cfg.n},{cfg.p}), d={cfg.d}")
 
 
 def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
@@ -483,26 +478,21 @@ def run_rgd_sweep(cfg: BenchConfig, step_sizes: list[float]) -> dict:
         alpha_of[label] = alpha
     sweep_methods = tuple(MethodSpec(label, Rgd(), constant_schedule(alpha)) for label, alpha in alpha_of.items())
 
-    def reduce(results, stats):
+    def extra(stats):
         finals = {
             label: stats[label]["final_subspace_error"][0]
             for label in alpha_of
             if stats[label]["final_subspace_error"]
         }
         return {
-            "instance": _instance(cfg),
-            "steps": cfg.steps,
-            "polar_mode": cfg.polar_mode.describe(),
             "step_sizes": list(step_sizes),
             "final_subspace_error": {label.removeprefix("rgd_"): v for label, v in finals.items()},
             "winner": alpha_of[min(finals, key=finals.get)] if finals else None,
             "note": "the stock RGD step 1e-3 is set by hand and is not this sweep's pick",
-            "methods": stats,
-            "aborted": any(r.aborted for r in results),
         }
 
     title = f"RGD constant-step sweep, St({cfg.n},{cfg.p})"
-    return _bench(replace(cfg, methods=sweep_methods, repeats=1), reduce, "rgd_sweep.svg", title)
+    return _bench(replace(cfg, methods=sweep_methods, repeats=1), extra, "rgd_sweep.svg", title)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> bench.BenchConfig:
+    if args.output_dir == "":
+        raise ConfigurationError("--output-dir must not be empty")
     cfg = bench.load_config(args.config) if args.config else bench.default_pca_config(bench.DEFAULT_OUTPUT_DIR)
-    return replace(cfg, output_dir=Path(args.output_dir)) if args.output_dir else cfg
+    return cfg if args.output_dir is None else replace(cfg, output_dir=Path(args.output_dir))
 
 
 def main(argv=None) -> int:
@@ -82,20 +84,19 @@ def _report_aborts(summary) -> bool:
 
 
 def _dispatch(args) -> int:
-    if args.command == "pca-bench":
+    if args.command in ("pca-bench", "rgd-sweep"):
         cfg = _load_config(args)
-        summary = bench.run_pca_bench(cfg)
-        print("\n".join(bench.method_lines(summary)))
+        if args.command == "pca-bench":
+            summary = bench.run_pca_bench(cfg)
+            lines = bench.method_lines(summary)
+        else:
+            summary = bench.run_rgd_sweep(cfg, args.steps)
+            lines = [f"alpha={alpha}: final subspace error {err:.6e}"
+                     for alpha, err in summary["final_subspace_error"].items()]
+            winner = summary["winner"]
+            lines.append("winner: none" if winner is None else f"winner: alpha={winner:g}")
+        print("\n".join(lines))
         _report_fallbacks(summary)
-        return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
-
-    if args.command == "rgd-sweep":
-        cfg = _load_config(args)
-        summary = bench.run_rgd_sweep(cfg, args.steps)
-        for alpha, err in summary["final_subspace_error"].items():
-            print(f"alpha={alpha}: final subspace error {err:.6e}")
-        winner = summary["winner"]
-        print("winner: none" if winner is None else f"winner: alpha={winner:g}")
         return EXIT_NUMERIC_ERROR if _report_aborts(summary) else EXIT_OK
 
     # verify: the subparsers are required, so argparse admits no other command.

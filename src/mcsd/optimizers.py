@@ -200,9 +200,9 @@ class StochasticMcsd:
     """Stochastic MCSD with heavy-ball momentum."""
 
     evaluates_ahead: ClassVar[bool] = False
-    norm: NormKind
-    beta: float
-    noise: NoiseConfig
+    norm: NormKind = NormKind.SPECTRAL
+    beta: float = 0.9
+    noise: NoiseConfig = NoiseConfig("gaussian")
 
     def __post_init__(self):
         if not (0.0 <= self.beta < 1.0):

@@ -1,7 +1,7 @@
 import itertools
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from mcsd import (
     BoundReport,
     BrockettInstance,
     ConfigurationError,
+    NoiseConfig,
     NormKind,
     NumericError,
     PolarMode,
@@ -20,6 +21,7 @@ from mcsd import (
 from mcsd.bench import (
     MAX_DATA_ENTRIES,
     MAX_INNER_ITERS,
+    BenchConfig,
     default_pca_config,
     load_config,
     run_pca_bench,
@@ -88,17 +90,51 @@ class TestConfigParsing:
         assert cfg.methods[1].method.norm is NormKind.SPECTRAL
         assert isinstance(cfg.methods[2].method, ManifoldMuon)
 
-    def test_stochastic_method_section(self, tmp_path):
+    @pytest.mark.parametrize(
+        "keys, fields",
+        [
+            ("norm = spectral\nbeta = 0.8\nnoise = gaussian:0.05\n",
+             {"norm": NormKind.SPECTRAL, "beta": 0.8, "noise": NoiseConfig.additive_gaussian(0.05)}),
+            ("", {}),
+        ],
+        ids=["every_key", "bare"],
+    )
+    def test_stochastic_method_section(self, tmp_path, keys, fields):
         path = tmp_path / "sto.ini"
         path.write_text(
             "[instance]\nn = 10\np = 2\nd = 30\n\n[run]\nsteps = 3\n"
-            "[method:smcsd]\nkind = stochastic_mcsd\nnorm = spectral\nbeta = 0.8\n"
-            "noise = gaussian:0.05\nschedule = constant:0.01\n"
+            f"[method:smcsd]\nkind = stochastic_mcsd\n{keys}schedule = constant:0.01\n"
         )
-        cfg = load_config(path)
-        method = cfg.methods[0].method
-        assert isinstance(method, StochasticMcsd)
-        assert method.beta == 0.8 and method.noise.sigma_entry == 0.05
+        assert load_config(path).methods[0].method == StochasticMcsd(**fields)
+
+    def test_keys_left_out_take_the_documented_defaults(self, tmp_path):
+        bare, full = tmp_path / "bare.ini", tmp_path / "full.ini"
+        bare.write_text(
+            "[instance]\nn = 10\np = 2\nd = 30\n[run]\n"
+            "[method:s]\nkind = stochastic_mcsd\nschedule = constant:0.01\n"
+            "[method:m]\nkind = manifold_muon\nschedule = constant:0.01\n"
+        )
+        full.write_text(
+            "[instance]\nn = 10\np = 2\nd = 30\ndata_seed = 7\n"
+            "[run]\nsteps = 300\ninit_seed = 11\nrepeats = 3\npolar_mode = iterative:8\noutput_dir = bench-out\n"
+            "[method:s]\nkind = stochastic_mcsd\nschedule = constant:0.01\n"
+            "norm = spectral\nbeta = 0.9\nnoise = gaussian:0.0\n"
+            "[method:m]\nkind = manifold_muon\nschedule = constant:0.01\ninner_iters = 10\ninner_lr = 0.1\n"
+        )
+        assert load_config(bare) == load_config(full)
+
+    def test_every_key_names_a_field_and_an_optional_one_has_a_default(self):
+        # the rule that lets a key left out take its field's default
+        tables = [
+            (BenchConfig, {**bench._INSTANCE_KEYS, **bench._RUN_KEYS}, {"n", "p", "d"}),
+            *((cls, keys, set()) for cls, keys in bench._METHOD_KINDS.values()),
+        ]
+        for cls, keys, required in tables:
+            by_name = {f.name: f for f in fields(cls) if f.init}
+            for key in keys:
+                assert key in by_name, f"{cls.__name__} has no field {key!r}"
+                has_default = by_name[key].default is not MISSING
+                assert has_default != (key in required), f"{cls.__name__}.{key}"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -768,6 +804,29 @@ class TestExitCodes:
         assert main(["pca-bench", str(path), "--output-dir", str(target)]) == EXIT_NUMERIC_ERROR
         assert capsys.readouterr().err.startswith("i/o error:")
         assert runs == []  # the directory fails before any run
+
+    @pytest.mark.parametrize(
+        "command, given, message",
+        [
+            (["pca-bench"], "config", "[run] output_dir = '': must not be empty"),
+            (["rgd-sweep", "--steps", "1e-3"], "config", "[run] output_dir = '': must not be empty"),
+            (["pca-bench"], "flag", "--output-dir must not be empty"),
+            (["rgd-sweep", "--steps", "1e-3"], "flag", "--output-dir must not be empty"),
+        ],
+        ids=["pca_config", "sweep_config", "pca_flag", "sweep_flag"],
+    )
+    def test_empty_output_dir_is_config_error(self, tmp_path, monkeypatch, capsys, runs, command, given, message):
+        # an empty directory was read as the current one, and an empty flag
+        # was dropped so that the config's directory took the outputs
+        path = tiny_config(tmp_path, steps=1, repeats=1)
+        if given == "config":
+            path.write_text(path.read_text().replace(f"output_dir = {tmp_path / 'out'}", "output_dir ="))
+        argv = [command[0], str(path), *command[1:], *(["--output-dir", ""] if given == "flag" else [])]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert runs == [] and sorted(tmp_path.iterdir()) == before
 
     def test_sweep_output_dir_that_is_a_file_is_io_error(self, tmp_path, capsys, runs):
         target = tmp_path / "taken"

@@ -24,6 +24,11 @@ from tests.test_bench_cli import tiny_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# The keys both bench commands write, in order, before each command's own.
+SUMMARY_KEYS = [
+    "instance", "steps", "repeats", "polar_mode", "init_seed", "init_hashes",
+    "initial_subspace_error", "methods", "aborted", "max_violation",
+]
 STATS_KEYS = [
     "schedule", "final_subspace_error", "mean_final_subspace_error", "median_final_subspace_error",
     "step_wall_s", "mean_step_wall_s", "median_step_wall_s", "aborted", "abort_messages", "fallback_count",
@@ -170,15 +175,13 @@ class TestCommandLayout:
         files, keys = self.run(tmp_path, "pca-bench")
         runs = [f"{label}_{k}.csv" for label in ("mm", "rgd", "spel") for k in (0, 1)]
         assert files == runs + ["subspace_error.svg", "summary.json", "summary.txt"]
-        assert keys == [
-            "instance", "steps", "repeats", "polar_mode", "init_seed", "init_hashes",
-            "initial_subspace_error", "methods", "aborted", "max_violation",
-        ]
+        assert keys == SUMMARY_KEYS
 
     def test_rgd_sweep(self, tmp_path):
         files, keys = self.run(tmp_path, "rgd-sweep", "--steps", "0.01", "0.001")
         assert files == ["rgd_0.001_0.csv", "rgd_0.01_0.csv", "rgd_sweep.svg", "summary.json", "summary.txt"]
-        assert keys == [
-            "instance", "steps", "polar_mode", "step_sizes", "final_subspace_error", "winner", "note",
-            "methods", "aborted",
-        ]
+        assert keys == SUMMARY_KEYS + ["step_sizes", "final_subspace_error", "winner", "note"]
+        # summary.txt: the shared lines, then the sweep's winner and note
+        lines = (tmp_path / "rgd-sweep" / "summary.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in lines[-3:-1]] == ["max_violation", "winner"]
+        assert lines[-1] == "the stock RGD step 1e-3 is set by hand and is not this sweep's pick"
