@@ -177,9 +177,9 @@ def _key_error(section, key: str, reason) -> ConfigurationError:
 
 def _read(section, keys: dict, required=()) -> dict:
     """Parse the keys that one config section gives by `keys`, a table of
-    key -> parser, in table order; a key left out takes its field's default,
-    except one of `required`. A key outside the table is rejected, and every
-    error names the section and the key."""
+    key -> parser, in table order. A key left out takes its field's default,
+    and one of `required` left out is an error. A key outside the table is
+    rejected, and every error names the section and the key."""
     values = {}
     for key, parse in keys.items():
         if key in section:

@@ -91,7 +91,7 @@ class TestConfigParsing:
         assert isinstance(cfg.methods[2].method, ManifoldMuon)
 
     @pytest.mark.parametrize(
-        "keys, fields",
+        "keys, values",
         [
             ("norm = spectral\nbeta = 0.8\nnoise = gaussian:0.05\n",
              {"norm": NormKind.SPECTRAL, "beta": 0.8, "noise": NoiseConfig.additive_gaussian(0.05)}),
@@ -99,13 +99,13 @@ class TestConfigParsing:
         ],
         ids=["every_key", "bare"],
     )
-    def test_stochastic_method_section(self, tmp_path, keys, fields):
+    def test_stochastic_method_section(self, tmp_path, keys, values):
         path = tmp_path / "sto.ini"
         path.write_text(
             "[instance]\nn = 10\np = 2\nd = 30\n\n[run]\nsteps = 3\n"
             f"[method:smcsd]\nkind = stochastic_mcsd\n{keys}schedule = constant:0.01\n"
         )
-        assert load_config(path).methods[0].method == StochasticMcsd(**fields)
+        assert load_config(path).methods[0].method == StochasticMcsd(**values)
 
     def test_keys_left_out_take_the_documented_defaults(self, tmp_path):
         bare, full = tmp_path / "bare.ini", tmp_path / "full.ini"
